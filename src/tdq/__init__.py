@@ -52,6 +52,7 @@ from .takagi import (
     takagi_system,
     tilde_F_1,
     tilde_F_q,
+    tilde_F_q_log2,
 )
 from .trollope import (
     LogDecomposition,

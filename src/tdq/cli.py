@@ -41,6 +41,14 @@ def _parse_scalar_arg(text: str | None, mode_opt: str | None) -> Scalar:
     return parse_scalar(text, mode)
 
 
+def _finite_float(text: str) -> float:
+    """argparse type for the float options: nan and inf are parse errors."""
+    v = float(text)
+    if not math.isfinite(v):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return v
+
+
 def _check_n(n: int, limit: int) -> int:
     if n > limit:
         raise DomainError(f"n = {n} exceeds the configured limit {limit} (see --n-limit)")
@@ -106,9 +114,19 @@ def _curve_rows(grid, values) -> tuple[list[str], list[list[str]]]:
 # eval
 
 
+# the option each eval target cannot run without (--q/--a are checked on parse)
+EVAL_NEEDS = {
+    "sq": "n", "Sq": "n", "Gq": "n", "vdc": "n",
+    "hatF": "u", "tildeF": "u", "tildeF1": "t", "takagi": "x",
+}
+
+
 def cmd_eval(args) -> int:
     target = args.target
     limit = args.n_limit
+    need = EVAL_NEEDS[target]
+    if getattr(args, need) is None:
+        raise ParseError(f"eval {target} needs --{need}")
     if target == "sq":
         q = _parse_scalar_arg(args.q, args.mode)
         print(digit_sums.s_q(_check_n(args.n, limit), q).render())
@@ -239,7 +257,7 @@ def cmd_verify(args) -> int:
             lg = math.log2(n)
             rhs = qf / 2 * (
                 (1 - qf ** lg) / (1 - qf)
-                + qf ** lg * float(takagi.tilde_F_q(lg, q).value)
+                + qf ** lg * float(takagi.tilde_F_q_log2(n, q).value)
             )
             lhs = s_acc / n
             rel = abs(rhs - lhs) / (1.0 + abs(lhs))
@@ -510,9 +528,9 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--a")
     pe.add_argument("--x")
     pe.add_argument("--n", type=int)
-    pe.add_argument("--u", type=float)
-    pe.add_argument("--t", type=float)
-    pe.add_argument("--tol", type=float, default=takagi.DEFAULT_SERIES_TOL)
+    pe.add_argument("--u", type=_finite_float)
+    pe.add_argument("--t", type=_finite_float)
+    pe.add_argument("--tol", type=_finite_float, default=takagi.DEFAULT_SERIES_TOL)
     pe.add_argument("--route", choices=["direct", "recursive", "pow2"], default="recursive")
     common(pe)
     pe.set_defaults(func=cmd_eval)
@@ -522,8 +540,8 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--q", default="2/3")
     pv.add_argument("--n-max", type=int, default=4096)
     pv.add_argument("--N", type=int, default=8)
-    pv.add_argument("--tol", type=float, default=1e-9)
-    pv.add_argument("--gamma-limit", type=float, default=1.0)
+    pv.add_argument("--tol", type=_finite_float, default=1e-9)
+    pv.add_argument("--gamma-limit", type=_finite_float, default=1.0)
     common(pv)
     pv.set_defaults(func=cmd_verify)
 
@@ -532,8 +550,8 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--q")
     pc.add_argument("--a")
     pc.add_argument("--grid", type=int, default=10, help="grid density m; 2^m+1 points")
-    pc.add_argument("--tol", type=float, default=takagi.DEFAULT_SERIES_TOL)
-    pc.add_argument("--gamma-limit", type=float, default=1.0)
+    pc.add_argument("--tol", type=_finite_float, default=takagi.DEFAULT_SERIES_TOL)
+    pc.add_argument("--gamma-limit", type=_finite_float, default=1.0)
     pc.add_argument("--omega", default="0")
     pc.add_argument("--l", type=int, default=1024)
     pc.add_argument("--R", default="max-abs")

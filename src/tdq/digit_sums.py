@@ -77,7 +77,8 @@ class WeightSequence:
 
 # ---------------------------------------------------------------------------
 # payload-level helpers (used by verification sweeps; q given as Fraction /
-# float / complex)
+# float / complex).  For q = a/b the Fraction paths run on integer numerators
+# over a power of b, known in advance, and normalise once at the end.
 
 
 def sq_payload(n: int, qv):
@@ -92,15 +93,51 @@ def sq_payload(n: int, qv):
     return total
 
 
+def geometric_num(k: int, a: int, b: int) -> int:
+    """G_k = (b^k - a^k)/(b - a) = sum_{i<k} a^i b^{k-1-i}; k when a = b."""
+    if a == b:
+        return k
+    return (b ** k - a ** k) // (b - a)
+
+
+def _pow2_num(k: int, a: int, b: int) -> int:
+    """S_q(2^k) b^k = a G_k 2^{k-1} for q = a/b and k >= 1."""
+    return a * geometric_num(k, a, b) << (k - 1)
+
+
 def S_pow2_payload(k: int, qv):
+    if isinstance(qv, Fraction):
+        a, b = qv.numerator, qv.denominator
+        return Fraction(_pow2_num(k, a, b), b ** k) if k else Fraction(0)
     if qv == 1:
         return (0 * qv) + k * (1 << (k - 1)) if k else 0 * qv
     return qv * (1 - qv ** k) / (1 - qv) * (1 << (k - 1)) if k else 0 * qv
 
 
+def _S_rec_num(n: int, a: int, b: int) -> int:
+    """R(n) = S_q(n) b^{bitlen n} for q = a/b: S_rec_payload's recursions scaled."""
+    if n == 1:
+        return 0
+    k = n.bit_length() - 1
+    if n & (n - 1) == 0:
+        return _pow2_num(k, a, b) * b
+    if n & 1 == 0:
+        half = n >> 1
+        return 2 * a * _S_rec_num(half, a, b) + half * a * b ** k
+    m = n - (1 << k)
+    return (
+        _pow2_num(k, a, b) * b
+        + _S_rec_num(m, a, b) * b ** (k + 1 - m.bit_length())
+        + m * a ** (k + 1)
+    )
+
+
 def S_rec_payload(n: int, qv):
     if n < 1:
         raise DomainError("S_q is defined for n >= 1")
+    if isinstance(qv, Fraction):
+        a, b = qv.numerator, qv.denominator
+        return Fraction(_S_rec_num(n, a, b), b ** n.bit_length())
     if n == 1:
         return 0 * qv
     if n & (n - 1) == 0:
@@ -114,23 +151,33 @@ def S_rec_payload(n: int, qv):
 
 
 def iter_S_direct(n_max: int, qv) -> Iterator:
-    """Yield (n, S_q(n)) payloads for n = 1 .. n_max by literal accumulation."""
-    total = 0 * qv
+    """Yield (n, S_q(n)) payloads for n = 1 .. n_max by literal accumulation.
+
+    For q = a/b, s_q(j) b^K (K = bitlen n_max) has integer digit weights
+    w_i = a^{i+1} b^{K-1-i}; j -> j + 1 clears the t trailing ones of j and
+    sets bit t, so it gains w_t - (w_0 + ... + w_{t-1}).
+    """
+    if not isinstance(qv, Fraction):
+        total = 0 * qv
+        for n in range(1, n_max + 1):
+            if n > 1:
+                total = total + sq_payload(n - 1, qv)
+            yield n, total
+        return
+    a, b = qv.numerator, qv.denominator
+    K = n_max.bit_length()
+    den = b ** K
+    step = []  # step[t] = w_t - (w_0 + ... + w_{t-1})
+    below = 0
+    for i in range(K):
+        w = a ** (i + 1) * b ** (K - 1 - i)
+        step.append(w - below)
+        below += w
+    s = total = 0  # s_q(n) b^K and S_q(n) b^K
     for n in range(1, n_max + 1):
-        if n > 1:
-            total = total + sq_payload(n - 1, qv)
-        yield n, total
-
-
-def S_partials_payload(n_max: int, qv) -> list:
-    """Payload list P with P[j] = S_q(j) for j = 0 .. n_max (P[0] = P[1] = 0)."""
-    out = [0 * qv]
-    total = 0 * qv
-    for j in range(1, n_max + 1):
-        if j > 1:
-            total = total + sq_payload(j - 1, qv)
-        out.append(total)
-    return out
+        yield n, Fraction(total, den)
+        s += step[(n & -n).bit_length() - 1]
+        total += s
 
 
 # ---------------------------------------------------------------------------
@@ -160,10 +207,8 @@ def S_q_direct(n: int, q) -> Scalar:
     if n < 1:
         raise DomainError("S_q is defined for n >= 1")
     qw = as_qweight(q)
-    qv = qw.q.value
-    total = 0 * qv
-    for k in range(1, n):
-        total = total + sq_payload(k, qv)
+    for _, total in iter_S_direct(n, qw.q.value):
+        pass
     return Scalar(qw.q.mode, total)
 
 

@@ -9,6 +9,7 @@ rationals in the canonical "ending in all zeros" form.
 
 from __future__ import annotations
 
+import cmath
 import enum
 import math
 import re
@@ -178,7 +179,8 @@ def parse_scalar(text: str, mode: Mode) -> Scalar:
     """Parse scalar text for the requested mode.
 
     Grammar: rationals ``-?[0-9]+(/[0-9]+)?``, floats in decimal/scientific
-    notation, complex ``RE(+|-)IMi`` with no spaces.
+    notation, complex ``RE(+|-)IMi`` with no spaces.  nan and inf are
+    rejected in every mode.
     """
     text = text.strip()
     if not text:
@@ -192,16 +194,22 @@ def parse_scalar(text: str, mode: Mode) -> Scalar:
             raise ParseError(f"zero denominator: {text!r}") from None
     if mode is Mode.FLOAT:
         try:
-            return Scalar.flt(float(Fraction(text) if "/" in text else text))
+            v = float(Fraction(text) if "/" in text else text)
         except (ValueError, ZeroDivisionError):
             raise ParseError(f"not a float literal: {text!r}") from None
+        if not math.isfinite(v):
+            raise ParseError(f"not a finite value: {text!r}")
+        return Scalar.flt(v)
     # complex: reuse Python's parser with i -> j
     if " " in text:
         raise ParseError(f"complex literal must not contain spaces: {text!r}")
     try:
-        return Scalar.cplx(complex(text.replace("i", "j").replace("I", "j")))
+        c = complex(text.replace("i", "j").replace("I", "j"))
     except ValueError:
         raise ParseError(f"not a complex literal: {text!r}") from None
+    if not cmath.isfinite(c):
+        raise ParseError(f"not a finite value: {text!r}")
+    return Scalar.cplx(c)
 
 
 def infer_mode(text: str) -> Mode:
@@ -228,6 +236,12 @@ def int_pow(s, k: int) -> Scalar:
 def tau_frac(x: Fraction) -> Fraction:
     f = x - math.floor(x)
     return min(f, 1 - f)
+
+
+def tau_scaled(n: int, i: int) -> int:
+    """2^i tau(n / 2^i) = min(m, 2^i - m) with m = n mod 2^i, an integer."""
+    m = n & ((1 << i) - 1)
+    return min(m, (1 << i) - m)
 
 
 def tau_float(x: float) -> float:

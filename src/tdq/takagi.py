@@ -24,7 +24,7 @@ from .scalar import (
     as_qweight,
     as_scalar,
     tau_float,
-    tau_frac,
+    tau_scaled,
 )
 
 DEFAULT_SERIES_TOL = 1e-14
@@ -225,14 +225,15 @@ def takagi_series(x, a, tol: float = DEFAULT_SERIES_TOL) -> Scalar:
         raise ModeError("takagi_series requires a real abscissa")
 
     if isinstance(fr, (int, Fraction)):
-        y = Fraction(fr) - math.floor(fr)
+        # x mod 1 = m/d doubles to 2m mod d; from m = 0 on every term is 0
+        fr = Fraction(fr)
+        d = fr.denominator
+        m = fr.numerator % d
         for _ in range(n_terms):
-            t = tau_frac(y)
-            if t:
-                acc = acc + w * float(t)
-            y = 2 * y
-            if y >= 1:
-                y -= 1
+            if not m:
+                break
+            acc = acc + w * (min(m, d - m) / d)
+            m = 2 * m % d
             w = w * av
     else:
         y = fr - math.floor(fr)
@@ -246,21 +247,32 @@ def takagi_series(x, a, tol: float = DEFAULT_SERIES_TOL) -> Scalar:
 
 
 def takagi_dyadic_exact(x, a) -> Scalar:
-    """Finite sum at a dyadic rational x; exact when a is exact, any a allowed."""
+    """Finite sum at a dyadic rational x; exact when a is exact, any a allowed.
+
+    With x mod 1 = m/2^e the terms are a^j tau(m_j/2^e), m_j = 2^j m mod 2^e,
+    for j < e.  For exact a = p/r the sum is B / (r^{e-1} 2^e) with the
+    integer B = sum_j p^j r^{e-1-j} min(m_j, 2^e - m_j).
+    """
     fr = as_dyadic_fraction(x)
     if fr is None:
         raise DomainError("takagi_dyadic_exact requires a dyadic rational x")
     a = as_scalar(a)
+    y = fr - math.floor(fr)
+    m, size = y.numerator, y.denominator
+    e = size.bit_length() - 1
+    if a.mode is Mode.EXACT:
+        p, r = a.value.numerator, a.value.denominator
+        acc = 0
+        pj = 1
+        for j in range(e):
+            acc = acc * r + pj * tau_scaled(m << j, e)
+            pj *= p
+        return Scalar(Mode.EXACT, Fraction(acc, r ** (e - 1) << e) if e else Fraction(0))
     av = a.value
     acc = 0 * av
-    y = fr - math.floor(fr)
     w = av ** 0
-    while y != 0:
-        t = tau_frac(y)
-        acc = acc + w * (t if a.mode is Mode.EXACT else float(t))
-        y = 2 * y
-        if y >= 1:
-            y -= 1
+    for j in range(e):
+        acc = acc + w * (tau_scaled(m << j, e) / size)
         w = w * av
     return Scalar(a.mode, acc)
 
@@ -280,8 +292,7 @@ def takagi_alt_dyadic(n: int, a) -> Scalar:
     k = n.bit_length() - 1
     acc = 0 * av
     for i in range(1, k + 2):
-        m = n & ((1 << i) - 1)
-        t = Fraction(min(m, (1 << i) - m), 1 << i)
+        t = Fraction(tau_scaled(n, i), 1 << i)
         if t:
             acc = acc + av ** -i * (t if a.mode is Mode.EXACT else float(t))
     return Scalar(a.mode, acc * av ** (k + 1))
@@ -323,8 +334,8 @@ def hat_F_q(u, q, tol: float = DEFAULT_SERIES_TOL) -> Scalar:
     return Scalar.lift(2.0 ** (1.0 - uf), mode) * t
 
 
-def tilde_F_q(u, q, tol: float = DEFAULT_SERIES_TOL) -> Scalar:
-    """The corollary's periodic correction (real q > 1/2, q != 1 only)."""
+def _corollary_q(q) -> float:
+    """q as a float after checking the corollary's domain: real q > 1/2, q != 1."""
     qw = as_qweight(q)
     if qw.q.mode is Mode.COMPLEX:
         raise ModeError("tilde_F_q is defined for real q only")
@@ -333,13 +344,38 @@ def tilde_F_q(u, q, tol: float = DEFAULT_SERIES_TOL) -> Scalar:
         raise DomainError("tilde_F_q requires q > 1/2")
     if qw.is_one:
         raise DomainError("tilde_F_q excludes q = 1 (use tilde_F_1)")
+    return qf
+
+
+def _tilde_F(uf: float, qf: float, x, tol: float) -> Scalar:
+    """tilde F_q(u) with the Takagi factor summed at the abscissa x = 2^{u-1}."""
+    t = float(takagi_series(x, 1.0 / (2.0 * qf), tol).value)
+    head = (1.0 - qf ** (1.0 - uf)) / (1.0 - qf)
+    return Scalar.flt(head - qf ** (-uf) * 2.0 ** (1.0 - uf) * t)
+
+
+def tilde_F_q(u, q, tol: float = DEFAULT_SERIES_TOL) -> Scalar:
+    """The corollary's periodic correction (real q > 1/2, q != 1 only)."""
+    qf = _corollary_q(q)
     uf = float(as_scalar(u).promote(Mode.FLOAT).value)
     if uf != 1.0:
         uf -= math.floor(uf)
-    af = 1.0 / (2.0 * qf)
-    t = float(takagi_series(2.0 ** (uf - 1.0), af, tol).value)
-    head = (1.0 - qf ** (1.0 - uf)) / (1.0 - qf)
-    return Scalar.flt(head - qf ** (-uf) * 2.0 ** (1.0 - uf) * t)
+    return _tilde_F(uf, qf, 2.0 ** (uf - 1.0), tol)
+
+
+def tilde_F_q_log2(n: int, q, tol: float = DEFAULT_SERIES_TOL) -> Scalar:
+    """tilde F_q(log2 n) for an integer n >= 1.
+
+    With k = [log2 n] and u = log2 n - k, the Takagi abscissa 2^{u-1} is the
+    dyadic n/2^{k+1}, so the series is summed there exactly.  T_a is only
+    Hoelder continuous, so the float-rounded 2^{u-1} would amplify one
+    rounding error to ~1e-7 at a = 3/4.
+    """
+    qf = _corollary_q(q)
+    if n < 1:
+        raise DomainError("tilde_F_q_log2 requires n >= 1")
+    k = n.bit_length() - 1
+    return _tilde_F(math.log2(n) - k, qf, Fraction(n, 2 << k), tol)
 
 
 def tilde_F_1(t, tol: float = DEFAULT_SERIES_TOL) -> Scalar:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .digit_sums import WeightSequence, weighted_digit_sum
+from .digit_sums import WeightSequence, geometric_num, weighted_digit_sum
 from .errors import DomainError
 from .scalar import (
     DyadicRational,
@@ -22,6 +22,7 @@ from .scalar import (
     Scalar,
     as_qweight,
     as_scalar,
+    tau_scaled,
 )
 from .takagi import G_tilde_gamma, takagi_dyadic_exact
 
@@ -54,18 +55,13 @@ def log_decompose(n: int, q=None) -> LogDecomposition:
     return LogDecomposition(n=n, k=k, u=math.log2(n) - k, p=p, x=x, r=r)
 
 
-def _tau_terms(n: int, i: int) -> Fraction:
-    """tau(n / 2^i) as an exact fraction, via n mod 2^i."""
-    m = n & ((1 << i) - 1)
-    return Fraction(min(m, (1 << i) - m), 1 << i)
-
-
 def theorem1_rhs(n: int, q) -> Scalar:
     """Right-hand side of the generalized Trollope-Delange formula.
 
     Valid for |q| > 1/2, q != 1.  hat F_q(log2 n) is taken through the exact
     dyadic Takagi route, so the whole identity stays in rational arithmetic
-    for rational q.  Equals S_q(n)/n.
+    for rational q.  Equals S_q(n)/n.  For exact q = a/b and T = tn/td it is
+    a (G_{k+1} n td - a^k 2^{k+1} tn) / (2 b^{k+1} n td), G_j = (b^j - a^j)/(b - a).
     """
     if n < 1:
         raise DomainError("theorem1_rhs requires n >= 1")
@@ -78,8 +74,12 @@ def theorem1_rhs(n: int, q) -> Scalar:
     mode = qw.q.mode
     k = n.bit_length() - 1
     t = takagi_dyadic_exact(Fraction(n, 1 << (k + 1)), qw.a).value
-    scale = Fraction(1 << (k + 1), n)
-    hat_f = (scale if mode is Mode.EXACT else float(scale)) * t
+    if mode is Mode.EXACT:
+        a, b = qv.numerator, qv.denominator
+        tn, td = t.numerator, t.denominator
+        num = a * (geometric_num(k + 1, a, b) * n * td - (a ** k * tn << (k + 1)))
+        return Scalar(mode, Fraction(num, 2 * b ** (k + 1) * n * td))
+    hat_f = float(Fraction(1 << (k + 1), n)) * t
     bracket = (1 - qv ** (k + 1)) / (1 - qv) - qv ** k * hat_f
     return Scalar(mode, qv / 2 * bracket)
 
@@ -87,7 +87,9 @@ def theorem1_rhs(n: int, q) -> Scalar:
 def dyadic_formula(n: int, q) -> Scalar:
     """All-q exact formula for S_q(n)/n at the (dyadic) integer points.
 
-    No modulus constraint on q; only q = 1 is excluded.
+    No modulus constraint on q; only q = 1 is excluded.  For exact q = a/b,
+    multiplying through by 2n b^{k+1} leaves one integer expression,
+    a G_{k+1} n - sum_i a^i b^{k+1-i} min(m_i, 2^i - m_i), m_i = n mod 2^i.
     """
     if n < 1:
         raise DomainError("dyadic_formula requires n >= 1")
@@ -97,11 +99,20 @@ def dyadic_formula(n: int, q) -> Scalar:
     qv = q.value
     mode = q.mode
     k = n.bit_length() - 1
+    if mode is Mode.EXACT:
+        a, b = qv.numerator, qv.denominator
+        acc = 0
+        ai = 1
+        for i in range(1, k + 2):
+            ai *= a
+            acc = acc * b + ai * tau_scaled(n, i)
+        head = a * geometric_num(k + 1, a, b) * n
+        return Scalar(mode, Fraction(head - acc, 2 * n * b ** (k + 1)))
     total = 0 * qv
     for i in range(1, k + 2):
-        t = _tau_terms(n, i)
+        t = tau_scaled(n, i)
         if t:
-            total = total + (2 * qv) ** i * (t if mode is Mode.EXACT else float(t))
+            total = total + (2 * qv) ** i * (t / (1 << i))
     head = qv / 2 * (1 - qv ** (k + 1)) / (1 - qv)
     return Scalar(mode, head - total / (2 * n))
 
@@ -116,10 +127,7 @@ def classic_formula(n: int) -> Scalar:
         raise DomainError("classic_formula requires n >= 1")
     k = n.bit_length() - 1
     # 2^{k+1} T(n / 2^{k+1}) at a = 1/2 collapses to sum_i min(m_i, 2^i - m_i)
-    tk_scaled = 0
-    for i in range(1, k + 2):
-        m = n & ((1 << i) - 1)
-        tk_scaled += min(m, (1 << i) - m)
+    tk_scaled = sum(tau_scaled(n, i) for i in range(1, k + 2))
     lg = math.log2(n)
     u = lg - k
     tilde_f1 = 1.0 - u - tk_scaled / n
@@ -127,14 +135,17 @@ def classic_formula(n: int) -> Scalar:
 
 
 def vdc_star_discrepancy(n: int) -> Scalar:
-    """Star discrepancy of the first n van der Corput points, exact."""
+    """Star discrepancy of the first n van der Corput points, exact.
+
+    D*_n = (1 + sum_{j<=k} tau(n/2^j)) / n, summed over the common 2^k.
+    """
     if n < 1:
         raise DomainError("vdc_star_discrepancy requires n >= 1")
     k = n.bit_length() - 1
-    total = Fraction(1)
+    total = 1 << k
     for j in range(1, k + 1):
-        total += _tau_terms(n, j)
-    return Scalar.exact(total / n)
+        total += tau_scaled(n, j) << (k - j)
+    return Scalar(Mode.EXACT, Fraction(total, n << k))
 
 
 def larcher_residual(n: int, gamma: WeightSequence, tol: float) -> Scalar:

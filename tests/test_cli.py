@@ -215,3 +215,52 @@ def test_odometer_search(capsys):
     )
     assert code == 0
     assert "best l=" in out
+
+
+# -- input validation and the corollary sweep -------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        ("eval Sq --q 2/3", 1),
+        ("eval sq --q 2/3", 1),
+        ("eval Gq --q 2/3", 1),
+        ("eval vdc", 1),
+        ("eval hatF --q 2/3", 1),
+        ("eval tildeF --q 2/3", 1),
+        ("eval tildeF1", 1),
+        ("eval takagi --a 1/2", 1),
+        ("eval takagi --x 1/2", 1),
+        ("eval Sq --q nan --n 8", 1),
+        ("eval Sq --q inf --n 8", 1),
+        ("eval Sq --q -inf --n 8", 1),
+        ("eval Sq --q nan+1i --n 8", 1),
+        ("eval takagi --a 1/2 --x nan", 1),
+        ("eval hatF --q 2/3 --u nan", 1),
+        ("eval tildeF1 --t inf", 1),
+        ("verify theorem1 --q nan", 1),
+        ("verify corollary --tol nan", 1),
+        ("eval vdc --n 0", 2),
+        ("eval Sq --q 2/3 --n 0", 2),
+        ("eval takagi --a 2 --x 0.3", 2),
+        ("eval Sq --q 2/3 --n 8", 0),
+        ("eval takagi --a 1/2 --x 0.3", 0),
+    ],
+)
+def test_cli_fails_cleanly(capsys, argv, code):
+    got, _, err = run(capsys, *argv.split())
+    assert got == code
+    assert "Traceback" not in err
+    if got == 1 and "usage:" not in err:
+        assert err.count("\n") == 1 and err.startswith("tdq: parse error:")
+
+
+@pytest.mark.parametrize("q", [None, "5/7"])
+def test_verify_corollary_at_defaults(capsys, q):
+    # the Takagi factor is summed at the exact dyadic n/2^{k+1}; a float-rounded
+    # abscissa put the residual at 7.5e-8 (q = 2/3) and 2.9e-9 (q = 5/7)
+    code, out, _ = run(capsys, "verify", "corollary", *(("--q", q) if q else ()))
+    assert code == 0 and out.rstrip().endswith("PASS")
+    worst = float(out.split("max residual ")[1].split(",")[0])
+    assert worst <= 1e-12

@@ -1,0 +1,218 @@
+"""The integer-numerator kernels against plain payload reference loops.
+
+Exact q = a/b (and a = p/r) run the kernels on Python ints over a common
+denominator.  The references below are the straightforward loops on
+``Fraction`` / float / complex payloads: exact results must be equal
+``Fraction``s, float and complex results bit-identical.
+"""
+
+import math
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tdq.digit_sums import S_pow2_payload, S_rec_payload, iter_S_direct
+from tdq.takagi import takagi_dyadic_exact
+from tdq.trollope import dyadic_formula, theorem1_rhs, vdc_star_discrepancy
+
+# -- references ----------------------------------------------------------------
+
+
+def ref_sq(n, q):
+    total, w = 0 * q, q
+    while n:
+        if n & 1:
+            total = total + w
+        n >>= 1
+        if n:
+            w = w * q
+    return total
+
+
+def ref_iter_S(n_max, q):
+    total = 0 * q
+    for n in range(1, n_max + 1):
+        if n > 1:
+            total = total + ref_sq(n - 1, q)
+        yield n, total
+
+
+def ref_S_pow2(k, q):
+    if not k:
+        return 0 * q
+    if q == 1:
+        return (0 * q) + k * (1 << (k - 1))
+    return q * (1 - q ** k) / (1 - q) * (1 << (k - 1))
+
+
+def ref_S_rec(n, q):
+    if n == 1:
+        return 0 * q
+    if n & (n - 1) == 0:
+        return ref_S_pow2(n.bit_length() - 1, q)
+    if n & 1 == 0:
+        return 2 * q * ref_S_rec(n >> 1, q) + (n >> 1) * q
+    k = n.bit_length() - 1
+    m = n - (1 << k)
+    return ref_S_pow2(k, q) + ref_S_rec(m, q) + m * q ** (k + 1)
+
+
+def ref_tau(y: Fraction) -> Fraction:
+    f = y - math.floor(y)
+    return min(f, 1 - f)
+
+
+def ref_takagi_dyadic(x: Fraction, a):
+    exact = isinstance(a, Fraction)
+    acc, w = 0 * a, a ** 0
+    y = x - math.floor(x)
+    while y != 0:
+        t = ref_tau(y)
+        acc = acc + w * (t if exact else float(t))
+        y = 2 * y
+        if y >= 1:
+            y -= 1
+        w = w * a
+    return acc
+
+
+def ref_dyadic_formula(n, q):
+    exact = isinstance(q, Fraction)
+    k = n.bit_length() - 1
+    total = 0 * q
+    for i in range(1, k + 2):
+        t = ref_tau(Fraction(n, 1 << i))
+        if t:
+            total = total + (2 * q) ** i * (t if exact else float(t))
+    return q / 2 * (1 - q ** (k + 1)) / (1 - q) - total / (2 * n)
+
+
+def ref_theorem1_rhs(n, q):
+    exact = isinstance(q, Fraction)
+    k = n.bit_length() - 1
+    t = ref_takagi_dyadic(Fraction(n, 1 << (k + 1)), 1 / (2 * q))
+    scale = Fraction(1 << (k + 1), n)
+    hat_f = (scale if exact else float(scale)) * t
+    return q / 2 * ((1 - q ** (k + 1)) / (1 - q) - q ** k * hat_f)
+
+
+def ref_vdc(n):
+    total = Fraction(1)
+    for j in range(1, n.bit_length()):
+        total += ref_tau(Fraction(n, 1 << j))
+    return total / n
+
+
+# -- draws -----------------------------------------------------------------------
+
+SIGNS = st.sampled_from((1, -1))
+RATIONALS = st.builds(lambda s, p, r: s * Fraction(p, r), SIGNS, st.integers(1, 12), st.integers(1, 12))
+Q_CLASSES = {
+    "small": RATIONALS.filter(lambda q: abs(q) < Fraction(1, 2)),
+    "half": st.builds(lambda s: s * Fraction(1, 2), SIGNS),
+    "large": RATIONALS.filter(lambda q: abs(q) > Fraction(1, 2) and q.denominator > 1),
+    "integer": st.builds(lambda s, p: Fraction(s * p), SIGNS, st.integers(1, 5)).filter(lambda q: q != 1),
+    "one": st.just(Fraction(1)),
+}
+FLOATS = st.floats(-3, 3, allow_nan=False).filter(lambda v: v != 0)
+COMPLEXES = st.complex_numbers(min_magnitude=0.05, max_magnitude=3, allow_nan=False, allow_infinity=False)
+# |q| > 1/2 and q != 1, the range of Theorem 1
+CONTRACTIVE = {
+    "float": FLOATS.filter(lambda v: abs(v) > 0.5 and v != 1),
+    "complex": COMPLEXES.filter(lambda v: abs(v) > 0.5 and v != 1),
+}
+
+
+def same_bits(x, y) -> bool:
+    """Bit-identical floats / complexes (tells 0.0 from -0.0)."""
+    if type(x) is not type(y):
+        return False
+    if isinstance(x, complex):
+        return (x.real.hex(), x.imag.hex()) == (y.real.hex(), y.imag.hex())
+    return x.hex() == y.hex()
+
+
+def assert_exact(got, want):
+    assert type(got) is Fraction
+    assert got == want
+
+
+# -- S_q routes --------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("cls", sorted(Q_CLASSES))
+@settings(deadline=None, max_examples=25)
+@given(data=st.data(), n=st.integers(1, 700), k=st.integers(0, 14))
+def test_S_routes_exact(cls, data, n, k):
+    q = data.draw(Q_CLASSES[cls], label="q")
+    assert_exact(S_rec_payload(n, q), ref_S_rec(n, q))
+    assert_exact(S_pow2_payload(k, q), ref_S_pow2(k, q))
+    got = list(iter_S_direct(n, q))
+    assert [m for m, _ in got] == list(range(1, n + 1))
+    for (_, s), (_, want) in zip(got, ref_iter_S(n, q)):
+        assert_exact(s, want)
+
+
+@pytest.mark.parametrize("draw", [FLOATS, COMPLEXES], ids=["float", "complex"])
+@settings(deadline=None, max_examples=25)
+@given(data=st.data(), n=st.integers(1, 300), k=st.integers(0, 14))
+def test_S_routes_float_complex_bit_identical(draw, data, n, k):
+    q = data.draw(draw, label="q")
+    assert same_bits(S_rec_payload(n, q), ref_S_rec(n, q))
+    assert same_bits(S_pow2_payload(k, q), ref_S_pow2(k, q))
+    for (_, s), (_, want) in zip(iter_S_direct(n, q), ref_iter_S(n, q)):
+        assert same_bits(s, want)
+
+
+# -- T_a at dyadics ------------------------------------------------------------------
+
+DYADICS = st.builds(lambda j, e: Fraction(j, 1 << e), st.integers(-3000, 3000), st.integers(0, 40))
+
+
+@pytest.mark.parametrize("cls", sorted(Q_CLASSES))
+@settings(deadline=None, max_examples=40)
+@given(data=st.data(), x=DYADICS)
+def test_takagi_dyadic_exact(cls, data, x):
+    a = data.draw(Q_CLASSES[cls], label="a")
+    assert_exact(takagi_dyadic_exact(x, a).value, ref_takagi_dyadic(x, a))
+    assert_exact(takagi_dyadic_exact(x, Fraction(0)).value, ref_takagi_dyadic(x, Fraction(0)))
+
+
+@pytest.mark.parametrize("draw", [FLOATS, COMPLEXES], ids=["float", "complex"])
+@settings(deadline=None, max_examples=60)
+@given(data=st.data(), x=DYADICS)
+def test_takagi_dyadic_float_complex_bit_identical(draw, data, x):
+    a = data.draw(draw, label="a")
+    assert same_bits(takagi_dyadic_exact(x, a).value, ref_takagi_dyadic(x, a))
+
+
+# -- Theorem 1, the all-q dyadic formula, van der Corput ------------------------------
+
+
+@pytest.mark.parametrize("cls", sorted(set(Q_CLASSES) - {"one"}))
+@settings(deadline=None, max_examples=40)
+@given(data=st.data(), n=st.integers(1, 1 << 16))
+def test_dyadic_formula_and_theorem1_exact(cls, data, n):
+    q = data.draw(Q_CLASSES[cls], label="q")
+    assert_exact(dyadic_formula(n, q).value, ref_dyadic_formula(n, q))
+    if abs(q) > Fraction(1, 2):
+        assert_exact(theorem1_rhs(n, q).value, ref_theorem1_rhs(n, q))
+
+
+@pytest.mark.parametrize("kind", ["float", "complex"])
+@settings(deadline=None, max_examples=60)
+@given(data=st.data(), n=st.integers(1, 1 << 16))
+def test_dyadic_formula_and_theorem1_float_complex_bit_identical(kind, data, n):
+    q = data.draw(CONTRACTIVE[kind], label="q")
+    assert same_bits(dyadic_formula(n, q).value, ref_dyadic_formula(n, q))
+    assert same_bits(theorem1_rhs(n, q).value, ref_theorem1_rhs(n, q))
+    small = data.draw((FLOATS if kind == "float" else COMPLEXES).filter(lambda v: v != 1), label="any q")
+    assert same_bits(dyadic_formula(n, small).value, ref_dyadic_formula(n, small))
+
+
+@settings(deadline=None, max_examples=200)
+@given(n=st.integers(1, 1 << 40))
+def test_vdc_star_discrepancy(n):
+    assert_exact(vdc_star_discrepancy(n).value, ref_vdc(n))
