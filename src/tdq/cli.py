@@ -471,6 +471,8 @@ def cmd_odometer(args) -> int:
             raise DomainError("birkhoff requires |q| < 1")
         omega = _parse_omega(args.omega, args.seed)
         n = _check_n(args.n, args.n_limit)
+        if n < 1:
+            raise DomainError("birkhoff requires --n >= 1")
         mean_target = qw.q.value / (2 * (1 - qw.q.value))
         acc = odometer._OrbitAccumulator(omega, qw.q.value)
         total = acc.s

@@ -12,9 +12,10 @@ import enum
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterable, Optional, Sequence
 
-from .digit_sums import S_pow2_payload, S_rec_payload
+from .digit_sums import S_pow2_payload, S_rec_payload, binary_digits
 from .errors import DomainError
 from .scalar import (
     DyadicRational,
@@ -51,13 +52,7 @@ class OdometerPoint:
 
     @staticmethod
     def from_int(n: int, policy: OverflowPolicy = OverflowPolicy.GROW) -> "OdometerPoint":
-        if n < 0:
-            raise DomainError("odometer points encode non-negative integers")
-        bits = []
-        while n:
-            bits.append(n & 1)
-            n >>= 1
-        return OdometerPoint(tuple(bits), policy)
+        return OdometerPoint(tuple(binary_digits(n)), policy)
 
     def value(self) -> int:
         return sum(b << i for i, b in enumerate(self.bits))
@@ -95,7 +90,6 @@ class _OrbitAccumulator:
     def __init__(self, omega: OdometerPoint, qv):
         self.bits = list(omega.bits)
         self.policy = omega.policy
-        self.capacity = len(omega.bits)
         self.qv = qv
         self.powers = [qv]        # powers[i] = q^{i+1}
         self.prefix = [qv]        # prefix[i] = q + q^2 + ... + q^{i+1}
@@ -131,11 +125,43 @@ class _OrbitAccumulator:
             self.s = self.s + new_power
 
 
+def _scaled_orbit(omega: OdometerPoint, qv: Fraction, steps: int):
+    """(b^K, s_q b^K along omega, omega + 1, ..., omega + steps) for q = a/b.
+
+    K covers the stored bits and, under GROW, the bits of omega + steps.
+    s_q b^K has integer digit weights w_i = a^{i+1} b^{K-1-i}; a step that
+    clears t trailing ones and sets bit t gains w_t - (w_0 + ... + w_{t-1}).
+    Under ERROR the step that would carry past the stored bits raises.
+    """
+    a, b = qv.numerator, qv.denominator
+    v = omega.value()
+    K = len(omega.bits)
+    if omega.policy is OverflowPolicy.GROW:
+        K = max(K, (v + steps).bit_length())
+    w = [a ** (i + 1) * b ** (K - 1 - i) for i in range(K)]
+    gain = [w[t] - sum(w[:t]) for t in range(K)]
+
+    def walk(v, s):
+        yield s
+        for _ in range(steps):
+            t = (v ^ (v + 1)).bit_length() - 1
+            if t == K:
+                raise DomainError("odometer capacity exhausted under ERROR policy")
+            s += gain[t]
+            v += 1
+            yield s
+
+    return b ** K, walk(v, sum(w[i] for i in range(K) if v >> i & 1))
+
+
 def ergodic_sum(omega: OdometerPoint, q, n: int) -> Scalar:
     """S_{q,omega}(n) = sum of s_q over the first n orbit points."""
     if n < 1:
         raise DomainError("ergodic_sum requires n >= 1")
     qw = as_qweight(q)
+    if isinstance(qw.q.value, Fraction):
+        den, orbit = _scaled_orbit(omega, qw.q.value, n - 1)
+        return Scalar(Mode.EXACT, Fraction(sum(orbit), den))
     acc = _OrbitAccumulator(omega, qw.q.value)
     total = acc.s
     for _ in range(n - 1):
@@ -146,7 +172,13 @@ def ergodic_sum(omega: OdometerPoint, q, n: int) -> Scalar:
 
 def orbit_partial_sums(omega: OdometerPoint, q, l: int) -> list:
     """Payload list P with P[j] = S_{q,omega}(j), j = 0 .. l."""
+    if l < 1:
+        raise DomainError("orbit_partial_sums requires l >= 1")
     qw = as_qweight(q)
+    if isinstance(qw.q.value, Fraction):
+        # l steps, as in the generic walk; s_q at the last point is not needed
+        den, orbit = _scaled_orbit(omega, qw.q.value, l)
+        return [Fraction(t, den) for t in list(accumulate(orbit, initial=0))[:-1]]
     acc = _OrbitAccumulator(omega, qw.q.value)
     out = [0 * qw.q.value]
     total = out[0]
@@ -232,6 +264,8 @@ def phi_curve(
     R: Optional[Scalar] = None,
 ) -> FluctuationCurve:
     """phi_l(t) = (S(t l) - t S(l)) / R on the grid, S linearly interpolated."""
+    if l < 1:
+        raise DomainError("phi_curve requires l >= 1")
     grid = tuple(grid)
     if not grid:
         raise DomainError("phi_curve requires a non-empty grid")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional
 
@@ -42,127 +43,125 @@ class DeRhamValue(NamedTuple):
 @dataclass(frozen=True)
 class DeRhamSystem:
     """The quadruple (a0, a1, g0, g1) of f(x/2) = a0 f(x) + g0(x),
-    f((x+1)/2) = a1 f(x) + g1(x)."""
+    f((x+1)/2) = a1 f(x) + g1(x).
+
+    g0 and g1 map payloads of the system's mode to payloads: ``Fraction``
+    in exact mode, float or complex otherwise.  Off dyadic points a
+    certified error bound needs ``g_sup``.
+    """
 
     a0: Scalar
     a1: Scalar
-    g0: Callable[[Scalar], Scalar]
-    g1: Callable[[Scalar], Scalar]
+    g0: Callable
+    g1: Callable
     g_sup: Optional[float] = None  # sup of |g0|, |g1| on [0,1], if known
 
     @property
     def mode(self) -> Mode:
         return self.a0.mode
 
-    def is_contractive(self) -> bool:
-        return max(self.a0.modulus(), self.a1.modulus()) < 1
-
-    def endpoint_values(self) -> tuple[Scalar, Scalar]:
-        """Fixed endpoints f(0) = g0(0)/(1-a0), f(1) = g1(1)/(1-a1)."""
-        one = Scalar.one(self.mode)
-        zero = Scalar.zero(self.mode)
-        return (
-            self.g0(zero) / (one - self.a0),
-            self.g1(one) / (one - self.a1),
-        )
+    def _lift(self, v):
+        return Scalar.lift(v, self.mode).value
 
     def consistency_residual(self) -> Scalar:
-        one = Scalar.one(self.mode)
-        zero = Scalar.zero(self.mode)
-        return (
-            self.a0 * self.g1(one) / (one - self.a1)
+        one, zero = self._lift(1), self._lift(0)
+        a0, a1 = self.a0.value, self.a1.value
+        return Scalar(self.mode, (
+            a0 * self.g1(one) / (one - a1)
             + self.g0(one)
-            - self.a1 * self.g0(zero) / (one - self.a0)
+            - a1 * self.g0(zero) / (one - a0)
             - self.g1(zero)
+        ))
+
+    @cached_property
+    def endpoints(self) -> tuple:
+        """Payloads f(0) = g0(0)/(1-a0), f(1) = g1(1)/(1-a1) of a consistent system.
+
+        Raises DomainError for an inconsistent system; only a successful
+        check is cached, so every later call raises again.
+        """
+        r = self.consistency_residual().modulus()
+        if (self.mode is Mode.EXACT and r != 0) or (self.mode is not Mode.EXACT and r > 1e-9):
+            raise DomainError(f"inconsistent de Rham system (residual {r})")
+        one, zero = self._lift(1), self._lift(0)
+        return (
+            self.g0(zero) / (one - self.a0.value),
+            self.g1(one) / (one - self.a1.value),
         )
 
-    def require_consistent(self, tol: float = 1e-9) -> None:
-        r = self.consistency_residual().modulus()
-        if (self.mode is Mode.EXACT and r != 0) or (self.mode is not Mode.EXACT and r > tol):
-            raise DomainError(f"inconsistent de Rham system (residual {r})")
 
-    def _sup_bound(self) -> float:
-        if self.g_sup is not None:
-            return self.g_sup
-        # fall back to a grid estimate; exact bound only when g_sup is declared
-        pts = [Fraction(j, 16) for j in range(17)]
-        m = 0.0
-        for p in pts:
-            x = Scalar.lift(p, self.mode) if self.mode is Mode.EXACT else Scalar.lift(float(p), self.mode)
-            m = max(m, float(self.g0(x).modulus()), float(self.g1(x).modulus()))
-        return m
+def _dyadic_steps(m: int, e: int, depth: int):
+    """The first ``depth`` steps of the descent from m/2^e in (0, 1), m odd.
+
+    Yields (branch, k, i) in ascent order: the branch taken at level i and
+    its argument k/2^i.  The whole descent (depth >= e) passes 1/2 on its
+    last step and ends at f(1).
+    """
+    if depth >= e:
+        yield 0, 1, 0
+    for i in range(max(1, e - depth), e):
+        yield (m >> i) & 1, m & ((1 << i) - 1), i
 
 
 def derham_eval(sys: DeRhamSystem, x, depth: int = 64) -> DeRhamValue:
     """Evaluate the de Rham fixed point at x in [0,1].
 
     Dyadic rationals descend to an endpoint and are exact regardless of
-    contraction (the system alone pins those values).  Off dyadic points the
-    system must be contractive; the descent stops after ``depth`` digits and
-    the returned radius C*rho^depth certifies the truncation.
+    contraction (the system alone pins those values).  A float x descends
+    ``depth`` digits at most; when that cuts the descent, the system must be
+    contractive and declare ``g_sup``, and the returned radius C*rho^depth
+    certifies the truncation.
     """
-    sys.require_consistent()
-    f0, f1 = sys.endpoint_values()
-
+    f0, f1 = sys.endpoints
     fr = as_dyadic_fraction(x)
-    if fr is not None:
-        if not 0 <= fr <= 1:
+    cut = fr is None
+    if cut:
+        if sys.mode is Mode.EXACT:
+            raise ModeError("non-dyadic abscissae need a float or complex system")
+        xf = float(as_scalar(x).promote(Mode.FLOAT).value) if isinstance(x, Scalar) else float(x)
+        if not 0.0 <= xf <= 1.0:
             raise DomainError("derham_eval domain is [0,1]")
-        path = []
-        y = fr
-        while y != 0 and y != 1:
-            if y <= Fraction(1, 2):
-                y = 2 * y
-                path.append((sys.a0, sys.g0, y))
-            else:
-                y = 2 * y - 1
-                path.append((sys.a1, sys.g1, y))
-        v = f0 if y == 0 else f1
-        for coef, g, arg in reversed(path):
-            argval = Scalar.lift(arg if sys.mode is Mode.EXACT else float(arg), sys.mode)
-            v = coef * v + g(argval)
-        return DeRhamValue(v, 0.0)
-
-    if sys.mode is Mode.EXACT:
-        raise ModeError("non-dyadic abscissae need a float or complex system")
-    xf = float(as_scalar(x).promote(Mode.FLOAT).value) if isinstance(x, Scalar) else float(x)
-    if not 0.0 <= xf <= 1.0:
+        fr = Fraction(xf)
+    if not 0 <= fr <= 1:
         raise DomainError("derham_eval domain is [0,1]")
-    path_f = []
-    y = xf
-    steps = 0
-    while y not in (0.0, 1.0) and steps < depth:
-        if y <= 0.5:
-            y = 2 * y
-            path_f.append((sys.a0, sys.g0, y))
-        else:
-            y = 2 * y - 1
-            path_f.append((sys.a1, sys.g1, y))
-        steps += 1
-    if y in (0.0, 1.0):
-        v = f0 if y == 0.0 else f1
-        bound = 0.0
-    else:
-        if not sys.is_contractive():
-            raise DomainError("non-contractive system off dyadic points")
+    if fr == 0 or fr == 1:
+        return DeRhamValue(Scalar(sys.mode, f0 if fr == 0 else f1), 0.0)
+    m, e = fr.numerator, fr.denominator.bit_length() - 1
+    coefs, gs = (sys.a0.value, sys.a1.value), (sys.g0, sys.g1)
+    if cut and e > depth:
         rho = float(max(sys.a0.modulus(), sys.a1.modulus()))
-        bound = (rho ** steps) * sys._sup_bound() / (1.0 - rho)
-        v = Scalar.zero(sys.mode)  # midpoint of the attainable range [-C, C]
-    for coef, g, arg in reversed(path_f):
-        v = coef * v + g(Scalar.lift(arg, sys.mode))
-    return DeRhamValue(v, bound)
+        if rho >= 1:
+            raise DomainError("non-contractive system off dyadic points")
+        if sys.g_sup is None:
+            raise DomainError("no certified error bound off dyadic points: the system declares no g_sup")
+        bound = (rho ** max(depth, 0)) * sys.g_sup / (1.0 - rho)
+        v = sys._lift(0)  # midpoint of the attainable range [-C, C]
+    elif sys.mode is Mode.EXACT:
+        # v = num/den, unnormalised; a_b = p_b/r_b and g = gn/gd
+        p = [c.numerator for c in coefs]
+        r = [c.denominator for c in coefs]
+        num, den = f1.numerator, f1.denominator
+        for b, k, i in _dyadic_steps(m, e, e):
+            gv = gs[b](Fraction(k, 1 << i))
+            gn, gd = gv.numerator, gv.denominator
+            num, den = p[b] * num * gd + gn * r[b] * den, r[b] * den * gd
+        return DeRhamValue(Scalar(Mode.EXACT, Fraction(num, den)), 0.0)
+    else:
+        bound, v, depth = 0.0, f1, e
+    for b, k, i in _dyadic_steps(m, e, depth):
+        v = coefs[b] * v + gs[b](sys._lift(k / (1 << i)))
+    return DeRhamValue(Scalar(sys.mode, v), bound)
 
 
 def takagi_system(a) -> DeRhamSystem:
     """The de Rham system whose fixed point is the Takagi-Landsberg curve."""
     a = as_scalar(a)
-    mode = a.mode
-    half = Scalar.lift(Fraction(1, 2) if mode is Mode.EXACT else 0.5, mode)
+    half, one = (Scalar.lift(v, a.mode).value for v in (Fraction(1, 2), 1))
     return DeRhamSystem(
         a0=a,
         a1=a,
         g0=lambda x: x * half,
-        g1=lambda x: (Scalar.one(mode) - x) * half,
+        g1=lambda x: (one - x) * half,
         g_sup=0.5,
     )
 
@@ -170,18 +169,16 @@ def takagi_system(a) -> DeRhamSystem:
 def fq_system(q) -> DeRhamSystem:
     """The de Rham system satisfied by F_q (coefficients a = 1/(2q))."""
     qw = as_qweight(q)
-    mode = qw.q.mode
-    qs = qw.q
-    quarter = Scalar.lift(Fraction(1, 4) if mode is Mode.EXACT else 0.25, mode)
-    c0 = (2 * qs - 3) * quarter
-    c1 = (2 * qs - 1) * quarter
-    g_sup = max(float(c0.modulus()), 2 * float(c1.modulus()))
+    qv = qw.q.value
+    one, two, three, quarter = (Scalar.lift(v, qw.q.mode).value for v in (1, 2, 3, Fraction(1, 4)))
+    c0 = (qv * two - three) * quarter
+    c1 = (qv * two - one) * quarter
     return DeRhamSystem(
         a0=qw.a,
         a1=qw.a,
         g0=lambda x: c0 * x,
-        g1=lambda x: c1 * (x + Scalar.one(mode)),
-        g_sup=g_sup,
+        g1=lambda x: c1 * (x + one),
+        g_sup=max(float(abs(c0)), 2 * float(abs(c1))),
     )
 
 
@@ -404,7 +401,9 @@ def G_tilde_gamma(x, gamma_limit, tol: float) -> Scalar:
     xf = float(as_scalar(x).promote(Mode.FLOAT).value)
     xf -= math.floor(xf)
     # tail past i = I is bounded by |g/2| * 2 * 2^{-(x+I)} <= |g| 2^{-I}
-    imax = max(0, math.ceil(math.log2(abs(gf) / tol))) + 1
+    imax = max(0, math.ceil(math.log2(abs(gf)) - math.log2(tol))) + 1
+    if imax > 1022:  # 2^{x+i} must stay a finite float for x < 1
+        raise DomainError(f"|gamma limit|/tol ~ 2^{imax - 1} needs terms past the float range")
     acc = 0.0
     for i in range(-1, imax + 1):
         p = 2.0 ** (xf + i)

@@ -244,6 +244,10 @@ def test_odometer_search(capsys):
         ("eval vdc --n 0", 2),
         ("eval Sq --q 2/3 --n 0", 2),
         ("eval takagi --a 2 --x 0.3", 2),
+        ("curve fluctuation --q 2/3 --l 0", 2),
+        ("odometer birkhoff --n 0", 2),
+        ("curve Gtilde --gamma-limit 1e300", 2),
+        ("verify larcher --gamma-limit 1e300", 2),
         ("eval Sq --q 2/3 --n 8", 0),
         ("eval takagi --a 1/2 --x 0.3", 0),
     ],
@@ -254,6 +258,8 @@ def test_cli_fails_cleanly(capsys, argv, code):
     assert "Traceback" not in err
     if got == 1 and "usage:" not in err:
         assert err.count("\n") == 1 and err.startswith("tdq: parse error:")
+    if got == 2:
+        assert err.count("\n") == 1 and err.startswith("tdq: domain error:")
 
 
 @pytest.mark.parametrize("q", [None, "5/7"])

@@ -14,7 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tdq.digit_sums import S_pow2_payload, S_rec_payload, iter_S_direct
-from tdq.takagi import takagi_dyadic_exact
+from tdq.errors import DomainError
+from tdq.odometer import OdometerPoint, OverflowPolicy, ergodic_sum, orbit_partial_sums
+from tdq.scalar import Mode, Scalar, as_qweight, as_scalar
+from tdq.takagi import DeRhamSystem, F_q, derham_eval, fq_system, takagi_dyadic_exact, takagi_system
 from tdq.trollope import dyadic_formula, theorem1_rhs, vdc_star_discrepancy
 
 # -- references ----------------------------------------------------------------
@@ -103,6 +106,75 @@ def ref_vdc(n):
     for j in range(1, n.bit_length()):
         total += ref_tau(Fraction(n, 1 << j))
     return total / n
+
+
+def ref_scalar_systems(kind, p):
+    """(a, g0, g1, g_sup) of the Takagi or F_q system with Scalar-valued g."""
+    if kind == "takagi":
+        a = as_scalar(p)
+        half = Scalar.lift(Fraction(1, 2), a.mode)
+        return a, (lambda x: x * half), (lambda x: (Scalar.one(a.mode) - x) * half), 0.5
+    qw = as_qweight(p)
+    quarter = Scalar.lift(Fraction(1, 4), qw.q.mode)
+    c0 = (2 * qw.q - 3) * quarter
+    c1 = (2 * qw.q - 1) * quarter
+    g_sup = max(float(c0.modulus()), 2 * float(c1.modulus()))
+    return qw.a, (lambda x: c0 * x), (lambda x: c1 * (x + Scalar.one(qw.q.mode))), g_sup
+
+
+def ref_derham(a, g0, g1, g_sup, x, depth):
+    """Digit descent on Scalars, checking the system on every call."""
+    mode = a.mode
+    one, zero = Scalar.one(mode), Scalar.zero(mode)
+    r = (a * g1(one) / (one - a) + g0(one) - a * g0(zero) / (one - a) - g1(zero)).modulus()
+    if (mode is Mode.EXACT and r != 0) or (mode is not Mode.EXACT and r > 1e-9):
+        raise DomainError("inconsistent")
+    f0, f1 = g0(zero) / (one - a), g1(one) / (one - a)
+    exact = mode is Mode.EXACT
+    y = x if isinstance(x, Fraction) else float(x)
+    path = []
+    while y not in (0, 1) and (isinstance(x, Fraction) or len(path) < depth):
+        if y <= Fraction(1, 2):
+            y = 2 * y
+            path.append((g0, y))
+        else:
+            y = 2 * y - 1
+            path.append((g1, y))
+    bound = 0.0
+    if y == 0:
+        v = f0
+    elif y == 1:
+        v = f1
+    else:
+        rho = float(a.modulus())
+        if rho >= 1:
+            raise DomainError("non-contractive")
+        bound = rho ** len(path) * g_sup / (1.0 - rho)
+        v = zero
+    for g, arg in reversed(path):
+        v = a * v + g(Scalar.lift(arg if exact else float(arg), mode))
+    return v.value, bound
+
+
+def ref_walk(bits, grow, q, steps):
+    """s_q at the first steps + 1 points of the orbit (bit-list add-with-carry),
+    or None when a step carries past the stored bits without grow."""
+    bits = list(bits)
+    out = []
+    for j in range(steps + 1):
+        out.append(sum((q ** (i + 1) for i, b in enumerate(bits) if b), 0 * q))
+        if j == steps:
+            return out
+        i = 0
+        while i < len(bits) and bits[i]:
+            bits[i] = 0
+            i += 1
+        if i < len(bits):
+            bits[i] = 1
+        elif grow:
+            bits.append(1)
+        else:
+            return None
 
 
 # -- draws -----------------------------------------------------------------------
@@ -216,3 +288,104 @@ def test_dyadic_formula_and_theorem1_float_complex_bit_identical(kind, data, n):
 @given(n=st.integers(1, 1 << 40))
 def test_vdc_star_discrepancy(n):
     assert_exact(vdc_star_discrepancy(n).value, ref_vdc(n))
+
+
+# -- de Rham digit descent ---------------------------------------------------------
+
+UNIT_DYADICS = st.integers(0, 14).flatmap(
+    lambda e: st.builds(lambda j: Fraction(j, 1 << e), st.integers(0, 1 << e))
+)
+
+
+@pytest.mark.parametrize("cls", sorted(set(Q_CLASSES) - {"one"}))
+@settings(deadline=None, max_examples=40)
+@given(data=st.data(), x=UNIT_DYADICS)
+def test_derham_exact_descent(cls, data, x):
+    # any exact a != 1, |a| >= 1 and negative a included: dyadics pin the value
+    a = data.draw(Q_CLASSES[cls], label="a")
+    got = derham_eval(takagi_system(a), x)
+    assert got.error_bound == 0.0
+    assert_exact(got.value.value, takagi_dyadic_exact(x, a).value)
+    assert got.value.value == ref_takagi_dyadic(x, a)
+    assert got.value.value == ref_derham(*ref_scalar_systems("takagi", a), x, 64)[0]
+
+
+@pytest.mark.parametrize("cls", sorted(set(Q_CLASSES) - {"half"}))
+@settings(deadline=None, max_examples=30)
+@given(data=st.data(), x=UNIT_DYADICS)
+def test_fq_system_descent_is_F_q(cls, data, x):
+    q = data.draw(Q_CLASSES[cls], label="q")  # q != 1/2 keeps a = 1/(2q) != 1
+    got = derham_eval(fq_system(q), x)
+    assert_exact(got.value.value, F_q(x, q).value)
+
+
+FLOAT_ABSCISSAE = st.one_of(
+    st.floats(0, 1),
+    st.builds(lambda j, e: j / (1 << e), st.integers(0, 1 << 12), st.just(12)),
+    UNIT_DYADICS,
+)
+
+
+@pytest.mark.parametrize("kind", ["takagi", "fq"])
+@pytest.mark.parametrize("draw", [FLOATS, COMPLEXES], ids=["float", "complex"])
+@settings(deadline=None, max_examples=60)
+@given(data=st.data(), x=FLOAT_ABSCISSAE, depth=st.integers(1, 64))
+def test_derham_float_complex_bit_identical(kind, draw, data, x, depth):
+    pole = 1 if kind == "takagi" else 0.5  # where the coefficient a = 1
+    p = data.draw(draw.filter(lambda v: abs(v - pole) > 1e-3), label="param")
+    system = (takagi_system if kind == "takagi" else fq_system)(p)
+    try:
+        want = ref_derham(*ref_scalar_systems(kind, p), x, depth)
+    except DomainError:
+        with pytest.raises(DomainError):
+            derham_eval(system, x, depth)
+        return
+    got = derham_eval(system, x, depth)
+    assert same_bits(got.value.value, want[0])
+    assert same_bits(got.error_bound, want[1])
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_inconsistent_system_raises_on_every_call(mode):
+    lift = Scalar.exact if mode == "exact" else Scalar.flt
+    system = DeRhamSystem(a0=lift(Fraction(1, 2)), a1=lift(Fraction(1, 2)),
+                          g0=lambda x: x, g1=lambda x: x, g_sup=1.0)
+    for x in (Fraction(1, 2), Fraction(3, 8), Fraction(1, 2)):
+        with pytest.raises(DomainError):
+            derham_eval(system, x)
+
+
+# -- exact orbit partial sums ------------------------------------------------------
+
+OMEGAS = st.one_of(
+    st.integers(0, (1 << 64) - 1).map(lambda v: (v, 64)),
+    st.integers(0, 40).map(lambda d: ((1 << 64) - 1 - d, 64)),  # carries past bit 63
+    st.integers(0, 6).flatmap(lambda c: st.integers(0, (1 << c) - 1).map(lambda v: (v, c))),
+).map(lambda vc: tuple((vc[0] >> i) & 1 for i in range(vc[1])))
+
+
+@pytest.mark.parametrize("grow", [True, False], ids=["GROW", "ERROR"])
+@pytest.mark.parametrize("cls", ["small", "large", "integer", "one"])
+@settings(deadline=None, max_examples=30)
+@given(data=st.data(), bits=OMEGAS, l=st.integers(1, 80))
+def test_orbit_partial_sums_exact(grow, cls, data, bits, l):
+    q = data.draw(Q_CLASSES[cls], label="q")
+    omega = OdometerPoint(bits, OverflowPolicy.GROW if grow else OverflowPolicy.ERROR)
+    walk = ref_walk(bits, grow, q, l)
+    if walk is None:  # the walk carries past the stored bits within l steps
+        with pytest.raises(DomainError):
+            orbit_partial_sums(omega, q, l)
+    else:
+        want = [0 * q]
+        for s in walk[:l]:
+            want.append(want[-1] + s)
+        got = orbit_partial_sums(omega, q, l)
+        assert len(got) == l + 1
+        for g, w in zip(got, want):
+            assert_exact(g, w)
+    walk = ref_walk(bits, grow, q, l - 1)
+    if walk is None:
+        with pytest.raises(DomainError):
+            ergodic_sum(omega, q, l)
+    else:
+        assert_exact(ergodic_sum(omega, q, l).value, sum(walk, 0 * q))

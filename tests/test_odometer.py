@@ -73,6 +73,15 @@ def test_orbit_partial_sums_prefix_property():
         assert p[j] == S_q_direct(j, q).value
 
 
+@pytest.mark.parametrize("q", [Fraction(2, 3), 2 / 3, 0.5 + 0.5j])
+def test_empty_windows_are_rejected(q):
+    with pytest.raises(DomainError):
+        orbit_partial_sums(OdometerPoint.zero(), q, 0)
+    partials = orbit_partial_sums(OdometerPoint.zero(), q, 4)
+    with pytest.raises(DomainError):
+        phi_curve(partials, 0, [Fraction(0), Fraction(1)], Normalization.MAX_ABS)
+
+
 def test_G_q_equals_F_at_dyadic_points():
     q = Fraction(2, 3)
     for n in range(1, 512):

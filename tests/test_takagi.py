@@ -9,6 +9,7 @@ from tdq.errors import DomainError, ModeError
 from tdq.scalar import Mode, QWeight, Scalar
 from tdq.takagi import (
     DEFAULT_SERIES_TOL,
+    DeRhamSystem,
     F_q,
     G_tilde_gamma,
     derham_eval,
@@ -120,6 +121,18 @@ def test_derham_float_descent_with_certificate():
     # of termination to exercise the contraction requirement
     with pytest.raises(DomainError):
         derham_eval(takagi_system(1.5), 1 / 3, depth=20)
+
+
+def test_derham_refuses_uncertified_bounds():
+    # no g_sup: a truncated descent has no proven bound, so it is refused
+    half = Scalar.flt(0.5)
+    system = DeRhamSystem(a0=half, a1=half, g0=lambda x: x * 0.5, g1=lambda x: (1.0 - x) * 0.5)
+    with pytest.raises(DomainError):
+        derham_eval(system, 1 / 3, depth=20)
+    # a descent that terminates needs no bound: 1/3 rounds to a dyadic of depth 54
+    got = derham_eval(system, 1 / 3)
+    assert got.error_bound == 0.0
+    assert got.value.value == derham_eval(takagi_system(0.5), 1 / 3).value.value
 
 
 def test_derham_consistency_residuals_vanish():
