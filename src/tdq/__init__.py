@@ -19,6 +19,7 @@ from .odometer import (
     OverflowPolicy,
     birkhoff_deviation,
     ergodic_sum,
+    iter_ergodic_sums,
     lemma1_F_of,
     odometer_step,
     phi_curve,
@@ -55,11 +56,9 @@ from .takagi import (
     tilde_F_q_log2,
 )
 from .trollope import (
-    LogDecomposition,
     classic_formula,
     dyadic_formula,
     larcher_residual,
-    log_decompose,
     theorem1_rhs,
     vdc_star_discrepancy,
 )

@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import digit_sums, odometer, takagi, trollope
 from .digit_sums import WeightSequence, iter_S_direct
-from .errors import DomainError, ModeError, ParseError, TdqError, VerificationError
+from .errors import DomainError, ModeError, ParseError, VerificationError
 from .scalar import (
     Mode,
     QWeight,
@@ -75,9 +75,21 @@ def _grid(m: int) -> list[Fraction]:
 # table output
 
 
-def _write_table(args, meta: dict, columns: list[str], rows: list[list[str]]) -> None:
-    fmt = getattr(args, "format", "csv")
-    out = getattr(args, "out", None)
+def _write_table(meta: dict, grid, values, out=None, fmt: str = "csv") -> None:
+    """Write a sampled curve as CSV or JSON to the file ``out``, or to stdout."""
+    if any(v.mode is Mode.COMPLEX for v in values):
+        columns = ["t", "re", "im"]
+        rows = [
+            [
+                Scalar.exact(t).render(),
+                Scalar.flt(complex(v.value).real).render(),
+                Scalar.flt(complex(v.value).imag).render(),
+            ]
+            for t, v in zip(grid, values)
+        ]
+    else:
+        columns = ["t", "value"]
+        rows = [[Scalar.exact(t).render(), v.render()] for t, v in zip(grid, values)]
     if fmt == "json":
         payload = json.dumps({"meta": meta, "columns": columns, "rows": rows}, indent=2)
         text = payload + "\n"
@@ -90,24 +102,6 @@ def _write_table(args, meta: dict, columns: list[str], rows: list[list[str]]) ->
         Path(out).write_text(text, encoding="utf-8", newline="\n")
     else:
         sys.stdout.write(text)
-
-
-def _curve_rows(grid, values) -> tuple[list[str], list[list[str]]]:
-    complex_mode = any(v.mode is Mode.COMPLEX for v in values)
-    if complex_mode:
-        cols = ["t", "re", "im"]
-        rows = [
-            [
-                Scalar.exact(t).render(),
-                Scalar.flt(complex(v.value).real).render(),
-                Scalar.flt(complex(v.value).imag).render(),
-            ]
-            for t, v in zip(grid, values)
-        ]
-    else:
-        cols = ["t", "value"]
-        rows = [[Scalar.exact(t).render(), v.render()] for t, v in zip(grid, values)]
-    return cols, rows
 
 
 # ---------------------------------------------------------------------------
@@ -179,41 +173,76 @@ def _render_residual(worst, mode: Mode) -> str:
     return Scalar.flt(float(worst)).render()
 
 
-def _report(name: str, qtext: str, worst, witness, mode: Mode, ok: bool) -> int:
+def _report(name: str, qtext: str, worst, witness, mode: Mode, tol: float) -> int:
+    """Print the verdict line; exact sweeps pass at residual 0, the others within tol."""
+    ok = worst == 0 if mode is Mode.EXACT else worst <= tol
     tag = "PASS" if ok else f"FAIL at n={witness}"
     print(f"{name}: q={qtext} mode={mode.value} max residual {_render_residual(worst, mode)}, {tag}")
     return 0 if ok else 3
 
 
-def _sweep(n_max, qv, rhs_fn):
-    """Max |rhs(n) - S_q(n)/n| over n in [1, n_max]; returns (worst, witness)."""
+def _sweep(n_max, qv, residual):
+    """Max residual(n, S_q(n)) over n in [1, n_max]; returns (worst, witness)."""
     worst = 0
     witness = None
     for n, s_acc in iter_S_direct(n_max, qv):
-        residual = abs(rhs_fn(n) - s_acc / n)
-        if residual > worst:
-            worst, witness = residual, n
+        r = residual(n, s_acc)
+        if r > worst:
+            worst, witness = r, n
     return worst, witness
+
+
+# each n-sweep target maps q to (the q payload S_q is summed in, the report
+# mode, residual(n, S_q(n)))
+
+
+def _theorem1(q: Scalar):
+    qw = QWeight.of(q)
+    return qw.q.value, q.mode, lambda n, s: abs(trollope.theorem1_rhs(n, qw).value - s / n)
+
+
+def _dyadic(q: Scalar):
+    return q.value, q.mode, lambda n, s: abs(trollope.dyadic_formula(n, q).value - s / n)
+
+
+def _recursions(q: Scalar):
+    qv = q.value
+
+    def residual(n, s):
+        r = abs(digit_sums.S_rec_payload(n, qv) - s)
+        if n & (n - 1) == 0:
+            r = max(r, abs(digit_sums.S_pow2_payload(n.bit_length() - 1, qv) - s))
+        return r
+
+    return qv, q.mode, residual
+
+
+def _corollary(q: Scalar):
+    qf = float(q.promote(Mode.FLOAT).value)
+    if qf <= 0.5 or qf == 1.0:
+        raise DomainError("corollary requires real q > 1/2, q != 1")
+
+    def residual(n, s):
+        lg = math.log2(n)
+        rhs = qf / 2 * (
+            (1 - qf ** lg) / (1 - qf)
+            + qf ** lg * float(takagi.tilde_F_q_log2(n, q).value)
+        )
+        lhs = s / n
+        return abs(rhs - lhs) / (1.0 + abs(lhs))
+
+    return qf, Mode.FLOAT, residual
+
+
+SWEEPS = {"theorem1": _theorem1, "dyadic": _dyadic, "recursions": _recursions, "corollary": _corollary}
 
 
 def cmd_verify(args) -> int:
     target = args.target
-    if target == "theorem1":
-        q = _parse_scalar_arg(args.q, args.mode)
-        qw = QWeight.of(q)
-        worst, witness = _sweep(
-            args.n_max, qw.q.value, lambda n: trollope.theorem1_rhs(n, qw).value
-        )
-        ok = worst == 0 if q.mode is Mode.EXACT else worst <= args.tol
-        return _report("theorem1", args.q, worst, witness, q.mode, ok)
-
-    if target == "dyadic":
-        q = _parse_scalar_arg(args.q, args.mode)
-        worst, witness = _sweep(
-            args.n_max, q.value, lambda n: trollope.dyadic_formula(n, q).value
-        )
-        ok = worst == 0 if q.mode is Mode.EXACT else worst <= args.tol
-        return _report("dyadic", args.q, worst, witness, q.mode, ok)
+    if target in SWEEPS:
+        qv, mode, residual = SWEEPS[target](_parse_scalar_arg(args.q, args.mode))
+        worst, witness = _sweep(args.n_max, qv, residual)
+        return _report(target, args.q, worst, witness, mode, args.tol)
 
     if target == "prop2":
         q = _parse_scalar_arg(args.q, args.mode)
@@ -231,40 +260,6 @@ def cmd_verify(args) -> int:
             f"max residual {_render_residual(worst, Mode.EXACT if q.mode is Mode.EXACT else Mode.FLOAT)}, {tag}"
         )
         return 0 if ok else 3
-
-    if target == "recursions":
-        q = _parse_scalar_arg(args.q, args.mode)
-        qv = q.value
-        worst = 0
-        witness = None
-        for n, s_acc in iter_S_direct(args.n_max, qv):
-            r = abs(digit_sums.S_rec_payload(n, qv) - s_acc)
-            if n & (n - 1) == 0:
-                r = max(r, abs(digit_sums.S_pow2_payload(n.bit_length() - 1, qv) - s_acc))
-            if r > worst:
-                worst, witness = r, n
-        ok = worst == 0 if q.mode is Mode.EXACT else worst <= args.tol
-        return _report("recursions", args.q, worst, witness, q.mode, ok)
-
-    if target == "corollary":
-        q = _parse_scalar_arg(args.q, args.mode)
-        qf = float(q.promote(Mode.FLOAT).value)
-        if qf <= 0.5 or qf == 1.0:
-            raise DomainError("corollary requires real q > 1/2, q != 1")
-        worst = 0.0
-        witness = None
-        for n, s_acc in iter_S_direct(args.n_max, qf):
-            lg = math.log2(n)
-            rhs = qf / 2 * (
-                (1 - qf ** lg) / (1 - qf)
-                + qf ** lg * float(takagi.tilde_F_q_log2(n, q).value)
-            )
-            lhs = s_acc / n
-            rel = abs(rhs - lhs) / (1.0 + abs(lhs))
-            if rel > worst:
-                worst, witness = rel, n
-        ok = worst <= args.tol
-        return _report("corollary", args.q, worst, witness, Mode.FLOAT, ok)
 
     if target == "larcher":
         c = float(args.gamma_limit)
@@ -338,8 +333,7 @@ def cmd_curve(args) -> int:
         return _fluctuation(args)
     else:  # pragma: no cover
         raise ParseError(f"unknown curve target {target}")
-    cols, rows = _curve_rows(grid, values)
-    _write_table(args, meta, cols, rows)
+    _write_table(meta, grid, values, args.out, args.format)
     return 0
 
 
@@ -371,8 +365,7 @@ def _fluctuation(args) -> int:
         "depth": args.grid,
         "seed": args.seed,
     }
-    cols, rows = _curve_rows(grid, curve.values)
-    _write_table(args, meta, cols, rows)
+    _write_table(meta, grid, curve.values, args.out, args.format)
     dist = odometer.sup_distance_to_limit(curve, qw)
     print(f"sup distance to -q*T_a: {dist.render()}", file=sys.stderr)
     return 0
@@ -396,53 +389,38 @@ def _slug(text: str) -> str:
     return text.replace("/", "_")
 
 
-def cmd_figures(args) -> int:
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    grid = _grid(args.grid)
-    written = []
-
-    def emit(name: str, meta: dict, values) -> None:
-        cols, rows = _curve_rows(grid, values)
-        lines = ["# " + ", ".join(f"{k}={v}" for k, v in meta.items())]
-        lines.append(",".join(cols))
-        lines.extend(",".join(r) for r in rows)
-        (outdir / name).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
-        written.append(name)
-
+def _figure_panels(depth: int, grid):
+    """(file name, meta, values) of every figure panel."""
     for a_text in FIG1_PANELS:
         a = parse_scalar(a_text, Mode.EXACT)
-        emit(
-            f"fig1_a{_slug(a_text)}.csv",
-            {"figure": 1, "a": a_text, "mode": "exact", "depth": args.grid},
-            _takagi_curve_values(a, grid),
-        )
+        meta = {"figure": 1, "a": a_text, "mode": "exact", "depth": depth}
+        yield f"fig1_a{_slug(a_text)}.csv", meta, _takagi_curve_values(a, grid)
     q23 = parse_scalar("2/3", Mode.EXACT)
-    emit(
-        "fig2_F_q2_3.csv",
-        {"figure": 2, "q": "2/3", "mode": "exact", "depth": args.grid},
-        [takagi.F_q(t, q23) for t in grid],
-    )
+    meta = {"figure": 2, "q": "2/3", "mode": "exact", "depth": depth}
+    yield "fig2_F_q2_3.csv", meta, [takagi.F_q(t, q23) for t in grid]
     for q_text in FIGT_PANELS:
         q = parse_scalar(q_text, Mode.EXACT)
         if q.value == 1:
             vals = [takagi.tilde_F_1(float(t)) for t in grid]
         else:
             vals = [takagi.tilde_F_q(float(t), q) for t in grid]
-        emit(
-            f"figT_q{_slug(q_text)}.csv",
-            {"figure": "tildeF", "q": q_text, "mode": "float", "depth": args.grid},
-            vals,
-        )
+        meta = {"figure": "tildeF", "q": q_text, "mode": "float", "depth": depth}
+        yield f"figT_q{_slug(q_text)}.csv", meta, vals
     for q_text in FIG3_PANELS:
-        q = parse_scalar(q_text, Mode.COMPLEX)
-        qw = QWeight.of(q)
-        emit(
-            f"fig3_q_{_slug(q_text)}.csv",
-            {"figure": 3, "q": q_text, "mode": "complex", "depth": args.grid},
-            [takagi.takagi_dyadic_exact(t, qw.a) for t in grid],
-        )
-    print(f"wrote {len(written)} files to {outdir}")
+        qw = QWeight.of(parse_scalar(q_text, Mode.COMPLEX))
+        meta = {"figure": 3, "q": q_text, "mode": "complex", "depth": depth}
+        yield f"fig3_q_{_slug(q_text)}.csv", meta, [takagi.takagi_dyadic_exact(t, qw.a) for t in grid]
+
+
+def cmd_figures(args) -> int:
+    outdir = Path(args.out)
+    outdir.mkdir(parents=True, exist_ok=True)
+    grid = _grid(args.grid)
+    written = 0
+    for name, meta, values in _figure_panels(args.grid, grid):
+        _write_table(meta, grid, values, outdir / name)
+        written += 1
+    print(f"wrote {written} files to {outdir}")
     return 0
 
 
@@ -474,19 +452,14 @@ def cmd_odometer(args) -> int:
         if n < 1:
             raise DomainError("birkhoff requires --n >= 1")
         mean_target = qw.q.value / (2 * (1 - qw.q.value))
-        acc = odometer._OrbitAccumulator(omega, qw.q.value)
-        total = acc.s
         print(f"# q={args.q} omega={args.omega} seed={args.seed} E[s_q]={Scalar(qw.q.mode, mean_target).render()}")
         checkpoint = 1
-        for j in range(1, n + 1):
+        for j, total in enumerate(odometer.iter_ergodic_sums(omega, qw, n), 1):
             if j == checkpoint or j == n:
                 dev = total / j - mean_target
                 print(f"n={j} deviation={Scalar(qw.q.mode, dev).render()}")
                 while checkpoint <= j:
                     checkpoint <<= 1
-            if j < n:
-                acc.step()
-                total = total + acc.s
         return 0
 
     if target == "fluctuation":

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, repeat
+from operator import mul
 from typing import Iterator, Optional, Sequence
 
 from .errors import DomainError, ModeError
@@ -150,12 +152,47 @@ def S_rec_payload(n: int, qv):
     return S_pow2_payload(k, qv) + S_rec_payload(m, qv) + m * qv ** (k + 1)
 
 
+def _walk(v: int, stored: int, grow: bool, qv, steps: int):
+    """(den, s_q(v) den, s_q(v + 1) den, ..., s_q(v + steps) den): the odometer walk.
+
+    The capacity K is the stored bits, widened under ``grow`` to cover
+    v + steps; a step that would carry past bit K - 1 raises.  For q = a/b
+    the digit weights are the integers w_i = a^{i+1} b^{K-1-i} over
+    den = b^K; otherwise w_i = q^{i+1} by repeated multiplication, den = 1.
+    Adding one clears the t trailing ones of v and sets bit t, so s becomes
+    s - (w_0 + ... + w_{t-1}) + w_t.
+    """
+    K = max(stored, (v + steps).bit_length()) if grow else stored
+    if isinstance(qv, Fraction):
+        a, b = qv.numerator, qv.denominator
+        den, s = b ** K, 0
+        w = [a ** (i + 1) * b ** (K - 1 - i) for i in range(K)]
+    else:
+        den, s = 1, 0 * qv
+        w = list(accumulate(repeat(qv, K), mul))  # q, q*q, (q*q)*q, ...
+    below = list(accumulate(w))  # below[i] = w_0 + ... + w_i
+    for i in range(K):
+        if v >> i & 1:
+            s = s + w[i]
+
+    def walk(v, s):
+        yield s
+        for _ in range(steps):
+            t = (v ^ (v + 1)).bit_length() - 1
+            if t == K:
+                raise DomainError("odometer capacity exhausted under ERROR policy")
+            s = s - below[t - 1] + w[t] if t else s + w[0]
+            v += 1
+            yield s
+
+    return den, walk(v, s)
+
+
 def iter_S_direct(n_max: int, qv) -> Iterator:
     """Yield (n, S_q(n)) payloads for n = 1 .. n_max by literal accumulation.
 
-    For q = a/b, s_q(j) b^K (K = bitlen n_max) has integer digit weights
-    w_i = a^{i+1} b^{K-1-i}; j -> j + 1 clears the t trailing ones of j and
-    sets bit t, so it gains w_t - (w_0 + ... + w_{t-1}).
+    For q = a/b the partial sums run on the odometer walk from 0; float and
+    complex payloads recompute every s_q(j) from its digits.
     """
     if not isinstance(qv, Fraction):
         total = 0 * qv
@@ -164,20 +201,9 @@ def iter_S_direct(n_max: int, qv) -> Iterator:
                 total = total + sq_payload(n - 1, qv)
             yield n, total
         return
-    a, b = qv.numerator, qv.denominator
-    K = n_max.bit_length()
-    den = b ** K
-    step = []  # step[t] = w_t - (w_0 + ... + w_{t-1})
-    below = 0
-    for i in range(K):
-        w = a ** (i + 1) * b ** (K - 1 - i)
-        step.append(w - below)
-        below += w
-    s = total = 0  # s_q(n) b^K and S_q(n) b^K
-    for n in range(1, n_max + 1):
+    den, s = _walk(0, 0, True, qv, n_max - 1)
+    for n, total in enumerate(accumulate(s), 1):
         yield n, Fraction(total, den)
-        s += step[(n & -n).bit_length() - 1]
-        total += s
 
 
 # ---------------------------------------------------------------------------

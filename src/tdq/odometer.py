@@ -1,26 +1,28 @@
 """Dyadic odometer, ergodic sums, and fluctuation (limiting) curves.
 
-Orbit sums are updated incrementally: one add-with-carry step flips a block
-of trailing ones to zeros and sets the next bit, so the q-weighted coordinate
-sum changes by a precomputed geometric correction.  This keeps exact-mode
-runs exact and float-mode runs at n ~ 2^20 cheap.
+Every orbit sum, and ``odometer_step`` itself, runs on the one odometer walk
+in ``digit_sums``: the point is a Python int, adding one clears its t
+trailing ones and sets bit t, and s_q changes by the precomputed weights
+w_t - (w_0 + ... + w_{t-1}).  Exact q = a/b walks integer numerators over
+b^K, so exact runs stay exact and float runs at n ~ 2^20 stay cheap.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import accumulate
-from typing import Iterable, Optional, Sequence
+from operator import add
+from typing import Iterable, Iterator, Optional, Sequence
 
-from .digit_sums import S_pow2_payload, S_rec_payload, binary_digits
+from .digit_sums import S_pow2_payload, S_rec_payload, _walk, binary_digits, digits_value, sq_payload
 from .errors import DomainError
 from .scalar import (
     DyadicRational,
     Mode,
-    QWeight,
     Regime,
     Scalar,
     as_dyadic_fraction,
@@ -55,103 +57,39 @@ class OdometerPoint:
         return OdometerPoint(tuple(binary_digits(n)), policy)
 
     def value(self) -> int:
-        return sum(b << i for i, b in enumerate(self.bits))
+        return digits_value(self.bits)
+
+
+def _orbit(omega: OdometerPoint, qv, steps: int):
+    """(den, s_q den along omega, omega + 1, ..., omega + steps): the walk."""
+    return _walk(omega.value(), len(omega.bits), omega.policy is OverflowPolicy.GROW, qv, steps)
 
 
 def odometer_step(omega: OdometerPoint) -> OdometerPoint:
-    """Add one with carry; GROW appends a bit on full carry, ERROR raises."""
-    bits = list(omega.bits)
-    i = 0
-    while i < len(bits) and bits[i] == 1:
-        bits[i] = 0
-        i += 1
-    if i < len(bits):
-        bits[i] = 1
-    elif omega.policy is OverflowPolicy.GROW:
-        bits.append(1)
-    else:
-        raise DomainError("odometer capacity exhausted under ERROR policy")
-    return OdometerPoint(tuple(bits), omega.policy)
+    """Add one with carry; GROW appends a bit on full carry, ERROR raises.
+
+    One step of the walk at q = 2, where s_2(omega) is twice omega's value.
+    """
+    _, walk = _orbit(omega, 2, 1)
+    *_, s = walk
+    v = s >> 1
+    width = max(len(omega.bits), v.bit_length())
+    return OdometerPoint(tuple(v >> i & 1 for i in range(width)), omega.policy)
 
 
 def s_q_point(omega: OdometerPoint, q) -> Scalar:
     qw = as_qweight(q)
-    qv = qw.q.value
-    total = 0 * qv
-    for i, b in enumerate(omega.bits):
-        if b:
-            total = total + qv ** (i + 1)
-    return Scalar(qw.q.mode, total)
+    return Scalar(qw.q.mode, sq_payload(omega.value(), qw.q.value))
 
 
-class _OrbitAccumulator:
-    """Walks the orbit of omega, keeping s_q(current point) up to date."""
-
-    def __init__(self, omega: OdometerPoint, qv):
-        self.bits = list(omega.bits)
-        self.policy = omega.policy
-        self.qv = qv
-        self.powers = [qv]        # powers[i] = q^{i+1}
-        self.prefix = [qv]        # prefix[i] = q + q^2 + ... + q^{i+1}
-        self.s = 0 * qv
-        for i, b in enumerate(self.bits):
-            if b:
-                self.s = self.s + self._power(i)
-
-    def _power(self, i: int):
-        while len(self.powers) <= i:
-            p = self.powers[-1] * self.qv
-            self.powers.append(p)
-            self.prefix.append(self.prefix[-1] + p)
-        return self.powers[i]
-
-    def step(self) -> None:
-        bits = self.bits
-        j = 0
-        n_bits = len(bits)
-        while j < n_bits and bits[j] == 1:
-            bits[j] = 0
-            j += 1
-        if j < n_bits:
-            bits[j] = 1
-        elif self.policy is OverflowPolicy.GROW:
-            bits.append(1)
-        else:
-            raise DomainError("odometer capacity exhausted under ERROR policy")
-        new_power = self._power(j)
-        if j:
-            self.s = self.s - self.prefix[j - 1] + new_power
-        else:
-            self.s = self.s + new_power
-
-
-def _scaled_orbit(omega: OdometerPoint, qv: Fraction, steps: int):
-    """(b^K, s_q b^K along omega, omega + 1, ..., omega + steps) for q = a/b.
-
-    K covers the stored bits and, under GROW, the bits of omega + steps.
-    s_q b^K has integer digit weights w_i = a^{i+1} b^{K-1-i}; a step that
-    clears t trailing ones and sets bit t gains w_t - (w_0 + ... + w_{t-1}).
-    Under ERROR the step that would carry past the stored bits raises.
-    """
-    a, b = qv.numerator, qv.denominator
-    v = omega.value()
-    K = len(omega.bits)
-    if omega.policy is OverflowPolicy.GROW:
-        K = max(K, (v + steps).bit_length())
-    w = [a ** (i + 1) * b ** (K - 1 - i) for i in range(K)]
-    gain = [w[t] - sum(w[:t]) for t in range(K)]
-
-    def walk(v, s):
-        yield s
-        for _ in range(steps):
-            t = (v ^ (v + 1)).bit_length() - 1
-            if t == K:
-                raise DomainError("odometer capacity exhausted under ERROR policy")
-            s += gain[t]
-            v += 1
-            yield s
-
-    return b ** K, walk(v, sum(w[i] for i in range(K) if v >> i & 1))
+def iter_ergodic_sums(omega: OdometerPoint, q, n: int) -> Iterator:
+    """Yield the payloads S_{q,omega}(j), j = 1 .. n, one orbit step apart."""
+    if n < 1:
+        raise DomainError("ergodic sums need n >= 1")
+    qv = as_qweight(q).q.value
+    den, s = _orbit(omega, qv, n - 1)
+    sums = accumulate(s)
+    return (Fraction(t, den) for t in sums) if isinstance(qv, Fraction) else sums
 
 
 def ergodic_sum(omega: OdometerPoint, q, n: int) -> Scalar:
@@ -159,34 +97,21 @@ def ergodic_sum(omega: OdometerPoint, q, n: int) -> Scalar:
     if n < 1:
         raise DomainError("ergodic_sum requires n >= 1")
     qw = as_qweight(q)
-    if isinstance(qw.q.value, Fraction):
-        den, orbit = _scaled_orbit(omega, qw.q.value, n - 1)
-        return Scalar(Mode.EXACT, Fraction(sum(orbit), den))
-    acc = _OrbitAccumulator(omega, qw.q.value)
-    total = acc.s
-    for _ in range(n - 1):
-        acc.step()
-        total = total + acc.s
-    return Scalar(qw.q.mode, total)
+    den, s = _orbit(omega, qw.q.value, n - 1)
+    total = reduce(add, s)  # on numerators: one Fraction at the end, not one per point
+    return Scalar(qw.q.mode, Fraction(total, den) if isinstance(qw.q.value, Fraction) else total)
 
 
 def orbit_partial_sums(omega: OdometerPoint, q, l: int) -> list:
-    """Payload list P with P[j] = S_{q,omega}(j), j = 0 .. l."""
+    """Payload list P with P[j] = S_{q,omega}(j), j = 0 .. l.
+
+    The walk takes l steps, as many as the points summed, so under ERROR a
+    carry past the stored bits at the last step still raises.
+    """
     if l < 1:
         raise DomainError("orbit_partial_sums requires l >= 1")
-    qw = as_qweight(q)
-    if isinstance(qw.q.value, Fraction):
-        # l steps, as in the generic walk; s_q at the last point is not needed
-        den, orbit = _scaled_orbit(omega, qw.q.value, l)
-        return [Fraction(t, den) for t in list(accumulate(orbit, initial=0))[:-1]]
-    acc = _OrbitAccumulator(omega, qw.q.value)
-    out = [0 * qw.q.value]
-    total = out[0]
-    for j in range(l):
-        total = total + acc.s
-        out.append(total)
-        acc.step()
-    return out
+    zero = 0 * as_qweight(q).q.value
+    return [zero, *iter_ergodic_sums(omega, q, l + 1)][:-1]
 
 
 def birkhoff_deviation(omega: OdometerPoint, q, n: int) -> Scalar:

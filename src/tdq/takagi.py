@@ -66,6 +66,8 @@ class DeRhamSystem:
     def consistency_residual(self) -> Scalar:
         one, zero = self._lift(1), self._lift(0)
         a0, a1 = self.a0.value, self.a1.value
+        if a0 == one or a1 == one:
+            raise DomainError("a de Rham system needs a0 != 1 and a1 != 1")
         return Scalar(self.mode, (
             a0 * self.g1(one) / (one - a1)
             + self.g0(one)

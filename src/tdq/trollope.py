@@ -8,16 +8,12 @@ comes from the finite dyadic route and never touches real powers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .digit_sums import WeightSequence, geometric_num, weighted_digit_sum
 from .errors import DomainError
 from .scalar import (
-    DyadicRational,
     Mode,
-    QWeight,
     Regime,
     Scalar,
     as_qweight,
@@ -25,34 +21,6 @@ from .scalar import (
     tau_scaled,
 )
 from .takagi import G_tilde_gamma, takagi_dyadic_exact
-
-
-@dataclass(frozen=True)
-class LogDecomposition:
-    """n split as n = p (x + 1) with p = 2^k, k = [log2 n], x = (n-p)/p."""
-
-    n: int
-    k: int
-    u: float
-    p: int
-    x: DyadicRational
-    r: Optional[Scalar] = None  # q^k when a weight is supplied
-
-    def __post_init__(self):
-        assert self.p * (self.x.to_fraction() + 1) == self.n
-
-
-def log_decompose(n: int, q=None) -> LogDecomposition:
-    if n < 1:
-        raise DomainError("log_decompose requires n >= 1")
-    k = n.bit_length() - 1
-    p = 1 << k
-    x = DyadicRational.from_fraction(Fraction(n - p, p))
-    r = None
-    if q is not None:
-        qw = as_qweight(q)
-        r = qw.q ** k
-    return LogDecomposition(n=n, k=k, u=math.log2(n) - k, p=p, x=x, r=r)
 
 
 def theorem1_rhs(n: int, q) -> Scalar:

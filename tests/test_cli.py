@@ -208,6 +208,47 @@ def test_odometer_birkhoff_small(capsys):
     assert code == 2
 
 
+BIRKHOFF_GOLDEN = {
+    ("--q=-1/2", "--n", "1000"): """\
+# q=-1/2 omega=0 seed=0 E[s_q]=-0.16666666666666666
+n=1 deviation=0.16666666666666666
+n=2 deviation=-0.083333333333333343
+n=4 deviation=0.041666666666666657
+n=8 deviation=-0.020833333333333343
+n=16 deviation=0.010416666666666657
+n=32 deviation=-0.0052083333333333426
+n=64 deviation=0.0026041666666666574
+n=128 deviation=-0.0013020833333333426
+n=256 deviation=0.00065104166666665741
+n=512 deviation=-0.00032552083333334259
+n=1000 deviation=-9.1145833333333703e-05
+""",
+    ("--q", "2/3", "--n", "4096"): """\
+# q=2/3 omega=0 seed=0 E[s_q]=0.99999999999999989
+n=1 deviation=-0.99999999999999989
+n=2 deviation=-0.66666666666666652
+n=4 deviation=-0.44444444444444431
+n=8 deviation=-0.29629629629629617
+n=16 deviation=-0.19753086419753063
+n=32 deviation=-0.1316872427983542
+n=64 deviation=-0.087791495198903391
+n=128 deviation=-0.058527663465937074
+n=256 deviation=-0.039018442310628121
+n=512 deviation=-0.026012294873759112
+n=1024 deviation=-0.017341529915853804
+n=2048 deviation=-0.011561019943931883
+n=4096 deviation=-0.0077073466293473558
+""",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(BIRKHOFF_GOLDEN))
+def test_odometer_birkhoff_golden(capsys, argv):
+    # float orbit sums are pinned bit for bit: every printed digit must match
+    code, out, _ = run(capsys, "odometer", "birkhoff", *argv)
+    assert (code, out) == (0, BIRKHOFF_GOLDEN[argv])
+
+
 def test_odometer_search(capsys):
     code, out, _ = run(
         capsys, "odometer", "search", "--q", "2/3", "--omega", "0",

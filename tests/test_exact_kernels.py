@@ -15,7 +15,14 @@ from hypothesis import strategies as st
 
 from tdq.digit_sums import S_pow2_payload, S_rec_payload, iter_S_direct
 from tdq.errors import DomainError
-from tdq.odometer import OdometerPoint, OverflowPolicy, ergodic_sum, orbit_partial_sums
+from tdq.odometer import (
+    OdometerPoint,
+    OverflowPolicy,
+    birkhoff_deviation,
+    ergodic_sum,
+    odometer_step,
+    orbit_partial_sums,
+)
 from tdq.scalar import Mode, Scalar, as_qweight, as_scalar
 from tdq.takagi import DeRhamSystem, F_q, derham_eval, fq_system, takagi_dyadic_exact, takagi_system
 from tdq.trollope import dyadic_formula, theorem1_rhs, vdc_star_discrepancy
@@ -157,24 +164,59 @@ def ref_derham(a, g0, g1, g_sup, x, depth):
 
 
 def ref_walk(bits, grow, q, steps):
-    """s_q at the first steps + 1 points of the orbit (bit-list add-with-carry),
-    or None when a step carries past the stored bits without grow."""
+    """(s_q at the first steps + 1 points of the orbit, the bits of the last
+    point), or (None, None) when a step carries past the stored bits without
+    grow.
+
+    A bit-list add-with-carry that keeps s_q up to date: powers q^{i+1} by
+    repeated multiplication, prefix sums q + ... + q^{i+1}, and a step that
+    clears j trailing ones gives s - (q + ... + q^j) + q^{j+1}.
+    """
     bits = list(bits)
-    out = []
-    for j in range(steps + 1):
-        out.append(sum((q ** (i + 1) for i, b in enumerate(bits) if b), 0 * q))
-        if j == steps:
-            return out
-        i = 0
-        while i < len(bits) and bits[i]:
-            bits[i] = 0
-            i += 1
-        if i < len(bits):
-            bits[i] = 1
+    powers, prefix = [q], [q]
+
+    def power(i):
+        while len(powers) <= i:
+            p = powers[-1] * q
+            powers.append(p)
+            prefix.append(prefix[-1] + p)
+        return powers[i]
+
+    s = 0 * q
+    for i, b in enumerate(bits):
+        if b:
+            s = s + power(i)
+    out = [s]
+    for _ in range(steps):
+        j = 0
+        while j < len(bits) and bits[j] == 1:
+            bits[j] = 0
+            j += 1
+        if j < len(bits):
+            bits[j] = 1
         elif grow:
             bits.append(1)
         else:
-            return None
+            return None, None
+        p = power(j)
+        s = s - prefix[j - 1] + p if j else s + p
+        out.append(s)
+    return out, bits
+
+
+def ref_partial_sums(walk, q):
+    """P[0] = 0, P[j + 1] = P[j] + s_q at point j; the last point is not summed."""
+    out = [0 * q]
+    for s in walk[:-1]:
+        out.append(out[-1] + s)
+    return out
+
+
+def ref_ergodic(walk):
+    total = walk[0]
+    for s in walk[1:]:
+        total = total + s
+    return total
 
 
 # -- draws -----------------------------------------------------------------------
@@ -355,7 +397,7 @@ def test_inconsistent_system_raises_on_every_call(mode):
             derham_eval(system, x)
 
 
-# -- exact orbit partial sums ------------------------------------------------------
+# -- orbit partial sums and the odometer step --------------------------------------
 
 OMEGAS = st.one_of(
     st.integers(0, (1 << 64) - 1).map(lambda v: (v, 64)),
@@ -364,28 +406,72 @@ OMEGAS = st.one_of(
 ).map(lambda vc: tuple((vc[0] >> i) & 1 for i in range(vc[1])))
 
 
-@pytest.mark.parametrize("grow", [True, False], ids=["GROW", "ERROR"])
+POLICIES = pytest.mark.parametrize("grow", [True, False], ids=["GROW", "ERROR"])
+
+
+def policy(grow):
+    return OverflowPolicy.GROW if grow else OverflowPolicy.ERROR
+
+
+@POLICIES
 @pytest.mark.parametrize("cls", ["small", "large", "integer", "one"])
 @settings(deadline=None, max_examples=30)
 @given(data=st.data(), bits=OMEGAS, l=st.integers(1, 80))
 def test_orbit_partial_sums_exact(grow, cls, data, bits, l):
     q = data.draw(Q_CLASSES[cls], label="q")
-    omega = OdometerPoint(bits, OverflowPolicy.GROW if grow else OverflowPolicy.ERROR)
-    walk = ref_walk(bits, grow, q, l)
+    omega = OdometerPoint(bits, policy(grow))
+    walk, _ = ref_walk(bits, grow, q, l)
     if walk is None:  # the walk carries past the stored bits within l steps
         with pytest.raises(DomainError):
             orbit_partial_sums(omega, q, l)
     else:
-        want = [0 * q]
-        for s in walk[:l]:
-            want.append(want[-1] + s)
         got = orbit_partial_sums(omega, q, l)
         assert len(got) == l + 1
-        for g, w in zip(got, want):
+        for g, w in zip(got, ref_partial_sums(walk, q)):
             assert_exact(g, w)
-    walk = ref_walk(bits, grow, q, l - 1)
+    walk, _ = ref_walk(bits, grow, q, l - 1)
     if walk is None:
         with pytest.raises(DomainError):
             ergodic_sum(omega, q, l)
     else:
-        assert_exact(ergodic_sum(omega, q, l).value, sum(walk, 0 * q))
+        assert_exact(ergodic_sum(omega, q, l).value, ref_ergodic(walk))
+
+
+@POLICIES
+@pytest.mark.parametrize("draw", [FLOATS, COMPLEXES], ids=["float", "complex"])
+@settings(deadline=None, max_examples=40)
+@given(data=st.data(), bits=OMEGAS, l=st.integers(1, 80))
+def test_orbit_sums_float_complex_bit_identical(grow, draw, data, bits, l):
+    q = data.draw(draw, label="q")
+    omega = OdometerPoint(bits, policy(grow))
+    walk, _ = ref_walk(bits, grow, q, l)
+    if walk is None:
+        with pytest.raises(DomainError):
+            orbit_partial_sums(omega, q, l)
+    else:
+        got = orbit_partial_sums(omega, q, l)
+        want = ref_partial_sums(walk, q)
+        assert len(got) == len(want) == l + 1
+        assert all(same_bits(g, w) for g, w in zip(got, want))
+    walk, _ = ref_walk(bits, grow, q, l - 1)
+    if walk is None:
+        with pytest.raises(DomainError):
+            ergodic_sum(omega, q, l)
+        return
+    total = ref_ergodic(walk)
+    assert same_bits(ergodic_sum(omega, q, l).value, total)
+    if abs(q) < 1:
+        assert same_bits(birkhoff_deviation(omega, q, l).value, total / l - q / (2 * (1 - q)))
+
+
+@POLICIES
+@settings(deadline=None, max_examples=200)
+@given(bits=OMEGAS)
+def test_odometer_step_is_ref_walk_successor(grow, bits):
+    _, successor = ref_walk(bits, grow, 0, 1)
+    omega = OdometerPoint(bits, policy(grow))
+    if successor is None:
+        with pytest.raises(DomainError):
+            odometer_step(omega)
+    else:
+        assert odometer_step(omega) == OdometerPoint(tuple(successor), policy(grow))

@@ -135,6 +135,19 @@ def test_derham_refuses_uncertified_bounds():
     assert got.value.value == derham_eval(takagi_system(0.5), 1 / 3).value.value
 
 
+@pytest.mark.parametrize(
+    "system",
+    [lambda: takagi_system(1), lambda: takagi_system(1.0), lambda: fq_system(Fraction(1, 2))],
+    ids=["takagi-1", "takagi-1.0", "fq-1/2"],
+)
+def test_derham_coefficient_one_is_a_domain_error(system):
+    # a0 = 1 (or a1 = 1) leaves f(0) = g0(0)/(1 - a0) undefined
+    with pytest.raises(DomainError):
+        system().consistency_residual()
+    with pytest.raises(DomainError):
+        derham_eval(system(), Fraction(1, 3))
+
+
 def test_derham_consistency_residuals_vanish():
     assert takagi_system(Fraction(2, 3)).consistency_residual().value == 0
     assert fq_system(Fraction(2, 3)).consistency_residual().value == 0

@@ -1,4 +1,3 @@
-import math
 from fractions import Fraction
 
 import pytest
@@ -10,21 +9,9 @@ from tdq.trollope import (
     classic_formula,
     dyadic_formula,
     larcher_residual,
-    log_decompose,
     theorem1_rhs,
     vdc_star_discrepancy,
 )
-
-
-def test_log_decompose():
-    d = log_decompose(6)
-    assert (d.k, d.p) == (2, 4)
-    assert d.x.to_fraction() == Fraction(1, 2)
-    assert d.u == pytest.approx(math.log2(6) - 2)
-    d1 = log_decompose(8, Fraction(2, 3))
-    assert d1.r.value == Fraction(8, 27)
-    with pytest.raises(DomainError):
-        log_decompose(0)
 
 
 @pytest.mark.parametrize("q", [Fraction(2, 3), Fraction(-2, 3), Fraction(3, 2), Fraction(-1)])
