@@ -13,6 +13,7 @@ import random
 import sys
 from fractions import Fraction
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from . import digit_sums, odometer, takagi, trollope
 from .digit_sums import WeightSequence, iter_S_direct
@@ -166,34 +167,50 @@ def cmd_eval(args) -> int:
 # verify
 
 
-def _render_residual(worst, mode: Mode) -> str:
-    if mode is Mode.EXACT:
-        f = Fraction(worst)
-        return f"{f.numerator}/{f.denominator}"
-    return Scalar.flt(float(worst)).render()
+# A verify target swept over var = least .. top, top the value of --option:
+# run(q, top) gives the report mode and the (witness, residual) pairs, and the
+# verdict prints scope, formatted with top, after the mode.
+class Sweep(NamedTuple):
+    run: Callable
+    var: str = "n"
+    option: str = "n-max"
+    least: int = 1
+    scope: str = ""
 
 
-def _report(name: str, qtext: str, worst, witness, mode: Mode, tol: float) -> int:
+def _sweep(sweep: Sweep, q: Scalar, top: int):
+    """(report mode, max residual, its witness) over the sweep's range."""
+    if top < sweep.least:
+        raise DomainError(f"--{sweep.option} must be >= {sweep.least}; an empty range checks nothing")
+    mode, pairs = sweep.run(q, top)
+    worst, witness = 0, None
+    for w, r in pairs:
+        if r > worst:
+            worst, witness = r, w
+    return mode, worst, witness
+
+
+def _report(head: str, var: str, worst, witness, mode: Mode, tol: float) -> int:
     """Print the verdict line; exact sweeps pass at residual 0, the others within tol."""
     ok = worst == 0 if mode is Mode.EXACT else worst <= tol
-    tag = "PASS" if ok else f"FAIL at n={witness}"
-    print(f"{name}: q={qtext} mode={mode.value} max residual {_render_residual(worst, mode)}, {tag}")
+    if mode is Mode.EXACT:
+        f = Fraction(worst)
+        shown = f"{f.numerator}/{f.denominator}"
+    else:
+        shown = Scalar.flt(float(worst)).render()
+    tag = "PASS" if ok else f"FAIL at {var}={witness}"
+    print(f"{head} max residual {shown}, {tag}")
     return 0 if ok else 3
 
 
-def _sweep(n_max, qv, residual):
-    """Max residual(n, S_q(n)) over n in [1, n_max]; returns (worst, witness)."""
-    worst = 0
-    witness = None
-    for n, s_acc in iter_S_direct(n_max, qv):
-        r = residual(n, s_acc)
-        if r > worst:
-            worst, witness = r, n
-    return worst, witness
+def _n_sweep(make) -> Sweep:
+    """The sweep over n of make(q) = (S_q payload q, report mode, residual(n, S_q(n)))."""
 
+    def run(q: Scalar, n_max: int):
+        qv, mode, residual = make(q)
+        return mode, ((n, residual(n, s)) for n, s in iter_S_direct(n_max, qv))
 
-# each n-sweep target maps q to (the q payload S_q is summed in, the report
-# mode, residual(n, S_q(n)))
+    return Sweep(run)
 
 
 def _theorem1(q: Scalar):
@@ -234,45 +251,42 @@ def _corollary(q: Scalar):
     return qf, Mode.FLOAT, residual
 
 
-SWEEPS = {"theorem1": _theorem1, "dyadic": _dyadic, "recursions": _recursions, "corollary": _corollary}
+def _prop2(q: Scalar, N_max: int):
+    qw = QWeight.of(q)
+    return q.mode, ((N, odometer.prop2_exact(qw, N).max_residual.value) for N in range(2, N_max + 1))
+
+
+SWEEPS = {
+    "theorem1": _n_sweep(_theorem1),
+    "dyadic": _n_sweep(_dyadic),
+    "recursions": _n_sweep(_recursions),
+    "corollary": _n_sweep(_corollary),
+    "prop2": Sweep(_prop2, var="N", option="N", least=2, scope=" N<={}"),
+}
 
 
 def cmd_verify(args) -> int:
     target = args.target
     if target in SWEEPS:
-        qv, mode, residual = SWEEPS[target](_parse_scalar_arg(args.q, args.mode))
-        worst, witness = _sweep(args.n_max, qv, residual)
-        return _report(target, args.q, worst, witness, mode, args.tol)
-
-    if target == "prop2":
-        q = _parse_scalar_arg(args.q, args.mode)
-        qw = QWeight.of(q)
-        worst = 0
-        witness = None
-        for N in range(2, args.N + 1):
-            r = odometer.prop2_exact(qw, N).max_residual.value
-            if r > worst:
-                worst, witness = r, N
-        ok = worst == 0 if q.mode is Mode.EXACT else worst <= args.tol
-        tag = "PASS" if ok else f"FAIL at N={witness}"
-        print(
-            f"prop2: q={args.q} mode={q.mode.value} N<={args.N} "
-            f"max residual {_render_residual(worst, Mode.EXACT if q.mode is Mode.EXACT else Mode.FLOAT)}, {tag}"
-        )
-        return 0 if ok else 3
+        sweep = SWEEPS[target]
+        top = getattr(args, sweep.option.replace("-", "_"))
+        mode, worst, witness = _sweep(sweep, _parse_scalar_arg(args.q, args.mode), top)
+        head = f"{target}: q={args.q} mode={mode.value}{sweep.scope.format(top)}"
+        return _report(head, sweep.var, worst, witness, mode, args.tol)
 
     if target == "larcher":
         c = float(args.gamma_limit)
+        # the identity is linear in gamma, so its float rounding grows with |gamma|
+        scale = max(1, abs(c))
         gamma_const = WeightSequence.constant(Scalar.flt(c))
         worst = 0.0
         witness = None
         for n in (3, 5, 17, 100, 255, 1024):
             r = abs(float(trollope.larcher_residual(n, gamma_const, args.tol).value))
-            if r > n * args.tol + 1e-9:
-                if r > worst:
-                    worst, witness = r, n
+            if r > (n * args.tol + 1e-9) * scale and r > worst:
+                worst, witness = r, n
         gamma_decay = WeightSequence(
-            values=tuple(Scalar.flt(c + 2.0 ** -i) for i in range(64)),
+            values=tuple(Scalar.flt(c + scale * 2.0 ** -i) for i in range(64)),
             tail=Scalar.flt(c),
         )
         r_small = abs(float(trollope.larcher_residual(1 << 6, gamma_decay, args.tol).value)) / (1 << 6)
@@ -298,6 +312,13 @@ def _takagi_curve_values(a: Scalar, grid) -> list[Scalar]:
     return [takagi.takagi_dyadic_exact(t, a) for t in grid]
 
 
+def _tilde_F_values(q: Scalar, grid) -> list[Scalar]:
+    """tilde F_q at the float grid abscissae; tilde F_1 at q = 1."""
+    if q.value == 1:
+        return [takagi.tilde_F_1(float(t)) for t in grid]
+    return [takagi.tilde_F_q(float(t), q) for t in grid]
+
+
 def cmd_curve(args) -> int:
     target = args.target
     grid = _grid(args.grid)
@@ -310,16 +331,10 @@ def cmd_curve(args) -> int:
         values = [takagi.F_q(t, q) for t in grid]
         meta = {"curve": "F", "q": args.q, "mode": q.mode.value, "depth": args.grid}
     elif target == "tildeF":
-        q = _parse_scalar_arg(args.q, args.mode)
-        if q.value == 1:
-            values = [takagi.tilde_F_1(float(t)) for t in grid]
-        else:
-            values = [takagi.tilde_F_q(float(t), q) for t in grid]
+        values = _tilde_F_values(_parse_scalar_arg(args.q, args.mode), grid)
         meta = {"curve": "tildeF", "q": args.q, "mode": "float", "depth": args.grid}
     elif target == "complex-takagi":
-        q = _parse_scalar_arg(args.q, "complex")
-        qw = QWeight.of(q)
-        values = [takagi.takagi_dyadic_exact(t, qw.a) for t in grid]
+        values = _takagi_curve_values(QWeight.of(_parse_scalar_arg(args.q, "complex")).a, grid)
         meta = {"curve": "complex-takagi", "q": args.q, "mode": "complex", "depth": args.grid}
     elif target == "Gtilde":
         values = [takagi.G_tilde_gamma(float(t), float(args.gamma_limit), args.tol) for t in grid]
@@ -399,17 +414,12 @@ def _figure_panels(depth: int, grid):
     meta = {"figure": 2, "q": "2/3", "mode": "exact", "depth": depth}
     yield "fig2_F_q2_3.csv", meta, [takagi.F_q(t, q23) for t in grid]
     for q_text in FIGT_PANELS:
-        q = parse_scalar(q_text, Mode.EXACT)
-        if q.value == 1:
-            vals = [takagi.tilde_F_1(float(t)) for t in grid]
-        else:
-            vals = [takagi.tilde_F_q(float(t), q) for t in grid]
         meta = {"figure": "tildeF", "q": q_text, "mode": "float", "depth": depth}
-        yield f"figT_q{_slug(q_text)}.csv", meta, vals
+        yield f"figT_q{_slug(q_text)}.csv", meta, _tilde_F_values(parse_scalar(q_text, Mode.EXACT), grid)
     for q_text in FIG3_PANELS:
         qw = QWeight.of(parse_scalar(q_text, Mode.COMPLEX))
         meta = {"figure": 3, "q": q_text, "mode": "complex", "depth": depth}
-        yield f"fig3_q_{_slug(q_text)}.csv", meta, [takagi.takagi_dyadic_exact(t, qw.a) for t in grid]
+        yield f"fig3_q_{_slug(q_text)}.csv", meta, _takagi_curve_values(qw.a, grid)
 
 
 def cmd_figures(args) -> int:

@@ -152,7 +152,7 @@ def S_rec_payload(n: int, qv):
     return S_pow2_payload(k, qv) + S_rec_payload(m, qv) + m * qv ** (k + 1)
 
 
-def _walk(v: int, stored: int, grow: bool, qv, steps: int):
+def odometer_walk(v: int, stored: int, grow: bool, qv, steps: int):
     """(den, s_q(v) den, s_q(v + 1) den, ..., s_q(v + steps) den): the odometer walk.
 
     The capacity K is the stored bits, widened under ``grow`` to cover
@@ -194,6 +194,8 @@ def iter_S_direct(n_max: int, qv) -> Iterator:
     For q = a/b the partial sums run on the odometer walk from 0; float and
     complex payloads recompute every s_q(j) from its digits.
     """
+    if n_max < 1:
+        return
     if not isinstance(qv, Fraction):
         total = 0 * qv
         for n in range(1, n_max + 1):
@@ -201,7 +203,7 @@ def iter_S_direct(n_max: int, qv) -> Iterator:
                 total = total + sq_payload(n - 1, qv)
             yield n, total
         return
-    den, s = _walk(0, 0, True, qv, n_max - 1)
+    den, s = odometer_walk(0, 0, True, qv, n_max - 1)
     for n, total in enumerate(accumulate(s), 1):
         yield n, Fraction(total, den)
 

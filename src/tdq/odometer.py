@@ -1,10 +1,11 @@
 """Dyadic odometer, ergodic sums, and fluctuation (limiting) curves.
 
-Every orbit sum, and ``odometer_step`` itself, runs on the one odometer walk
-in ``digit_sums``: the point is a Python int, adding one clears its t
-trailing ones and sets bit t, and s_q changes by the precomputed weights
-w_t - (w_0 + ... + w_{t-1}).  Exact q = a/b walks integer numerators over
-b^K, so exact runs stay exact and float runs at n ~ 2^20 stay cheap.
+Every orbit sum runs on the one odometer walk in ``digit_sums``: the point
+is a Python int, adding one clears its t trailing ones and sets bit t, and
+s_q changes by the precomputed weights w_t - (w_0 + ... + w_{t-1}).  Exact
+q = a/b walks integer numerators over b^K, so exact runs stay exact and
+float runs at n ~ 2^20 stay cheap.  ``odometer_step`` adds one to the
+point's value directly.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from itertools import accumulate
 from operator import add
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .digit_sums import S_pow2_payload, S_rec_payload, _walk, binary_digits, digits_value, sq_payload
+from .digit_sums import S_pow2_payload, S_rec_payload, binary_digits, digits_value, odometer_walk, sq_payload
 from .errors import DomainError
 from .scalar import (
     DyadicRational,
@@ -62,18 +63,15 @@ class OdometerPoint:
 
 def _orbit(omega: OdometerPoint, qv, steps: int):
     """(den, s_q den along omega, omega + 1, ..., omega + steps): the walk."""
-    return _walk(omega.value(), len(omega.bits), omega.policy is OverflowPolicy.GROW, qv, steps)
+    return odometer_walk(omega.value(), len(omega.bits), omega.policy is OverflowPolicy.GROW, qv, steps)
 
 
 def odometer_step(omega: OdometerPoint) -> OdometerPoint:
-    """Add one with carry; GROW appends a bit on full carry, ERROR raises.
-
-    One step of the walk at q = 2, where s_2(omega) is twice omega's value.
-    """
-    _, walk = _orbit(omega, 2, 1)
-    *_, s = walk
-    v = s >> 1
+    """Add one with carry; GROW appends a bit on full carry, ERROR raises."""
+    v = omega.value() + 1
     width = max(len(omega.bits), v.bit_length())
+    if width > len(omega.bits) and omega.policy is OverflowPolicy.ERROR:
+        raise DomainError("odometer capacity exhausted under ERROR policy")
     return OdometerPoint(tuple(v >> i & 1 for i in range(width)), omega.policy)
 
 
@@ -197,9 +195,7 @@ def phi_curve(
     sums = [p.value if isinstance(p, Scalar) else p for p in partial_sums]
     if len(sums) < l + 1:
         raise DomainError("partial sums must cover [0, l]")
-    mode = Mode.EXACT if isinstance(sums[0], (int, Fraction)) else (
-        Mode.COMPLEX if isinstance(sums[0], complex) else Mode.FLOAT
-    )
+    mode = as_scalar(sums[0]).mode
     total = sums[l]
     raw = []
     for t in grid:
@@ -210,9 +206,7 @@ def phi_curve(
     if normalization is Normalization.MAX_ABS:
         m = max(abs(v) for v in raw)
         r_val = m if m != 0 else (1 if mode is Mode.EXACT else 1.0)
-        r_scalar = Scalar.lift(r_val, mode if not isinstance(r_val, float) else Mode.FLOAT)
-        if mode is Mode.COMPLEX:
-            r_scalar = Scalar.lift(r_val, Mode.FLOAT)
+        r_scalar = as_scalar(r_val)
     else:
         if R is None:
             raise DomainError("explicit normalization needs R")
@@ -245,12 +239,16 @@ def prop2_exact(q, N: int) -> Prop2Result:
     grid = tuple(Fraction(j, 1 << (N - 1)) for j in range((1 << (N - 1)) + 1))
     r = Scalar(qw.q.mode, (2 * qv) ** (N - 1))
     curve = phi_curve(partials, l, grid, Normalization.EXPLICIT, r)
-    worst = Fraction(0) if qw.q.mode is Mode.EXACT else 0.0
-    for t, v in zip(grid, curve.values):
-        target = takagi_dyadic_exact(t, qw.a).value
-        worst = max(worst, abs(v.value + qv * target))
-    mode = Mode.EXACT if qw.q.mode is Mode.EXACT else Mode.FLOAT
-    return Prop2Result(curve=curve, max_residual=Scalar.lift(worst, mode))
+    return Prop2Result(curve=curve, max_residual=sup_distance_to_limit(curve, qw))
+
+
+def _takagi_on(grid, a) -> list:
+    """T_a payloads on the grid: exact at dyadic t, the certified series elsewhere."""
+    return [
+        takagi_dyadic_exact(t, a).value if as_dyadic_fraction(t) is not None
+        else takagi_series(float(t), a).value
+        for t in grid
+    ]
 
 
 def sup_distance_to_limit(curve: FluctuationCurve, q) -> Scalar:
@@ -259,16 +257,8 @@ def sup_distance_to_limit(curve: FluctuationCurve, q) -> Scalar:
     if qw.regime is not Regime.CONTRACTIVE:
         raise DomainError("limiting curve requires |q| > 1/2")
     qv = qw.q.value
-    worst = None
-    for t, v in zip(curve.grid, curve.values):
-        if as_dyadic_fraction(t if isinstance(t, (Fraction, int)) else as_scalar(t)) is not None:
-            target = takagi_dyadic_exact(t, qw.a).value
-        else:
-            target = takagi_series(float(t), qw.a).value
-        d = abs(v.value + qv * target)
-        worst = d if worst is None else max(worst, d)
-    mode = Mode.EXACT if isinstance(worst, Fraction) else Mode.FLOAT
-    return Scalar.lift(worst, mode)
+    worst = max(abs(v.value + qv * ta) for v, ta in zip(curve.values, _takagi_on(curve.grid, qw.a)))
+    return Scalar.lift(worst, Mode.EXACT if isinstance(worst, Fraction) else Mode.FLOAT)
 
 
 @dataclass(frozen=True)
@@ -297,13 +287,7 @@ def stabilizer_search(
         raise DomainError("stabilizer_search requires |q| > 1/2")
     qv = qw.q.value
 
-    targets = []
-    for t in grid:
-        fr = as_dyadic_fraction(t if isinstance(t, (Fraction, int)) else as_scalar(t))
-        base = takagi_dyadic_exact(fr, qw.a).value if fr is not None else takagi_series(
-            float(t), qw.a
-        ).value
-        targets.append(-qv * base)
+    targets = [-qv * ta for ta in _takagi_on(grid, qw.a)]
     t_norm = max(abs(v) for v in targets)
     if t_norm == 0:
         t_norm = 1

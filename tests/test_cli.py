@@ -71,6 +71,22 @@ def test_verify_pass_lines(capsys):
     assert code == 0 and "PASS" in out
 
 
+PROP2_GOLDEN = {
+    ("--q", "2/3"): (0, "prop2: q=2/3 mode=exact N<=8 max residual 0/1, PASS\n"),
+    ("--q", "i"): (0, "prop2: q=i mode=complex N<=8 max residual 0, PASS\n"),
+    ("--q", "0.7", "--tol", "1e-30"): (
+        3,
+        "prop2: q=0.7 mode=float N<=8 max residual 7.716050021144838e-15, FAIL at N=8\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(PROP2_GOLDEN))
+def test_verify_prop2_golden(capsys, argv):
+    code, out, err = run(capsys, "verify", "prop2", *argv)
+    assert (code, out, err) == (*PROP2_GOLDEN[argv], "")
+
+
 def test_verify_domain_guard(capsys):
     code, _, _ = run(capsys, "verify", "theorem1", "--q", "1/3")
     assert code == 2
@@ -289,6 +305,15 @@ def test_odometer_search(capsys):
         ("odometer birkhoff --n 0", 2),
         ("curve Gtilde --gamma-limit 1e300", 2),
         ("verify larcher --gamma-limit 1e300", 2),
+        # an empty sweep range checks nothing, so it cannot pass
+        ("verify theorem1 --n-max 0", 2),
+        ("verify dyadic --q 0.3 --n-max 0", 2),
+        ("verify prop2 --N 1", 2),
+        ("verify prop2 --N -3", 2),
+        # the Larcher bounds scale with |gamma|, as its float rounding does
+        ("verify larcher --gamma-limit 1e5", 0),
+        ("verify larcher --gamma-limit 1e20", 0),
+        ("verify larcher --gamma-limit=-1e20", 0),
         ("eval Sq --q 2/3 --n 8", 0),
         ("eval takagi --a 1/2 --x 0.3", 0),
     ],

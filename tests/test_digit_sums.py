@@ -11,6 +11,7 @@ from tdq.digit_sums import (
     WeightSequence,
     binary_digits,
     digits_value,
+    iter_S_direct,
     popcount_partial_sum,
     s_q,
     weighted_digit_sum,
@@ -135,3 +136,10 @@ def test_domain_errors():
         S_q_pow2(-1, Fraction(2, 3))
     with pytest.raises(DomainError):
         s_q(-1, Fraction(2, 3))
+
+
+@pytest.mark.parametrize("n_max", [0, -3])
+@pytest.mark.parametrize("q", [Fraction(2, 3), 0.7, 0.5 + 0.5j], ids=["exact", "float", "complex"])
+def test_iter_S_direct_empty_range(n_max, q):
+    # an exact q used to yield (1, 0) here, as if S_q(1) had been asked for
+    assert list(iter_S_direct(n_max, q)) == []

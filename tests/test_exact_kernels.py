@@ -16,15 +16,28 @@ from hypothesis import strategies as st
 from tdq.digit_sums import S_pow2_payload, S_rec_payload, iter_S_direct
 from tdq.errors import DomainError
 from tdq.odometer import (
+    Normalization,
     OdometerPoint,
     OverflowPolicy,
     birkhoff_deviation,
     ergodic_sum,
     odometer_step,
     orbit_partial_sums,
+    phi_curve,
+    prop2_exact,
+    stabilizer_search,
+    sup_distance_to_limit,
 )
-from tdq.scalar import Mode, Scalar, as_qweight, as_scalar
-from tdq.takagi import DeRhamSystem, F_q, derham_eval, fq_system, takagi_dyadic_exact, takagi_system
+from tdq.scalar import Mode, Scalar, as_dyadic_fraction, as_qweight, as_scalar
+from tdq.takagi import (
+    DeRhamSystem,
+    F_q,
+    derham_eval,
+    fq_system,
+    takagi_dyadic_exact,
+    takagi_series,
+    takagi_system,
+)
 from tdq.trollope import dyadic_formula, theorem1_rhs, vdc_star_discrepancy
 
 # -- references ----------------------------------------------------------------
@@ -219,6 +232,60 @@ def ref_ergodic(walk):
     return total
 
 
+def ref_limit_target(t, a):
+    """T_a at a grid point: exact at a dyadic t, the certified series at float(t) otherwise."""
+    if as_dyadic_fraction(t if isinstance(t, (Fraction, int)) else as_scalar(t)) is not None:
+        return takagi_dyadic_exact(t, a).value
+    return takagi_series(float(t), a).value
+
+
+def ref_prop2_residual(curve, q):
+    """max |phi + q T_a| over the dyadic grid of Proposition 2, folded from 0."""
+    qw = as_qweight(q)
+    worst = Fraction(0) if qw.q.mode is Mode.EXACT else 0.0
+    for t, v in zip(curve.grid, curve.values):
+        worst = max(worst, abs(v.value + qw.q.value * takagi_dyadic_exact(t, qw.a).value))
+    return Scalar.lift(worst, Mode.EXACT if qw.q.mode is Mode.EXACT else Mode.FLOAT)
+
+
+def ref_sup_distance(curve, q):
+    qw = as_qweight(q)
+    worst = None
+    for t, v in zip(curve.grid, curve.values):
+        d = abs(v.value + qw.q.value * ref_limit_target(t, qw.a))
+        worst = d if worst is None else max(worst, d)
+    return Scalar.lift(worst, Mode.EXACT if isinstance(worst, Fraction) else Mode.FLOAT)
+
+
+def ref_stabilizer_entries(omega, q, windows, grid):
+    """(l, sup |phi_l / max|phi_l| - target|) with target = -q T_a / max|q T_a|."""
+    qw = as_qweight(q)
+    targets = [-qw.q.value * ref_limit_target(t, qw.a) for t in grid]
+    t_norm = max(abs(v) for v in targets)
+    targets = [v / (t_norm if t_norm != 0 else 1) for v in targets]
+    partials = orbit_partial_sums(omega, qw, max(windows))
+    entries = []
+    for l in sorted(set(windows)):
+        curve = phi_curve(partials[: l + 1], l, grid, Normalization.MAX_ABS)
+        entries.append((l, float(max(abs(v.value - tv) for v, tv in zip(curve.values, targets)))))
+    return entries
+
+
+def ref_max_abs_R(sums, l, grid):
+    """The MAX_ABS normaliser R of phi_curve: max |S(t l) - t S(l)|, 1 when that is 0."""
+    exact, cplx = isinstance(sums[0], Fraction), isinstance(sums[0], complex)
+    raw = []
+    for t in grid:
+        tq = t if exact else float(t)
+        i = math.floor(tq * l)
+        frac = tq * l - i
+        lo = sums[i] if frac == 0 else sums[i] + frac * (sums[i + 1] - sums[i])
+        raw.append(lo - tq * sums[l])
+    m = max(abs(v) for v in raw)
+    r = m if m != 0 else (1 if exact else 1.0)
+    return Scalar.lift(r, Mode.EXACT if exact and not isinstance(r, float) else Mode.FLOAT)
+
+
 # -- draws -----------------------------------------------------------------------
 
 SIGNS = st.sampled_from((1, -1))
@@ -251,6 +318,15 @@ def same_bits(x, y) -> bool:
 def assert_exact(got, want):
     assert type(got) is Fraction
     assert got == want
+
+
+def assert_same_scalar(got, want):
+    """Equal modes, and equal Fractions or bit-identical floats / complexes."""
+    assert got.mode is want.mode
+    if isinstance(want.value, Fraction):
+        assert_exact(got.value, want.value)
+    else:
+        assert same_bits(got.value, want.value)
 
 
 # -- S_q routes --------------------------------------------------------------------
@@ -475,3 +551,61 @@ def test_odometer_step_is_ref_walk_successor(grow, bits):
             odometer_step(omega)
     else:
         assert odometer_step(omega) == OdometerPoint(tuple(successor), policy(grow))
+
+
+# -- the limiting curve -q T_a -------------------------------------------------------
+
+# q with |q| > 1/2, the range of Proposition 2, in each mode
+LIMIT_QS = {
+    "exact": st.one_of(Q_CLASSES["large"], Q_CLASSES["integer"], Q_CLASSES["one"]),
+    **CONTRACTIVE,
+}
+# dyadic Fractions, other Fractions and floats in [0, 1]: T_a is exact at the
+# first and a certified series at the others
+MIXED_GRIDS = st.lists(
+    st.one_of(
+        st.integers(0, 10).flatmap(lambda e: st.builds(lambda j: Fraction(j, 1 << e), st.integers(0, 1 << e))),
+        st.integers(0, 7).map(lambda j: Fraction(j, 7)),
+        st.floats(0, 1),
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
+@pytest.mark.parametrize("kind", sorted(LIMIT_QS))
+@settings(deadline=None, max_examples=15)
+@given(data=st.data(), N=st.integers(1, 9))
+def test_prop2_exact_residual_is_the_reference(kind, data, N):
+    q = data.draw(LIMIT_QS[kind], label="q")
+    got = prop2_exact(q, N)
+    assert_same_scalar(got.max_residual, ref_prop2_residual(got.curve, q))
+    if kind == "exact":
+        assert got.max_residual.value == 0
+
+
+@pytest.mark.parametrize("kind", sorted(LIMIT_QS))
+@settings(deadline=None, max_examples=25)
+@given(data=st.data(), bits=OMEGAS, l=st.integers(1, 300), grid=MIXED_GRIDS)
+def test_sup_distance_and_max_abs_R_are_the_reference(kind, data, bits, l, grid):
+    q = data.draw(LIMIT_QS[kind], label="q")
+    partials = orbit_partial_sums(OdometerPoint(bits), q, l)
+    curve = phi_curve(partials, l, grid, Normalization.MAX_ABS)
+    assert_same_scalar(curve.R, ref_max_abs_R(partials, l, grid))
+    assert_same_scalar(sup_distance_to_limit(curve, q), ref_sup_distance(curve, q))
+
+
+@pytest.mark.parametrize("kind", sorted(LIMIT_QS))
+@settings(deadline=None, max_examples=15)
+@given(
+    data=st.data(),
+    bits=OMEGAS,
+    windows=st.lists(st.integers(1, 200), min_size=1, max_size=4),
+    grid=MIXED_GRIDS,
+)
+def test_stabilizer_search_is_the_reference(kind, data, bits, windows, grid):
+    q = data.draw(LIMIT_QS[kind], label="q")
+    report = stabilizer_search(OdometerPoint(bits), q, windows, grid)
+    want = ref_stabilizer_entries(OdometerPoint(bits), q, windows, grid)
+    assert [(l, d.hex()) for l, d in report.entries] == [(l, d.hex()) for l, d in want]
+    assert (report.best_l, report.best_distance) == min(want, key=lambda e: (e[1], e[0]))
