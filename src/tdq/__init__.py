@@ -5,10 +5,9 @@ from .digit_sums import (
     S_q_direct,
     S_q_pow2,
     S_q_recursive,
-    WeightSequence,
     binary_digits,
+    bit_counts,
     s_q,
-    weighted_digit_sum,
 )
 from .errors import DomainError, ModeError, ParseError, TdqError, VerificationError
 from .odometer import (
@@ -20,25 +19,21 @@ from .odometer import (
     birkhoff_deviation,
     ergodic_sum,
     iter_ergodic_sums,
-    lemma1_F_of,
     odometer_step,
     phi_curve,
+    prop2_R,
     prop2_exact,
-    s_q_point,
     stabilizer_search,
     sup_distance_to_limit,
 )
 from .scalar import (
-    DyadicRational,
     Mode,
     QWeight,
     Regime,
     Scalar,
     as_qweight,
     as_scalar,
-    int_pow,
     parse_scalar,
-    tau,
 )
 from .takagi import (
     DeRhamSystem,
@@ -47,7 +42,6 @@ from .takagi import (
     derham_eval,
     fq_system,
     hat_F_q,
-    takagi_alt_dyadic,
     takagi_dyadic_exact,
     takagi_series,
     takagi_system,

@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 from . import digit_sums, odometer, takagi, trollope
-from .digit_sums import WeightSequence, iter_S_direct
+from .digit_sums import iter_S_direct
 from .errors import DomainError, ModeError, ParseError, VerificationError
 from .scalar import (
     Mode,
@@ -241,10 +241,11 @@ def _corollary(q: Scalar):
 
     def residual(n, s):
         lg = math.log2(n)
-        rhs = qf / 2 * (
-            (1 - qf ** lg) / (1 - qf)
-            + qf ** lg * float(takagi.tilde_F_q_log2(n, q).value)
-        )
+        try:
+            qlg = qf ** lg
+        except OverflowError:
+            raise DomainError(f"q^log2(n) overflows a float at n={n}") from None
+        rhs = qf / 2 * ((1 - qlg) / (1 - qf) + qlg * float(takagi.tilde_F_q_log2(n, q).value))
         lhs = s / n
         return abs(rhs - lhs) / (1.0 + abs(lhs))
 
@@ -278,19 +279,15 @@ def cmd_verify(args) -> int:
         c = float(args.gamma_limit)
         # the identity is linear in gamma, so its float rounding grows with |gamma|
         scale = max(1, abs(c))
-        gamma_const = WeightSequence.constant(Scalar.flt(c))
         worst = 0.0
         witness = None
         for n in (3, 5, 17, 100, 255, 1024):
-            r = abs(float(trollope.larcher_residual(n, gamma_const, args.tol).value))
+            r = abs(trollope.larcher_residual(n, (), c, args.tol).value)
             if r > (n * args.tol + 1e-9) * scale and r > worst:
                 worst, witness = r, n
-        gamma_decay = WeightSequence(
-            values=tuple(Scalar.flt(c + scale * 2.0 ** -i) for i in range(64)),
-            tail=Scalar.flt(c),
-        )
-        r_small = abs(float(trollope.larcher_residual(1 << 6, gamma_decay, args.tol).value)) / (1 << 6)
-        r_big = abs(float(trollope.larcher_residual(1 << 10, gamma_decay, args.tol).value)) / (1 << 10)
+        decay = [c + scale * 2.0 ** -i for i in range(64)]
+        r_small = abs(trollope.larcher_residual(1 << 6, decay, c, args.tol).value) / (1 << 6)
+        r_big = abs(trollope.larcher_residual(1 << 10, decay, c, args.tol).value) / (1 << 10)
         trend_ok = r_big < r_small
         ok = witness is None and trend_ok
         print(
@@ -362,8 +359,7 @@ def _fluctuation(args) -> int:
     if args.R == "auto-prop2":
         if l & (l - 1) or l < 2:
             raise DomainError("--R auto-prop2 needs l to be a power of two >= 2")
-        N = l.bit_length() - 1
-        r = Scalar(qw.q.mode, (2 * qw.q.value) ** (N - 1))
+        r = odometer.prop2_R(qw, l.bit_length() - 1)
         curve = odometer.phi_curve(partials, l, grid, odometer.Normalization.EXPLICIT, r)
     elif args.R == "max-abs":
         curve = odometer.phi_curve(partials, l, grid, odometer.Normalization.MAX_ABS)

@@ -1,4 +1,4 @@
-"""Binary digits, weighted digital sums, and cumulative sums S_q(n).
+"""Binary digits, per-bit counts, q-weighted digital sums, and cumulative sums S_q(n).
 
 S_q(n) is computed by three independent routes: literal summation (the
 brute-force oracle), the closed form at powers of two, and a descent using
@@ -7,14 +7,13 @@ the shift recursions.  The routes must agree exactly in exact mode.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, repeat
 from operator import mul
-from typing import Iterator, Optional, Sequence
+from typing import Iterator
 
-from .errors import DomainError, ModeError
-from .scalar import Mode, QWeight, Scalar, as_qweight, as_scalar
+from .errors import DomainError
+from .scalar import Scalar, as_qweight, tau_scaled
 
 
 def binary_digits(n: int) -> list[int]:
@@ -28,53 +27,15 @@ def binary_digits(n: int) -> list[int]:
     return bits
 
 
-def digits_value(bits: Sequence[int]) -> int:
-    v = 0
-    for i, b in enumerate(bits):
-        if b not in (0, 1):
-            raise DomainError("digits must be 0 or 1")
-        v += b << i
-    return v
+def bit_counts(n: int) -> list[int]:
+    """[c_0(n), c_1(n), ...] with c_i(n) = #{j < n : bit i of j set}, n >= 0.
 
-
-@dataclass(frozen=True)
-class WeightSequence:
-    """Digit weights gamma_i: q-geometric q^{i+1}, or an explicit list + tail."""
-
-    q: Optional[QWeight] = None
-    values: Optional[tuple[Scalar, ...]] = None
-    tail: Optional[Scalar] = None
-
-    @staticmethod
-    def geometric(q) -> "WeightSequence":
-        return WeightSequence(q=as_qweight(q))
-
-    @staticmethod
-    def explicit(values, tail) -> "WeightSequence":
-        vals = tuple(as_scalar(v) for v in values)
-        return WeightSequence(values=vals, tail=as_scalar(tail))
-
-    @staticmethod
-    def constant(c) -> "WeightSequence":
-        return WeightSequence.explicit((), c)
-
-    def weight(self, i: int) -> Scalar:
-        if self.q is not None:
-            return self.q.q ** (i + 1)
-        assert self.values is not None and self.tail is not None
-        return self.values[i] if i < len(self.values) else self.tail
-
-    @property
-    def limit(self) -> Optional[Scalar]:
-        """lim gamma_i, or None if it does not exist."""
-        if self.q is None:
-            return self.tail
-        q = self.q.q
-        if q.modulus() < 1:
-            return Scalar.zero(q.mode)
-        if q.value == 1:
-            return Scalar.one(q.mode)
-        return None
+    Trollope (1968), Delange (1975): 2 c_i(n) = n - 2^{i+1} tau(n / 2^{i+1}).
+    c_i(n) = 0 from i = bit_length(n) on, so the list stops there.
+    """
+    if n < 0:
+        raise DomainError("bit_counts requires n >= 0")
+    return [(n - tau_scaled(n, i + 1)) >> 1 for i in range(n.bit_length())]
 
 
 # ---------------------------------------------------------------------------
@@ -220,16 +181,6 @@ def s_q(n: int, q) -> Scalar:
     return Scalar(qw.q.mode, sq_payload(n, qw.q.value))
 
 
-def weighted_digit_sum(n: int, gamma: WeightSequence) -> Scalar:
-    if n < 0:
-        raise DomainError("weighted_digit_sum requires n >= 0")
-    total = gamma.weight(0) * 0
-    for i, b in enumerate(binary_digits(n)):
-        if b:
-            total = total + gamma.weight(i)
-    return total
-
-
 def S_q_direct(n: int, q) -> Scalar:
     """Brute-force oracle: sum of s_q(k) for k = 0 .. n-1."""
     if n < 1:
@@ -252,10 +203,3 @@ def S_q_recursive(n: int, q) -> Scalar:
     """S_q(n) via the shift recursions; equals S_q_direct(n) exactly."""
     qw = as_qweight(q)
     return Scalar(qw.q.mode, S_rec_payload(n, qw.q.value))
-
-
-def popcount_partial_sum(n: int) -> int:
-    """S(n) = sum of popcounts of 0 .. n-1 (classic unweighted case)."""
-    if n < 1:
-        raise DomainError("S is defined for n >= 1")
-    return sum(k.bit_count() for k in range(n))

@@ -19,10 +19,9 @@ from itertools import accumulate
 from operator import add
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .digit_sums import S_pow2_payload, S_rec_payload, binary_digits, digits_value, odometer_walk, sq_payload
+from .digit_sums import S_pow2_payload, S_rec_payload, binary_digits, odometer_walk
 from .errors import DomainError
 from .scalar import (
-    DyadicRational,
     Mode,
     Regime,
     Scalar,
@@ -58,7 +57,7 @@ class OdometerPoint:
         return OdometerPoint(tuple(binary_digits(n)), policy)
 
     def value(self) -> int:
-        return digits_value(self.bits)
+        return sum(b << i for i, b in enumerate(self.bits))
 
 
 def _orbit(omega: OdometerPoint, qv, steps: int):
@@ -68,16 +67,11 @@ def _orbit(omega: OdometerPoint, qv, steps: int):
 
 def odometer_step(omega: OdometerPoint) -> OdometerPoint:
     """Add one with carry; GROW appends a bit on full carry, ERROR raises."""
-    v = omega.value() + 1
-    width = max(len(omega.bits), v.bit_length())
-    if width > len(omega.bits) and omega.policy is OverflowPolicy.ERROR:
+    bits = binary_digits(omega.value() + 1)
+    pad = len(omega.bits) - len(bits)
+    if pad < 0 and omega.policy is OverflowPolicy.ERROR:
         raise DomainError("odometer capacity exhausted under ERROR policy")
-    return OdometerPoint(tuple(v >> i & 1 for i in range(width)), omega.policy)
-
-
-def s_q_point(omega: OdometerPoint, q) -> Scalar:
-    qw = as_qweight(q)
-    return Scalar(qw.q.mode, sq_payload(omega.value(), qw.q.value))
+    return OdometerPoint((*bits, *[0] * pad), omega.policy)
 
 
 def iter_ergodic_sums(omega: OdometerPoint, q, n: int) -> Iterator:
@@ -123,11 +117,14 @@ def birkhoff_deviation(omega: OdometerPoint, q, n: int) -> Scalar:
 
 
 # ---------------------------------------------------------------------------
-# G_q and the Lemma 1 correspondence
+# G_q
 
 
 def G_q(n: int, q) -> Scalar:
-    """G_q(n) = (S_q(n) - (n/p) S_q(p)) / (p q^k), p = 2^k = 2^[log2 n]."""
+    """G_q(n) = (S_q(n) - (n/p) S_q(p)) / (p q^k), p = 2^k = 2^[log2 n].
+
+    Lemma 1: G_q(n) = F_q((n - p)/p).
+    """
     if n < 1:
         raise DomainError("G_q requires n >= 1")
     qw = as_qweight(q)
@@ -139,16 +136,6 @@ def G_q(n: int, q) -> Scalar:
     ratio = Fraction(n, p)
     factor = ratio if qw.q.mode is Mode.EXACT else float(ratio)
     return Scalar(qw.q.mode, (s_n - factor * s_p) / (p * qv ** k))
-
-
-def lemma1_F_of(n: int, q) -> tuple[DyadicRational, Scalar]:
-    """Return (x_n, F_q(x_n)) with x_n = (n - p_n)/p_n and F_q(x_n) = G_q(n)."""
-    if n < 1:
-        raise DomainError("lemma1_F_of requires n >= 1")
-    k = n.bit_length() - 1
-    p = 1 << k
-    x = DyadicRational.from_fraction(Fraction(n - p, p))
-    return x, G_q(n, q)
 
 
 # ---------------------------------------------------------------------------
@@ -212,6 +199,8 @@ def phi_curve(
             raise DomainError("explicit normalization needs R")
         r_scalar = as_scalar(R)
         r_val = r_scalar.value
+        if r_scalar.is_zero():
+            raise DomainError("normalizer R must be non-zero (given, or underflowed to 0)")
     values = tuple(Scalar(mode, v / r_val) for v in raw)
     return FluctuationCurve(grid=grid, values=values, l=l, R=r_scalar, normalization=normalization)
 
@@ -220,6 +209,15 @@ def phi_curve(
 class Prop2Result:
     curve: FluctuationCurve
     max_residual: Scalar  # max |phi_l(t_j) + q T_a(t_j)| over the grid
+
+
+def prop2_R(q, N: int) -> Scalar:
+    """Proposition 2's normalizer R = (2q)^{N-1} at the window l = 2^N."""
+    qw = as_qweight(q)
+    try:
+        return Scalar(qw.q.mode, (2 * qw.q.value) ** (N - 1))
+    except OverflowError:
+        raise DomainError(f"normalizer R = (2q)^{N - 1} overflows a float") from None
 
 
 def prop2_exact(q, N: int) -> Prop2Result:
@@ -233,12 +231,10 @@ def prop2_exact(q, N: int) -> Prop2Result:
     qw = as_qweight(q)
     if qw.regime is not Regime.CONTRACTIVE:
         raise DomainError("Proposition 2 requires |q| > 1/2")
-    qv = qw.q.value
     l = 1 << N
     partials = orbit_partial_sums(OdometerPoint.zero(), qw, l)
     grid = tuple(Fraction(j, 1 << (N - 1)) for j in range((1 << (N - 1)) + 1))
-    r = Scalar(qw.q.mode, (2 * qv) ** (N - 1))
-    curve = phi_curve(partials, l, grid, Normalization.EXPLICIT, r)
+    curve = phi_curve(partials, l, grid, Normalization.EXPLICIT, prop2_R(qw, N))
     return Prop2Result(curve=curve, max_residual=sup_distance_to_limit(curve, qw))
 
 

@@ -3,8 +3,8 @@
 Three explicit modes: exact big rationals (``fractions.Fraction``), double
 floats, and double complex.  Arithmetic between mismatched modes raises
 ``ModeError``; promotion is explicit via :meth:`Scalar.promote`.  The module
-also provides the sawtooth (distance to the nearest integer) and dyadic
-rationals in the canonical "ending in all zeros" form.
+also provides the sawtooth (distance to the nearest integer) and the test
+for dyadic rationals.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Union
+from typing import Union
 
 from .errors import DomainError, ModeError, ParseError
 
@@ -170,8 +170,6 @@ def as_scalar(v) -> Scalar:
         return Scalar.flt(v)
     if isinstance(v, complex):
         return Scalar.cplx(v)
-    if isinstance(v, DyadicRational):
-        return v.to_scalar()
     raise ModeError(f"cannot interpret {type(v).__name__} as a Scalar")
 
 
@@ -222,20 +220,7 @@ def infer_mode(text: str) -> Mode:
     return Mode.FLOAT
 
 
-def int_pow(s, k: int) -> Scalar:
-    """s**k for a non-negative integer k, exact in exact mode."""
-    if k < 0:
-        raise DomainError("int_pow exponent must be non-negative")
-    s = as_scalar(s)
-    return Scalar(s.mode, s.value ** k)
-
-
 # -- sawtooth ----------------------------------------------------------------
-
-
-def tau_frac(x: Fraction) -> Fraction:
-    f = x - math.floor(x)
-    return min(f, 1 - f)
 
 
 def tau_scaled(n: int, i: int) -> int:
@@ -249,80 +234,11 @@ def tau_float(x: float) -> float:
     return min(f, 1.0 - f)
 
 
-def tau(x) -> Scalar:
-    """Distance from a real x to the nearest integer; exact on rationals."""
-    if isinstance(x, DyadicRational):
-        return Scalar.exact(tau_frac(x.to_fraction()))
-    if isinstance(x, Scalar):
-        if x.mode is Mode.COMPLEX:
-            raise ModeError("tau is undefined for complex inputs")
-        x = x.value
-    if isinstance(x, (int, Fraction)):
-        return Scalar.exact(tau_frac(Fraction(x)))
-    if isinstance(x, float):
-        return Scalar.flt(tau_float(x))
-    raise ModeError(f"tau: unsupported input {type(x).__name__}")
-
-
 # -- dyadic rationals ----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DyadicRational:
-    """x = integer_part + numerator / 2**exponent in canonical form.
-
-    Canonical means numerator is odd and < 2**exponent, or numerator == 0 and
-    exponent == 0 (the binary expansion ending in all zeros).
-    """
-
-    integer_part: int
-    numerator: int
-    exponent: int
-
-    def __post_init__(self):
-        if self.exponent < 0 or self.numerator < 0:
-            raise DomainError("dyadic rational fields must be non-negative")
-        if self.numerator == 0:
-            if self.exponent != 0:
-                raise DomainError("zero fractional part requires exponent 0")
-        else:
-            if self.numerator >= (1 << self.exponent) or self.numerator % 2 == 0:
-                raise DomainError("dyadic rational not in canonical form")
-
-    @staticmethod
-    def from_fraction(fr: Fraction) -> "DyadicRational":
-        den = fr.denominator
-        if den & (den - 1):
-            raise DomainError(f"{fr} is not a dyadic rational")
-        ip = fr.numerator // den
-        rem = fr - ip
-        if rem == 0:
-            return DyadicRational(ip, 0, 0)
-        return DyadicRational(ip, rem.numerator, rem.denominator.bit_length() - 1)
-
-    @staticmethod
-    def of(x) -> "DyadicRational":
-        if isinstance(x, DyadicRational):
-            return x
-        if isinstance(x, Scalar):
-            if x.mode is not Mode.EXACT:
-                raise ModeError("only exact scalars convert to dyadic rationals")
-            x = x.value
-        if isinstance(x, (int, Fraction)):
-            return DyadicRational.from_fraction(Fraction(x))
-        raise DomainError(f"cannot build a dyadic rational from {type(x).__name__}")
-
-    def to_fraction(self) -> Fraction:
-        return self.integer_part + Fraction(self.numerator, 1 << self.exponent)
-
-    def to_scalar(self) -> Scalar:
-        return Scalar.exact(self.to_fraction())
 
 
 def as_dyadic_fraction(x) -> Fraction | None:
     """Return x as a Fraction if it is exactly a dyadic rational, else None."""
-    if isinstance(x, DyadicRational):
-        return x.to_fraction()
     if isinstance(x, Scalar):
         if x.mode is not Mode.EXACT:
             return None
@@ -355,8 +271,6 @@ class QWeight:
     @staticmethod
     def of(q) -> "QWeight":
         q = as_scalar(q)
-        if isinstance(q.value, QWeight):  # defensive; never constructed so
-            raise ModeError("nested QWeight")
         if q.is_zero():
             raise DomainError("q = 0 has no associated a = 1/(2q)")
         a = Scalar(q.mode, 1 / (2 * q.value))

@@ -16,9 +16,7 @@ from typing import Callable, NamedTuple, Optional
 
 from .errors import DomainError, ModeError
 from .scalar import (
-    DyadicRational,
     Mode,
-    QWeight,
     Regime,
     Scalar,
     as_dyadic_fraction,
@@ -216,10 +214,7 @@ def takagi_series(x, a, tol: float = DEFAULT_SERIES_TOL) -> Scalar:
     acc = 0 * av
     w = av ** 0
 
-    if isinstance(x, DyadicRational):
-        fr = x.to_fraction()
-    else:
-        fr = as_scalar(x).value
+    fr = as_scalar(x).value
     if isinstance(fr, complex):
         raise ModeError("takagi_series requires a real abscissa")
 
@@ -274,27 +269,6 @@ def takagi_dyadic_exact(x, a) -> Scalar:
         acc = acc + w * (tau_scaled(m << j, e) / size)
         w = w * av
     return Scalar(a.mode, acc)
-
-
-def takagi_alt_dyadic(n: int, a) -> Scalar:
-    """T_a(n/2^{k_n+1}) via a^{k+1} sum a^{-i} tau(n/2^i); cross-check route.
-
-    This is the definition's finite sum reindexed from the top digit down,
-    so it needs a != 0 but no contraction.
-    """
-    if n < 1:
-        raise DomainError("takagi_alt_dyadic requires n >= 1")
-    a = as_scalar(a)
-    if a.is_zero():
-        raise DomainError("takagi_alt_dyadic requires a != 0")
-    av = a.value
-    k = n.bit_length() - 1
-    acc = 0 * av
-    for i in range(1, k + 2):
-        t = Fraction(tau_scaled(n, i), 1 << i)
-        if t:
-            acc = acc + av ** -i * (t if a.mode is Mode.EXACT else float(t))
-    return Scalar(a.mode, acc * av ** (k + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .digit_sums import WeightSequence, geometric_num, weighted_digit_sum
+from .digit_sums import bit_counts, geometric_num
 from .errors import DomainError
 from .scalar import (
     Mode,
@@ -116,21 +116,19 @@ def vdc_star_discrepancy(n: int) -> Scalar:
     return Scalar(Mode.EXACT, Fraction(total, n << k))
 
 
-def larcher_residual(n: int, gamma: WeightSequence, tol: float) -> Scalar:
+def larcher_residual(n: int, weights, limit, tol: float) -> Scalar:
     """r(n) = S(n, gamma) - (n/2) sum_{i<=[log2 n]} gamma_i - n G~(log2 n).
 
-    This is the o(n) remainder of the Larcher-type asymptotic; it is zero (up
-    to n*tol) exactly when the weights are constant.
+    gamma_i = weights[i] as a float, and gamma_i = limit past the end of
+    weights.  S(n, gamma) = sum_{j<n} sum of gamma_i over the set bits i of j
+    is summed as sum_i gamma_i c_i(n) over the per-bit counts.  This is the
+    o(n) remainder of the Larcher-type asymptotic; it is zero (up to n*tol)
+    exactly when the weights are constant.
     """
     if n < 2:
         raise DomainError("larcher_residual requires n >= 2")
-    if gamma.limit is None:
-        raise DomainError("weight sequence has no declared limit")
-    k = n.bit_length() - 1
-    s_total = weighted_digit_sum(0, gamma) * 0
-    for m in range(n):
-        s_total = s_total + weighted_digit_sum(m, gamma)
-    head = sum(float(gamma.weight(i).promote(Mode.FLOAT).value) for i in range(k + 1))
-    g_term = float(G_tilde_gamma(math.log2(n), gamma.limit, tol).value)
-    s_f = float(as_scalar(s_total.value).promote(Mode.FLOAT).value)
-    return Scalar.flt(s_f - 0.5 * n * head - n * g_term)
+    g_term = float(G_tilde_gamma(math.log2(n), limit, tol).value)
+    counts = bit_counts(n)
+    gamma = [float(weights[i] if i < len(weights) else limit) for i in range(len(counts))]
+    s_f = sum(g * c for g, c in zip(gamma, counts))
+    return Scalar.flt(s_f - 0.5 * n * sum(gamma) - n * g_term)

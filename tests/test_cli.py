@@ -305,6 +305,13 @@ def test_odometer_search(capsys):
         ("odometer birkhoff --n 0", 2),
         ("curve Gtilde --gamma-limit 1e300", 2),
         ("verify larcher --gamma-limit 1e300", 2),
+        # a zero normalizer R, given or underflowed from (2q)^{N-1}, divides nothing
+        ("curve fluctuation --q 2/3 --R 0", 2),
+        ("curve fluctuation --q 1+1i --R 0", 2),
+        ("curve fluctuation --q 2/3 --R 0.0", 2),
+        ("odometer fluctuation --q 1e-300", 2),
+        ("odometer fluctuation --q 1e300", 2),
+        ("verify corollary --q 1e308", 2),
         # an empty sweep range checks nothing, so it cannot pass
         ("verify theorem1 --n-max 0", 2),
         ("verify dyadic --q 0.3 --n-max 0", 2),

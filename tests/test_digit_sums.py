@@ -8,15 +8,13 @@ from tdq.digit_sums import (
     S_q_direct,
     S_q_pow2,
     S_q_recursive,
-    WeightSequence,
     binary_digits,
-    digits_value,
+    bit_counts,
     iter_S_direct,
-    popcount_partial_sum,
     s_q,
-    weighted_digit_sum,
 )
 from tdq.errors import DomainError
+from tdq.odometer import OdometerPoint
 
 Q_PANEL = [
     Fraction(2, 3),
@@ -40,7 +38,7 @@ def test_binary_digits_examples():
 
 @given(st.integers(0, 10**9))
 def test_digits_round_trip(n):
-    assert digits_value(binary_digits(n)) == n
+    assert OdometerPoint.from_int(n).value() == n
 
 
 def test_sq_examples():
@@ -61,23 +59,23 @@ def test_sq_shift_identities(n):
     assert s_q(2 * n + 1, q).value == q + q * s_q(n, q).value
 
 
-def test_weighted_digit_sum_matches_sq():
-    q = Fraction(-2, 3)
-    gamma = WeightSequence.geometric(q)
-    for n in range(200):
-        assert weighted_digit_sum(n, gamma).value == s_q(n, q).value
+def test_bit_counts_brute_force():
+    # c_i(n) = #{j < n : bit i of j set}, counted one j at a time
+    counts = []
+    for n in range(1 << 12):
+        counts += [0] * (n.bit_length() - len(counts))
+        assert bit_counts(n) == counts
+        for i in range(n.bit_length()):
+            counts[i] += n >> i & 1
+    with pytest.raises(DomainError):
+        bit_counts(-1)
 
 
-def test_weighted_digit_sum_explicit_and_constant():
-    gamma = WeightSequence.explicit([Fraction(5), Fraction(7)], Fraction(1))
-    # n = 11 = 1101 LSB-first: bits at 0, 1, 3
-    assert weighted_digit_sum(11, gamma).value == 5 + 7 + 1
-    const = WeightSequence.constant(Fraction(1))
-    assert weighted_digit_sum(11, const).value == 3
-    assert const.limit.value == 1
-    assert WeightSequence.geometric(Fraction(2, 3)).limit.value == 0
-    assert WeightSequence.geometric(1).limit.value == 1
-    assert WeightSequence.geometric(2).limit is None
+@pytest.mark.parametrize("q", Q_PANEL)
+def test_bit_counts_weigh_to_S_q(q):
+    # S_q(n) = sum_i c_i(n) q^{i+1}: each j < n adds q^{i+1} for every set bit i
+    for n, s in iter_S_direct(300, q):
+        assert sum(c * q ** (i + 1) for i, c in enumerate(bit_counts(n))) == s
 
 
 @pytest.mark.parametrize("q", Q_PANEL)
@@ -102,7 +100,7 @@ def test_pow2_closed_form_values():
 @settings(deadline=None, max_examples=30)
 @given(st.integers(1, 4000))
 def test_classic_case_is_popcount_sum(n):
-    assert S_q_direct(n, 1).value == popcount_partial_sum(n)
+    assert S_q_direct(n, 1).value == sum(k.bit_count() for k in range(n))
 
 
 @pytest.mark.parametrize("q", Q_PANEL)

@@ -14,12 +14,10 @@ from tdq.odometer import (
     OverflowPolicy,
     birkhoff_deviation,
     ergodic_sum,
-    lemma1_F_of,
     odometer_step,
     orbit_partial_sums,
     phi_curve,
     prop2_exact,
-    s_q_point,
     stabilizer_search,
     sup_distance_to_limit,
 )
@@ -44,9 +42,10 @@ def test_overflow_policies():
 
 
 def test_s_q_point_matches_integer_digit_sum():
+    # the one-point orbit sum is s_q at the point
     q = Fraction(2, 3)
     for n in range(200):
-        assert s_q_point(OdometerPoint.from_int(n), q).value == s_q(n, q).value
+        assert ergodic_sum(OdometerPoint.from_int(n), q, 1).value == s_q(n, q).value
 
 
 @pytest.mark.parametrize("q", [Fraction(2, 3), Fraction(-1), Fraction(3, 2)])
@@ -85,9 +84,8 @@ def test_empty_windows_are_rejected(q):
 def test_G_q_equals_F_at_dyadic_points():
     q = Fraction(2, 3)
     for n in range(1, 512):
-        x, g = lemma1_F_of(n, q)
-        assert g.value == G_q(n, q).value
-        assert F_q(x.to_fraction(), q).value == g.value
+        p = 1 << (n.bit_length() - 1)
+        assert F_q(Fraction(n - p, p), q).value == G_q(n, q).value
 
 
 def test_G_q_pinned_value():

@@ -7,39 +7,44 @@ from hypothesis import strategies as st
 
 from tdq.errors import DomainError, ModeError, ParseError
 from tdq.scalar import (
-    DyadicRational,
     Mode,
     QWeight,
     Regime,
     Scalar,
     as_scalar,
-    int_pow,
     parse_scalar,
-    tau,
+    tau_float,
+    tau_scaled,
 )
 
 rationals = st.fractions(max_denominator=10**6)
 
 
 def test_tau_examples():
-    assert tau(Fraction(1, 2)).value == Fraction(1, 2)
-    assert tau(3).value == 0
-    assert tau(Fraction(3, 4)).value == Fraction(1, 4)
+    # tau_scaled(n, i) = 2^i tau(n / 2^i)
+    assert tau_scaled(1, 1) == 1  # tau(1/2) = 1/2
+    assert tau_scaled(3, 0) == 0  # tau(3) = 0
+    assert tau_scaled(3, 2) == 1  # tau(3/4) = 1/4
 
 
 def test_tau_float_and_complex():
-    assert tau(0.75).value == pytest.approx(0.25)
-    with pytest.raises(ModeError):
-        tau(Scalar.cplx(1 + 1j))
+    assert tau_float(0.75) == 0.25
+    # the sawtooth is defined on reals only; a complex input is refused
+    with pytest.raises(TypeError):
+        tau_float(1 + 1j)
 
 
-@given(rationals, st.integers(-50, 50))
-def test_tau_periodicity_and_symmetry(x, n):
-    t = tau(x).value
-    assert tau(x + n).value == t
-    assert tau(-x).value == t
-    assert tau(1 - x).value == t
-    assert 0 <= t <= Fraction(1, 2)
+@given(st.integers(-(1 << 40), 1 << 40), st.integers(0, 40), st.integers(-50, 50))
+def test_tau_periodicity_and_symmetry(m, i, n):
+    t = tau_scaled(m, i)
+    assert tau_scaled(m + n * (1 << i), i) == t
+    assert tau_scaled(-m, i) == t
+    assert tau_scaled((1 << i) - m, i) == t
+    assert 0 <= 2 * t <= 1 << i
+    # m / 2^i is a float exactly, and so are x + n, -x and 1 - x
+    x = m / (1 << i)
+    assert tau_float(x) == t / (1 << i)
+    assert tau_float(x + n) == tau_float(-x) == tau_float(1 - x) == tau_float(x)
 
 
 @given(rationals, rationals, rationals)
@@ -87,33 +92,6 @@ def test_parse_render_round_trip_exact(x):
 def test_parse_render_round_trip_float(x):
     s = Scalar.flt(x)
     assert parse_scalar(s.render(), Mode.FLOAT).value == x
-
-
-def test_int_pow():
-    assert int_pow(Fraction(2, 3), 2).value == Fraction(4, 9)
-    assert int_pow(Scalar.flt(1.7), 0).value == 1.0
-    assert int_pow(Scalar.cplx(1j), 2).value == -1
-    with pytest.raises(DomainError):
-        int_pow(2, -1)
-
-
-@given(rationals)
-def test_dyadic_round_trip(fr):
-    num = fr.numerator
-    d = DyadicRational.from_fraction(Fraction(num, 8))
-    assert d.to_fraction() == Fraction(num, 8)
-    again = DyadicRational.from_fraction(d.to_fraction())
-    assert again == d
-
-
-def test_dyadic_canonical_form():
-    d = DyadicRational.from_fraction(Fraction(6, 8))
-    assert (d.integer_part, d.numerator, d.exponent) == (0, 3, 2)
-    assert DyadicRational.from_fraction(Fraction(-5, 4)) == DyadicRational(-2, 3, 2)
-    with pytest.raises(DomainError):
-        DyadicRational.from_fraction(Fraction(1, 3))
-    with pytest.raises(DomainError):
-        DyadicRational(0, 2, 2)  # even numerator not canonical
 
 
 def test_qweight_regimes():

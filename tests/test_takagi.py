@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tdq.errors import DomainError, ModeError
-from tdq.scalar import Mode, QWeight, Scalar
+from tdq.scalar import Mode, QWeight, Scalar, tau_scaled
 from tdq.takagi import (
     DEFAULT_SERIES_TOL,
     DeRhamSystem,
@@ -16,7 +16,6 @@ from tdq.takagi import (
     fq_system,
     hat_F_q,
     series_truncation_length,
-    takagi_alt_dyadic,
     takagi_dyadic_exact,
     takagi_series,
     takagi_system,
@@ -86,11 +85,13 @@ def test_series_rejects_non_contractive():
 
 
 def test_alt_route_matches_exact_route():
+    # T_a(n/2^{k+1}) = a^{k+1} sum_{i=1}^{k+1} a^{-i} tau(n/2^i): the definition's
+    # finite sum reindexed from the top digit down
     for a in (Fraction(1, 2), Fraction(1, 4), Fraction(7, 5), Fraction(-3)):
         for n in range(1, 256):
             k = n.bit_length() - 1
-            x = Fraction(n, 1 << (k + 1))
-            assert takagi_alt_dyadic(n, a).value == takagi_dyadic_exact(x, a).value
+            alt = a ** (k + 1) * sum(a ** -i * Fraction(tau_scaled(n, i), 1 << i) for i in range(1, k + 2))
+            assert alt == takagi_dyadic_exact(Fraction(n, 1 << (k + 1)), a).value
 
 
 def test_derham_exact_dyadic_descent():

@@ -1,10 +1,11 @@
+import math
 from fractions import Fraction
 
 import pytest
 
-from tdq.digit_sums import S_q_direct, WeightSequence, iter_S_direct, popcount_partial_sum
+from tdq.digit_sums import S_q_direct, iter_S_direct
 from tdq.errors import DomainError
-from tdq.scalar import Scalar
+from tdq.takagi import G_tilde_gamma
 from tdq.trollope import (
     classic_formula,
     dyadic_formula,
@@ -59,7 +60,7 @@ def test_complex_formulas_agree_with_direct():
 
 def test_classic_formula_small():
     for n in range(1, 2048):
-        expected = popcount_partial_sum(n) / n
+        expected = sum(k.bit_count() for k in range(n)) / n
         assert abs(classic_formula(n).value - expected) < 1e-12
 
 
@@ -73,21 +74,26 @@ def test_vdc_identity_and_example():
 
 
 def test_larcher_constant_weights_residual_vanishes():
-    gamma = WeightSequence.constant(1.0)
     for n in (3, 17, 100, 255):
-        r = larcher_residual(n, gamma, 1e-10).value
+        r = larcher_residual(n, (), 1.0, 1e-10).value
         assert abs(r) <= n * 1e-9
 
 
 def test_larcher_decaying_weights_trend():
     c = 1.0
-    gamma = WeightSequence(
-        values=tuple(Scalar.flt(c + 2.0**-i) for i in range(64)),
-        tail=Scalar.flt(c),
-    )
-    small = abs(larcher_residual(1 << 6, gamma, 1e-10).value) / (1 << 6)
-    big = abs(larcher_residual(1 << 10, gamma, 1e-10).value) / (1 << 10)
+    weights = [c + 2.0**-i for i in range(64)]
+    small = abs(larcher_residual(1 << 6, weights, c, 1e-10).value) / (1 << 6)
+    big = abs(larcher_residual(1 << 10, weights, c, 1e-10).value) / (1 << 10)
     assert big < small  # o(n): the per-n residual shrinks
 
-    with pytest.raises(DomainError):
-        larcher_residual(100, WeightSequence.geometric(Fraction(3, 2)), 1e-10)
+
+def test_larcher_weighted_sum_matches_brute_force():
+    # S(n, gamma) summed one j < n and one set bit at a time
+    weights, limit = [3.0, -1.0, 0.5], 2.0
+    gamma = weights + [limit] * 5  # gamma_0 .. gamma_7 cover every n < 256
+    for n in (2, 3, 17, 100, 255):
+        s = sum(gamma[i] for j in range(n) for i in range(j.bit_length()) if j >> i & 1)
+        head = sum(gamma[i] for i in range(n.bit_length()))
+        g = G_tilde_gamma(math.log2(n), limit, 1e-10).value
+        r = larcher_residual(n, weights, limit, 1e-10).value
+        assert r == pytest.approx(s - 0.5 * n * head - n * g, abs=1e-9)
