@@ -185,6 +185,8 @@ def _sweep(sweep: Sweep, q: Scalar, top: int):
     mode, pairs = sweep.run(q, top)
     worst, witness = 0, None
     for w, r in pairs:
+        if r != r:  # nan compares false with everything, so it would pass unseen
+            raise DomainError(f"the residual at {sweep.var}={w} is nan: a float overflowed")
         if r > worst:
             worst, witness = r, w
     return mode, worst, witness
@@ -241,10 +243,7 @@ def _corollary(q: Scalar):
 
     def residual(n, s):
         lg = math.log2(n)
-        try:
-            qlg = qf ** lg
-        except OverflowError:
-            raise DomainError(f"q^log2(n) overflows a float at n={n}") from None
+        qlg = qf ** lg
         rhs = qf / 2 * ((1 - qlg) / (1 - qf) + qlg * float(takagi.tilde_F_q_log2(n, q).value))
         lhs = s / n
         return abs(rhs - lhs) / (1.0 + abs(lhs))
@@ -576,6 +575,9 @@ def main(argv=None) -> int:
         return 1
     except (DomainError, ModeError) as exc:
         print(f"tdq: domain error: {exc}", file=sys.stderr)
+        return 2
+    except OverflowError as exc:  # a float ** or int -> float conversion out of range
+        print(f"tdq: domain error: a float overflowed ({exc.args[-1] if exc.args else exc})", file=sys.stderr)
         return 2
     except VerificationError as exc:
         print(f"tdq: identity violation: {exc}", file=sys.stderr)

@@ -1,10 +1,13 @@
 """Dyadic odometer, ergodic sums, and fluctuation (limiting) curves.
 
-Every orbit sum runs on the one odometer walk in ``digit_sums``: the point
-is a Python int, adding one clears its t trailing ones and sets bit t, and
-s_q changes by the precomputed weights w_t - (w_0 + ... + w_{t-1}).  Exact
-q = a/b walks integer numerators over b^K, so exact runs stay exact and
-float runs at n ~ 2^20 stay cheap.  ``odometer_step`` adds one to the
+``ergodic_sum`` (and so ``birkhoff_deviation``) is a difference of per-bit
+counts: over the window v, ..., v + n - 1 bit i is set c_i(v + n) - c_i(v)
+times, so the sum costs O(log(v + n)), not n steps.  The streaming sums
+(``iter_ergodic_sums``, ``orbit_partial_sums``) run on the one odometer walk
+in ``digit_sums``: the point is a Python int, adding one clears its t
+trailing ones and sets bit t, and s_q changes by the precomputed weights
+w_t - (w_0 + ... + w_{t-1}).  Exact q = a/b works on integer numerators over
+b^K in both, so exact runs stay exact.  ``odometer_step`` adds one to the
 point's value directly.
 """
 
@@ -14,12 +17,11 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
-from itertools import accumulate
-from operator import add
+from itertools import accumulate, repeat, zip_longest
+from operator import mul
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .digit_sums import S_pow2_payload, S_rec_payload, binary_digits, odometer_walk
+from .digit_sums import S_pow2_payload, S_rec_payload, binary_digits, bit_counts, odometer_walk
 from .errors import DomainError
 from .scalar import (
     Mode,
@@ -60,11 +62,6 @@ class OdometerPoint:
         return sum(b << i for i, b in enumerate(self.bits))
 
 
-def _orbit(omega: OdometerPoint, qv, steps: int):
-    """(den, s_q den along omega, omega + 1, ..., omega + steps): the walk."""
-    return odometer_walk(omega.value(), len(omega.bits), omega.policy is OverflowPolicy.GROW, qv, steps)
-
-
 def odometer_step(omega: OdometerPoint) -> OdometerPoint:
     """Add one with carry; GROW appends a bit on full carry, ERROR raises."""
     bits = binary_digits(omega.value() + 1)
@@ -79,19 +76,42 @@ def iter_ergodic_sums(omega: OdometerPoint, q, n: int) -> Iterator:
     if n < 1:
         raise DomainError("ergodic sums need n >= 1")
     qv = as_qweight(q).q.value
-    den, s = _orbit(omega, qv, n - 1)
+    den, s = odometer_walk(omega.value(), len(omega.bits), omega.policy is OverflowPolicy.GROW, qv, n - 1)
     sums = accumulate(s)
     return (Fraction(t, den) for t in sums) if isinstance(qv, Fraction) else sums
 
 
 def ergodic_sum(omega: OdometerPoint, q, n: int) -> Scalar:
-    """S_{q,omega}(n) = sum of s_q over the first n orbit points."""
+    """S_{q,omega}(n) = sum of s_q over the first n orbit points.
+
+    With v the value of omega this is sum_i d_i q^{i+1}, d_i = c_i(v + n) -
+    c_i(v) (``bit_counts``): O(K) work, K = bit_length(v + n), in place of n
+    walk steps.  Under ERROR it raises exactly when the walk would: when
+    v + n - 1 needs more than the stored bits.  Exact q = a/b sums the
+    integer numerators d_i a^{i+1} b^{K-1-i} over b^K.  Float and complex q
+    use the walk's weights q^{i+1} (repeated products); barring underflow
+    and overflow the error is at most 4 (K + 1) 2^-53 sum_i d_i |q|^{i+1}.
+    Per term, q^{i+1} takes i rounded products (2^-53 each; sqrt(5) 2^-53
+    for complex q, Brent, Percival and Zimmermann 2007), d_i q^{i+1} two
+    more, and the running sum K - 1 (componentwise, so in modulus by
+    Minkowski's inequality): (sqrt(5) + 1)(K - 1) + 2 < 4 (K + 1) to first
+    order, which leaves room for the higher-order terms.
+    """
     if n < 1:
         raise DomainError("ergodic_sum requires n >= 1")
     qw = as_qweight(q)
-    den, s = _orbit(omega, qw.q.value, n - 1)
-    total = reduce(add, s)  # on numerators: one Fraction at the end, not one per point
-    return Scalar(qw.q.mode, Fraction(total, den) if isinstance(qw.q.value, Fraction) else total)
+    qv = qw.q.value
+    v = omega.value()
+    if omega.policy is OverflowPolicy.ERROR and (v + n - 1).bit_length() > len(omega.bits):
+        raise DomainError("odometer capacity exhausted under ERROR policy")
+    d = [hi - lo for hi, lo in zip_longest(bit_counts(v + n), bit_counts(v), fillvalue=0)]
+    K = len(d)
+    if isinstance(qv, Fraction):
+        a, b = qv.numerator, qv.denominator
+        total = Fraction(sum(di * a ** (i + 1) * b ** (K - 1 - i) for i, di in enumerate(d)), b ** K)
+    else:
+        total = sum(map(mul, d, accumulate(repeat(qv, K), mul)), 0 * qv)
+    return Scalar(qw.q.mode, total)
 
 
 def orbit_partial_sums(omega: OdometerPoint, q, l: int) -> list:
@@ -214,10 +234,7 @@ class Prop2Result:
 def prop2_R(q, N: int) -> Scalar:
     """Proposition 2's normalizer R = (2q)^{N-1} at the window l = 2^N."""
     qw = as_qweight(q)
-    try:
-        return Scalar(qw.q.mode, (2 * qw.q.value) ** (N - 1))
-    except OverflowError:
-        raise DomainError(f"normalizer R = (2q)^{N - 1} overflows a float") from None
+    return Scalar(qw.q.mode, (2 * qw.q.value) ** (N - 1))
 
 
 def prop2_exact(q, N: int) -> Prop2Result:

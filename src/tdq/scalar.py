@@ -15,6 +15,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Union
 
 from .errors import DomainError, ModeError, ParseError
@@ -44,10 +45,17 @@ class Scalar:
     Exact payloads are always ``Fraction`` (lowest terms, positive
     denominator, which ``Fraction`` guarantees).  Plain Python ints coerce
     into any mode losslessly; everything else must match modes exactly.
+    Float and complex values are finite: a result that overflowed to inf
+    (or to nan, as inf - inf) raises ``DomainError`` here, so no caller can
+    print or compare it silently.
     """
 
     mode: Mode
     value: Payload
+
+    def __post_init__(self):
+        if self.mode is not Mode.EXACT and not cmath.isfinite(self.value):
+            raise DomainError(f"a float overflowed: the result is {self.value}, not a finite number")
 
     # -- construction -----------------------------------------------------
 
@@ -264,16 +272,19 @@ class QWeight:
     """A weight parameter q together with a = 1/(2q) and its regime."""
 
     q: Scalar
-    a: Scalar
     regime: Regime
     is_one: bool
+
+    @cached_property
+    def a(self) -> Scalar:
+        """a = 1/(2q), built on first use: a float q below ~1e-308 has none."""
+        return Scalar(self.q.mode, 1 / (2 * self.q.value))
 
     @staticmethod
     def of(q) -> "QWeight":
         q = as_scalar(q)
         if q.is_zero():
             raise DomainError("q = 0 has no associated a = 1/(2q)")
-        a = Scalar(q.mode, 1 / (2 * q.value))
         m = q.modulus()
         half = Fraction(1, 2) if q.mode is Mode.EXACT else 0.5
         if m > half:
@@ -282,7 +293,7 @@ class QWeight:
             regime = Regime.BOUNDARY
         else:
             regime = Regime.EXPANDING
-        return QWeight(q=q, a=a, regime=regime, is_one=(q.value == 1))
+        return QWeight(q=q, regime=regime, is_one=(q.value == 1))
 
 
 def as_qweight(q) -> QWeight:

@@ -312,6 +312,20 @@ def test_odometer_search(capsys):
         ("odometer fluctuation --q 1e-300", 2),
         ("odometer fluctuation --q 1e300", 2),
         ("verify corollary --q 1e308", 2),
+        # a float ** out of range is a domain error, not a traceback
+        ("eval Sq --q 1e300 --n 8", 2),
+        ("eval Sq --q 1e300 --n 8 --route pow2", 2),
+        ("eval Gq --q 1e300 --n 8", 2),
+        ("verify theorem1 --q 1e300", 2),
+        ("verify recursions --q 1e300", 2),
+        ("verify dyadic --q 1e200", 2),
+        # a float result that overflowed to inf or nan is refused, not printed
+        ("curve fluctuation --q 1e35", 2),
+        ("odometer search --q 1e100", 2),
+        ("eval sq --q 1e300 --n 1023", 2),
+        ("eval sq --q 1e300+1i --n 1023", 2),
+        # S_q(n) overflows from n = 2049 on, where the residual turns nan
+        ("verify corollary --q 1e26 --n-max 3000", 2),
         # an empty sweep range checks nothing, so it cannot pass
         ("verify theorem1 --n-max 0", 2),
         ("verify dyadic --q 0.3 --n-max 0", 2),

@@ -3,10 +3,14 @@
 Exact q = a/b (and a = p/r) run the kernels on Python ints over a common
 denominator.  The references below are the straightforward loops on
 ``Fraction`` / float / complex payloads: exact results must be equal
-``Fraction``s, float and complex results bit-identical.
+``Fraction``s, float and complex results bit-identical.  ``ergodic_sum``
+rounds other terms than the walk does, so its float and complex results are
+checked against the exact value at the same q instead, within the bound its
+docstring derives.
 """
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -232,6 +236,42 @@ def ref_ergodic(walk):
     return total
 
 
+@dataclass(frozen=True)
+class Gaussian:
+    """re + im i with Fraction parts: a complex float q as an exact number."""
+
+    re: Fraction
+    im: Fraction
+
+    @staticmethod
+    def of(z: complex) -> "Gaussian":
+        return Gaussian(Fraction(z.real), Fraction(z.imag))
+
+    def __add__(self, other):
+        return Gaussian(self.re + other.re, self.im + other.im)
+
+    def __mul__(self, other):
+        if isinstance(other, int):
+            return Gaussian(other * self.re, other * self.im)
+        return Gaussian(self.re * other.re - self.im * other.im, self.re * other.im + self.im * other.re)
+
+    __rmul__ = __mul__
+
+
+def ref_window_sum(v, n, q):
+    """s_q(v) + s_q(v + 1) + ... + s_q(v + n - 1): the set bits of the points
+    tallied one by one, tally i weighted by q^{i+1}."""
+    tally = [0] * (v + n).bit_length()
+    for j in range(v, v + n):
+        for i in range(j.bit_length()):
+            tally[i] += j >> i & 1
+    total, w = 0 * q, q
+    for c in tally:
+        total = total + c * w
+        w = w * q
+    return total
+
+
 def ref_limit_target(t, a):
     """T_a at a grid point: exact at a dyadic t, the certified series at float(t) otherwise."""
     if as_dyadic_fraction(t if isinstance(t, (Fraction, int)) else as_scalar(t)) is not None:
@@ -451,13 +491,14 @@ FLOAT_ABSCISSAE = st.one_of(
 def test_derham_float_complex_bit_identical(kind, draw, data, x, depth):
     pole = 1 if kind == "takagi" else 0.5  # where the coefficient a = 1
     p = data.draw(draw.filter(lambda v: abs(v - pole) > 1e-3), label="param")
-    system = (takagi_system if kind == "takagi" else fq_system)(p)
+    make = takagi_system if kind == "takagi" else fq_system
     try:
         want = ref_derham(*ref_scalar_systems(kind, p), x, depth)
-    except DomainError:
+    except DomainError:  # a float a = 1/(2p) that overflows raises in make(p)
         with pytest.raises(DomainError):
-            derham_eval(system, x, depth)
+            derham_eval(make(p), x, depth)
         return
+    system = make(p)
     got = derham_eval(system, x, depth)
     assert same_bits(got.value.value, want[0])
     assert same_bits(got.error_bound, want[1])
@@ -529,15 +570,99 @@ def test_orbit_sums_float_complex_bit_identical(grow, draw, data, bits, l):
         want = ref_partial_sums(walk, q)
         assert len(got) == len(want) == l + 1
         assert all(same_bits(g, w) for g, w in zip(got, want))
+
+
+U = Fraction(1, 1 << 53)  # the unit roundoff of a double
+
+
+def ergodic_bound(v, n, abs_q):
+    """4 (K + 1) 2^-53 sum_i d_i |q|^{i+1}, ergodic_sum's float error bound.
+
+    sum_i d_i |q|^{i+1} is the window's sum of s_|q|; abs_q bounds |q| from
+    above.
+    """
+    return 4 * ((v + n).bit_length() + 1) * U * ref_window_sum(v, n, abs_q)
+
+
+def assert_within(got, exact, bound):
+    """|got - exact| <= bound, all in exact arithmetic; exact a Fraction or a Gaussian."""
+    if isinstance(exact, Gaussian):
+        err2 = (Fraction(got.real) - exact.re) ** 2 + (Fraction(got.imag) - exact.im) ** 2
+        assert err2 <= bound ** 2
+    else:
+        assert abs(Fraction(got) - exact) <= bound
+
+
+# |q| >= 0.05 keeps every q^{i+1}, i < 66, far from float underflow, outside
+# which the bound is not claimed
+BOUNDED_BELOW = {
+    "float": FLOATS.filter(lambda v: abs(v) >= 0.05),
+    "complex": COMPLEXES,
+}
+
+
+@POLICIES
+@pytest.mark.parametrize("kind", ["float", "complex"])
+@settings(deadline=None, max_examples=40)
+@given(data=st.data(), bits=OMEGAS, l=st.integers(1, 80))
+def test_ergodic_sum_float_complex_within_bound(grow, kind, data, bits, l):
+    q = data.draw(BOUNDED_BELOW[kind], label="q")
+    omega = OdometerPoint(bits, policy(grow))
     walk, _ = ref_walk(bits, grow, q, l - 1)
-    if walk is None:
+    if walk is None:  # raises exactly when the walk does
         with pytest.raises(DomainError):
             ergodic_sum(omega, q, l)
         return
-    total = ref_ergodic(walk)
-    assert same_bits(ergodic_sum(omega, q, l).value, total)
+    v = omega.value()
+    got = ergodic_sum(omega, q, l).value
+    assert type(got) is type(q)
+    exact_q = Gaussian.of(q) if kind == "complex" else Fraction(q)
+    # abs of a complex is within one ulp; 1 + 2^-50 makes it an upper bound
+    abs_q = Fraction(abs(q)) * (1 + Fraction(1, 1 << 50))
+    exact = ref_window_sum(v, l, exact_q)
+    bound = ergodic_bound(v, l, abs_q)
+    assert_within(got, exact, bound)
     if abs(q) < 1:
-        assert same_bits(birkhoff_deviation(omega, q, l).value, total / l - q / (2 * (1 - q)))
+        dev = birkhoff_deviation(omega, q, l).value
+        assert same_bits(dev, got / l - q / (2 * (1 - q)))
+        if kind == "float":
+            # S/l and E = q/(2(1 - q)) take one and two roundings, the
+            # difference one more: well within 2B/l + 4u(|S|/l + |E|)
+            mean = exact_q / (2 * (1 - exact_q))
+            assert_within(dev, exact / l - mean, 2 * bound / l + 4 * U * (abs(exact) / l + abs(mean)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 1 << 10, 1 << 20])
+def test_ergodic_sum_at_the_capacity_edge(n):
+    # 64 stored bits under ERROR: the window may end at 2^64 - 1, not past it
+    def at(v):
+        return OdometerPoint(tuple((v >> i) & 1 for i in range(64)), OverflowPolicy.ERROR)
+
+    top = 1 << 64
+    v = top - n
+    q = Fraction(2, 3)
+    exact = S_rec_payload(top, q) - S_rec_payload(v, q)
+    assert_exact(ergodic_sum(at(v), q, n).value, exact)
+    exact_f = S_rec_payload(top, Fraction(2 / 3)) - S_rec_payload(v, Fraction(2 / 3))
+    # q > 0, so sum_i d_i |q|^{i+1} is the exact sum itself
+    assert_within(ergodic_sum(at(v), 2 / 3, n).value, exact_f, 4 * (top.bit_length() + 1) * U * exact_f)
+    if n > 1:  # v + n = 2^64 + 1: the last point needs bit 64
+        for qv in (q, 2 / 3, 2j / 3):
+            with pytest.raises(DomainError):
+                ergodic_sum(at(top + 1 - n), qv, n)
+
+
+@pytest.mark.parametrize("cls", ["small", "large", "integer"])
+@settings(deadline=None, max_examples=30)
+@given(data=st.data(), v=st.integers(1, (1 << 64) - 1), n=st.integers(1, 1 << 20))
+def test_ergodic_sum_is_a_difference_of_S_q(cls, data, v, n):
+    q = data.draw(Q_CLASSES[cls], label="q")
+    omega = OdometerPoint(tuple((v >> i) & 1 for i in range(64)), OverflowPolicy.ERROR)
+    if v + n - 1 >= 1 << 64:
+        with pytest.raises(DomainError):
+            ergodic_sum(omega, q, n)
+    else:
+        assert_exact(ergodic_sum(omega, q, n).value, S_rec_payload(v + n, q) - S_rec_payload(v, q))
 
 
 @POLICIES

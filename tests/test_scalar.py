@@ -114,3 +114,19 @@ def test_as_scalar_modes():
     assert as_scalar(3).mode is Mode.EXACT
     assert as_scalar(0.5).mode is Mode.FLOAT
     assert as_scalar(1j).mode is Mode.COMPLEX
+
+
+def test_float_and_complex_scalars_are_finite():
+    # an overflowed result raises where it becomes a Scalar, never printed as inf or nan
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(DomainError):
+            Scalar.flt(bad)
+        with pytest.raises(DomainError):
+            Scalar.cplx(complex(1.0, bad))
+    with pytest.raises(DomainError):
+        Scalar.flt(1e308) * 10
+    # a tiny q still weighs digits; only its a = 1/(2q) overflows, on use
+    qw = QWeight.of(1e-310)
+    assert qw.q.value == 1e-310 and qw.regime is Regime.EXPANDING
+    with pytest.raises(DomainError):
+        qw.a
