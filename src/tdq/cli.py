@@ -243,7 +243,10 @@ def _corollary(q: Scalar):
 
     def residual(n, s):
         lg = math.log2(n)
-        qlg = qf ** lg
+        try:
+            qlg = qf ** lg
+        except OverflowError:
+            raise DomainError(f"q^log2(n) overflows a float at n={n}") from None
         rhs = qf / 2 * ((1 - qlg) / (1 - qf) + qlg * float(takagi.tilde_F_q_log2(n, q).value))
         lhs = s / n
         return abs(rhs - lhs) / (1.0 + abs(lhs))
@@ -575,9 +578,6 @@ def main(argv=None) -> int:
         return 1
     except (DomainError, ModeError) as exc:
         print(f"tdq: domain error: {exc}", file=sys.stderr)
-        return 2
-    except OverflowError as exc:  # a float ** or int -> float conversion out of range
-        print(f"tdq: domain error: a float overflowed ({exc.args[-1] if exc.args else exc})", file=sys.stderr)
         return 2
     except VerificationError as exc:
         print(f"tdq: identity violation: {exc}", file=sys.stderr)

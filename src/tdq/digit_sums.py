@@ -8,12 +8,12 @@ the shift recursions.  The routes must agree exactly in exact mode.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate, repeat
+from itertools import accumulate, repeat, zip_longest
 from operator import mul
 from typing import Iterator
 
 from .errors import DomainError
-from .scalar import Scalar, as_qweight, tau_scaled
+from .scalar import Scalar, as_qweight, checked_pow, tau_scaled
 
 
 def binary_digits(n: int) -> list[int]:
@@ -74,7 +74,7 @@ def S_pow2_payload(k: int, qv):
         return Fraction(_pow2_num(k, a, b), b ** k) if k else Fraction(0)
     if qv == 1:
         return (0 * qv) + k * (1 << (k - 1)) if k else 0 * qv
-    return qv * (1 - qv ** k) / (1 - qv) * (1 << (k - 1)) if k else 0 * qv
+    return qv * (1 - checked_pow(qv, k)) / (1 - qv) * (1 << (k - 1)) if k else 0 * qv
 
 
 def _S_rec_num(n: int, a: int, b: int) -> int:
@@ -110,27 +110,33 @@ def S_rec_payload(n: int, qv):
         return 2 * qv * S_rec_payload(half, qv) + half * qv
     k = n.bit_length() - 1
     m = n - (1 << k)
-    return S_pow2_payload(k, qv) + S_rec_payload(m, qv) + m * qv ** (k + 1)
+    return S_pow2_payload(k, qv) + S_rec_payload(m, qv) + m * checked_pow(qv, k + 1)
+
+
+def _digit_weights(qv, K: int):
+    """(den, [w_0, ..., w_{K-1}]) with w_i / den = q^{i+1}, the weights of bits 0 .. K - 1.
+
+    For q = a/b the w_i are the integers a^{i+1} b^{K-1-i} over den = b^K;
+    otherwise w_i = q^{i+1} by repeated multiplication, den = 1.
+    """
+    if isinstance(qv, Fraction):
+        a, b = qv.numerator, qv.denominator
+        return b ** K, [a ** (i + 1) * b ** (K - 1 - i) for i in range(K)]
+    return 1, list(accumulate(repeat(qv, K), mul))  # q, q*q, (q*q)*q, ...
 
 
 def odometer_walk(v: int, stored: int, grow: bool, qv, steps: int):
     """(den, s_q(v) den, s_q(v + 1) den, ..., s_q(v + steps) den): the odometer walk.
 
     The capacity K is the stored bits, widened under ``grow`` to cover
-    v + steps; a step that would carry past bit K - 1 raises.  For q = a/b
-    the digit weights are the integers w_i = a^{i+1} b^{K-1-i} over
-    den = b^K; otherwise w_i = q^{i+1} by repeated multiplication, den = 1.
-    Adding one clears the t trailing ones of v and sets bit t, so s becomes
+    v + steps; a step that would carry past bit K - 1 raises.  The digit
+    weights w_i over den are ``_digit_weights(qv, K)``.  Adding one clears
+    the t trailing ones of v and sets bit t, so s becomes
     s - (w_0 + ... + w_{t-1}) + w_t.
     """
     K = max(stored, (v + steps).bit_length()) if grow else stored
-    if isinstance(qv, Fraction):
-        a, b = qv.numerator, qv.denominator
-        den, s = b ** K, 0
-        w = [a ** (i + 1) * b ** (K - 1 - i) for i in range(K)]
-    else:
-        den, s = 1, 0 * qv
-        w = list(accumulate(repeat(qv, K), mul))  # q, q*q, (q*q)*q, ...
+    den, w = _digit_weights(qv, K)
+    s = 0 if isinstance(qv, Fraction) else 0 * qv
     below = list(accumulate(w))  # below[i] = w_0 + ... + w_i
     for i in range(K):
         if v >> i & 1:
@@ -147,6 +153,19 @@ def odometer_walk(v: int, stored: int, grow: bool, qv, steps: int):
             yield s
 
     return den, walk(v, s)
+
+
+def window_sum(v: int, n: int, qv):
+    """(den, (s_q(v) + s_q(v + 1) + ... + s_q(v + n - 1)) den), n >= 1.
+
+    Bit i is set c_i(v + n) - c_i(v) times in the window (``bit_counts``),
+    and only bits below K = bit_length(v + n - 1) ever are, so the sum is
+    sum_i d_i w_i over ``_digit_weights(qv, K)``: O(K) work, not n steps.
+    """
+    K = (v + n - 1).bit_length()
+    d = [hi - lo for hi, lo in zip_longest(bit_counts(v + n)[:K], bit_counts(v), fillvalue=0)]
+    den, w = _digit_weights(qv, K)
+    return den, sum(map(mul, d, w), 0 if isinstance(qv, Fraction) else 0 * qv)
 
 
 def iter_S_direct(n_max: int, qv) -> Iterator:

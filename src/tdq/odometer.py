@@ -17,11 +17,10 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, repeat, zip_longest
-from operator import mul
+from itertools import accumulate
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .digit_sums import S_pow2_payload, S_rec_payload, binary_digits, bit_counts, odometer_walk
+from .digit_sums import S_pow2_payload, S_rec_payload, binary_digits, odometer_walk, window_sum
 from .errors import DomainError
 from .scalar import (
     Mode,
@@ -30,6 +29,7 @@ from .scalar import (
     as_dyadic_fraction,
     as_qweight,
     as_scalar,
+    checked_pow,
 )
 from .takagi import takagi_dyadic_exact, takagi_series
 
@@ -85,17 +85,27 @@ def ergodic_sum(omega: OdometerPoint, q, n: int) -> Scalar:
     """S_{q,omega}(n) = sum of s_q over the first n orbit points.
 
     With v the value of omega this is sum_i d_i q^{i+1}, d_i = c_i(v + n) -
-    c_i(v) (``bit_counts``): O(K) work, K = bit_length(v + n), in place of n
+    c_i(v) (``bit_counts``), over the K = bit_length(v + n - 1) bits that a
+    point of the window can set (``window_sum``): O(K) work in place of n
     walk steps.  Under ERROR it raises exactly when the walk would: when
-    v + n - 1 needs more than the stored bits.  Exact q = a/b sums the
-    integer numerators d_i a^{i+1} b^{K-1-i} over b^K.  Float and complex q
-    use the walk's weights q^{i+1} (repeated products); barring underflow
-    and overflow the error is at most 4 (K + 1) 2^-53 sum_i d_i |q|^{i+1}.
-    Per term, q^{i+1} takes i rounded products (2^-53 each; sqrt(5) 2^-53
-    for complex q, Brent, Percival and Zimmermann 2007), d_i q^{i+1} two
-    more, and the running sum K - 1 (componentwise, so in modulus by
-    Minkowski's inequality): (sqrt(5) + 1)(K - 1) + 2 < 4 (K + 1) to first
-    order, which leaves room for the higher-order terms.
+    v + n - 1 needs more than the stored bits.  The weights are the walk's:
+    exact q = a/b sums integer numerators over b^K, float and complex q
+    multiply q^{i+1} out by repeated products.
+
+    Float and complex error, barring overflow (which raises): with u = 2^-53,
+    eta = 2^-1075 (the largest error of a product rounded into the subnormal
+    range) and mu = max(1, |q|), it is at most
+    4 (K + 1) u sum_i d_i |q|^{i+1} + 4 K eta sum_i d_i mu^i.
+    Per term, q^{i+1} takes i rounded products (u each; sqrt(2) gamma_2 ~
+    2.83 u for complex q, Higham, Lemma 3.5), d_i q^{i+1} two more, and the
+    running sum K - 1 (componentwise, so in modulus by Minkowski's
+    inequality): 2.83 (K - 1) + K + 1 < 4 (K + 1) to first order, which
+    leaves room for the higher-order terms.  Underflow adds at most eta per
+    real product and 2 sqrt(2) eta (1 + u) < 3 eta per complex one, each
+    carried into the later powers times at most mu (1 + 2.83 u) a step, plus
+    sqrt(2) eta for d_i q^{i+1}; sums rounded into the subnormal range are
+    exact.  That is below (3 i + 1.5) eta mu^i (1 + 4 K u) < 4 K eta mu^i for
+    term i.
     """
     if n < 1:
         raise DomainError("ergodic_sum requires n >= 1")
@@ -104,14 +114,8 @@ def ergodic_sum(omega: OdometerPoint, q, n: int) -> Scalar:
     v = omega.value()
     if omega.policy is OverflowPolicy.ERROR and (v + n - 1).bit_length() > len(omega.bits):
         raise DomainError("odometer capacity exhausted under ERROR policy")
-    d = [hi - lo for hi, lo in zip_longest(bit_counts(v + n), bit_counts(v), fillvalue=0)]
-    K = len(d)
-    if isinstance(qv, Fraction):
-        a, b = qv.numerator, qv.denominator
-        total = Fraction(sum(di * a ** (i + 1) * b ** (K - 1 - i) for i, di in enumerate(d)), b ** K)
-    else:
-        total = sum(map(mul, d, accumulate(repeat(qv, K), mul)), 0 * qv)
-    return Scalar(qw.q.mode, total)
+    den, total = window_sum(v, n, qv)
+    return Scalar(qw.q.mode, Fraction(total, den) if isinstance(qv, Fraction) else total)
 
 
 def orbit_partial_sums(omega: OdometerPoint, q, l: int) -> list:
@@ -155,7 +159,7 @@ def G_q(n: int, q) -> Scalar:
     s_p = S_pow2_payload(k, qv)
     ratio = Fraction(n, p)
     factor = ratio if qw.q.mode is Mode.EXACT else float(ratio)
-    return Scalar(qw.q.mode, (s_n - factor * s_p) / (p * qv ** k))
+    return Scalar(qw.q.mode, (s_n - factor * s_p) / (p * checked_pow(qv, k)))
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +238,10 @@ class Prop2Result:
 def prop2_R(q, N: int) -> Scalar:
     """Proposition 2's normalizer R = (2q)^{N-1} at the window l = 2^N."""
     qw = as_qweight(q)
-    return Scalar(qw.q.mode, (2 * qw.q.value) ** (N - 1))
+    try:
+        return Scalar(qw.q.mode, (2 * qw.q.value) ** (N - 1))
+    except OverflowError:
+        raise DomainError(f"normalizer R = (2q)^{N - 1} overflows a float") from None
 
 
 def prop2_exact(q, N: int) -> Prop2Result:

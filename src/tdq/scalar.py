@@ -30,6 +30,7 @@ class Mode(enum.Enum):
 
 
 _MODE_ORDER = {Mode.EXACT: 0, Mode.FLOAT: 1, Mode.COMPLEX: 2}
+_EXACT = Mode.EXACT  # a global read, where Mode.EXACT costs an enum lookup on every Scalar built
 
 _RATIONAL_RE = re.compile(r"^[+-]?[0-9]+(/[0-9]+)?$")
 
@@ -54,7 +55,7 @@ class Scalar:
     value: Payload
 
     def __post_init__(self):
-        if self.mode is not Mode.EXACT and not cmath.isfinite(self.value):
+        if self.mode is not _EXACT and not cmath.isfinite(self.value):
             raise DomainError(f"a float overflowed: the result is {self.value}, not a finite number")
 
     # -- construction -----------------------------------------------------
@@ -136,7 +137,7 @@ class Scalar:
     def __pow__(self, k: int):
         if not isinstance(k, int):
             raise ModeError("Scalar exponents must be Python ints")
-        return Scalar(self.mode, self.value ** k)
+        return Scalar(self.mode, checked_pow(self.value, k))
 
     # -- queries -------------------------------------------------------------
 
@@ -226,6 +227,15 @@ def infer_mode(text: str) -> Mode:
     if "i" in text.lower() and "inf" not in text.lower():
         return Mode.COMPLEX
     return Mode.FLOAT
+
+
+def checked_pow(x, k: int):
+    """x ** k on a payload; a float or complex power out of range raises
+    ``DomainError`` rather than ``OverflowError``.  Exact powers never do."""
+    try:
+        return x ** k
+    except OverflowError:
+        raise DomainError(f"{x!r} ** {k} overflows a float") from None
 
 
 # -- sawtooth ----------------------------------------------------------------

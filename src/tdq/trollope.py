@@ -18,6 +18,7 @@ from .scalar import (
     Scalar,
     as_qweight,
     as_scalar,
+    checked_pow,
     tau_scaled,
 )
 from .takagi import G_tilde_gamma, takagi_dyadic_exact
@@ -48,7 +49,7 @@ def theorem1_rhs(n: int, q) -> Scalar:
         num = a * (geometric_num(k + 1, a, b) * n * td - (a ** k * tn << (k + 1)))
         return Scalar(mode, Fraction(num, 2 * b ** (k + 1) * n * td))
     hat_f = float(Fraction(1 << (k + 1), n)) * t
-    bracket = (1 - qv ** (k + 1)) / (1 - qv) - qv ** k * hat_f
+    bracket = (1 - checked_pow(qv, k + 1)) / (1 - qv) - checked_pow(qv, k) * hat_f
     return Scalar(mode, qv / 2 * bracket)
 
 
@@ -80,8 +81,8 @@ def dyadic_formula(n: int, q) -> Scalar:
     for i in range(1, k + 2):
         t = tau_scaled(n, i)
         if t:
-            total = total + (2 * qv) ** i * (t / (1 << i))
-    head = qv / 2 * (1 - qv ** (k + 1)) / (1 - qv)
+            total = total + checked_pow(2 * qv, i) * (t / (1 << i))
+    head = qv / 2 * (1 - checked_pow(qv, k + 1)) / (1 - qv)
     return Scalar(mode, head - total / (2 * n))
 
 

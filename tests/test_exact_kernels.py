@@ -573,15 +573,18 @@ def test_orbit_sums_float_complex_bit_identical(grow, draw, data, bits, l):
 
 
 U = Fraction(1, 1 << 53)  # the unit roundoff of a double
+ETA = Fraction(1, 1 << 1075)  # half the smallest subnormal: a product's underflow error
 
 
 def ergodic_bound(v, n, abs_q):
-    """4 (K + 1) 2^-53 sum_i d_i |q|^{i+1}, ergodic_sum's float error bound.
+    """4 (K + 1) u sum_i d_i |q|^{i+1} + 4 K eta sum_i d_i mu^i, mu = max(1, |q|):
+    ergodic_sum's float error bound, underflow included.
 
-    sum_i d_i |q|^{i+1} is the window's sum of s_|q|; abs_q bounds |q| from
-    above.
+    sum_i d_i x^{i+1} is the window's sum of s_x; abs_q bounds |q| from above.
     """
-    return 4 * ((v + n).bit_length() + 1) * U * ref_window_sum(v, n, abs_q)
+    K = (v + n - 1).bit_length()
+    mu = max(1, abs_q)
+    return 4 * (K + 1) * U * ref_window_sum(v, n, abs_q) + 4 * K * ETA * ref_window_sum(v, n, mu) / mu
 
 
 def assert_within(got, exact, bound):
@@ -593,20 +596,12 @@ def assert_within(got, exact, bound):
         assert abs(Fraction(got) - exact) <= bound
 
 
-# |q| >= 0.05 keeps every q^{i+1}, i < 66, far from float underflow, outside
-# which the bound is not claimed
-BOUNDED_BELOW = {
-    "float": FLOATS.filter(lambda v: abs(v) >= 0.05),
-    "complex": COMPLEXES,
-}
-
-
 @POLICIES
-@pytest.mark.parametrize("kind", ["float", "complex"])
+@pytest.mark.parametrize("draw", [FLOATS, COMPLEXES], ids=["float", "complex"])
 @settings(deadline=None, max_examples=40)
 @given(data=st.data(), bits=OMEGAS, l=st.integers(1, 80))
-def test_ergodic_sum_float_complex_within_bound(grow, kind, data, bits, l):
-    q = data.draw(BOUNDED_BELOW[kind], label="q")
+def test_ergodic_sum_float_complex_within_bound(grow, draw, data, bits, l):
+    q = data.draw(draw, label="q")
     omega = OdometerPoint(bits, policy(grow))
     walk, _ = ref_walk(bits, grow, q, l - 1)
     if walk is None:  # raises exactly when the walk does
@@ -616,7 +611,7 @@ def test_ergodic_sum_float_complex_within_bound(grow, kind, data, bits, l):
     v = omega.value()
     got = ergodic_sum(omega, q, l).value
     assert type(got) is type(q)
-    exact_q = Gaussian.of(q) if kind == "complex" else Fraction(q)
+    exact_q = Gaussian.of(q) if isinstance(q, complex) else Fraction(q)
     # abs of a complex is within one ulp; 1 + 2^-50 makes it an upper bound
     abs_q = Fraction(abs(q)) * (1 + Fraction(1, 1 << 50))
     exact = ref_window_sum(v, l, exact_q)
@@ -625,11 +620,13 @@ def test_ergodic_sum_float_complex_within_bound(grow, kind, data, bits, l):
     if abs(q) < 1:
         dev = birkhoff_deviation(omega, q, l).value
         assert same_bits(dev, got / l - q / (2 * (1 - q)))
-        if kind == "float":
+        if isinstance(q, float):
             # S/l and E = q/(2(1 - q)) take one and two roundings, the
-            # difference one more: well within 2B/l + 4u(|S|/l + |E|)
+            # difference one more, and the two quotients may underflow:
+            # well within 2B/l + 4u(|S|/l + |E|) + 4 eta
             mean = exact_q / (2 * (1 - exact_q))
-            assert_within(dev, exact / l - mean, 2 * bound / l + 4 * U * (abs(exact) / l + abs(mean)))
+            slack = 4 * U * (abs(exact) / l + abs(mean)) + 4 * ETA
+            assert_within(dev, exact / l - mean, 2 * bound / l + slack)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 1 << 10, 1 << 20])
@@ -644,12 +641,31 @@ def test_ergodic_sum_at_the_capacity_edge(n):
     exact = S_rec_payload(top, q) - S_rec_payload(v, q)
     assert_exact(ergodic_sum(at(v), q, n).value, exact)
     exact_f = S_rec_payload(top, Fraction(2 / 3)) - S_rec_payload(v, Fraction(2 / 3))
-    # q > 0, so sum_i d_i |q|^{i+1} is the exact sum itself
-    assert_within(ergodic_sum(at(v), 2 / 3, n).value, exact_f, 4 * (top.bit_length() + 1) * U * exact_f)
+    # q > 0, so sum_i d_i |q|^{i+1} is the exact sum itself; no power underflows
+    assert_within(ergodic_sum(at(v), 2 / 3, n).value, exact_f, 4 * 65 * U * exact_f)
     if n > 1:  # v + n = 2^64 + 1: the last point needs bit 64
         for qv in (q, 2 / 3, 2j / 3):
             with pytest.raises(DomainError):
                 ergodic_sum(at(top + 1 - n), qv, n)
+
+
+@pytest.mark.parametrize(
+    "v, n, q",
+    [
+        # from 0 the window ends at n - 1 = 2^k - 1: q^{k+1} overflows or
+        # underflows, and the sum needs only q .. q^k
+        (0, 8, 1e100), (0, 2, 1e200), (0, 1, 1e300), (0, 4, -1e150), (0, 8, 1e100j),
+        (0, 8, 1e-200), (0, 16, 5e-324), (0, 4, 1e-170 + 1e-170j),
+        # no bit 0 in the window: the whole sum is subnormal, and only the
+        # bound's underflow term covers the rounding of q^2
+        (2, 1, 1e-160), (2, 1, -3e-160), (2, 1, 3e-160 + 1e-160j), (4, 1, 1e-108),
+    ],
+)
+def test_ergodic_sum_at_the_float_range_edge(v, n, q):
+    got = ergodic_sum(OdometerPoint.from_int(v), q, n).value
+    exact_q = Gaussian.of(q) if isinstance(q, complex) else Fraction(q)
+    bound = ergodic_bound(v, n, Fraction(abs(q)) * (1 + Fraction(1, 1 << 50)))
+    assert_within(got, ref_window_sum(v, n, exact_q), bound)
 
 
 @pytest.mark.parametrize("cls", ["small", "large", "integer"])

@@ -17,6 +17,7 @@ from tdq.odometer import (
     odometer_step,
     orbit_partial_sums,
     phi_curve,
+    prop2_R,
     prop2_exact,
     stabilizer_search,
     sup_distance_to_limit,
@@ -166,3 +167,12 @@ def test_stabilizer_search_prefers_power_of_two_from_zero():
     assert report.best_distance <= min(d for _, d in report.entries)
     with pytest.raises(DomainError):
         stabilizer_search(OdometerPoint.zero(), Fraction(1, 3), [8], [Fraction(1, 2)])
+
+
+@pytest.mark.parametrize("q", [1e300, -1e300, 1e300 + 1j])
+def test_float_powers_out_of_range_are_domain_errors(q):
+    # library callers get DomainError, never a raw OverflowError
+    with pytest.raises(DomainError):
+        G_q(8, q)
+    with pytest.raises(DomainError):
+        prop2_R(q, 10)

@@ -12,6 +12,7 @@ from tdq.scalar import (
     Regime,
     Scalar,
     as_scalar,
+    checked_pow,
     parse_scalar,
     tau_float,
     tau_scaled,
@@ -130,3 +131,14 @@ def test_float_and_complex_scalars_are_finite():
     assert qw.q.value == 1e-310 and qw.regime is Regime.EXPANDING
     with pytest.raises(DomainError):
         qw.a
+
+
+def test_checked_pow():
+    assert checked_pow(Fraction(2, 3), 3) == Fraction(8, 27)
+    assert checked_pow(Fraction(10) ** 400, 2) == Fraction(10) ** 800  # exact powers never overflow
+    assert checked_pow(1e300, 1) == 1e300 and checked_pow(1e-300, 2) == 0.0  # underflow is not an error
+    for x in (1e300, -1e300, 1e300 + 1j):
+        with pytest.raises(DomainError):
+            checked_pow(x, 2)
+    with pytest.raises(DomainError):
+        Scalar.flt(1e300) ** 2
