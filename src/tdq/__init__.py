@@ -2,6 +2,7 @@
 Trollope-Delange identity checks."""
 
 from .digit_sums import (
+    S_q_counts,
     S_q_direct,
     S_q_pow2,
     S_q_recursive,
@@ -43,6 +44,7 @@ from .takagi import (
     fq_system,
     hat_F_q,
     takagi_dyadic_exact,
+    takagi_grid,
     takagi_series,
     takagi_system,
     tilde_F_1,

@@ -308,6 +308,7 @@ def cmd_verify(args) -> int:
 
 
 def _takagi_curve_values(a: Scalar, grid) -> list[Scalar]:
+    """T_a point by point, the route of the complex panels."""
     return [takagi.takagi_dyadic_exact(t, a) for t in grid]
 
 
@@ -323,7 +324,7 @@ def cmd_curve(args) -> int:
     grid = _grid(args.grid)
     if target == "takagi":
         a = _parse_scalar_arg(args.a, args.mode)
-        values = _takagi_curve_values(a, grid)
+        values = takagi.takagi_grid(a, args.grid)
         meta = {"curve": "takagi", "a": args.a, "mode": a.mode.value, "depth": args.grid}
     elif target == "F":
         q = _parse_scalar_arg(args.q, args.mode)
@@ -407,7 +408,7 @@ def _figure_panels(depth: int, grid):
     for a_text in FIG1_PANELS:
         a = parse_scalar(a_text, Mode.EXACT)
         meta = {"figure": 1, "a": a_text, "mode": "exact", "depth": depth}
-        yield f"fig1_a{_slug(a_text)}.csv", meta, _takagi_curve_values(a, grid)
+        yield f"fig1_a{_slug(a_text)}.csv", meta, takagi.takagi_grid(a, depth)
     q23 = parse_scalar("2/3", Mode.EXACT)
     meta = {"figure": 2, "q": "2/3", "mode": "exact", "depth": depth}
     yield "fig2_F_q2_3.csv", meta, [takagi.F_q(t, q23) for t in grid]

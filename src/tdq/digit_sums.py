@@ -1,8 +1,9 @@
 """Binary digits, per-bit counts, q-weighted digital sums, and cumulative sums S_q(n).
 
-S_q(n) is computed by three independent routes: literal summation (the
-brute-force oracle), the closed form at powers of two, and a descent using
-the shift recursions.  The routes must agree exactly in exact mode.
+S_q(n) is computed by four independent routes: literal summation (the
+brute-force oracle), the closed form at powers of two, a descent using the
+shift recursions, and the per-bit counts c_i(n).  The routes must agree
+exactly in exact mode.
 """
 
 from __future__ import annotations
@@ -216,6 +217,16 @@ def S_q_pow2(k: int, q) -> Scalar:
         raise DomainError("S_q_pow2 requires k >= 0")
     qw = as_qweight(q)
     return Scalar(qw.q.mode, S_pow2_payload(k, qw.q.value))
+
+
+def S_q_counts(n: int, q) -> Scalar:
+    """S_q(n) = sum_i c_i(n) q^{i+1} from the per-bit counts (``window_sum`` from 0)."""
+    if n < 1:
+        raise DomainError("S_q is defined for n >= 1")
+    qw = as_qweight(q)
+    qv = qw.q.value
+    den, total = window_sum(0, n, qv)
+    return Scalar(qw.q.mode, Fraction(total, den) if isinstance(qv, Fraction) else total)
 
 
 def S_q_recursive(n: int, q) -> Scalar:

@@ -31,7 +31,7 @@ from .scalar import (
     as_scalar,
     checked_pow,
 )
-from .takagi import takagi_dyadic_exact, takagi_series
+from .takagi import takagi_dyadic_exact, takagi_grid, takagi_series
 
 
 class OverflowPolicy(enum.Enum):
@@ -190,6 +190,33 @@ def _interp(partials: Sequence, pos):
     return lo + frac * (partials[int(i) + 1] - lo)
 
 
+_WIDTH = (Mode.EXACT, Mode.FLOAT, Mode.COMPLEX)  # phi_curve takes the widest mode of its inputs
+
+
+def _phi_numerators(sums: Sequence, l: int, grid: tuple) -> tuple[list[int], int]:
+    """(X, den) with S(t l) - t S(l) = X_t / den at each rational t of the grid.
+
+    With W the lcm of the grid's denominators, t = u/W and u l = i W + r, so
+    S(t l) = S(i) + (r/W) (S(i + 1) - S(i)).  The sums read come to the lcm
+    D of their denominators as integers s_i, which gives
+    X_t = s_i W + r (s_{i+1} - s_i) - u s_l over den = D W.
+    """
+    W = math.lcm(*(t.denominator for t in grid))
+    us = [t.numerator * (W // t.denominator) for t in grid]
+    if not all(0 <= u <= W for u in us):
+        raise DomainError("grid abscissae must lie in [0,1]")
+    pos = [divmod(u * l, W) for u in us]
+    read = {l, *(i for i, _ in pos), *(i + 1 for i, r in pos if r)}
+    D = math.lcm(*(sums[i].denominator for i in read))
+    s = {i: sums[i].numerator * (D // sums[i].denominator) for i in read}
+    sl = s[l]
+    X = [
+        (s[i] * W + r * (s[i + 1] - s[i]) if r else s[i] * W) - u * sl
+        for u, (i, r) in zip(us, pos)
+    ]
+    return X, D * W
+
+
 def phi_curve(
     partial_sums: Sequence,
     l: int,
@@ -197,7 +224,13 @@ def phi_curve(
     normalization: Normalization = Normalization.MAX_ABS,
     R: Optional[Scalar] = None,
 ) -> FluctuationCurve:
-    """phi_l(t) = (S(t l) - t S(l)) / R on the grid, S linearly interpolated."""
+    """phi_l(t) = (S(t l) - t S(l)) / R on the grid, S linearly interpolated.
+
+    Exact sums on a grid of rationals run on integers over one denominator
+    (``_phi_numerators``) and build one ``Fraction`` per value.  The curve
+    takes the widest mode among its inputs: a float abscissa or normaliser
+    makes exact sums a float curve, a complex normaliser any curve complex.
+    """
     if l < 1:
         raise DomainError("phi_curve requires l >= 1")
     grid = tuple(grid)
@@ -207,25 +240,36 @@ def phi_curve(
     if len(sums) < l + 1:
         raise DomainError("partial sums must cover [0, l]")
     mode = as_scalar(sums[0]).mode
-    total = sums[l]
-    raw = []
-    for t in grid:
-        tq = t if mode is Mode.EXACT else float(t)
-        if not 0 <= float(t) <= 1:
-            raise DomainError("grid abscissae must lie in [0,1]")
-        raw.append(_interp(sums, tq * l) - tq * total)
+    rational = all(isinstance(t, (int, Fraction)) for t in grid)
+    exact = mode is Mode.EXACT and rational
+    if exact:
+        raw, den = _phi_numerators(sums, l, grid)
+    else:
+        raw, total = [], sums[l]
+        for t in grid:
+            tq = t if mode is Mode.EXACT else float(t)
+            if not 0 <= float(t) <= 1:
+                raise DomainError("grid abscissae must lie in [0,1]")
+            raw.append(_interp(sums, tq * l) - tq * total)
     if normalization is Normalization.MAX_ABS:
         m = max(abs(v) for v in raw)
-        r_val = m if m != 0 else (1 if mode is Mode.EXACT else 1.0)
-        r_scalar = as_scalar(r_val)
+        if exact:
+            m = Fraction(m, den)
+        r_scalar = as_scalar(m if m != 0 else (1 if mode is Mode.EXACT else 1.0))
     else:
         if R is None:
             raise DomainError("explicit normalization needs R")
         r_scalar = as_scalar(R)
-        r_val = r_scalar.value
         if r_scalar.is_zero():
             raise DomainError("normalizer R must be non-zero (given, or underflowed to 0)")
-    values = tuple(Scalar(mode, v / r_val) for v in raw)
+    r_val = r_scalar.value
+    if exact and r_scalar.mode is Mode.EXACT:
+        rn, rd = r_val.numerator, r_val.denominator
+        values = [Fraction(v * rd, den * rn) for v in raw]
+    else:
+        values = [(Fraction(v, den) if exact else v) / r_val for v in raw]
+    out = max(mode, r_scalar.mode, mode if rational else Mode.FLOAT, key=_WIDTH.index)
+    values = tuple(Scalar(out, v) if out is mode else Scalar.lift(v, out) for v in values)
     return FluctuationCurve(grid=grid, values=values, l=l, R=r_scalar, normalization=normalization)
 
 
@@ -263,7 +307,15 @@ def prop2_exact(q, N: int) -> Prop2Result:
 
 
 def _takagi_on(grid, a) -> list:
-    """T_a payloads on the grid: exact at dyadic t, the certified series elsewhere."""
+    """T_a payloads on the grid: ``takagi_grid`` when the grid is exactly
+    {j/2^m : j = 0 .. 2^m}, else per point, exact at dyadic t and the
+    certified series elsewhere."""
+    n = len(grid) - 1
+    m = n.bit_length() - 1
+    if n >= 1 and n == 1 << m and all(
+        isinstance(t, (int, Fraction)) and t.numerator << m == j * t.denominator for j, t in enumerate(grid)
+    ):
+        return [v.value for v in takagi_grid(a, m)]
     return [
         takagi_dyadic_exact(t, a).value if as_dyadic_fraction(t) is not None
         else takagi_series(float(t), a).value
@@ -271,13 +323,30 @@ def _takagi_on(grid, a) -> list:
     ]
 
 
+def _sup_gap(xs: Sequence, ys: Sequence, c):
+    """max |x + c y| over paired payloads xs, ys.
+
+    When every x, y and c is rational the terms come to one denominator L,
+    the lcm of the x denominators and of c's denominator times the y
+    denominators: the max is taken over integers and is one ``Fraction``.
+    """
+    if isinstance(c, (int, Fraction)) and all(isinstance(v, Fraction) for v in (*xs, *ys)):
+        cn, cd = c.numerator, c.denominator
+        L = math.lcm(math.lcm(*(x.denominator for x in xs)), cd * math.lcm(*(y.denominator for y in ys)))
+        Ly = L // cd
+        return Fraction(max(
+            abs(x.numerator * (L // x.denominator) + cn * y.numerator * (Ly // y.denominator))
+            for x, y in zip(xs, ys)
+        ), L)
+    return max(abs(x + c * y) for x, y in zip(xs, ys))
+
+
 def sup_distance_to_limit(curve: FluctuationCurve, q) -> Scalar:
     """max over the grid of |phi(t) + q T_a(t)|, T_a exact at dyadic t."""
     qw = as_qweight(q)
     if qw.regime is not Regime.CONTRACTIVE:
         raise DomainError("limiting curve requires |q| > 1/2")
-    qv = qw.q.value
-    worst = max(abs(v.value + qv * ta) for v, ta in zip(curve.values, _takagi_on(curve.grid, qw.a)))
+    worst = _sup_gap([v.value for v in curve.values], _takagi_on(curve.grid, qw.a), qw.q.value)
     return Scalar.lift(worst, Mode.EXACT if isinstance(worst, Fraction) else Mode.FLOAT)
 
 
@@ -317,7 +386,6 @@ def stabilizer_search(
     entries = []
     for l in windows:
         curve = phi_curve(partials[: l + 1], l, grid, Normalization.MAX_ABS)
-        dist = max(abs(v.value - tv) for v, tv in zip(curve.values, targets))
-        entries.append((l, float(dist)))
+        entries.append((l, float(_sup_gap([v.value for v in curve.values], targets, -1))))
     best_l, best_distance = min(entries, key=lambda e: (e[1], e[0]))
     return StabilizerReport(entries=tuple(entries), best_l=best_l, best_distance=best_distance)

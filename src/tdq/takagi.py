@@ -271,6 +271,39 @@ def takagi_dyadic_exact(x, a) -> Scalar:
     return Scalar(a.mode, acc)
 
 
+def takagi_grid(a, m: int) -> list[Scalar]:
+    """[T_a(j/2^m) for j = 0 .. 2^m], equal to ``takagi_dyadic_exact`` point by point.
+
+    T_a(1 - x) = T_a(x), so the points j <= 2^{m-1} are computed and
+    mirrored.  For exact a = p/r they come from one coarse-to-fine pass of
+    T(x) = tau(x) + a T(2x mod 1) on the integers N_j = T_a(j/2^m) r^{m-1} 2^m:
+    N_j = tau_scaled(j, m) r^{m-1} + p N_k / r with k = 2j mod 2^m taken in
+    the lower half (N_k = N_{2^m - k}); the division is exact because N_k
+    sits one level coarser.  Float and complex a take ``takagi_dyadic_exact``
+    at each point.
+    """
+    if m < 0:
+        raise DomainError("takagi_grid requires m >= 0")
+    a = as_scalar(a)
+    if not m:
+        return [takagi_dyadic_exact(0, a)] * 2
+    size, half = 1 << m, 1 << (m - 1)
+    if a.mode is Mode.EXACT:
+        p, r = a.value.numerator, a.value.denominator
+        scale = r ** (m - 1)
+        num = [0] * (half + 1)
+        for level in range(m):
+            step = half >> level
+            for j in range(step, half + 1, 2 * step):
+                k = min(2 * j, size - 2 * j)
+                num[j] = tau_scaled(j, m) * scale + p * num[k] // r
+        den = scale << m
+        lower = [Scalar(Mode.EXACT, Fraction(v, den)) for v in num]
+    else:
+        lower = [takagi_dyadic_exact(Fraction(j, size), a) for j in range(half + 1)]
+    return lower + lower[-2::-1]
+
+
 # ---------------------------------------------------------------------------
 # derived functions
 

@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tdq.cli import main
 
@@ -357,3 +361,31 @@ def test_verify_corollary_at_defaults(capsys, q):
     assert code == 0 and out.rstrip().endswith("PASS")
     worst = float(out.split("max residual ")[1].split(",")[0])
     assert worst <= 1e-12
+
+
+# -- fuzz ----------------------------------------------------------------------
+
+FUZZ_QS = ("2/3", "-3", "1/2", "1", "0", "-1/2", "i", "0.7")
+FUZZ_COMMANDS = st.one_of(
+    st.builds(lambda q, N: f"verify prop2 --q={q} --N {N}", st.sampled_from(FUZZ_QS), st.integers(1, 10)),
+    st.builds(
+        lambda target, q, l, m: f"odometer {target} --q={q} --l {l} --grid {m}",
+        st.sampled_from(("fluctuation", "search")), st.sampled_from(FUZZ_QS), st.integers(0, 300), st.integers(0, 8),
+    ),
+    st.builds(
+        lambda q, l, m: f"curve fluctuation --q={q} --l {l} --grid {m}",
+        st.sampled_from(FUZZ_QS), st.integers(0, 300), st.integers(0, 8),
+    ),
+    st.builds(lambda a, m: f"curve takagi --a={a} --grid {m}", st.sampled_from(FUZZ_QS), st.integers(0, 8)),
+)
+
+
+@settings(deadline=None, max_examples=80)
+@given(argv=FUZZ_COMMANDS)
+def test_cli_fuzz_exits_cleanly(argv):
+    # in process: an uncaught exception fails the test with its traceback
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv.split())
+    assert 0 <= code <= 4
+    assert "Traceback" not in err.getvalue()

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tdq.digit_sums import S_pow2_payload, S_rec_payload, iter_S_direct
+from tdq.digit_sums import S_pow2_payload, S_q_counts, S_q_direct, S_rec_payload, iter_S_direct
 from tdq.errors import DomainError
 from tdq.odometer import (
     Normalization,
@@ -39,6 +39,7 @@ from tdq.takagi import (
     derham_eval,
     fq_system,
     takagi_dyadic_exact,
+    takagi_grid,
     takagi_series,
     takagi_system,
 )
@@ -396,6 +397,16 @@ def test_S_routes_float_complex_bit_identical(draw, data, n, k):
         assert same_bits(s, want)
 
 
+@pytest.mark.parametrize("cls", ["small", "half", "large", "integer", "one"])
+@settings(deadline=None, max_examples=25)
+@given(data=st.data(), n=st.integers(1, (1 << 10) - 1))
+def test_S_q_counts_is_S_q_direct(cls, data, n):
+    q = data.draw(Q_CLASSES[cls], label="q")
+    got, want = S_q_counts(n, q), S_q_direct(n, q)
+    assert got.mode is want.mode is Mode.EXACT
+    assert_exact(got.value, want.value)
+
+
 # -- T_a at dyadics ------------------------------------------------------------------
 
 DYADICS = st.builds(lambda j, e: Fraction(j, 1 << e), st.integers(-3000, 3000), st.integers(0, 40))
@@ -416,6 +427,39 @@ def test_takagi_dyadic_exact(cls, data, x):
 def test_takagi_dyadic_float_complex_bit_identical(draw, data, x):
     a = data.draw(draw, label="a")
     assert same_bits(takagi_dyadic_exact(x, a).value, ref_takagi_dyadic(x, a))
+
+
+def assert_grid_is_pointwise(a, m):
+    got = takagi_grid(a, m)
+    assert len(got) == (1 << m) + 1
+    for j, v in enumerate(got):
+        assert_same_scalar(v, takagi_dyadic_exact(Fraction(j, 1 << m), a))
+
+
+GRID_AS = [
+    Fraction(0), Fraction(1), Fraction(-1), Fraction(3), Fraction(-4),
+    Fraction(-2, 3), Fraction(-7, 5), Fraction(5, 7), Fraction(3, 4),
+    0.0, -0.5, 0.7, -2.0, 1j, 0.5 + 0.5j, -0.3 - 0.9j,
+]
+
+
+@pytest.mark.parametrize("a", GRID_AS, ids=repr)
+def test_takagi_grid_is_takagi_dyadic_exact(a):
+    for m in range(11):
+        assert_grid_is_pointwise(a, m)
+
+
+@pytest.mark.parametrize("draw", [*(Q_CLASSES[c] for c in sorted(Q_CLASSES)), FLOATS, COMPLEXES],
+                         ids=[*sorted(Q_CLASSES), "float", "complex"])
+@settings(deadline=None, max_examples=10)
+@given(data=st.data(), m=st.integers(0, 10))
+def test_takagi_grid_drawn(draw, data, m):
+    assert_grid_is_pointwise(data.draw(draw, label="a"), m)
+
+
+def test_takagi_grid_domain():
+    with pytest.raises(DomainError):
+        takagi_grid(Fraction(1, 2), -1)
 
 
 # -- Theorem 1, the all-q dyadic formula, van der Corput ------------------------------
@@ -734,6 +778,91 @@ def test_sup_distance_and_max_abs_R_are_the_reference(kind, data, bits, l, grid)
     curve = phi_curve(partials, l, grid, Normalization.MAX_ABS)
     assert_same_scalar(curve.R, ref_max_abs_R(partials, l, grid))
     assert_same_scalar(sup_distance_to_limit(curve, q), ref_sup_distance(curve, q))
+
+
+def ref_phi_values(sums, l, grid, R=None):
+    """phi_l on the grid by Fraction arithmetic: S(t l) - t S(l), over R or max-abs."""
+    raw = []
+    for t in grid:
+        i, frac = divmod(t * l, 1)
+        lo = sums[i] if frac == 0 else sums[i] + frac * (sums[i + 1] - sums[i])
+        raw.append(lo - t * sums[l])
+    if R is None:
+        R = max(abs(v) for v in raw) or 1
+    return [v / R for v in raw]
+
+
+RATIONAL_GRIDS = st.lists(
+    st.one_of(
+        st.integers(0, 10).flatmap(lambda e: st.builds(lambda j: Fraction(j, 1 << e), st.integers(0, 1 << e))),
+        st.integers(0, 7).map(lambda j: Fraction(j, 7)),
+        st.integers(0, 1),
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
+@settings(deadline=None, max_examples=40)
+@given(q=LIMIT_QS["exact"], bits=OMEGAS, l=st.integers(1, 300), grid=RATIONAL_GRIDS,
+       R=st.one_of(st.none(), RATIONALS))
+def test_phi_curve_exact_is_the_reference(q, bits, l, grid, R):
+    partials = orbit_partial_sums(OdometerPoint(bits), q, l)
+    if R is None:
+        curve = phi_curve(partials, l, grid, Normalization.MAX_ABS)
+    else:
+        curve = phi_curve(partials, l, grid, Normalization.EXPLICIT, R)
+    assert curve.R.mode is Mode.EXACT
+    for v, want in zip(curve.values, ref_phi_values(partials, l, grid, R)):
+        assert v.mode is Mode.EXACT
+        assert_exact(v.value, want)
+
+
+PAYLOAD_TYPES = {Mode.EXACT: Fraction, Mode.FLOAT: float, Mode.COMPLEX: complex}
+NORMALISERS = st.one_of(
+    st.none(),
+    RATIONALS,
+    st.floats(0.1, 10),
+    st.complex_numbers(min_magnitude=0.1, max_magnitude=10, allow_nan=False, allow_infinity=False),
+)
+
+
+@pytest.mark.parametrize("kind", sorted(LIMIT_QS))
+@settings(deadline=None, max_examples=25)
+@given(data=st.data(), bits=OMEGAS, l=st.integers(1, 100), grid=MIXED_GRIDS, R=NORMALISERS)
+def test_phi_curve_payloads_match_their_mode(kind, data, bits, l, grid, R):
+    q = data.draw(LIMIT_QS[kind], label="q")
+    partials = orbit_partial_sums(OdometerPoint(bits), q, l)
+    if R is None:
+        curve = phi_curve(partials, l, grid, Normalization.MAX_ABS)
+    else:
+        curve = phi_curve(partials, l, grid, Normalization.EXPLICIT, R)
+    modes = {v.mode for v in curve.values}
+    assert len(modes) == 1
+    for v in curve.values:
+        assert type(v.value) is PAYLOAD_TYPES[v.mode]
+    assert type(curve.R.value) is PAYLOAD_TYPES[curve.R.mode]
+
+
+def test_phi_curve_float_abscissa_makes_a_float_curve():
+    # exact sums and a float abscissa or normaliser gave float payloads tagged exact
+    partials = orbit_partial_sums(OdometerPoint.zero(), Fraction(2, 3), 8)
+    curve = phi_curve(partials, 8, [Fraction(0), 0.3, Fraction(1)])
+    assert [v.mode for v in curve.values] == [Mode.FLOAT] * 3
+    assert all(type(v.value) is float for v in curve.values)
+    assert curve.R.mode is Mode.FLOAT
+    explicit = phi_curve(partials, 8, [Fraction(0), Fraction(1, 2), Fraction(1)], Normalization.EXPLICIT, 0.5)
+    assert [v.mode for v in explicit.values] == [Mode.FLOAT] * 3
+    cplx = phi_curve(partials, 8, [Fraction(1, 2)], Normalization.EXPLICIT, 1j)
+    assert cplx.values[0].mode is Mode.COMPLEX and type(cplx.values[0].value) is complex
+
+
+def test_phi_curve_rejects_rationals_outside_the_unit_interval():
+    # float(t) rounds 1 + 2^-60 to 1.0 and -2^-60 to -0.0; the exact check does not
+    partials = orbit_partial_sums(OdometerPoint.zero(), Fraction(2, 3), 8)
+    for t in (1 + Fraction(1, 1 << 60), Fraction(-1, 1 << 60)):
+        with pytest.raises(DomainError):
+            phi_curve(partials, 8, [t])
 
 
 @pytest.mark.parametrize("kind", sorted(LIMIT_QS))
