@@ -230,12 +230,17 @@ def takagi_series(x, a, tol: float = DEFAULT_SERIES_TOL) -> Scalar:
             m = 2 * m % d
             w = w * av
     else:
-        y = fr - math.floor(fr)
+        # a float is dyadic: y reaches 0 within ~1075 doublings and the terms
+        # after that are 0, so |a| near 1 costs no more than that; + 0.0 takes
+        # x = -0.0 to y = +0.0, whose trailing zero terms leave acc as it is
+        y = fr - math.floor(fr) + 0.0
         for _ in range(n_terms):
             acc = acc + w * tau_float(y)
             y = 2.0 * y
             if y >= 1.0:
                 y -= 1.0
+            if not y:
+                break
             w = w * av
     return Scalar(mode, acc)
 

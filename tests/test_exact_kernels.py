@@ -879,3 +879,12 @@ def test_stabilizer_search_is_the_reference(kind, data, bits, windows, grid):
     want = ref_stabilizer_entries(OdometerPoint(bits), q, windows, grid)
     assert [(l, d.hex()) for l, d in report.entries] == [(l, d.hex()) for l, d in want]
     assert (report.best_l, report.best_distance) == min(want, key=lambda e: (e[1], e[0]))
+
+
+def test_stabilizer_search_at_the_edge_of_the_contractive_range():
+    # |q| = 1/2 + 3.7e-9 puts |a| = 1/(2|q|) within 1e-8 of 1, and the series
+    # at the non-dyadic grid points asked for ~5e9 terms (a draw of the test above)
+    q, windows, grid = complex(0.5, 2.0 ** -14), [3, 40], [Fraction(4, 7), 1e-09, Fraction(5, 7)]
+    report = stabilizer_search(OdometerPoint((1, 0, 1)), q, windows, grid)
+    want = ref_stabilizer_entries(OdometerPoint((1, 0, 1)), q, windows, grid)
+    assert [(l, d.hex()) for l, d in report.entries] == [(l, d.hex()) for l, d in want]

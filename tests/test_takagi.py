@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -75,6 +76,17 @@ def test_series_agrees_with_exact_on_dyadics(x, a):
     exact = float(takagi_dyadic_exact(x, a).value)
     approx = takagi_series(x, float(a)).value
     assert abs(approx - exact) <= DEFAULT_SERIES_TOL
+
+
+def test_series_at_a_float_ends_with_its_binary_digits():
+    # |a| = 1 - 2^-30 asks for ~2^35 terms, but 2^n x mod 1 is 0 once n passes
+    # the last binary digit of the float x, and so is every later term
+    a = 1 - Fraction(1, 1 << 30)
+    for x in (1e-9, 0.3, 1 / 7):
+        exact = float(takagi_dyadic_exact(Fraction(x), a).value)
+        assert math.isclose(takagi_series(x, float(a)).value, exact, rel_tol=1e-12)
+    for x in (0.0, -0.0, 2.0):
+        assert takagi_series(x, float(a)).value.hex() == "0x0.0p+0"
 
 
 def test_series_rejects_non_contractive():
