@@ -307,11 +307,6 @@ def cmd_verify(args) -> int:
 # curve / figures
 
 
-def _takagi_curve_values(a: Scalar, grid) -> list[Scalar]:
-    """T_a point by point, the route of the complex panels."""
-    return [takagi.takagi_dyadic_exact(t, a) for t in grid]
-
-
 def _tilde_F_values(q: Scalar, grid) -> list[Scalar]:
     """tilde F_q at the float grid abscissae; tilde F_1 at q = 1."""
     if q.value == 1:
@@ -334,7 +329,7 @@ def cmd_curve(args) -> int:
         values = _tilde_F_values(_parse_scalar_arg(args.q, args.mode), grid)
         meta = {"curve": "tildeF", "q": args.q, "mode": "float", "depth": args.grid}
     elif target == "complex-takagi":
-        values = _takagi_curve_values(QWeight.of(_parse_scalar_arg(args.q, "complex")).a, grid)
+        values = takagi.takagi_grid(QWeight.of(_parse_scalar_arg(args.q, "complex")).a, args.grid)
         meta = {"curve": "complex-takagi", "q": args.q, "mode": "complex", "depth": args.grid}
     elif target == "Gtilde":
         values = [takagi.G_tilde_gamma(float(t), float(args.gamma_limit), args.tol) for t in grid]
@@ -418,7 +413,7 @@ def _figure_panels(depth: int, grid):
     for q_text in FIG3_PANELS:
         qw = QWeight.of(parse_scalar(q_text, Mode.COMPLEX))
         meta = {"figure": 3, "q": q_text, "mode": "complex", "depth": depth}
-        yield f"fig3_q_{_slug(q_text)}.csv", meta, _takagi_curve_values(qw.a, grid)
+        yield f"fig3_q_{_slug(q_text)}.csv", meta, takagi.takagi_grid(qw.a, depth)
 
 
 def cmd_figures(args) -> int:

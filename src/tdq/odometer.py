@@ -248,7 +248,7 @@ def phi_curve(
         raw, total = [], sums[l]
         for t in grid:
             tq = t if mode is Mode.EXACT else float(t)
-            if not 0 <= float(t) <= 1:
+            if not 0 <= t <= 1:
                 raise DomainError("grid abscissae must lie in [0,1]")
             raw.append(_interp(sums, tq * l) - tq * total)
     if normalization is Normalization.MAX_ABS:

@@ -858,11 +858,17 @@ def test_phi_curve_float_abscissa_makes_a_float_curve():
 
 
 def test_phi_curve_rejects_rationals_outside_the_unit_interval():
-    # float(t) rounds 1 + 2^-60 to 1.0 and -2^-60 to -0.0; the exact check does not
+    # float(t) rounds 1 + 2^-60 to 1.0 and -2^-1100 to -0.0; the check compares t itself,
+    # on all-rational grids and on grids that mix in a float
     partials = orbit_partial_sums(OdometerPoint.zero(), Fraction(2, 3), 8)
-    for t in (1 + Fraction(1, 1 << 60), Fraction(-1, 1 << 60)):
+    for grid in (
+        [1 + Fraction(1, 1 << 60)],
+        [Fraction(-1, 1 << 1100)],
+        [1 + Fraction(1, 1 << 60), 0.5],
+        [Fraction(-1, 1 << 1100), 0.5],
+    ):
         with pytest.raises(DomainError):
-            phi_curve(partials, 8, [t])
+            phi_curve(partials, 8, grid)
 
 
 @pytest.mark.parametrize("kind", sorted(LIMIT_QS))
