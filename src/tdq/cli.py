@@ -374,8 +374,9 @@ def _fluctuation(args) -> int:
         "depth": args.grid,
         "seed": args.seed,
     }
-    _write_table(meta, grid, curve.values, args.out, args.format)
+    # a domain error in the distance exits before any output is written
     dist = odometer.sup_distance_to_limit(curve, qw)
+    _write_table(meta, grid, curve.values, args.out, args.format)
     print(f"sup distance to -q*T_a: {dist.render()}", file=sys.stderr)
     return 0
 

@@ -14,7 +14,7 @@ from operator import mul
 from typing import Iterator
 
 from .errors import DomainError
-from .scalar import Scalar, as_qweight, checked_pow, tau_scaled
+from .scalar import Scalar, as_qweight, checked_pow, tau_profile
 
 
 def binary_digits(n: int) -> list[int]:
@@ -31,12 +31,13 @@ def binary_digits(n: int) -> list[int]:
 def bit_counts(n: int) -> list[int]:
     """[c_0(n), c_1(n), ...] with c_i(n) = #{j < n : bit i of j set}, n >= 0.
 
-    Trollope (1968), Delange (1975): 2 c_i(n) = n - 2^{i+1} tau(n / 2^{i+1}).
-    c_i(n) = 0 from i = bit_length(n) on, so the list stops there.
+    Trollope (1968), Delange (1975): 2 c_i(n) = n - 2^{i+1} tau(n / 2^{i+1}),
+    read off ``tau_profile``.  c_i(n) = 0 from i = bit_length(n) on, so the
+    list stops there.
     """
     if n < 0:
         raise DomainError("bit_counts requires n >= 0")
-    return [(n - tau_scaled(n, i + 1)) >> 1 for i in range(n.bit_length())]
+    return [(n - t) >> 1 for t in tau_profile(n, n.bit_length())]
 
 
 # ---------------------------------------------------------------------------

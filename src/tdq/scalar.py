@@ -247,6 +247,17 @@ def tau_scaled(n: int, i: int) -> int:
     return min(m, (1 << i) - m)
 
 
+def tau_profile(n: int, K: int) -> list[int]:
+    """[tau_scaled(n, 1), ..., tau_scaled(n, K)]: the sawtooth at every level in one pass."""
+    out = []
+    size = 2
+    for _ in range(K):
+        m = n & (size - 1)
+        out.append(m if 2 * m <= size else size - m)
+        size <<= 1
+    return out
+
+
 def tau_float(x: float) -> float:
     f = x - math.floor(x)
     return min(f, 1.0 - f)

@@ -23,6 +23,7 @@ from .scalar import (
     as_qweight,
     as_scalar,
     tau_float,
+    tau_profile,
     tau_scaled,
 )
 
@@ -249,8 +250,10 @@ def takagi_dyadic_exact(x, a) -> Scalar:
     """Finite sum at a dyadic rational x; exact when a is exact, any a allowed.
 
     With x mod 1 = m/2^e the terms are a^j tau(m_j/2^e), m_j = 2^j m mod 2^e,
-    for j < e.  For exact a = p/r the sum is B / (r^{e-1} 2^e) with the
-    integer B = sum_j p^j r^{e-1-j} min(m_j, 2^e - m_j).
+    for j < e.  Since m_j = (m mod 2^{e-j}) 2^j, 2^e tau(m_j/2^e) is
+    tau_scaled(m, e - j) 2^j: the profile of m read in reverse.  For exact
+    a = p/r the sum is B / (r^{e-1} 2^e) with the integer
+    B = sum_j (2p)^j r^{e-1-j} tau_scaled(m, e - j).
     """
     fr = as_dyadic_fraction(x)
     if fr is None:
@@ -259,19 +262,20 @@ def takagi_dyadic_exact(x, a) -> Scalar:
     y = fr - math.floor(fr)
     m, size = y.numerator, y.denominator
     e = size.bit_length() - 1
+    taus = tau_profile(m, e)[::-1]
     if a.mode is Mode.EXACT:
         p, r = a.value.numerator, a.value.denominator
         acc = 0
         pj = 1
-        for j in range(e):
-            acc = acc * r + pj * tau_scaled(m << j, e)
-            pj *= p
+        for t in taus:
+            acc = acc * r + pj * t
+            pj *= 2 * p
         return Scalar(Mode.EXACT, Fraction(acc, r ** (e - 1) << e) if e else Fraction(0))
     av = a.value
     acc = 0 * av
     w = av ** 0
-    for j in range(e):
-        acc = acc + w * (tau_scaled(m << j, e) / size)
+    for j, t in enumerate(taus):
+        acc = acc + w * ((t << j) / size)
         w = w * av
     return Scalar(a.mode, acc)
 

@@ -19,7 +19,7 @@ from .scalar import (
     as_qweight,
     as_scalar,
     checked_pow,
-    tau_scaled,
+    tau_profile,
 )
 from .takagi import G_tilde_gamma, takagi_dyadic_exact
 
@@ -68,18 +68,18 @@ def dyadic_formula(n: int, q) -> Scalar:
     qv = q.value
     mode = q.mode
     k = n.bit_length() - 1
+    taus = tau_profile(n, k + 1)
     if mode is Mode.EXACT:
         a, b = qv.numerator, qv.denominator
         acc = 0
         ai = 1
-        for i in range(1, k + 2):
+        for t in taus:
             ai *= a
-            acc = acc * b + ai * tau_scaled(n, i)
+            acc = acc * b + ai * t
         head = a * geometric_num(k + 1, a, b) * n
         return Scalar(mode, Fraction(head - acc, 2 * n * b ** (k + 1)))
     total = 0 * qv
-    for i in range(1, k + 2):
-        t = tau_scaled(n, i)
+    for i, t in enumerate(taus, 1):
         if t:
             total = total + checked_pow(2 * qv, i) * (t / (1 << i))
     head = qv / 2 * (1 - checked_pow(qv, k + 1)) / (1 - qv)
@@ -96,7 +96,7 @@ def classic_formula(n: int) -> Scalar:
         raise DomainError("classic_formula requires n >= 1")
     k = n.bit_length() - 1
     # 2^{k+1} T(n / 2^{k+1}) at a = 1/2 collapses to sum_i min(m_i, 2^i - m_i)
-    tk_scaled = sum(tau_scaled(n, i) for i in range(1, k + 2))
+    tk_scaled = sum(tau_profile(n, k + 1))
     lg = math.log2(n)
     u = lg - k
     tilde_f1 = 1.0 - u - tk_scaled / n
@@ -106,14 +106,15 @@ def classic_formula(n: int) -> Scalar:
 def vdc_star_discrepancy(n: int) -> Scalar:
     """Star discrepancy of the first n van der Corput points, exact.
 
-    D*_n = (1 + sum_{j<=k} tau(n/2^j)) / n, summed over the common 2^k.
+    D*_n = (1 + sum_{j<=k} tau(n/2^j)) / n, summed over the common 2^k by
+    Horner's rule in 2.
     """
     if n < 1:
         raise DomainError("vdc_star_discrepancy requires n >= 1")
     k = n.bit_length() - 1
-    total = 1 << k
-    for j in range(1, k + 1):
-        total += tau_scaled(n, j) << (k - j)
+    total = 1
+    for t in tau_profile(n, k):
+        total = 2 * total + t
     return Scalar(Mode.EXACT, Fraction(total, n << k))
 
 

@@ -353,6 +353,19 @@ def test_cli_fails_cleanly(capsys, argv, code):
         assert err.count("\n") == 1 and err.startswith("tdq: domain error:")
 
 
+@pytest.mark.parametrize("argv", ["curve fluctuation --q 1/2 --l 64 --grid 1", "odometer fluctuation --q 1/2 --l 64"])
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+def test_fluctuation_domain_error_writes_nothing(tmp_path, capsys, argv, to_file):
+    # the sup distance to -q*T_a needs |q| > 1/2; it is computed before any
+    # output, so the exit-2 run leaves no table on stdout and no --out file
+    f = tmp_path / "fl.csv"
+    code, out, err = run(capsys, *argv.split(), *(("--out", str(f)) if to_file else ()))
+    assert code == 2
+    assert out == ""
+    assert not f.exists()
+    assert err == "tdq: domain error: limiting curve requires |q| > 1/2\n"
+
+
 @pytest.mark.parametrize("q", [None, "5/7"])
 def test_verify_corollary_at_defaults(capsys, q):
     # the Takagi factor is summed at the exact dyadic n/2^{k+1}; a float-rounded

@@ -15,6 +15,7 @@ from tdq.digit_sums import (
 )
 from tdq.errors import DomainError
 from tdq.odometer import OdometerPoint
+from tdq.scalar import tau_scaled
 
 Q_PANEL = [
     Fraction(2, 3),
@@ -69,6 +70,17 @@ def test_bit_counts_brute_force():
             counts[i] += n >> i & 1
     with pytest.raises(DomainError):
         bit_counts(-1)
+
+
+def test_trollope_delange_lemma():
+    # 2 c_{i-1}(n) = n - tau_scaled(n, i), past the bit length too, where
+    # c_{i-1}(n) = 0 and tau_scaled(n, i) = n; test_bit_counts_brute_force
+    # checks the counts themselves against a count over every j < n
+    for n in range(1 << 12):
+        counts = bit_counts(n)
+        for i in range(1, n.bit_length() + 3):
+            c = counts[i - 1] if i <= len(counts) else 0
+            assert 2 * c == n - tau_scaled(n, i)
 
 
 @pytest.mark.parametrize("q", Q_PANEL)

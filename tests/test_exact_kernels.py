@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tdq.digit_sums import S_pow2_payload, S_q_counts, S_q_direct, S_rec_payload, iter_S_direct
+from tdq.digit_sums import S_pow2_payload, S_q_counts, S_q_direct, S_rec_payload, geometric_num, iter_S_direct
 from tdq.errors import DomainError
 from tdq.odometer import (
     Normalization,
@@ -32,7 +32,7 @@ from tdq.odometer import (
     stabilizer_search,
     sup_distance_to_limit,
 )
-from tdq.scalar import Mode, Scalar, as_dyadic_fraction, as_qweight, as_scalar
+from tdq.scalar import Mode, Scalar, as_dyadic_fraction, as_qweight, as_scalar, tau_scaled
 from tdq.takagi import (
     DeRhamSystem,
     F_q,
@@ -43,7 +43,7 @@ from tdq.takagi import (
     takagi_series,
     takagi_system,
 )
-from tdq.trollope import dyadic_formula, theorem1_rhs, vdc_star_discrepancy
+from tdq.trollope import classic_formula, dyadic_formula, theorem1_rhs, vdc_star_discrepancy
 
 # -- references ----------------------------------------------------------------
 
@@ -327,6 +327,75 @@ def ref_max_abs_R(sums, l, grid):
     return Scalar.lift(r, Mode.EXACT if exact and not isinstance(r, float) else Mode.FLOAT)
 
 
+# -- the per-level sawtooth loops --------------------------------------------------
+# The kernels read every level of the sawtooth from one ``tau_profile`` pass.
+# These are the loops they replaced, one ``tau_scaled`` call per level, kept
+# verbatim on payloads: exact results must be equal, float and complex ones
+# bit-identical.
+
+
+def per_level_takagi_dyadic(x: Fraction, a):
+    y = x - math.floor(x)
+    m, size = y.numerator, y.denominator
+    e = size.bit_length() - 1
+    if isinstance(a, Fraction):
+        p, r = a.numerator, a.denominator
+        acc = 0
+        pj = 1
+        for j in range(e):
+            acc = acc * r + pj * tau_scaled(m << j, e)
+            pj *= p
+        return Fraction(acc, r ** (e - 1) << e) if e else Fraction(0)
+    acc = 0 * a
+    w = a ** 0
+    for j in range(e):
+        acc = acc + w * (tau_scaled(m << j, e) / size)
+        w = w * a
+    return acc
+
+
+def per_level_dyadic_formula(n, q):
+    k = n.bit_length() - 1
+    if isinstance(q, Fraction):
+        a, b = q.numerator, q.denominator
+        acc = 0
+        ai = 1
+        for i in range(1, k + 2):
+            ai *= a
+            acc = acc * b + ai * tau_scaled(n, i)
+        return Fraction(a * geometric_num(k + 1, a, b) * n - acc, 2 * n * b ** (k + 1))
+    total = 0 * q
+    for i in range(1, k + 2):
+        t = tau_scaled(n, i)
+        if t:
+            total = total + (2 * q) ** i * (t / (1 << i))
+    return q / 2 * (1 - q ** (k + 1)) / (1 - q) - total / (2 * n)
+
+
+def per_level_theorem1_rhs(n, q: Fraction):
+    k = n.bit_length() - 1
+    t = per_level_takagi_dyadic(Fraction(n, 1 << (k + 1)), 1 / (2 * q))
+    a, b = q.numerator, q.denominator
+    tn, td = t.numerator, t.denominator
+    num = a * (geometric_num(k + 1, a, b) * n * td - (a ** k * tn << (k + 1)))
+    return Fraction(num, 2 * b ** (k + 1) * n * td)
+
+
+def per_level_classic_formula(n):
+    k = n.bit_length() - 1
+    tk_scaled = sum(tau_scaled(n, i) for i in range(1, k + 2))
+    lg = math.log2(n)
+    return 0.5 * lg + 0.5 * (1.0 - (lg - k) - tk_scaled / n)
+
+
+def per_level_vdc(n):
+    k = n.bit_length() - 1
+    total = 1 << k
+    for j in range(1, k + 1):
+        total += tau_scaled(n, j) << (k - j)
+    return Fraction(total, n << k)
+
+
 # -- draws -----------------------------------------------------------------------
 
 SIGNS = st.sampled_from((1, -1))
@@ -490,6 +559,53 @@ def test_dyadic_formula_and_theorem1_float_complex_bit_identical(kind, data, n):
 @given(n=st.integers(1, 1 << 40))
 def test_vdc_star_discrepancy(n):
     assert_exact(vdc_star_discrepancy(n).value, ref_vdc(n))
+
+
+# n of every bit length up to 70 (a plain integers(1, 2^70) draws mostly small
+# n); past 2^53 the scaled sawtooth no longer fits a float, so t / 2^e rounds
+WIDE_N = st.integers(1, 70).flatmap(lambda b: st.integers(1 << (b - 1), (1 << b) - 1))
+WIDE_DYADICS = st.builds(lambda s, n, e: s * Fraction(n, 1 << e), SIGNS, WIDE_N, st.integers(0, 72))
+
+
+@pytest.mark.parametrize("draw", [FLOATS, COMPLEXES], ids=["float", "complex"])
+@settings(deadline=None, max_examples=150)
+@given(data=st.data(), x=WIDE_DYADICS)
+def test_takagi_dyadic_float_complex_is_the_per_level_loop(draw, data, x):
+    a = data.draw(draw, label="a")
+    assert same_bits(takagi_dyadic_exact(x, a).value, per_level_takagi_dyadic(x, a))
+
+
+@pytest.mark.parametrize("cls", sorted(Q_CLASSES))
+@settings(deadline=None, max_examples=40)
+@given(data=st.data(), x=WIDE_DYADICS)
+def test_takagi_dyadic_exact_is_the_per_level_loop(cls, data, x):
+    a = data.draw(Q_CLASSES[cls], label="a")
+    assert_exact(takagi_dyadic_exact(x, a).value, per_level_takagi_dyadic(x, a))
+
+
+@pytest.mark.parametrize("kind", ["float", "complex"])
+@settings(deadline=None, max_examples=150)
+@given(data=st.data(), n=WIDE_N)
+def test_dyadic_formula_float_complex_is_the_per_level_loop(kind, data, n):
+    q = data.draw((FLOATS if kind == "float" else COMPLEXES).filter(lambda v: v != 1), label="q")
+    assert same_bits(dyadic_formula(n, q).value, per_level_dyadic_formula(n, q))
+
+
+@pytest.mark.parametrize("cls", sorted(set(Q_CLASSES) - {"one"}))
+@settings(deadline=None, max_examples=40)
+@given(data=st.data(), n=WIDE_N)
+def test_exact_identities_are_the_per_level_loops(cls, data, n):
+    q = data.draw(Q_CLASSES[cls], label="q")
+    assert_exact(dyadic_formula(n, q).value, per_level_dyadic_formula(n, q))
+    if abs(q) > Fraction(1, 2):
+        assert_exact(theorem1_rhs(n, q).value, per_level_theorem1_rhs(n, q))
+    assert_exact(vdc_star_discrepancy(n).value, per_level_vdc(n))
+
+
+def test_classic_formula_is_the_per_level_loop():
+    for start in (1, (1 << 40) - 2000, (1 << 62) - 2000):
+        for n in range(start, start + 4000):
+            assert classic_formula(n).value.hex() == per_level_classic_formula(n).hex()
 
 
 # -- de Rham digit descent ---------------------------------------------------------

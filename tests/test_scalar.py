@@ -15,6 +15,7 @@ from tdq.scalar import (
     checked_pow,
     parse_scalar,
     tau_float,
+    tau_profile,
     tau_scaled,
 )
 
@@ -26,6 +27,26 @@ def test_tau_examples():
     assert tau_scaled(1, 1) == 1  # tau(1/2) = 1/2
     assert tau_scaled(3, 0) == 0  # tau(3) = 0
     assert tau_scaled(3, 2) == 1  # tau(3/4) = 1/4
+
+
+def test_tau_profile_is_tau_scaled_level_by_level():
+    for n in range(1 << 12):
+        for K in range(15):
+            assert tau_profile(n, K) == [tau_scaled(n, i) for i in range(1, K + 1)]
+    assert tau_profile(0, 5) == [0] * 5
+    assert tau_profile(12345, 0) == []
+
+
+# n of every bit length up to 70 (a plain integers(0, 2^70) draws mostly small n)
+WIDE_N = st.integers(0, 70).flatmap(lambda b: st.integers((1 << b) >> 1, (1 << b) - 1))
+
+
+@given(WIDE_N, st.integers(0, 80))
+def test_tau_profile_wide_n(n, K):
+    profile = tau_profile(n, K)
+    assert profile == [tau_scaled(n, i) for i in range(1, K + 1)]
+    # from level bit_length(n) + 1 on, n mod 2^i = n <= 2^i - n
+    assert profile[n.bit_length():] == [n] * (K - n.bit_length())
 
 
 def test_tau_float_and_complex():
