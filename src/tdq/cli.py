@@ -147,12 +147,12 @@ def cmd_eval(args) -> int:
             print(takagi.takagi_series(x, a, args.tol).render())
     elif target == "hatF":
         q = _parse_scalar_arg(args.q, args.mode)
-        print(takagi.hat_F_q(args.u, q).render())
+        print(takagi.hat_F_q(args.u, q, args.tol).render())
     elif target == "tildeF":
         q = _parse_scalar_arg(args.q, args.mode)
-        print(takagi.tilde_F_q(args.u, q).render())
+        print(takagi.tilde_F_q(args.u, q, args.tol).render())
     elif target == "tildeF1":
-        print(takagi.tilde_F_1(args.t).render())
+        print(takagi.tilde_F_1(args.t, args.tol).render())
     elif target == "Gq":
         q = _parse_scalar_arg(args.q, args.mode)
         print(odometer.G_q(_check_n(args.n, limit), q).render())
@@ -307,11 +307,11 @@ def cmd_verify(args) -> int:
 # curve / figures
 
 
-def _tilde_F_values(q: Scalar, grid) -> list[Scalar]:
+def _tilde_F_values(q: Scalar, grid, tol: float = takagi.DEFAULT_SERIES_TOL) -> list[Scalar]:
     """tilde F_q at the float grid abscissae; tilde F_1 at q = 1."""
     if q.value == 1:
-        return [takagi.tilde_F_1(float(t)) for t in grid]
-    return [takagi.tilde_F_q(float(t), q) for t in grid]
+        return [takagi.tilde_F_1(float(t), tol) for t in grid]
+    return [takagi.tilde_F_q(float(t), q, tol) for t in grid]
 
 
 def cmd_curve(args) -> int:
@@ -326,7 +326,7 @@ def cmd_curve(args) -> int:
         values = [takagi.F_q(t, q) for t in grid]
         meta = {"curve": "F", "q": args.q, "mode": q.mode.value, "depth": args.grid}
     elif target == "tildeF":
-        values = _tilde_F_values(_parse_scalar_arg(args.q, args.mode), grid)
+        values = _tilde_F_values(_parse_scalar_arg(args.q, args.mode), grid, args.tol)
         meta = {"curve": "tildeF", "q": args.q, "mode": "float", "depth": args.grid}
     elif target == "complex-takagi":
         values = takagi.takagi_grid(QWeight.of(_parse_scalar_arg(args.q, "complex")).a, args.grid)

@@ -127,34 +127,37 @@ def _digit_weights(qv, K: int):
     return 1, list(accumulate(repeat(qv, K), mul))  # q, q*q, (q*q)*q, ...
 
 
-def odometer_walk(v: int, stored: int, grow: bool, qv, steps: int):
-    """(den, s_q(v) den, s_q(v + 1) den, ..., s_q(v + steps) den): the odometer walk.
+def orbit_sums(v: int, qv, n: int) -> Iterator:
+    """Payloads S(j) = s_q(v) + s_q(v + 1) + ... + s_q(v + j - 1), j = 1 .. n.
 
-    The capacity K is the stored bits, widened under ``grow`` to cover
-    v + steps; a step that would carry past bit K - 1 raises.  The digit
-    weights w_i over den are ``_digit_weights(qv, K)``.  Adding one clears
-    the t trailing ones of v and sets bit t, so s becomes
-    s - (w_0 + ... + w_{t-1}) + w_t.
+    The odometer orbit from v: the points need K = bit_length(v + n - 1)
+    bits, with the digit weights w_i over den of ``_digit_weights(qv, K)``.
+    Adding one clears the t trailing ones and sets bit t, so s_q becomes
+    s - (w_0 + ... + w_{t-1}) + w_t.  Exact q = a/b walks integer numerators
+    over den = b^K and builds one ``Fraction`` per sum.  The stream has no
+    capacity of its own; ``OdometerPoint.reach`` decides whether a stored
+    point may take the steps.
     """
-    K = max(stored, (v + steps).bit_length()) if grow else stored
+    if n < 1:
+        return iter(())
+    K = (v + n - 1).bit_length()
     den, w = _digit_weights(qv, K)
-    s = 0 if isinstance(qv, Fraction) else 0 * qv
     below = list(accumulate(w))  # below[i] = w_0 + ... + w_i
-    for i in range(K):
-        if v >> i & 1:
-            s = s + w[i]
 
-    def walk(v, s):
+    def walk(v):
+        s = 0 if isinstance(qv, Fraction) else 0 * qv
+        for i in range(K):
+            if v >> i & 1:
+                s = s + w[i]
         yield s
-        for _ in range(steps):
+        for _ in range(n - 1):
             t = (v ^ (v + 1)).bit_length() - 1
-            if t == K:
-                raise DomainError("odometer capacity exhausted under ERROR policy")
             s = s - below[t - 1] + w[t] if t else s + w[0]
             v += 1
             yield s
 
-    return den, walk(v, s)
+    sums = accumulate(walk(v))
+    return map(Fraction, sums, repeat(den)) if isinstance(qv, Fraction) else sums
 
 
 def window_sum(v: int, n: int, qv):
@@ -171,23 +174,8 @@ def window_sum(v: int, n: int, qv):
 
 
 def iter_S_direct(n_max: int, qv) -> Iterator:
-    """Yield (n, S_q(n)) payloads for n = 1 .. n_max by literal accumulation.
-
-    For q = a/b the partial sums run on the odometer walk from 0; float and
-    complex payloads recompute every s_q(j) from its digits.
-    """
-    if n_max < 1:
-        return
-    if not isinstance(qv, Fraction):
-        total = 0 * qv
-        for n in range(1, n_max + 1):
-            if n > 1:
-                total = total + sq_payload(n - 1, qv)
-            yield n, total
-        return
-    den, s = odometer_walk(0, 0, True, qv, n_max - 1)
-    for n, total in enumerate(accumulate(s), 1):
-        yield n, Fraction(total, den)
+    """(n, S_q(n)) payloads for n = 1 .. n_max by literal accumulation: the orbit sums from 0."""
+    return enumerate(orbit_sums(0, qv, n_max), 1)
 
 
 # ---------------------------------------------------------------------------

@@ -3,12 +3,10 @@
 ``ergodic_sum`` (and so ``birkhoff_deviation``) is a difference of per-bit
 counts: over the window v, ..., v + n - 1 bit i is set c_i(v + n) - c_i(v)
 times, so the sum costs O(log(v + n)), not n steps.  The streaming sums
-(``iter_ergodic_sums``, ``orbit_partial_sums``) run on the one odometer walk
-in ``digit_sums``: the point is a Python int, adding one clears its t
-trailing ones and sets bit t, and s_q changes by the precomputed weights
-w_t - (w_0 + ... + w_{t-1}).  Exact q = a/b works on integer numerators over
-b^K in both, so exact runs stay exact.  ``odometer_step`` adds one to the
-point's value directly.
+(``iter_ergodic_sums``, ``orbit_partial_sums``) are ``digit_sums.orbit_sums``
+from the point's value.  Exact q = a/b works on integer numerators over b^K
+in both, so exact runs stay exact.  Whether a point may take its steps under
+``OverflowPolicy.ERROR`` is decided in one place, ``OdometerPoint.reach``.
 """
 
 from __future__ import annotations
@@ -17,10 +15,9 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .digit_sums import S_pow2_payload, S_rec_payload, binary_digits, odometer_walk, window_sum
+from .digit_sums import S_pow2_payload, S_rec_payload, binary_digits, orbit_sums, window_sum
 from .errors import DomainError
 from .scalar import (
     Mode,
@@ -61,24 +58,29 @@ class OdometerPoint:
     def value(self) -> int:
         return sum(b << i for i, b in enumerate(self.bits))
 
+    def reach(self, steps: int) -> int:
+        """The value v, once the point may take ``steps`` odometer steps.
+
+        GROW always may.  ERROR may only while v + steps fits the stored
+        bits; a carry past them raises.
+        """
+        v = self.value()
+        if self.policy is OverflowPolicy.ERROR and (v + steps).bit_length() > len(self.bits):
+            raise DomainError("odometer capacity exhausted under ERROR policy")
+        return v
+
 
 def odometer_step(omega: OdometerPoint) -> OdometerPoint:
     """Add one with carry; GROW appends a bit on full carry, ERROR raises."""
-    bits = binary_digits(omega.value() + 1)
-    pad = len(omega.bits) - len(bits)
-    if pad < 0 and omega.policy is OverflowPolicy.ERROR:
-        raise DomainError("odometer capacity exhausted under ERROR policy")
-    return OdometerPoint((*bits, *[0] * pad), omega.policy)
+    bits = binary_digits(omega.reach(1) + 1)
+    return OdometerPoint((*bits, *[0] * (len(omega.bits) - len(bits))), omega.policy)
 
 
 def iter_ergodic_sums(omega: OdometerPoint, q, n: int) -> Iterator:
-    """Yield the payloads S_{q,omega}(j), j = 1 .. n, one orbit step apart."""
+    """The payloads S_{q,omega}(j), j = 1 .. n, one orbit step apart (``orbit_sums``)."""
     if n < 1:
         raise DomainError("ergodic sums need n >= 1")
-    qv = as_qweight(q).q.value
-    den, s = odometer_walk(omega.value(), len(omega.bits), omega.policy is OverflowPolicy.GROW, qv, n - 1)
-    sums = accumulate(s)
-    return (Fraction(t, den) for t in sums) if isinstance(qv, Fraction) else sums
+    return orbit_sums(omega.reach(n - 1), as_qweight(q).q.value, n)
 
 
 def ergodic_sum(omega: OdometerPoint, q, n: int) -> Scalar:
@@ -88,9 +90,9 @@ def ergodic_sum(omega: OdometerPoint, q, n: int) -> Scalar:
     c_i(v) (``bit_counts``), over the K = bit_length(v + n - 1) bits that a
     point of the window can set (``window_sum``): O(K) work in place of n
     walk steps.  Under ERROR it raises exactly when the walk would: when
-    v + n - 1 needs more than the stored bits.  The weights are the walk's:
-    exact q = a/b sums integer numerators over b^K, float and complex q
-    multiply q^{i+1} out by repeated products.
+    v + n - 1 needs more than the stored bits (``OdometerPoint.reach``).
+    The weights are the walk's: exact q = a/b sums integer numerators over
+    b^K, float and complex q multiply q^{i+1} out by repeated products.
 
     Float and complex error, barring overflow (which raises): with u = 2^-53,
     eta = 2^-1075 (the largest error of a product rounded into the subnormal
@@ -111,23 +113,20 @@ def ergodic_sum(omega: OdometerPoint, q, n: int) -> Scalar:
         raise DomainError("ergodic_sum requires n >= 1")
     qw = as_qweight(q)
     qv = qw.q.value
-    v = omega.value()
-    if omega.policy is OverflowPolicy.ERROR and (v + n - 1).bit_length() > len(omega.bits):
-        raise DomainError("odometer capacity exhausted under ERROR policy")
-    den, total = window_sum(v, n, qv)
+    den, total = window_sum(omega.reach(n - 1), n, qv)
     return Scalar(qw.q.mode, Fraction(total, den) if isinstance(qv, Fraction) else total)
 
 
 def orbit_partial_sums(omega: OdometerPoint, q, l: int) -> list:
     """Payload list P with P[j] = S_{q,omega}(j), j = 0 .. l.
 
-    The walk takes l steps, as many as the points summed, so under ERROR a
-    carry past the stored bits at the last step still raises.
+    The window's end point v + l is reached too, so under ERROR a carry past
+    the stored bits there raises although S(l) does not read that point.
     """
     if l < 1:
         raise DomainError("orbit_partial_sums requires l >= 1")
-    zero = 0 * as_qweight(q).q.value
-    return [zero, *iter_ergodic_sums(omega, q, l + 1)][:-1]
+    qv = as_qweight(q).q.value
+    return [0 * qv, *orbit_sums(omega.reach(l), qv, l)]
 
 
 def birkhoff_deviation(omega: OdometerPoint, q, n: int) -> Scalar:
@@ -190,9 +189,6 @@ def _interp(partials: Sequence, pos):
     return lo + frac * (partials[int(i) + 1] - lo)
 
 
-_WIDTH = (Mode.EXACT, Mode.FLOAT, Mode.COMPLEX)  # phi_curve takes the widest mode of its inputs
-
-
 def _phi_numerators(sums: Sequence, l: int, grid: tuple) -> tuple[list[int], int]:
     """(X, den) with S(t l) - t S(l) = X_t / den at each rational t of the grid.
 
@@ -226,31 +222,32 @@ def phi_curve(
 ) -> FluctuationCurve:
     """phi_l(t) = (S(t l) - t S(l)) / R on the grid, S linearly interpolated.
 
-    Exact sums on a grid of rationals run on integers over one denominator
-    (``_phi_numerators``) and build one ``Fraction`` per value.  The curve
-    takes the widest mode among its inputs: a float abscissa or normaliser
-    makes exact sums a float curve, a complex normaliser any curve complex.
+    ``partial_sums`` are the payloads S(0), ..., S(l) at least, as
+    ``orbit_partial_sums`` returns them.  Exact sums on a grid of rationals
+    run on integers over one denominator (``_phi_numerators``) and build one
+    ``Fraction`` per value.  The curve takes the widest mode among its
+    inputs, in ``Mode``'s order: a float abscissa or normaliser makes exact
+    sums a float curve, a complex normaliser any curve complex.
     """
     if l < 1:
         raise DomainError("phi_curve requires l >= 1")
     grid = tuple(grid)
     if not grid:
         raise DomainError("phi_curve requires a non-empty grid")
-    sums = [p.value if isinstance(p, Scalar) else p for p in partial_sums]
-    if len(sums) < l + 1:
+    if len(partial_sums) < l + 1:
         raise DomainError("partial sums must cover [0, l]")
-    mode = as_scalar(sums[0]).mode
+    mode = as_scalar(partial_sums[0]).mode
     rational = all(isinstance(t, (int, Fraction)) for t in grid)
     exact = mode is Mode.EXACT and rational
     if exact:
-        raw, den = _phi_numerators(sums, l, grid)
+        raw, den = _phi_numerators(partial_sums, l, grid)
     else:
-        raw, total = [], sums[l]
+        raw, total = [], partial_sums[l]
         for t in grid:
             tq = t if mode is Mode.EXACT else float(t)
             if not 0 <= t <= 1:
                 raise DomainError("grid abscissae must lie in [0,1]")
-            raw.append(_interp(sums, tq * l) - tq * total)
+            raw.append(_interp(partial_sums, tq * l) - tq * total)
     if normalization is Normalization.MAX_ABS:
         m = max(abs(v) for v in raw)
         if exact:
@@ -268,7 +265,7 @@ def phi_curve(
         values = [Fraction(v * rd, den * rn) for v in raw]
     else:
         values = [(Fraction(v, den) if exact else v) / r_val for v in raw]
-    out = max(mode, r_scalar.mode, mode if rational else Mode.FLOAT, key=_WIDTH.index)
+    out = max(mode, r_scalar.mode, mode if rational else Mode.FLOAT, key=list(Mode).index)
     values = tuple(Scalar(out, v) if out is mode else Scalar.lift(v, out) for v in values)
     return FluctuationCurve(grid=grid, values=values, l=l, R=r_scalar, normalization=normalization)
 

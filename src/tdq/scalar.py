@@ -29,7 +29,6 @@ class Mode(enum.Enum):
     COMPLEX = "complex"
 
 
-_MODE_ORDER = {Mode.EXACT: 0, Mode.FLOAT: 1, Mode.COMPLEX: 2}
 _EXACT = Mode.EXACT  # a global read, where Mode.EXACT costs an enum lookup on every Scalar built
 
 _RATIONAL_RE = re.compile(r"^[+-]?[0-9]+(/[0-9]+)?$")
@@ -152,7 +151,8 @@ class Scalar:
         """Explicit, possibly lossy, upward mode conversion."""
         if mode is self.mode:
             return self
-        if _MODE_ORDER[mode] < _MODE_ORDER[self.mode]:
+        order = list(Mode)  # EXACT < FLOAT < COMPLEX, in declaration order
+        if order.index(mode) < order.index(self.mode):
             raise ModeError(f"cannot demote {self.mode.value} to {mode.value}")
         return Scalar.lift(self.value, mode)
 

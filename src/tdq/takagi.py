@@ -24,7 +24,6 @@ from .scalar import (
     as_scalar,
     tau_float,
     tau_profile,
-    tau_scaled,
 )
 
 DEFAULT_SERIES_TOL = 1e-14
@@ -286,10 +285,10 @@ def takagi_grid(a, m: int) -> list[Scalar]:
     T_a(1 - x) = T_a(x), so the points j <= 2^{m-1} are computed and
     mirrored.  For exact a = p/r they come from one coarse-to-fine pass of
     T(x) = tau(x) + a T(2x mod 1) on the integers N_j = T_a(j/2^m) r^{m-1} 2^m:
-    N_j = tau_scaled(j, m) r^{m-1} + p N_k / r with k = 2j mod 2^m taken in
-    the lower half (N_k = N_{2^m - k}); the division is exact because N_k
-    sits one level coarser.  Float and complex a take ``takagi_dyadic_exact``
-    at each point.
+    N_j = j r^{m-1} + p N_k / r, since 2^m tau(j/2^m) = j for j <= 2^{m-1},
+    with k = 2j mod 2^m taken in the lower half (N_k = N_{2^m - k}); the
+    division is exact because N_k sits one level coarser.  Float and complex
+    a take ``takagi_dyadic_exact`` at each point.
     """
     if m < 0:
         raise DomainError("takagi_grid requires m >= 0")
@@ -305,7 +304,7 @@ def takagi_grid(a, m: int) -> list[Scalar]:
             step = half >> level
             for j in range(step, half + 1, 2 * step):
                 k = min(2 * j, size - 2 * j)
-                num[j] = tau_scaled(j, m) * scale + p * num[k] // r
+                num[j] = j * scale + p * num[k] // r
         den = scale << m
         lower = [Scalar(Mode.EXACT, Fraction(v, den)) for v in num]
     else:

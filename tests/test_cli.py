@@ -305,6 +305,13 @@ def test_odometer_search(capsys):
         ("eval vdc --n 0", 2),
         ("eval Sq --q 2/3 --n 0", 2),
         ("eval takagi --a 2 --x 0.3", 2),
+        # no truncation of the series is certified within --tol 0
+        ("eval takagi --a 1/2 --x 0.3 --tol 0", 2),
+        ("eval hatF --q 2/3 --u 0.5 --tol 0", 2),
+        ("eval tildeF --q 2/3 --u 0.5 --tol 0", 2),
+        ("eval tildeF1 --t 0.5 --tol 0", 2),
+        ("curve tildeF --q 2/3 --tol 0", 2),
+        ("curve tildeF --q 1 --tol 0", 2),
         ("curve fluctuation --q 2/3 --l 0", 2),
         ("odometer birkhoff --n 0", 2),
         ("curve Gtilde --gamma-limit 1e300", 2),

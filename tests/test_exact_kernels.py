@@ -12,6 +12,7 @@ docstring derives.
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +26,7 @@ from tdq.odometer import (
     OverflowPolicy,
     birkhoff_deviation,
     ergodic_sum,
+    iter_ergodic_sums,
     odometer_step,
     orbit_partial_sums,
     phi_curve,
@@ -416,6 +418,12 @@ CONTRACTIVE = {
 }
 
 
+def by_bit_length(top):
+    """n >= 1 of every bit length up to top, each length as likely (a plain
+    integers(1, 2^top) draws mostly small n)."""
+    return st.integers(1, top).flatmap(lambda b: st.integers(1 << (b - 1), (1 << b) - 1))
+
+
 def same_bits(x, y) -> bool:
     """Bit-identical floats / complexes (tells 0.0 from -0.0)."""
     if type(x) is not type(y):
@@ -462,8 +470,12 @@ def test_S_routes_float_complex_bit_identical(draw, data, n, k):
     q = data.draw(draw, label="q")
     assert same_bits(S_rec_payload(n, q), ref_S_rec(n, q))
     assert same_bits(S_pow2_payload(k, q), ref_S_pow2(k, q))
-    for (_, s), (_, want) in zip(iter_S_direct(n, q), ref_iter_S(n, q)):
-        assert same_bits(s, want)
+    # the direct route sums s_q along the odometer walk from 0; ref_iter_S,
+    # which recomputes each s_q from its digits, rounds differently
+    walk, _ = ref_walk((), True, q, n - 1)
+    got = list(iter_S_direct(n, q))
+    assert [m for m, _ in got] == list(range(1, n + 1))
+    assert all(same_bits(s, want) for (_, s), want in zip(got, accumulate(walk)))
 
 
 @pytest.mark.parametrize("cls", ["small", "half", "large", "integer", "one"])
@@ -556,14 +568,14 @@ def test_dyadic_formula_and_theorem1_float_complex_bit_identical(kind, data, n):
 
 
 @settings(deadline=None, max_examples=200)
-@given(n=st.integers(1, 1 << 40))
+@given(n=by_bit_length(40))
 def test_vdc_star_discrepancy(n):
     assert_exact(vdc_star_discrepancy(n).value, ref_vdc(n))
 
 
-# n of every bit length up to 70 (a plain integers(1, 2^70) draws mostly small
-# n); past 2^53 the scaled sawtooth no longer fits a float, so t / 2^e rounds
-WIDE_N = st.integers(1, 70).flatmap(lambda b: st.integers(1 << (b - 1), (1 << b) - 1))
+# n of every bit length up to 70; past 2^53 the scaled sawtooth no longer fits
+# a float, so t / 2^e rounds
+WIDE_N = by_bit_length(70)
 WIDE_DYADICS = st.builds(lambda s, n, e: s * Fraction(n, 1 << e), SIGNS, WIDE_N, st.integers(0, 72))
 
 
@@ -707,11 +719,17 @@ def test_orbit_partial_sums_exact(grow, cls, data, bits, l):
         for g, w in zip(got, ref_partial_sums(walk, q)):
             assert_exact(g, w)
     walk, _ = ref_walk(bits, grow, q, l - 1)
-    if walk is None:
+    if walk is None:  # v + l - 1 needs more than the stored bits
         with pytest.raises(DomainError):
             ergodic_sum(omega, q, l)
+        with pytest.raises(DomainError):  # at the call, before any sum is drawn
+            iter_ergodic_sums(omega, q, l)
     else:
         assert_exact(ergodic_sum(omega, q, l).value, ref_ergodic(walk))
+        got = list(iter_ergodic_sums(omega, q, l))
+        assert len(got) == l
+        for j, g in enumerate(got, 1):
+            assert_exact(g, ergodic_sum(omega, q, j).value)
 
 
 @POLICIES
@@ -730,6 +748,15 @@ def test_orbit_sums_float_complex_bit_identical(grow, draw, data, bits, l):
         want = ref_partial_sums(walk, q)
         assert len(got) == len(want) == l + 1
         assert all(same_bits(g, w) for g, w in zip(got, want))
+    walk, _ = ref_walk(bits, grow, q, l - 1)
+    if walk is None:
+        with pytest.raises(DomainError):
+            iter_ergodic_sums(omega, q, l)
+    else:
+        got = list(iter_ergodic_sums(omega, q, l))
+        assert len(got) == l
+        assert all(same_bits(g, w) for g, w in zip(got, accumulate(walk)))
+
 
 
 U = Fraction(1, 1 << 53)  # the unit roundoff of a double
@@ -830,7 +857,13 @@ def test_ergodic_sum_at_the_float_range_edge(v, n, q):
 
 @pytest.mark.parametrize("cls", ["small", "large", "integer"])
 @settings(deadline=None, max_examples=30)
-@given(data=st.data(), v=st.integers(1, (1 << 64) - 1), n=st.integers(1, 1 << 20))
+# v of every bit length, and 2^64 - v too, so that windows ending at or past
+# 2^64, which 64 stored bits under ERROR refuse, are drawn
+@given(
+    data=st.data(),
+    v=st.one_of(by_bit_length(64), by_bit_length(64).map(lambda d: (1 << 64) - d)),
+    n=by_bit_length(20),
+)
 def test_ergodic_sum_is_a_difference_of_S_q(cls, data, v, n):
     q = data.draw(Q_CLASSES[cls], label="q")
     omega = OdometerPoint(tuple((v >> i) & 1 for i in range(64)), OverflowPolicy.ERROR)

@@ -37,8 +37,13 @@ def test_tau_profile_is_tau_scaled_level_by_level():
     assert tau_profile(12345, 0) == []
 
 
-# n of every bit length up to 70 (a plain integers(0, 2^70) draws mostly small n)
-WIDE_N = st.integers(0, 70).flatmap(lambda b: st.integers((1 << b) >> 1, (1 << b) - 1))
+def by_bit_length(top):
+    """n >= 0 of every bit length up to top, each length as likely (a plain
+    integers(0, 2^top) draws mostly small n)."""
+    return st.integers(0, top).flatmap(lambda b: st.integers((1 << b) >> 1, (1 << b) - 1))
+
+
+WIDE_N = by_bit_length(70)
 
 
 @given(WIDE_N, st.integers(0, 80))
@@ -56,7 +61,11 @@ def test_tau_float_and_complex():
         tau_float(1 + 1j)
 
 
-@given(st.integers(-(1 << 40), 1 << 40), st.integers(0, 40), st.integers(-50, 50))
+# |m| < 2^40, so m / 2^i + n is still a float exactly
+SIGNED_M = st.builds(lambda s, m: s * m, st.sampled_from((1, -1)), by_bit_length(40))
+
+
+@given(SIGNED_M, st.integers(0, 40), st.integers(-50, 50))
 def test_tau_periodicity_and_symmetry(m, i, n):
     t = tau_scaled(m, i)
     assert tau_scaled(m + n * (1 << i), i) == t
