@@ -174,8 +174,17 @@ def window_sum(v: int, n: int, qv):
 
 
 def iter_S_direct(n_max: int, qv) -> Iterator:
-    """(n, S_q(n)) payloads for n = 1 .. n_max by literal accumulation: the orbit sums from 0."""
-    return enumerate(orbit_sums(0, qv, n_max), 1)
+    """(n, S_q(n)) payloads for n = 1 .. n_max by literal accumulation.
+
+    Exact q runs on the orbit sums from 0.  Float and complex q sum each
+    s_q(j) afresh from its digits (``sq_payload``), so no rounding carries
+    from one j to the next as it does along the walk's step
+    s - (w_0 + ... + w_{t-1}) + w_t; the float verify sweeps read this
+    route as their reference.
+    """
+    if isinstance(qv, Fraction) or n_max < 1:
+        return enumerate(orbit_sums(0, qv, n_max), 1)
+    return enumerate(accumulate(map(sq_payload, range(1, n_max), repeat(qv)), initial=0 * qv), 1)
 
 
 # ---------------------------------------------------------------------------

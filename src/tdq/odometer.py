@@ -265,7 +265,7 @@ def phi_curve(
         values = [Fraction(v * rd, den * rn) for v in raw]
     else:
         values = [(Fraction(v, den) if exact else v) / r_val for v in raw]
-    out = max(mode, r_scalar.mode, mode if rational else Mode.FLOAT, key=list(Mode).index)
+    out = Mode.widest(mode, r_scalar.mode, mode if rational else Mode.FLOAT)
     values = tuple(Scalar(out, v) if out is mode else Scalar.lift(v, out) for v in values)
     return FluctuationCurve(grid=grid, values=values, l=l, R=r_scalar, normalization=normalization)
 

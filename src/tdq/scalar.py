@@ -28,7 +28,13 @@ class Mode(enum.Enum):
     FLOAT = "float"
     COMPLEX = "complex"
 
+    @staticmethod
+    def widest(*modes: "Mode") -> "Mode":
+        """The widest of the modes, in declaration order EXACT < FLOAT < COMPLEX."""
+        return max(modes, key=_MODE_RANK.__getitem__)
 
+
+_MODE_RANK = {m: i for i, m in enumerate(Mode)}  # built once: Mode.widest runs on every promote
 _EXACT = Mode.EXACT  # a global read, where Mode.EXACT costs an enum lookup on every Scalar built
 
 _RATIONAL_RE = re.compile(r"^[+-]?[0-9]+(/[0-9]+)?$")
@@ -151,8 +157,7 @@ class Scalar:
         """Explicit, possibly lossy, upward mode conversion."""
         if mode is self.mode:
             return self
-        order = list(Mode)  # EXACT < FLOAT < COMPLEX, in declaration order
-        if order.index(mode) < order.index(self.mode):
+        if Mode.widest(self.mode, mode) is not mode:
             raise ModeError(f"cannot demote {self.mode.value} to {mode.value}")
         return Scalar.lift(self.value, mode)
 

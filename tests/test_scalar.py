@@ -61,8 +61,8 @@ def test_tau_float_and_complex():
         tau_float(1 + 1j)
 
 
-# |m| < 2^40, so m / 2^i + n is still a float exactly
-SIGNED_M = st.builds(lambda s, m: s * m, st.sampled_from((1, -1)), by_bit_length(40))
+# |m| <= 2^40, so m / 2^i + n is still a float exactly
+SIGNED_M = st.builds(lambda s, m: s * m, st.sampled_from((1, -1)), st.one_of(by_bit_length(40), st.just(1 << 40)))
 
 
 @given(SIGNED_M, st.integers(0, 40), st.integers(-50, 50))
