@@ -6,7 +6,6 @@ from .digit_sums import (
     S_q_direct,
     S_q_pow2,
     S_q_recursive,
-    binary_digits,
     bit_counts,
     s_q,
 )
@@ -16,7 +15,6 @@ from .odometer import (
     G_q,
     Normalization,
     OdometerPoint,
-    OverflowPolicy,
     birkhoff_deviation,
     ergodic_sum,
     iter_ergodic_sums,

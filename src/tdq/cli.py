@@ -437,10 +437,13 @@ def cmd_odometer(args) -> int:
     target = args.target
     if target == "run":
         pt = _parse_omega(args.omega, args.seed)
-        for i in range(args.steps):
-            bits = "".join(str(b) for b in pt.bits)
-            print(f"{bits} (n={pt.value()})")
-            if i + 1 < args.steps:
+        steps = _check_n(args.steps, args.n_limit)
+        if steps < 1:
+            raise DomainError("run requires --steps >= 1")
+        for i in range(steps):
+            bits = f"{pt.value:0{pt.width}b}"[::-1]
+            print(f"{bits} (n={pt.value})")
+            if i + 1 < steps:
                 pt = odometer.odometer_step(pt)
         return 0
 

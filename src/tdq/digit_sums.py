@@ -1,4 +1,4 @@
-"""Binary digits, per-bit counts, q-weighted digital sums, and cumulative sums S_q(n).
+"""Per-bit counts, q-weighted digital sums, and cumulative sums S_q(n).
 
 S_q(n) is computed by four independent routes: literal summation (the
 brute-force oracle), the closed form at powers of two, a descent using the
@@ -15,17 +15,6 @@ from typing import Iterator
 
 from .errors import DomainError
 from .scalar import Scalar, as_qweight, checked_pow, tau_profile
-
-
-def binary_digits(n: int) -> list[int]:
-    """LSB-first binary digits of n >= 0; empty list for n = 0."""
-    if n < 0:
-        raise DomainError("binary_digits requires n >= 0")
-    bits = []
-    while n:
-        bits.append(n & 1)
-        n >>= 1
-    return bits
 
 
 def bit_counts(n: int) -> list[int]:
@@ -134,9 +123,7 @@ def orbit_sums(v: int, qv, n: int) -> Iterator:
     bits, with the digit weights w_i over den of ``_digit_weights(qv, K)``.
     Adding one clears the t trailing ones and sets bit t, so s_q becomes
     s - (w_0 + ... + w_{t-1}) + w_t.  Exact q = a/b walks integer numerators
-    over den = b^K and builds one ``Fraction`` per sum.  The stream has no
-    capacity of its own; ``OdometerPoint.reach`` decides whether a stored
-    point may take the steps.
+    over den = b^K and builds one ``Fraction`` per sum.
     """
     if n < 1:
         return iter(())

@@ -5,8 +5,7 @@ counts: over the window v, ..., v + n - 1 bit i is set c_i(v + n) - c_i(v)
 times, so the sum costs O(log(v + n)), not n steps.  The streaming sums
 (``iter_ergodic_sums``, ``orbit_partial_sums``) are ``digit_sums.orbit_sums``
 from the point's value.  Exact q = a/b works on integer numerators over b^K
-in both, so exact runs stay exact.  Whether a point may take its steps under
-``OverflowPolicy.ERROR`` is decided in one place, ``OdometerPoint.reach``.
+in both, so exact runs stay exact.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .digit_sums import S_pow2_payload, S_rec_payload, binary_digits, orbit_sums, window_sum
+from .digit_sums import S_pow2_payload, S_rec_payload, orbit_sums, window_sum
 from .errors import DomainError
 from .scalar import (
     Mode,
@@ -31,56 +30,52 @@ from .scalar import (
 from .takagi import takagi_dyadic_exact, takagi_grid, takagi_series
 
 
-class OverflowPolicy(enum.Enum):
-    GROW = "grow"
-    ERROR = "error"
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class OdometerPoint:
-    """A dyadic integer as finitely many stored bits (LSB first, zero tail)."""
+    """A dyadic integer with a zero tail, given by its bits (LSB first).
 
-    bits: tuple[int, ...] = ()
-    policy: OverflowPolicy = OverflowPolicy.GROW
+    The odometer reads only its ``value``; ``width``, the number of bits it
+    was written with, is kept to print it.  A step past the top bit widens it.
+    """
 
-    def __post_init__(self):
-        if any(b not in (0, 1) for b in self.bits):
+    value: int
+    width: int
+
+    def __init__(self, bits: Sequence[int] = ()):
+        if any(b not in (0, 1) for b in bits):
             raise DomainError("odometer bits must be 0 or 1")
+        object.__setattr__(self, "value", sum(b << i for i, b in enumerate(bits)))
+        object.__setattr__(self, "width", len(bits))
+
+    @classmethod
+    def _of(cls, value: int, width: int) -> "OdometerPoint":
+        """The point v = ``value`` written with max(``width``, bit_length(v)) bits."""
+        pt = cls.__new__(cls)
+        object.__setattr__(pt, "value", value)
+        object.__setattr__(pt, "width", max(width, value.bit_length()))
+        return pt
 
     @staticmethod
     def zero() -> "OdometerPoint":
         return OdometerPoint(())
 
     @staticmethod
-    def from_int(n: int, policy: OverflowPolicy = OverflowPolicy.GROW) -> "OdometerPoint":
-        return OdometerPoint(tuple(binary_digits(n)), policy)
-
-    def value(self) -> int:
-        return sum(b << i for i, b in enumerate(self.bits))
-
-    def reach(self, steps: int) -> int:
-        """The value v, once the point may take ``steps`` odometer steps.
-
-        GROW always may.  ERROR may only while v + steps fits the stored
-        bits; a carry past them raises.
-        """
-        v = self.value()
-        if self.policy is OverflowPolicy.ERROR and (v + steps).bit_length() > len(self.bits):
-            raise DomainError("odometer capacity exhausted under ERROR policy")
-        return v
+    def from_int(n: int) -> "OdometerPoint":
+        if n < 0:
+            raise DomainError("an odometer point needs n >= 0")
+        return OdometerPoint._of(n, 0)
 
 
 def odometer_step(omega: OdometerPoint) -> OdometerPoint:
-    """Add one with carry; GROW appends a bit on full carry, ERROR raises."""
-    bits = binary_digits(omega.reach(1) + 1)
-    return OdometerPoint((*bits, *[0] * (len(omega.bits) - len(bits))), omega.policy)
+    """Add one with carry: the point v + 1, one bit wider on a full carry."""
+    return OdometerPoint._of(omega.value + 1, omega.width)
 
 
 def iter_ergodic_sums(omega: OdometerPoint, q, n: int) -> Iterator:
     """The payloads S_{q,omega}(j), j = 1 .. n, one orbit step apart (``orbit_sums``)."""
     if n < 1:
         raise DomainError("ergodic sums need n >= 1")
-    return orbit_sums(omega.reach(n - 1), as_qweight(q).q.value, n)
+    return orbit_sums(omega.value, as_qweight(q).q.value, n)
 
 
 def ergodic_sum(omega: OdometerPoint, q, n: int) -> Scalar:
@@ -89,10 +84,9 @@ def ergodic_sum(omega: OdometerPoint, q, n: int) -> Scalar:
     With v the value of omega this is sum_i d_i q^{i+1}, d_i = c_i(v + n) -
     c_i(v) (``bit_counts``), over the K = bit_length(v + n - 1) bits that a
     point of the window can set (``window_sum``): O(K) work in place of n
-    walk steps.  Under ERROR it raises exactly when the walk would: when
-    v + n - 1 needs more than the stored bits (``OdometerPoint.reach``).
-    The weights are the walk's: exact q = a/b sums integer numerators over
-    b^K, float and complex q multiply q^{i+1} out by repeated products.
+    walk steps.  The weights are the walk's: exact q = a/b sums integer
+    numerators over b^K, float and complex q multiply q^{i+1} out by
+    repeated products.
 
     Float and complex error, barring overflow (which raises): with u = 2^-53,
     eta = 2^-1075 (the largest error of a product rounded into the subnormal
@@ -113,20 +107,16 @@ def ergodic_sum(omega: OdometerPoint, q, n: int) -> Scalar:
         raise DomainError("ergodic_sum requires n >= 1")
     qw = as_qweight(q)
     qv = qw.q.value
-    den, total = window_sum(omega.reach(n - 1), n, qv)
+    den, total = window_sum(omega.value, n, qv)
     return Scalar(qw.q.mode, Fraction(total, den) if isinstance(qv, Fraction) else total)
 
 
 def orbit_partial_sums(omega: OdometerPoint, q, l: int) -> list:
-    """Payload list P with P[j] = S_{q,omega}(j), j = 0 .. l.
-
-    The window's end point v + l is reached too, so under ERROR a carry past
-    the stored bits there raises although S(l) does not read that point.
-    """
+    """Payload list P with P[j] = S_{q,omega}(j), j = 0 .. l."""
     if l < 1:
         raise DomainError("orbit_partial_sums requires l >= 1")
     qv = as_qweight(q).q.value
-    return [0 * qv, *orbit_sums(omega.reach(l), qv, l)]
+    return [0 * qv, *orbit_sums(omega.value, qv, l)]
 
 
 def birkhoff_deviation(omega: OdometerPoint, q, n: int) -> Scalar:

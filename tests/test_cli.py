@@ -205,6 +205,12 @@ def test_odometer_run_trajectory(capsys):
     code, out, _ = run(capsys, "odometer", "run", "--omega", "110", "--steps", "3")
     assert code == 0
     assert out.splitlines() == ["110 (n=3)", "001 (n=4)", "101 (n=5)"]
+    # a carry past the top bit widens the point; leading (high) zeros are kept
+    for omega, steps, want in [
+        ("111", "3", "111 (n=7)\n0001 (n=8)\n1001 (n=9)\n"),
+        ("0000", "2", "0000 (n=0)\n1000 (n=1)\n"),
+    ]:
+        assert run(capsys, "odometer", "run", "--omega", omega, "--steps", steps) == (0, want, "")
 
 
 def test_odometer_fluctuation_auto_prop2(tmp_path, capsys):
@@ -314,6 +320,9 @@ def test_odometer_search(capsys):
         ("curve tildeF --q 1 --tol 0", 2),
         ("curve fluctuation --q 2/3 --l 0", 2),
         ("odometer birkhoff --n 0", 2),
+        ("odometer run --steps 0", 2),
+        ("odometer run --steps -2", 2),
+        ("odometer run --steps 100 --n-limit 10", 2),
         ("curve Gtilde --gamma-limit 1e300", 2),
         ("verify larcher --gamma-limit 1e300", 2),
         # a zero normalizer R, given or underflowed from (2q)^{N-1}, divides nothing
@@ -386,6 +395,7 @@ def test_verify_corollary_at_defaults(capsys, q):
 # -- fuzz ----------------------------------------------------------------------
 
 FUZZ_QS = ("2/3", "-3", "1/2", "1", "0", "-1/2", "i", "0.7")
+FUZZ_OMEGAS = st.one_of(st.sampled_from(("", "2", "0b1", "random")), st.text("01", min_size=1, max_size=80))
 FUZZ_COMMANDS = st.one_of(
     st.builds(lambda q, N: f"verify prop2 --q={q} --N {N}", st.sampled_from(FUZZ_QS), st.integers(1, 10)),
     st.builds(
@@ -397,6 +407,11 @@ FUZZ_COMMANDS = st.one_of(
         st.sampled_from(FUZZ_QS), st.integers(0, 300), st.integers(0, 8),
     ),
     st.builds(lambda a, m: f"curve takagi --a={a} --grid {m}", st.sampled_from(FUZZ_QS), st.integers(0, 8)),
+    st.builds(lambda w, s: f"odometer run --omega={w} --steps {s}", FUZZ_OMEGAS, st.integers(-2, 64)),
+    st.builds(
+        lambda q, w, n: f"odometer birkhoff --q={q} --omega={w} --n {n}",
+        st.sampled_from(FUZZ_QS), FUZZ_OMEGAS, st.integers(-2, 64),
+    ),
 )
 
 

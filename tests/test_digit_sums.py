@@ -8,7 +8,6 @@ from tdq.digit_sums import (
     S_q_direct,
     S_q_pow2,
     S_q_recursive,
-    binary_digits,
     bit_counts,
     iter_S_direct,
     s_q,
@@ -29,17 +28,9 @@ Q_PANEL = [
 ]
 
 
-def test_binary_digits_examples():
-    assert binary_digits(6) == [0, 1, 1]
-    assert binary_digits(0) == []
-    assert binary_digits(1) == [1]
-    with pytest.raises(DomainError):
-        binary_digits(-1)
-
-
 @given(st.integers(0, 10**9))
 def test_digits_round_trip(n):
-    assert OdometerPoint.from_int(n).value() == n
+    assert OdometerPoint.from_int(n).value == n
 
 
 def test_sq_examples():

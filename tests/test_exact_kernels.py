@@ -23,7 +23,6 @@ from tdq.errors import DomainError
 from tdq.odometer import (
     Normalization,
     OdometerPoint,
-    OverflowPolicy,
     birkhoff_deviation,
     ergodic_sum,
     iter_ergodic_sums,
@@ -183,10 +182,9 @@ def ref_derham(a, g0, g1, g_sup, x, depth):
     return v.value, bound
 
 
-def ref_walk(bits, grow, q, steps):
+def ref_walk(bits, q, steps):
     """(s_q at the first steps + 1 points of the orbit, the bits of the last
-    point), or (None, None) when a step carries past the stored bits without
-    grow.
+    point); a carry past the top bit appends a bit.
 
     A bit-list add-with-carry that keeps s_q up to date: powers q^{i+1} by
     repeated multiplication, prefix sums q + ... + q^{i+1}, and a step that
@@ -214,10 +212,8 @@ def ref_walk(bits, grow, q, steps):
             j += 1
         if j < len(bits):
             bits[j] = 1
-        elif grow:
-            bits.append(1)
         else:
-            return None, None
+            bits.append(1)
         p = power(j)
         s = s - prefix[j - 1] + p if j else s + p
         out.append(s)
@@ -692,67 +688,38 @@ OMEGAS = st.one_of(
 ).map(lambda vc: tuple((vc[0] >> i) & 1 for i in range(vc[1])))
 
 
-POLICIES = pytest.mark.parametrize("grow", [True, False], ids=["GROW", "ERROR"])
-
-
-def policy(grow):
-    return OverflowPolicy.GROW if grow else OverflowPolicy.ERROR
-
-
-@POLICIES
 @pytest.mark.parametrize("cls", ["small", "large", "integer", "one"])
 @settings(deadline=None, max_examples=30)
 @given(data=st.data(), bits=OMEGAS, l=st.integers(1, 80))
-def test_orbit_partial_sums_exact(grow, cls, data, bits, l):
+def test_orbit_partial_sums_exact(cls, data, bits, l):
     q = data.draw(Q_CLASSES[cls], label="q")
-    omega = OdometerPoint(bits, policy(grow))
-    walk, _ = ref_walk(bits, grow, q, l)
-    if walk is None:  # the walk carries past the stored bits within l steps
-        with pytest.raises(DomainError):
-            orbit_partial_sums(omega, q, l)
-    else:
-        got = orbit_partial_sums(omega, q, l)
-        assert len(got) == l + 1
-        for g, w in zip(got, ref_partial_sums(walk, q)):
-            assert_exact(g, w)
-    walk, _ = ref_walk(bits, grow, q, l - 1)
-    if walk is None:  # v + l - 1 needs more than the stored bits
-        with pytest.raises(DomainError):
-            ergodic_sum(omega, q, l)
-        with pytest.raises(DomainError):  # at the call, before any sum is drawn
-            iter_ergodic_sums(omega, q, l)
-    else:
-        assert_exact(ergodic_sum(omega, q, l).value, ref_ergodic(walk))
-        got = list(iter_ergodic_sums(omega, q, l))
-        assert len(got) == l
-        for j, g in enumerate(got, 1):
-            assert_exact(g, ergodic_sum(omega, q, j).value)
+    omega = OdometerPoint(bits)
+    walk, _ = ref_walk(bits, q, l)
+    got = orbit_partial_sums(omega, q, l)
+    assert len(got) == l + 1
+    for g, w in zip(got, ref_partial_sums(walk, q)):
+        assert_exact(g, w)
+    assert_exact(ergodic_sum(omega, q, l).value, ref_ergodic(walk[:-1]))
+    got = list(iter_ergodic_sums(omega, q, l))
+    assert len(got) == l
+    for j, g in enumerate(got, 1):
+        assert_exact(g, ergodic_sum(omega, q, j).value)
 
 
-@POLICIES
 @pytest.mark.parametrize("draw", [FLOATS, COMPLEXES], ids=["float", "complex"])
 @settings(deadline=None, max_examples=40)
 @given(data=st.data(), bits=OMEGAS, l=st.integers(1, 80))
-def test_orbit_sums_float_complex_bit_identical(grow, draw, data, bits, l):
+def test_orbit_sums_float_complex_bit_identical(draw, data, bits, l):
     q = data.draw(draw, label="q")
-    omega = OdometerPoint(bits, policy(grow))
-    walk, _ = ref_walk(bits, grow, q, l)
-    if walk is None:
-        with pytest.raises(DomainError):
-            orbit_partial_sums(omega, q, l)
-    else:
-        got = orbit_partial_sums(omega, q, l)
-        want = ref_partial_sums(walk, q)
-        assert len(got) == len(want) == l + 1
-        assert all(same_bits(g, w) for g, w in zip(got, want))
-    walk, _ = ref_walk(bits, grow, q, l - 1)
-    if walk is None:
-        with pytest.raises(DomainError):
-            iter_ergodic_sums(omega, q, l)
-    else:
-        got = list(iter_ergodic_sums(omega, q, l))
-        assert len(got) == l
-        assert all(same_bits(g, w) for g, w in zip(got, accumulate(walk)))
+    omega = OdometerPoint(bits)
+    walk, _ = ref_walk(bits, q, l)
+    got = orbit_partial_sums(omega, q, l)
+    want = ref_partial_sums(walk, q)
+    assert len(got) == len(want) == l + 1
+    assert all(same_bits(g, w) for g, w in zip(got, want))
+    got = list(iter_ergodic_sums(omega, q, l))
+    assert len(got) == l
+    assert all(same_bits(g, w) for g, w in zip(got, accumulate(walk[:-1])))
 
 
 U = Fraction(1, 1 << 53)  # the unit roundoff of a double
@@ -767,7 +734,14 @@ def ergodic_bound(v, n, abs_q):
     """
     K = (v + n - 1).bit_length()
     mu = max(1, abs_q)
-    return 4 * (K + 1) * U * ref_window_sum(v, n, abs_q) + 4 * K * ETA * ref_window_sum(v, n, mu) / mu
+    return 4 * (K + 1) * U * window_of_S(v, n, abs_q) + 4 * K * ETA * window_of_S(v, n, mu) / mu
+
+
+def window_of_S(v, n, q):
+    """s_q(v) + ... + s_q(v + n - 1) = S_q(v + n) - S_q(v) for exact q, by the
+    shift recursions: windows too long to tally point by point."""
+    q = Fraction(q)
+    return S_rec_payload(v + n, q) - (S_rec_payload(v, q) if v else 0)
 
 
 def assert_within(got, exact, bound):
@@ -779,19 +753,13 @@ def assert_within(got, exact, bound):
         assert abs(Fraction(got) - exact) <= bound
 
 
-@POLICIES
 @pytest.mark.parametrize("draw", [FLOATS, COMPLEXES], ids=["float", "complex"])
 @settings(deadline=None, max_examples=40)
 @given(data=st.data(), bits=OMEGAS, l=st.integers(1, 80))
-def test_ergodic_sum_float_complex_within_bound(grow, draw, data, bits, l):
+def test_ergodic_sum_float_complex_within_bound(draw, data, bits, l):
     q = data.draw(draw, label="q")
-    omega = OdometerPoint(bits, policy(grow))
-    walk, _ = ref_walk(bits, grow, q, l - 1)
-    if walk is None:  # raises exactly when the walk does
-        with pytest.raises(DomainError):
-            ergodic_sum(omega, q, l)
-        return
-    v = omega.value()
+    omega = OdometerPoint(bits)
+    v = omega.value
     got = ergodic_sum(omega, q, l).value
     assert type(got) is type(q)
     exact_q = Gaussian.of(q) if isinstance(q, complex) else Fraction(q)
@@ -814,22 +782,15 @@ def test_ergodic_sum_float_complex_within_bound(grow, draw, data, bits, l):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 1 << 10, 1 << 20])
 def test_ergodic_sum_at_the_capacity_edge(n):
-    # 64 stored bits under ERROR: the window may end at 2^64 - 1, not past it
-    def at(v):
-        return OdometerPoint(tuple((v >> i) & 1 for i in range(64)), OverflowPolicy.ERROR)
-
+    # 64 given bits: the window ends at 2^64 - 1, the top of the bits, and
+    # (n > 1) at 2^64, where the last point needs bit 64
     top = 1 << 64
-    v = top - n
-    q = Fraction(2, 3)
-    exact = S_rec_payload(top, q) - S_rec_payload(v, q)
-    assert_exact(ergodic_sum(at(v), q, n).value, exact)
-    exact_f = S_rec_payload(top, Fraction(2 / 3)) - S_rec_payload(v, Fraction(2 / 3))
-    # q > 0, so sum_i d_i |q|^{i+1} is the exact sum itself; no power underflows
-    assert_within(ergodic_sum(at(v), 2 / 3, n).value, exact_f, 4 * 65 * U * exact_f)
-    if n > 1:  # v + n = 2^64 + 1: the last point needs bit 64
-        for qv in (q, 2 / 3, 2j / 3):
-            with pytest.raises(DomainError):
-                ergodic_sum(at(top + 1 - n), qv, n)
+    for v in [top - n] + ([top + 1 - n] if n > 1 else []):
+        omega = OdometerPoint(tuple((v >> i) & 1 for i in range(64)))
+        assert_exact(ergodic_sum(omega, Fraction(2, 3), n).value, window_of_S(v, n, Fraction(2, 3)))
+        # q > 0, so sum_i d_i |q|^{i+1} is the exact sum itself
+        exact_f = window_of_S(v, n, Fraction(2 / 3))
+        assert_within(ergodic_sum(omega, 2 / 3, n).value, exact_f, ergodic_bound(v, n, Fraction(2 / 3)))
 
 
 @pytest.mark.parametrize(
@@ -854,7 +815,7 @@ def test_ergodic_sum_at_the_float_range_edge(v, n, q):
 @pytest.mark.parametrize("cls", ["small", "large", "integer"])
 @settings(deadline=None, max_examples=30)
 # v of every bit length, and 2^64 - v too, so that windows ending at or past
-# 2^64, which 64 stored bits under ERROR refuse, are drawn
+# 2^64, past the 64 given bits, are drawn
 @given(
     data=st.data(),
     v=st.one_of(by_bit_length(64), by_bit_length(64).map(lambda d: (1 << 64) - d)),
@@ -862,25 +823,27 @@ def test_ergodic_sum_at_the_float_range_edge(v, n, q):
 )
 def test_ergodic_sum_is_a_difference_of_S_q(cls, data, v, n):
     q = data.draw(Q_CLASSES[cls], label="q")
-    omega = OdometerPoint(tuple((v >> i) & 1 for i in range(64)), OverflowPolicy.ERROR)
-    if v + n - 1 >= 1 << 64:
-        with pytest.raises(DomainError):
-            ergodic_sum(omega, q, n)
-    else:
-        assert_exact(ergodic_sum(omega, q, n).value, S_rec_payload(v + n, q) - S_rec_payload(v, q))
+    omega = OdometerPoint(tuple((v >> i) & 1 for i in range(64)))
+    assert_exact(ergodic_sum(omega, q, n).value, S_rec_payload(v + n, q) - S_rec_payload(v, q))
+    qf = Fraction(float(q))  # the float q, exactly
+    assert_within(ergodic_sum(omega, float(q), n).value, window_of_S(v, n, qf), ergodic_bound(v, n, abs(qf)))
 
 
-@POLICIES
+def bits_value(bits):
+    return sum(b << i for i, b in enumerate(bits))
+
+
 @settings(deadline=None, max_examples=200)
 @given(bits=OMEGAS)
-def test_odometer_step_is_ref_walk_successor(grow, bits):
-    _, successor = ref_walk(bits, grow, 0, 1)
-    omega = OdometerPoint(bits, policy(grow))
-    if successor is None:
-        with pytest.raises(DomainError):
-            odometer_step(omega)
-    else:
-        assert odometer_step(omega) == OdometerPoint(tuple(successor), policy(grow))
+def test_odometer_step_is_ref_walk_successor(bits):
+    # a point is its value and the number of bits it was given; the step
+    # widens it by one bit exactly when the carry runs past the top
+    omega = OdometerPoint(bits)
+    assert (omega.value, omega.width) == (bits_value(bits), len(bits))
+    _, successor = ref_walk(bits, 0, 1)
+    step = odometer_step(omega)
+    assert (step.value, step.width) == (bits_value(successor), len(successor))
+    assert step == OdometerPoint(tuple(successor))
 
 
 # -- the limiting curve -q T_a -------------------------------------------------------

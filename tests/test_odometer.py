@@ -11,7 +11,6 @@ from tdq.odometer import (
     G_q,
     Normalization,
     OdometerPoint,
-    OverflowPolicy,
     birkhoff_deviation,
     ergodic_sum,
     odometer_step,
@@ -28,18 +27,17 @@ from tdq.takagi import F_q, takagi_dyadic_exact
 @given(st.integers(0, 1 << 16))
 def test_step_is_successor_from_zero_orbit(n):
     pt = OdometerPoint.from_int(n)
-    assert pt.value() == n
-    assert odometer_step(pt).value() == n + 1
+    assert (pt.value, pt.width) == (n, n.bit_length())
+    assert odometer_step(pt).value == n + 1
 
 
-def test_overflow_policies():
-    full = OdometerPoint((1, 1, 1), policy=OverflowPolicy.ERROR)
-    with pytest.raises(DomainError):
-        odometer_step(full)
-    grown = odometer_step(OdometerPoint((1, 1, 1)))
-    assert grown.bits == (0, 0, 0, 1)
+def test_step_widens_on_a_full_carry_and_points_are_checked():
+    assert odometer_step(OdometerPoint((1, 1, 1))) == OdometerPoint((0, 0, 0, 1))
+    assert odometer_step(OdometerPoint((1, 1, 0, 0))) == OdometerPoint((0, 0, 1, 0))
     with pytest.raises(DomainError):
         OdometerPoint((0, 2))
+    with pytest.raises(DomainError):
+        OdometerPoint.from_int(-1)
 
 
 def test_s_q_point_matches_integer_digit_sum():
