@@ -9,8 +9,9 @@ exactly in exact mode.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate, repeat, zip_longest
-from operator import mul
+from functools import reduce
+from itertools import accumulate, chain, compress, islice, repeat, zip_longest
+from operator import add, mul
 from typing import Iterator
 
 from .errors import DomainError
@@ -121,57 +122,53 @@ def orbit_sums(v: int, qv, n: int) -> Iterator:
 
     The odometer orbit from v: the points need K = bit_length(v + n - 1)
     bits, with the digit weights w_i over den of ``_digit_weights(qv, K)``.
-    Adding one clears the t trailing ones and sets bit t, so s_q becomes
-    s - (w_0 + ... + w_{t-1}) + w_t.  Exact q = a/b walks integer numerators
-    over den = b^K and builds one ``Fraction`` per sum.
+    s_q is additive over bit blocks: s_q(j) = hi + lo[j mod 2^B], with lo
+    the table of s_q over the low B = min(K, 8) bits and hi the sum of the
+    set weights at and above bit B, taken afresh for each block of 2^B
+    points.  Each s_q(j) is a fixed function of j and q, so no rounding
+    carries along the orbit.  B stays 8 whatever n is (fewer bits leave no
+    high part), so a longer stream extends a shorter one bit for bit.
+    Exact q = a/b sums integer numerators over den = b^K and builds one
+    ``Fraction`` per sum.
     """
     if n < 1:
         return iter(())
     K = (v + n - 1).bit_length()
     den, w = _digit_weights(qv, K)
-    below = list(accumulate(w))  # below[i] = w_0 + ... + w_i
+    zero = 0 if isinstance(qv, Fraction) else 0 * qv
+    B = min(K, 8)
+    lo, high = [zero], w[B:]
+    for wi in w[:B]:
+        lo += [x + wi for x in lo]
 
-    def walk(v):
-        s = 0 if isinstance(qv, Fraction) else 0 * qv
-        for i in range(K):
-            if v >> i & 1:
-                s = s + w[i]
-        yield s
-        for _ in range(n - 1):
-            t = (v ^ (v + 1)).bit_length() - 1
-            s = s - below[t - 1] + w[t] if t else s + w[0]
-            v += 1
-            yield s
+    def blocks():
+        for H in range(v >> B << B, v + n, 1 << B):
+            hi = reduce(add, compress(high, (H >> i & 1 for i in range(B, K))), zero)
+            yield map(add, repeat(hi), islice(lo, max(v - H, 0), min(v + n - H, 1 << B)))
 
-    sums = accumulate(walk(v))
+    sums = accumulate(chain.from_iterable(blocks()))
     return map(Fraction, sums, repeat(den)) if isinstance(qv, Fraction) else sums
 
 
 def window_sum(v: int, n: int, qv):
-    """(den, (s_q(v) + s_q(v + 1) + ... + s_q(v + n - 1)) den), n >= 1.
+    """s_q(v) + s_q(v + 1) + ... + s_q(v + n - 1), n >= 1: a ``Fraction`` for exact q.
 
     Bit i is set c_i(v + n) - c_i(v) times in the window (``bit_counts``),
     and only bits below K = bit_length(v + n - 1) ever are, so the sum is
-    sum_i d_i w_i over ``_digit_weights(qv, K)``: O(K) work, not n steps.
+    d_0 w_0 + d_1 w_1 + ... over ``_digit_weights(qv, K)``, folded left:
+    O(K) work, not n steps.
     """
     K = (v + n - 1).bit_length()
     d = [hi - lo for hi, lo in zip_longest(bit_counts(v + n)[:K], bit_counts(v), fillvalue=0)]
     den, w = _digit_weights(qv, K)
-    return den, sum(map(mul, d, w), 0 if isinstance(qv, Fraction) else 0 * qv)
+    if isinstance(qv, Fraction):
+        return Fraction(sum(map(mul, d, w)), den)
+    return reduce(add, map(mul, d, w), 0 * qv)
 
 
 def iter_S_direct(n_max: int, qv) -> Iterator:
-    """(n, S_q(n)) payloads for n = 1 .. n_max by literal accumulation.
-
-    Exact q runs on the orbit sums from 0.  Float and complex q sum each
-    s_q(j) afresh from its digits (``sq_payload``), so no rounding carries
-    from one j to the next as it does along the walk's step
-    s - (w_0 + ... + w_{t-1}) + w_t; the float verify sweeps read this
-    route as their reference.
-    """
-    if isinstance(qv, Fraction) or n_max < 1:
-        return enumerate(orbit_sums(0, qv, n_max), 1)
-    return enumerate(accumulate(map(sq_payload, range(1, n_max), repeat(qv)), initial=0 * qv), 1)
+    """(n, S_q(n)) payloads for n = 1 .. n_max by literal accumulation: the orbit sums from 0."""
+    return enumerate(orbit_sums(0, qv, n_max), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -209,9 +206,7 @@ def S_q_counts(n: int, q) -> Scalar:
     if n < 1:
         raise DomainError("S_q is defined for n >= 1")
     qw = as_qweight(q)
-    qv = qw.q.value
-    den, total = window_sum(0, n, qv)
-    return Scalar(qw.q.mode, Fraction(total, den) if isinstance(qv, Fraction) else total)
+    return Scalar(qw.q.mode, window_sum(0, n, qw.q.value))
 
 
 def S_q_recursive(n: int, q) -> Scalar:

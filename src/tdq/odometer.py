@@ -84,7 +84,7 @@ def ergodic_sum(omega: OdometerPoint, q, n: int) -> Scalar:
     With v the value of omega this is sum_i d_i q^{i+1}, d_i = c_i(v + n) -
     c_i(v) (``bit_counts``), over the K = bit_length(v + n - 1) bits that a
     point of the window can set (``window_sum``): O(K) work in place of n
-    walk steps.  The weights are the walk's: exact q = a/b sums integer
+    points.  The weights are the orbit stream's: exact q = a/b sums integer
     numerators over b^K, float and complex q multiply q^{i+1} out by
     repeated products.
 
@@ -106,9 +106,7 @@ def ergodic_sum(omega: OdometerPoint, q, n: int) -> Scalar:
     if n < 1:
         raise DomainError("ergodic_sum requires n >= 1")
     qw = as_qweight(q)
-    qv = qw.q.value
-    den, total = window_sum(omega.value, n, qv)
-    return Scalar(qw.q.mode, Fraction(total, den) if isinstance(qv, Fraction) else total)
+    return Scalar(qw.q.mode, window_sum(omega.value, n, qw.q.value))
 
 
 def orbit_partial_sums(omega: OdometerPoint, q, l: int) -> list:

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tdq.cli import main
+from tdq.digit_sums import S_rec_payload
 
 
 def run(capsys, *argv):
@@ -80,7 +81,7 @@ PROP2_GOLDEN = {
     ("--q", "i"): (0, "prop2: q=i mode=complex N<=8 max residual 0, PASS\n"),
     ("--q", "0.7", "--tol", "1e-30"): (
         3,
-        "prop2: q=0.7 mode=float N<=8 max residual 7.716050021144838e-15, FAIL at N=8\n",
+        "prop2: q=0.7 mode=float N<=8 max residual 6.3282712403633923e-15, FAIL at N=8\n",
     ),
 }
 
@@ -256,14 +257,14 @@ n=2 deviation=-0.66666666666666652
 n=4 deviation=-0.44444444444444431
 n=8 deviation=-0.29629629629629617
 n=16 deviation=-0.19753086419753063
-n=32 deviation=-0.1316872427983542
-n=64 deviation=-0.087791495198903391
-n=128 deviation=-0.058527663465937074
-n=256 deviation=-0.039018442310628121
-n=512 deviation=-0.026012294873759112
-n=1024 deviation=-0.017341529915853804
-n=2048 deviation=-0.011561019943931883
-n=4096 deviation=-0.0077073466293473558
+n=32 deviation=-0.13168724279835375
+n=64 deviation=-0.087791495198902614
+n=128 deviation=-0.058527663465935187
+n=256 deviation=-0.039018442310623569
+n=512 deviation=-0.026012294873749009
+n=1024 deviation=-0.017341529915832488
+n=2048 deviation=-0.011561019943888029
+n=4096 deviation=-0.0077073466292577608
 """,
 }
 
@@ -273,6 +274,21 @@ def test_odometer_birkhoff_golden(capsys, argv):
     # float orbit sums are pinned bit for bit: every printed digit must match
     code, out, _ = run(capsys, "odometer", "birkhoff", *argv)
     assert (code, out) == (0, BIRKHOFF_GOLDEN[argv])
+
+
+def test_odometer_birkhoff_at_defaults_is_within_1e_11_of_exact(capsys):
+    # each s_q(j) is summed from its digits, so no rounding carries along the
+    # orbit; a carry step s - (w_0 + ... + w_{t-1}) + w_t left 9.5e-10
+    code, out, _ = run(capsys, "odometer", "birkhoff")
+    assert code == 0
+    q = Fraction(2 / 3)  # the float q, exactly
+    mean = q / (2 * (1 - q))
+    lines = out.splitlines()[1:]
+    assert len(lines) == 17  # n = 1, 2, 4, ..., 65536
+    for line in lines:
+        n, dev = (field.split("=")[1] for field in line.split())
+        exact = S_rec_payload(int(n), q) / int(n) - mean
+        assert abs(Fraction(float(dev)) - exact) <= abs(exact) / 10 ** 11
 
 
 def test_odometer_search(capsys):
@@ -396,15 +412,22 @@ def test_verify_corollary_at_defaults(capsys, q):
 
 FUZZ_QS = ("2/3", "-3", "1/2", "1", "0", "-1/2", "i", "0.7")
 FUZZ_OMEGAS = st.one_of(st.sampled_from(("", "2", "0b1", "random")), st.text("01", min_size=1, max_size=80))
+# the normaliser and mode options of the fluctuation curves
+FUZZ_CURVE_OPTIONS = st.builds(
+    lambda R, mode: f" --R={R}" + (f" --mode {mode}" if mode else ""),
+    st.sampled_from(("max-abs", "auto-prop2", "0", "0.0", "1e-320", "2/3", "i", "abc")),
+    st.sampled_from(("exact", "float", "complex", None)),
+)
 FUZZ_COMMANDS = st.one_of(
     st.builds(lambda q, N: f"verify prop2 --q={q} --N {N}", st.sampled_from(FUZZ_QS), st.integers(1, 10)),
     st.builds(
-        lambda target, q, l, m: f"odometer {target} --q={q} --l {l} --grid {m}",
-        st.sampled_from(("fluctuation", "search")), st.sampled_from(FUZZ_QS), st.integers(0, 300), st.integers(0, 8),
+        lambda q, l, m: f"odometer search --q={q} --l {l} --grid {m}",
+        st.sampled_from(FUZZ_QS), st.integers(0, 300), st.integers(0, 8),
     ),
     st.builds(
-        lambda q, l, m: f"curve fluctuation --q={q} --l {l} --grid {m}",
-        st.sampled_from(FUZZ_QS), st.integers(0, 300), st.integers(0, 8),
+        lambda cmd, q, l, m, opts: f"{cmd} fluctuation --q={q} --l {l} --grid {m}{opts}",
+        st.sampled_from(("curve", "odometer")), st.sampled_from(FUZZ_QS), st.integers(0, 300), st.integers(0, 8),
+        FUZZ_CURVE_OPTIONS,
     ),
     st.builds(lambda a, m: f"curve takagi --a={a} --grid {m}", st.sampled_from(FUZZ_QS), st.integers(0, 8)),
     st.builds(lambda w, s: f"odometer run --omega={w} --steps {s}", FUZZ_OMEGAS, st.integers(-2, 64)),

@@ -4,9 +4,9 @@ Exact q = a/b (and a = p/r) run the kernels on Python ints over a common
 denominator.  The references below are the straightforward loops on
 ``Fraction`` / float / complex payloads: exact results must be equal
 ``Fraction``s, float and complex results bit-identical.  ``ergodic_sum``
-rounds other terms than the walk does, so its float and complex results are
-checked against the exact value at the same q instead, within the bound its
-docstring derives.
+rounds other terms than the orbit stream does, so its float and complex
+results are checked against the exact value at the same q instead, within
+the bound its docstring derives.
 """
 
 import math
@@ -60,11 +60,17 @@ def ref_sq(n, q):
     return total
 
 
+def ref_point_sq(j, q):
+    """s_q(j) summed in the orbit stream's order: the bits at and above bit 8,
+    then the low byte, each from its digits."""
+    return ref_sq(j & ~255, q) + ref_sq(j & 255, q)
+
+
 def ref_iter_S(n_max, q):
     total = 0 * q
     for n in range(1, n_max + 1):
         if n > 1:
-            total = total + ref_sq(n - 1, q)
+            total = total + ref_point_sq(n - 1, q)
         yield n, total
 
 
@@ -182,16 +188,23 @@ def ref_derham(a, g0, g1, g_sup, x, depth):
     return v.value, bound
 
 
+def bits_value(bits):
+    return sum(b << i for i, b in enumerate(bits))
+
+
 def ref_walk(bits, q, steps):
     """(s_q at the first steps + 1 points of the orbit, the bits of the last
     point); a carry past the top bit appends a bit.
 
-    A bit-list add-with-carry that keeps s_q up to date: powers q^{i+1} by
-    repeated multiplication, prefix sums q + ... + q^{i+1}, and a step that
-    clears j trailing ones gives s - (q + ... + q^j) + q^{j+1}.
+    A bit-list add-with-carry.  For exact q it keeps s_q up to date: powers
+    q^{i+1} by repeated multiplication, prefix sums q + ... + q^{i+1}, and a
+    step that clears j trailing ones gives s - (q + ... + q^j) + q^{j+1}.
+    Float and complex s_q is summed afresh at each point the walk reaches,
+    in the orbit stream's order (``ref_point_sq``): the carry step rounds.
     """
     bits = list(bits)
     powers, prefix = [q], [q]
+    exact = not isinstance(q, (float, complex))
 
     def power(i):
         while len(powers) <= i:
@@ -204,7 +217,7 @@ def ref_walk(bits, q, steps):
     for i, b in enumerate(bits):
         if b:
             s = s + power(i)
-    out = [s]
+    out = [s if exact else ref_point_sq(bits_value(bits), q)]
     for _ in range(steps):
         j = 0
         while j < len(bits) and bits[j] == 1:
@@ -216,7 +229,7 @@ def ref_walk(bits, q, steps):
             bits.append(1)
         p = power(j)
         s = s - prefix[j - 1] + p if j else s + p
-        out.append(s)
+        out.append(s if exact else ref_point_sq(bits_value(bits), q))
     return out, bits
 
 
@@ -461,7 +474,8 @@ def test_S_routes_exact(cls, data, n, k):
 
 @pytest.mark.parametrize("draw", [FLOATS, COMPLEXES], ids=["float", "complex"])
 @settings(deadline=None, max_examples=25)
-@given(data=st.data(), n=st.integers(1, 300), k=st.integers(0, 14))
+# past n = 768 a point has two high bits, whose order the sum of s_q shows
+@given(data=st.data(), n=st.integers(1, 2048), k=st.integers(0, 14))
 def test_S_routes_float_complex_bit_identical(draw, data, n, k):
     q = data.draw(draw, label="q")
     assert same_bits(S_rec_payload(n, q), ref_S_rec(n, q))
@@ -469,6 +483,21 @@ def test_S_routes_float_complex_bit_identical(draw, data, n, k):
     got = list(iter_S_direct(n, q))
     assert [m for m, _ in got] == list(range(1, n + 1))
     assert all(same_bits(s, want) for (_, s), (_, want) in zip(got, ref_iter_S(n, q)))
+
+
+@pytest.mark.parametrize("draw", [FLOATS, COMPLEXES], ids=["float", "complex"])
+@settings(deadline=None, max_examples=25)
+@given(data=st.data(), m=st.integers(1, 2048), n=st.integers(1, 2048))
+def test_iter_S_direct_is_the_orbit_from_zero(draw, data, m, n):
+    # one stream for every mode: the direct route is the orbit sums from 0,
+    # and a shorter run is a bitwise prefix of a longer one
+    q = data.draw(draw, label="q")
+    m, n = sorted((m, n))
+    got = [s for _, s in iter_S_direct(n, q)]
+    orbit = orbit_partial_sums(OdometerPoint.zero(), q, n)[1:]
+    assert len(got) == len(orbit) == n
+    assert all(same_bits(g, w) for g, w in zip(got, orbit))
+    assert all(same_bits(g, w) for (_, g), w in zip(iter_S_direct(m, q), got))
 
 
 @pytest.mark.parametrize("cls", ["small", "half", "large", "integer", "one"])
@@ -780,6 +809,13 @@ def test_ergodic_sum_float_complex_within_bound(draw, data, bits, l):
             assert_within(dev, exact / l - mean, 2 * bound / l + slack)
 
 
+def test_window_sums_are_a_left_fold():
+    # the terms d_i q^{i+1} are added in order with +: builtin sum() is
+    # compensated for floats from Python 3.12 on, where it gave ...aafp+16
+    assert ergodic_sum(OdometerPoint.from_int(0), 2 / 3, 100003).value.hex() == "0x1.85f98d7d3baaep+16"
+    assert S_q_counts(100003, 2 / 3).value.hex() == "0x1.85f98d7d3baaep+16"
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 1 << 10, 1 << 20])
 def test_ergodic_sum_at_the_capacity_edge(n):
     # 64 given bits: the window ends at 2^64 - 1, the top of the bits, and
@@ -827,10 +863,6 @@ def test_ergodic_sum_is_a_difference_of_S_q(cls, data, v, n):
     assert_exact(ergodic_sum(omega, q, n).value, S_rec_payload(v + n, q) - S_rec_payload(v, q))
     qf = Fraction(float(q))  # the float q, exactly
     assert_within(ergodic_sum(omega, float(q), n).value, window_of_S(v, n, qf), ergodic_bound(v, n, abs(qf)))
-
-
-def bits_value(bits):
-    return sum(b << i for i, b in enumerate(bits))
 
 
 @settings(deadline=None, max_examples=200)
