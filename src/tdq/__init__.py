@@ -41,11 +41,11 @@ from .takagi import (
     derham_eval,
     fq_system,
     hat_F_q,
+    takagi_at,
     takagi_dyadic_exact,
     takagi_grid,
     takagi_series,
     takagi_system,
-    tilde_F_1,
     tilde_F_q,
     tilde_F_q_log2,
 )

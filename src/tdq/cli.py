@@ -18,15 +18,7 @@ from typing import Callable, NamedTuple
 from . import digit_sums, odometer, takagi, trollope
 from .digit_sums import iter_S_direct
 from .errors import DomainError, ModeError, ParseError, VerificationError
-from .scalar import (
-    Mode,
-    QWeight,
-    Scalar,
-    as_dyadic_fraction,
-    as_qweight,
-    infer_mode,
-    parse_scalar,
-)
+from .scalar import Mode, QWeight, Scalar, as_qweight, infer_mode, parse_scalar
 
 N_LIMIT_DEFAULT = 1 << 62
 GRID_LIMIT = 20
@@ -35,11 +27,7 @@ GRID_LIMIT = 20
 def _parse_scalar_arg(text: str | None, mode_opt: str | None) -> Scalar:
     if text is None:
         raise ParseError("missing scalar argument (--q/--a/--x)")
-    if mode_opt:
-        mode = {"exact": Mode.EXACT, "float": Mode.FLOAT, "complex": Mode.COMPLEX}[mode_opt]
-    else:
-        mode = infer_mode(text)
-    return parse_scalar(text, mode)
+    return parse_scalar(text, Mode(mode_opt) if mode_opt else infer_mode(text))
 
 
 def _finite_float(text: str) -> float:
@@ -141,10 +129,7 @@ def cmd_eval(args) -> int:
     elif target == "takagi":
         a = _parse_scalar_arg(args.a, args.mode)
         x = _parse_scalar_arg(args.x, None)
-        if as_dyadic_fraction(x) is not None:
-            print(takagi.takagi_dyadic_exact(x, a).render())
-        else:
-            print(takagi.takagi_series(x, a, args.tol).render())
+        print(takagi.takagi_at(x, a, args.tol).render())
     elif target == "hatF":
         q = _parse_scalar_arg(args.q, args.mode)
         print(takagi.hat_F_q(args.u, q, args.tol).render())
@@ -152,7 +137,9 @@ def cmd_eval(args) -> int:
         q = _parse_scalar_arg(args.q, args.mode)
         print(takagi.tilde_F_q(args.u, q, args.tol).render())
     elif target == "tildeF1":
-        print(takagi.tilde_F_1(args.t, args.tol).render())
+        if not 0.0 <= args.t <= 1.0:
+            raise DomainError("tilde_F_1 domain is [0,1]")
+        print(takagi.tilde_F_q(args.t, 1, args.tol).render())
     elif target == "Gq":
         q = _parse_scalar_arg(args.q, args.mode)
         print(odometer.G_q(_check_n(args.n, limit), q).render())
@@ -307,13 +294,6 @@ def cmd_verify(args) -> int:
 # curve / figures
 
 
-def _tilde_F_values(q: Scalar, grid, tol: float = takagi.DEFAULT_SERIES_TOL) -> list[Scalar]:
-    """tilde F_q at the float grid abscissae; tilde F_1 at q = 1."""
-    if q.value == 1:
-        return [takagi.tilde_F_1(float(t), tol) for t in grid]
-    return [takagi.tilde_F_q(float(t), q, tol) for t in grid]
-
-
 def cmd_curve(args) -> int:
     target = args.target
     grid = _grid(args.grid)
@@ -326,7 +306,8 @@ def cmd_curve(args) -> int:
         values = [takagi.F_q(t, q) for t in grid]
         meta = {"curve": "F", "q": args.q, "mode": q.mode.value, "depth": args.grid}
     elif target == "tildeF":
-        values = _tilde_F_values(_parse_scalar_arg(args.q, args.mode), grid, args.tol)
+        q = _parse_scalar_arg(args.q, args.mode)
+        values = [takagi.tilde_F_q(float(t), q, args.tol) for t in grid]
         meta = {"curve": "tildeF", "q": args.q, "mode": "float", "depth": args.grid}
     elif target == "complex-takagi":
         values = takagi.takagi_grid(QWeight.of(_parse_scalar_arg(args.q, "complex")).a, args.grid)
@@ -410,7 +391,8 @@ def _figure_panels(depth: int, grid):
     yield "fig2_F_q2_3.csv", meta, [takagi.F_q(t, q23) for t in grid]
     for q_text in FIGT_PANELS:
         meta = {"figure": "tildeF", "q": q_text, "mode": "float", "depth": depth}
-        yield f"figT_q{_slug(q_text)}.csv", meta, _tilde_F_values(parse_scalar(q_text, Mode.EXACT), grid)
+        q = parse_scalar(q_text, Mode.EXACT)
+        yield f"figT_q{_slug(q_text)}.csv", meta, [takagi.tilde_F_q(float(t), q) for t in grid]
     for q_text in FIG3_PANELS:
         qw = QWeight.of(parse_scalar(q_text, Mode.COMPLEX))
         meta = {"figure": 3, "q": q_text, "mode": "complex", "depth": depth}
@@ -496,11 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="tdq", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, q=False, a=False):
-        if q:
-            sp.add_argument("--q", required=True, help="weight parameter (rational, float, or complex)")
-        if a:
-            sp.add_argument("--a", required=True, help="Takagi parameter a")
+    def common(sp):
         sp.add_argument("--mode", choices=["exact", "float", "complex"], default=None)
         sp.add_argument("--n-limit", type=int, default=N_LIMIT_DEFAULT)
         sp.add_argument("--seed", type=int, default=0)

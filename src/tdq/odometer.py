@@ -18,16 +18,8 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from .digit_sums import S_pow2_payload, S_rec_payload, orbit_sums, window_sum
 from .errors import DomainError
-from .scalar import (
-    Mode,
-    Regime,
-    Scalar,
-    as_dyadic_fraction,
-    as_qweight,
-    as_scalar,
-    checked_pow,
-)
-from .takagi import takagi_dyadic_exact, takagi_grid, takagi_series
+from .scalar import Mode, Regime, Scalar, as_qweight, as_scalar, checked_pow
+from .takagi import takagi_at, takagi_grid
 
 
 @dataclass(frozen=True, init=False)
@@ -293,19 +285,14 @@ def prop2_exact(q, N: int) -> Prop2Result:
 
 def _takagi_on(grid, a) -> list:
     """T_a payloads on the grid: ``takagi_grid`` when the grid is exactly
-    {j/2^m : j = 0 .. 2^m}, else per point, exact at dyadic t and the
-    certified series elsewhere."""
+    {j/2^m : j = 0 .. 2^m}, else ``takagi_at`` per point."""
     n = len(grid) - 1
     m = n.bit_length() - 1
     if n >= 1 and n == 1 << m and all(
         isinstance(t, (int, Fraction)) and t.numerator << m == j * t.denominator for j, t in enumerate(grid)
     ):
         return [v.value for v in takagi_grid(a, m)]
-    return [
-        takagi_dyadic_exact(t, a).value if as_dyadic_fraction(t) is not None
-        else takagi_series(float(t), a).value
-        for t in grid
-    ]
+    return [takagi_at(t, a).value for t in grid]
 
 
 def _sup_gap(xs: Sequence, ys: Sequence, c):
@@ -327,7 +314,7 @@ def _sup_gap(xs: Sequence, ys: Sequence, c):
 
 
 def sup_distance_to_limit(curve: FluctuationCurve, q) -> Scalar:
-    """max over the grid of |phi(t) + q T_a(t)|, T_a exact at dyadic t."""
+    """max over the grid of |phi(t) + q T_a(t)|, T_a by ``takagi_at``."""
     qw = as_qweight(q)
     if qw.regime is not Regime.CONTRACTIVE:
         raise DomainError("limiting curve requires |q| > 1/2")

@@ -3,7 +3,8 @@
 Three evaluation routes are kept separate on purpose: the truncated series
 (with a certified geometric tail bound), the exact finite sum at dyadic
 rationals, and digit descent through a de Rham system.  Route agreement is
-the correctness argument, so no dispatcher hides it.
+the correctness argument, so each route stays callable and tested on its
+own; ``takagi_at`` is the one place a caller gets T_a at a point.
 """
 
 from __future__ import annotations
@@ -201,8 +202,30 @@ def series_truncation_length(abs_a: float, tol: float) -> int:
     return max(0, math.ceil(math.log(bound) / math.log(abs_a)) - 1)
 
 
+def _one_minus_power(a, p: int):
+    """1 - a^p without the cancellation of a rounded a^p near 1.
+
+    Real a: -expm1(p log1p(|a| - 1)) at even p or a > 0, where |a| - 1 is
+    exact for |a| >= 1/2.  Complex a: (1 - a)(1 + a + ... + a^{p-1}), which
+    keeps its digits near a = 1 (not near the other p-th roots of unity).
+    """
+    if isinstance(a, complex):
+        g = 1
+        for _ in range(p - 1):
+            g = 1 + a * g
+        return (1 - a) * g
+    if abs(a) < 0.5 or (a < 0 and p % 2):
+        return 1 - a ** p
+    return -math.expm1(p * math.log1p(abs(a) - 1))
+
+
 def takagi_series(x, a, tol: float = DEFAULT_SERIES_TOL) -> Scalar:
-    """Truncated series sum a^n tau(2^n x), certified within tol; needs |a| < 1."""
+    """Truncated series sum a^n tau(2^n x), certified within tol; needs |a| < 1.
+
+    A rational x ends the sum early: a dyadic one when 2^n x mod 1 reaches 0,
+    any other once its doubling orbit closes a cycle, whose geometric tail
+    is summed in closed form.
+    """
     a = as_scalar(a)
     abs_a = float(a.modulus())
     if abs_a >= 1:
@@ -219,14 +242,25 @@ def takagi_series(x, a, tol: float = DEFAULT_SERIES_TOL) -> Scalar:
         raise ModeError("takagi_series requires a real abscissa")
 
     if isinstance(fr, (int, Fraction)):
-        # x mod 1 = m/d doubles to 2m mod d; from m = 0 on every term is 0
+        # x mod 1 = m/d doubles to 2m mod d; from m = 0 on every term is 0.
+        # Term n is a^n k/d with k = min(m, d - m), and m, d - m double to
+        # mirror images, so from n = s = v2(d) on (where the orbit turns
+        # periodic) the terms repeat times a^p once k is back at k_s after p
+        # steps: the geometric tail closes the sum at
+        # acc_s + (acc - acc_s) / (1 - a^p)
         fr = Fraction(fr)
         d = fr.denominator
         m = fr.numerator % d
-        for _ in range(n_terms):
+        s = (d & -d).bit_length() - 1
+        for n in range(n_terms):
             if not m:
                 break
-            acc = acc + w * (min(m, d - m) / d)
+            k = min(m, d - m)
+            if n == s:
+                k_s, acc_s = k, acc
+            elif n > s and k == k_s:
+                return Scalar(mode, acc_s + (acc - acc_s) / _one_minus_power(av, n - s))
+            acc = acc + w * (k / d)
             m = 2 * m % d
             w = w * av
     else:
@@ -312,28 +346,29 @@ def takagi_grid(a, m: int) -> list[Scalar]:
     return lower + lower[-2::-1]
 
 
+def takagi_at(x, a, tol: float = DEFAULT_SERIES_TOL) -> Scalar:
+    """T_a at one abscissa: ``takagi_dyadic_exact`` at a dyadic rational x,
+    else ``takagi_series`` at x as given (never rounded first: T_a is only
+    Hoelder continuous, so a rounded abscissa moves the value past tol)."""
+    if as_dyadic_fraction(x) is not None:
+        return takagi_dyadic_exact(x, a)
+    return takagi_series(x, a, tol)
+
+
 # ---------------------------------------------------------------------------
 # derived functions
 
 
 def F_q(x, q) -> Scalar:
-    """F_q(x) = q x - T_a(x) / 2 on [0,1], a = 1/(2q); exact at dyadic x."""
+    """F_q(x) = q x - T_a(x) / 2 on [0,1], a = 1/(2q), in the mode of T_a
+    (``takagi_at``): exact at dyadic x for exact q; off the dyadic points
+    the series needs |q| > 1/2."""
     qw = as_qweight(q)
-    fr = as_dyadic_fraction(x)
-    if fr is not None:
-        if not 0 <= fr <= 1:
-            raise DomainError("F_q domain is [0,1]")
-        xs = Scalar.lift(fr if qw.q.mode is Mode.EXACT else float(fr), qw.q.mode)
-        t = takagi_dyadic_exact(fr, qw.a)
-        return qw.q * xs - t / 2
-    if qw.regime is not Regime.CONTRACTIVE:
-        raise DomainError("F_q off dyadic points requires |q| > 1/2")
-    xf = float(as_scalar(x).promote(Mode.FLOAT).value)
-    if not 0.0 <= xf <= 1.0:
+    t = takagi_at(x, qw.a)
+    xs = as_scalar(x)
+    if not 0 <= xs.value <= 1:
         raise DomainError("F_q domain is [0,1]")
-    mode = Mode.COMPLEX if qw.q.mode is Mode.COMPLEX else Mode.FLOAT
-    t = takagi_series(xf, qw.a.promote(mode))
-    return qw.q.promote(mode) * Scalar.lift(xf, mode) - t / 2
+    return qw.q.promote(t.mode) * xs.promote(t.mode) - t / 2
 
 
 def hat_F_q(u, q, tol: float = DEFAULT_SERIES_TOL) -> Scalar:
@@ -349,27 +384,29 @@ def hat_F_q(u, q, tol: float = DEFAULT_SERIES_TOL) -> Scalar:
 
 
 def _corollary_q(q) -> float:
-    """q as a float after checking the corollary's domain: real q > 1/2, q != 1."""
+    """q as a float after checking the corollary's domain: real q > 1/2."""
     qw = as_qweight(q)
     if qw.q.mode is Mode.COMPLEX:
         raise ModeError("tilde_F_q is defined for real q only")
     qf = float(qw.q.promote(Mode.FLOAT).value)
     if qf <= 0.5:
         raise DomainError("tilde_F_q requires q > 1/2")
-    if qw.is_one:
-        raise DomainError("tilde_F_q excludes q = 1 (use tilde_F_1)")
     return qf
 
 
 def _tilde_F(uf: float, qf: float, x, tol: float) -> Scalar:
-    """tilde F_q(u) with the Takagi factor summed at the abscissa x = 2^{u-1}."""
+    """tilde F_q(u) with the Takagi factor summed at the abscissa x = 2^{u-1}.
+
+    The head (1 - q^{1-u}) / (1 - q) is 1 - u at q = 1, its limit there.
+    """
     t = float(takagi_series(x, 1.0 / (2.0 * qf), tol).value)
-    head = (1.0 - qf ** (1.0 - uf)) / (1.0 - qf)
+    head = 1.0 - uf if qf == 1.0 else (1.0 - qf ** (1.0 - uf)) / (1.0 - qf)
     return Scalar.flt(head - qf ** (-uf) * 2.0 ** (1.0 - uf) * t)
 
 
 def tilde_F_q(u, q, tol: float = DEFAULT_SERIES_TOL) -> Scalar:
-    """The corollary's periodic correction (real q > 1/2, q != 1 only)."""
+    """The corollary's periodic correction, real q > 1/2; at q = 1 the classic
+    Trollope-Delange correction 1 - u - 2^{1-u} T(2^{u-1})."""
     qf = _corollary_q(q)
     uf = float(as_scalar(u).promote(Mode.FLOAT).value)
     if uf != 1.0:
@@ -390,15 +427,6 @@ def tilde_F_q_log2(n: int, q, tol: float = DEFAULT_SERIES_TOL) -> Scalar:
         raise DomainError("tilde_F_q_log2 requires n >= 1")
     k = n.bit_length() - 1
     return _tilde_F(math.log2(n) - k, qf, Fraction(n, 2 << k), tol)
-
-
-def tilde_F_1(t, tol: float = DEFAULT_SERIES_TOL) -> Scalar:
-    """Classic Trollope-Delange correction 1 - t - 2^{1-t} T(2^{t-1}), t in [0,1]."""
-    tf = float(as_scalar(t).promote(Mode.FLOAT).value)
-    if not 0.0 <= tf <= 1.0:
-        raise DomainError("tilde_F_1 domain is [0,1]")
-    tk = float(takagi_series(2.0 ** (tf - 1.0), 0.5, tol).value)
-    return Scalar.flt(1.0 - tf - 2.0 ** (1.0 - tf) * tk)
 
 
 def G_tilde_gamma(x, gamma_limit, tol: float) -> Scalar:

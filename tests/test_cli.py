@@ -411,6 +411,8 @@ def test_verify_corollary_at_defaults(capsys, q):
 # -- fuzz ----------------------------------------------------------------------
 
 FUZZ_QS = ("2/3", "-3", "1/2", "1", "0", "-1/2", "i", "0.7")
+# abscissae of eval takagi: rationals with a pre-period and a cycle, a float, a dyadic
+FUZZ_XS = ("1/3", "1/7", "5/12", "-1/3", "7/3", "0.3", "1/2")
 FUZZ_OMEGAS = st.one_of(st.sampled_from(("", "2", "0b1", "random")), st.text("01", min_size=1, max_size=80))
 # the normaliser and mode options of the fluctuation curves
 FUZZ_CURVE_OPTIONS = st.builds(
@@ -430,6 +432,11 @@ FUZZ_COMMANDS = st.one_of(
         FUZZ_CURVE_OPTIONS,
     ),
     st.builds(lambda a, m: f"curve takagi --a={a} --grid {m}", st.sampled_from(FUZZ_QS), st.integers(0, 8)),
+    st.builds(
+        lambda a, x: f"eval takagi --a={a} --x={x}",
+        st.sampled_from((*FUZZ_QS, "0.99999999")), st.sampled_from(FUZZ_XS),
+    ),
+    st.builds(lambda q, m: f"curve F --q={q} --grid {m}", st.sampled_from(FUZZ_QS), st.integers(0, 8)),
     st.builds(lambda w, s: f"odometer run --omega={w} --steps {s}", FUZZ_OMEGAS, st.integers(-2, 64)),
     st.builds(
         lambda q, w, n: f"odometer birkhoff --q={q} --omega={w} --n {n}",

@@ -285,10 +285,10 @@ def ref_window_sum(v, n, q):
 
 
 def ref_limit_target(t, a):
-    """T_a at a grid point: exact at a dyadic t, the certified series at float(t) otherwise."""
+    """T_a at a grid point: exact at a dyadic t, the certified series at t as given otherwise."""
     if as_dyadic_fraction(t if isinstance(t, (Fraction, int)) else as_scalar(t)) is not None:
         return takagi_dyadic_exact(t, a).value
-    return takagi_series(float(t), a).value
+    return takagi_series(t, a).value
 
 
 def ref_prop2_residual(curve, q):

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -17,14 +18,27 @@ from tdq.takagi import (
     fq_system,
     hat_F_q,
     series_truncation_length,
+    takagi_at,
     takagi_dyadic_exact,
     takagi_series,
     takagi_system,
-    tilde_F_1,
     tilde_F_q,
 )
 
 dyadics = st.integers(0, 1 << 12).map(lambda n: Fraction(n, 1 << 12))
+
+
+def closed_forms(a):
+    """T_a at the thirds and sevenths: their doubling orbits are cycles of
+    lengths 2 and 3, so T_a(x) = (sum of a^j tau over one cycle) / (1 - a^L)."""
+    third = Fraction(1, 3) / (1 - a)
+    c7 = 1 - a**3
+    s1, s2, s4 = (1 + 2 * a + 3 * a**2) / 7 / c7, (2 + 3 * a + a**2) / 7 / c7, (3 + a + 2 * a**2) / 7 / c7
+    return {
+        Fraction(1, 3): third, Fraction(2, 3): third,
+        Fraction(1, 7): s1, Fraction(2, 7): s2, Fraction(3, 7): s4,
+        Fraction(4, 7): s4, Fraction(5, 7): s2, Fraction(6, 7): s1,
+    }
 
 
 def test_classic_pinned_values():
@@ -33,6 +47,14 @@ def test_classic_pinned_values():
     assert takagi_dyadic_exact(Fraction(1, 2), a).value == Fraction(1, 2)
     assert takagi_dyadic_exact(Fraction(1, 4), a).value == Fraction(1, 2)
     assert abs(takagi_series(1 / 3, 0.5).value - 2 / 3) < 1e-13
+    # thirds and sevenths, given as rationals and shifted by an integer; the
+    # series sums them as given, through one cycle and its closed tail
+    for a in (Fraction(1, 2), Fraction(3, 4), Fraction(-2, 3), Fraction(1, 16), Fraction(-15, 16)):
+        for x, want in closed_forms(a).items():
+            for shift in (0, 2, -1):
+                got = takagi_series(x + shift, float(a)).value
+                assert math.isclose(got, want, rel_tol=1e-14), (x, a)
+                assert takagi_at(x + shift, a).value == got
 
 
 @given(dyadics)
@@ -87,6 +109,31 @@ def test_series_at_a_float_ends_with_its_binary_digits():
         assert math.isclose(takagi_series(x, float(a)).value, exact, rel_tol=1e-12)
     for x in (0.0, -0.0, 2.0):
         assert takagi_series(x, float(a)).value.hex() == "0x0.0p+0"
+
+
+def test_series_at_a_rational_closes_its_cycle():
+    # |a| = 1 - 1e-8 asks for ~5e9 terms; the doubling orbit of 1/7 is a
+    # 3-cycle, so T_a(1/7) = (1/7 + 2a/7 + 3a^2/7) / (1 - a^3)
+    a = 1 - 1e-8
+    want = (Fraction(1, 7) + 2 * Fraction(a) / 7 + 3 * Fraction(a) ** 2 / 7) / (1 - Fraction(a) ** 3)
+    start = time.perf_counter()
+    got = takagi_series(Fraction(1, 7), a).value
+    assert time.perf_counter() - start < 1.0
+    assert abs(Fraction(got) - want) <= Fraction(1, 10**12) * want
+    # the same a as a complex number, whose 1 - a^3 is (1 - a)(1 + a + a^2)
+    got = takagi_series(Fraction(1, 7), complex(a, 0.0)).value
+    assert abs(Fraction(got.real) - want) <= Fraction(1, 10**12) * want and got.imag == 0
+    # 1/3 and 2/3 are mirror images, both with tau = 1/3, so the terms repeat
+    # with period 1: T_a(1/3) = (1/3) / (1 - a), also at a near -1, where the
+    # period-2 sum (1/3)(1 + a) / (1 - a^2) would cancel
+    a = -(1 - 1e-8)
+    want = Fraction(1, 3) / (1 - Fraction(a))
+    assert abs(Fraction(takagi_series(Fraction(1, 3), a).value) - want) <= Fraction(1, 10**12) * want
+    # a pre-period s = v2(d) before the cycle: 5/12 = 5/(2^2 3) goes 5/12, 5/6, 2/3, 1/3, 2/3
+    for a in (Fraction(1, 2), Fraction(-3, 4), Fraction(99, 100)):
+        head = Fraction(5, 12) + a * Fraction(1, 6)
+        want = head + a**2 * Fraction(1, 3) / (1 - a)
+        assert math.isclose(takagi_series(Fraction(5, 12), float(a)).value, want, rel_tol=1e-13)
 
 
 def test_series_rejects_non_contractive():
@@ -185,6 +232,19 @@ def test_F_q_pinned_values():
     assert abs(F_q(0.5, Fraction(2, 3)).value - 1 / 12) < 1e-13
 
 
+def test_F_q_sums_a_rational_abscissa_as_given():
+    # F_{2/3}(1/3) = 2/9 - T_{3/4}(1/3)/2 = 2/9 - 2/3; the series at float(1/3)
+    # was 1.1e-7 off, since T_a moves by ~|dx|^{-log2 |a|} under a rounding dx
+    v = F_q(Fraction(1, 3), Fraction(2, 3))
+    assert v.mode is Mode.FLOAT
+    assert abs(v.value - (-4 / 9)) <= 1e-15
+    # the domain is [0,1] for x as given, not for float(x)
+    with pytest.raises(DomainError):
+        F_q(1 + Fraction(1, 3 << 60), Fraction(2, 3))
+    with pytest.raises(ModeError):
+        F_q(0.5j, Fraction(2, 3))
+
+
 def test_hat_F_periodicity():
     q = Fraction(2, 3)
     for u in (0.1, 0.37, 0.9):
@@ -206,17 +266,24 @@ def test_tilde_F_2_vanishes():
 def test_tilde_F_q_domain():
     with pytest.raises(DomainError):
         tilde_F_q(0.5, Fraction(1, 2))
-    with pytest.raises(DomainError):
-        tilde_F_q(0.5, Fraction(1))
     with pytest.raises(ModeError):
         tilde_F_q(0.5, 1j)
 
 
-def test_tilde_F_1_endpoints_and_negativity():
-    # tilde_F_1(0) = tilde_F_1(1) = 0; interior values are negative (classic curve)
-    assert abs(tilde_F_1(0.0).value) < 1e-12
-    assert abs(tilde_F_1(1.0).value) < 1e-12
-    assert tilde_F_1(0.5).value < 0
+def test_tilde_F_q_at_one_endpoints_and_negativity():
+    # the classic curve: tilde F_1(0) = tilde F_1(1) = 0, interior values negative
+    assert abs(tilde_F_q(0.0, 1).value) < 1e-12
+    assert abs(tilde_F_q(1.0, 1).value) < 1e-12
+    assert tilde_F_q(0.5, 1).value < 0
+
+
+def test_tilde_F_q_at_one_is_the_classic_correction():
+    # the head (1 - q^{1-u}) / (1 - q) becomes 1 - u at q = 1, its limit
+    for tol in (DEFAULT_SERIES_TOL, 1e-6):
+        for u in [j / 512 for j in range(513)]:
+            want = 1.0 - u - 2.0 ** (1.0 - u) * takagi_series(2.0 ** (u - 1.0), 0.5, tol).value
+            for q in (1, 1.0, Fraction(1)):
+                assert tilde_F_q(u, q, tol).value.hex() == want.hex()
 
 
 def test_G_tilde_gamma_pinned_point():
