@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Callable, NamedTuple, Optional
+from typing import NamedTuple
 
 from .errors import DomainError, ModeError
 from .scalar import (
@@ -42,18 +42,18 @@ class DeRhamValue(NamedTuple):
 @dataclass(frozen=True)
 class DeRhamSystem:
     """The quadruple (a0, a1, g0, g1) of f(x/2) = a0 f(x) + g0(x),
-    f((x+1)/2) = a1 f(x) + g1(x).
+    f((x+1)/2) = a1 f(x) + g1(x), with affine g_b(x) = (u_b x + v_b) w_b.
 
-    g0 and g1 map payloads of the system's mode to payloads: ``Fraction``
-    in exact mode, float or complex otherwise.  Off dyadic points a
-    certified error bound needs ``g_sup``.
+    g0 and g1 are the coefficient triples (u_b, v_b, w_b): ints, Fractions or
+    payloads of the system's mode (a0's), lifted into it.  Held as
+    coefficients, the maps give the exact descent its integers and a
+    truncated descent its certified ``g_sup``.
     """
 
     a0: Scalar
     a1: Scalar
-    g0: Callable
-    g1: Callable
-    g_sup: Optional[float] = None  # sup of |g0|, |g1| on [0,1], if known
+    g0: tuple
+    g1: tuple
 
     @property
     def mode(self) -> Mode:
@@ -62,16 +62,48 @@ class DeRhamSystem:
     def _lift(self, v):
         return Scalar.lift(v, self.mode).value
 
+    @cached_property
+    def _coefficients(self) -> tuple:
+        """((u0, v0, w0), (u1, v1, w1)) as payloads of the system's mode."""
+        return tuple(tuple(self._lift(c) for c in g) for g in (self.g0, self.g1))
+
+    def _g(self, b: int, x):
+        u, v, w = self._coefficients[b]
+        return (u * x + v) * w
+
+    @cached_property
+    def g_sup(self) -> float:
+        """The sup of |g0|, |g1| on [0,1]: |w_b| max(|v_b|, |u_b + v_b|), since
+        the modulus of an affine map peaks at an end of the interval."""
+        return max(float(abs(w)) * float(max(abs(v), abs(u + v))) for u, v, w in self._coefficients)
+
+    @cached_property
+    def _integers(self) -> tuple:
+        """(P, R, Cn, Dn, C) of an exact system: a_b = P_b / R with R the lcm
+        of the denominators of a0, a1, and g_b(k/2^i) = ((Cn_b << i) + Dn_b k)
+        / (C 2^i) with C the lcm of the denominators of v_b w_b and u_b w_b."""
+        coefs = (self.a0.value, self.a1.value)
+        R = math.lcm(*(c.denominator for c in coefs))
+        parts = [(v * w, u * w) for u, v, w in self._coefficients]
+        C = math.lcm(*(t.denominator for pair in parts for t in pair))
+        return (
+            tuple(c.numerator * (R // c.denominator) for c in coefs),
+            R,
+            tuple((vw * C).numerator for vw, _ in parts),
+            tuple((uw * C).numerator for _, uw in parts),
+            C,
+        )
+
     def consistency_residual(self) -> Scalar:
         one, zero = self._lift(1), self._lift(0)
         a0, a1 = self.a0.value, self.a1.value
         if a0 == one or a1 == one:
             raise DomainError("a de Rham system needs a0 != 1 and a1 != 1")
         return Scalar(self.mode, (
-            a0 * self.g1(one) / (one - a1)
-            + self.g0(one)
-            - a1 * self.g0(zero) / (one - a0)
-            - self.g1(zero)
+            a0 * self._g(1, one) / (one - a1)
+            + self._g(0, one)
+            - a1 * self._g(0, zero) / (one - a0)
+            - self._g(1, zero)
         ))
 
     @cached_property
@@ -86,8 +118,8 @@ class DeRhamSystem:
             raise DomainError(f"inconsistent de Rham system (residual {r})")
         one, zero = self._lift(1), self._lift(0)
         return (
-            self.g0(zero) / (one - self.a0.value),
-            self.g1(one) / (one - self.a1.value),
+            self._g(0, zero) / (one - self.a0.value),
+            self._g(1, one) / (one - self.a1.value),
         )
 
 
@@ -110,7 +142,7 @@ def derham_eval(sys: DeRhamSystem, x, depth: int = 64) -> DeRhamValue:
     Dyadic rationals descend to an endpoint and are exact regardless of
     contraction (the system alone pins those values).  A float x descends
     ``depth`` digits at most; when that cuts the descent, the system must be
-    contractive and declare ``g_sup``, and the returned radius C*rho^depth
+    contractive, and the returned radius C*rho^depth, C = g_sup / (1 - rho),
     certifies the truncation.
     """
     f0, f1 = sys.endpoints
@@ -128,59 +160,47 @@ def derham_eval(sys: DeRhamSystem, x, depth: int = 64) -> DeRhamValue:
     if fr == 0 or fr == 1:
         return DeRhamValue(Scalar(sys.mode, f0 if fr == 0 else f1), 0.0)
     m, e = fr.numerator, fr.denominator.bit_length() - 1
-    coefs, gs = (sys.a0.value, sys.a1.value), (sys.g0, sys.g1)
     if cut and e > depth:
         rho = float(max(sys.a0.modulus(), sys.a1.modulus()))
         if rho >= 1:
             raise DomainError("non-contractive system off dyadic points")
-        if sys.g_sup is None:
-            raise DomainError("no certified error bound off dyadic points: the system declares no g_sup")
         bound = (rho ** max(depth, 0)) * sys.g_sup / (1.0 - rho)
         v = sys._lift(0)  # midpoint of the attainable range [-C, C]
     elif sys.mode is Mode.EXACT:
-        # v = num/den, unnormalised; a_b = p_b/r_b and g = gn/gd
-        p = [c.numerator for c in coefs]
-        r = [c.denominator for c in coefs]
-        num, den = f1.numerator, f1.denominator
+        # after j steps, the last at k/2^i, the value is N / (F C R^j 2^i)
+        # with f(1) = n/F: one step multiplies by a_b = P_b/R and adds g_b(k/2^i)
+        P, R, Cn, Dn, C = sys._integers
+        N, FR, s = f1.numerator * C, f1.denominator, 0
         for b, k, i in _dyadic_steps(m, e, e):
-            gv = gs[b](Fraction(k, 1 << i))
-            gn, gd = gv.numerator, gv.denominator
-            num, den = p[b] * num * gd + gn * r[b] * den, r[b] * den * gd
-        return DeRhamValue(Scalar(Mode.EXACT, Fraction(num, den)), 0.0)
+            FR *= R
+            N = (P[b] * N << (i - s)) + ((Cn[b] << i) + Dn[b] * k) * FR
+            s = i
+        return DeRhamValue(Scalar(Mode.EXACT, Fraction(N, FR * C << s)), 0.0)
     else:
         bound, v, depth = 0.0, f1, e
+    coefs = (sys.a0.value, sys.a1.value)
     for b, k, i in _dyadic_steps(m, e, depth):
-        v = coefs[b] * v + gs[b](sys._lift(k / (1 << i)))
+        v = coefs[b] * v + sys._g(b, sys._lift(k / (1 << i)))
     return DeRhamValue(Scalar(sys.mode, v), bound)
 
 
 def takagi_system(a) -> DeRhamSystem:
-    """The de Rham system whose fixed point is the Takagi-Landsberg curve."""
+    """The de Rham system whose fixed point is the Takagi-Landsberg curve:
+    g0(x) = x/2, g1(x) = (1 - x)/2."""
     a = as_scalar(a)
-    half, one = (Scalar.lift(v, a.mode).value for v in (Fraction(1, 2), 1))
-    return DeRhamSystem(
-        a0=a,
-        a1=a,
-        g0=lambda x: x * half,
-        g1=lambda x: (one - x) * half,
-        g_sup=0.5,
-    )
+    half = Fraction(1, 2)
+    return DeRhamSystem(a0=a, a1=a, g0=(1, 0, half), g1=(-1, 1, half))
 
 
 def fq_system(q) -> DeRhamSystem:
-    """The de Rham system satisfied by F_q (coefficients a = 1/(2q))."""
+    """The de Rham system satisfied by F_q (coefficients a = 1/(2q)):
+    g0(x) = c0 x, g1(x) = c1 (x + 1), c0 = (2q - 3)/4, c1 = (2q - 1)/4."""
     qw = as_qweight(q)
     qv = qw.q.value
     one, two, three, quarter = (Scalar.lift(v, qw.q.mode).value for v in (1, 2, 3, Fraction(1, 4)))
     c0 = (qv * two - three) * quarter
     c1 = (qv * two - one) * quarter
-    return DeRhamSystem(
-        a0=qw.a,
-        a1=qw.a,
-        g0=lambda x: c0 * x,
-        g1=lambda x: c1 * (x + one),
-        g_sup=max(float(abs(c0)), 2 * float(abs(c1))),
-    )
+    return DeRhamSystem(a0=qw.a, a1=qw.a, g0=(1, 0, c0), g1=(1, 1, c1))
 
 
 # ---------------------------------------------------------------------------
@@ -207,9 +227,15 @@ def _one_minus_power(a, p: int):
 
     Real a: -expm1(p log1p(|a| - 1)) at even p or a > 0, where |a| - 1 is
     exact for |a| >= 1/2.  Complex a: (1 - a)(1 + a + ... + a^{p-1}), which
-    keeps its digits near a = 1 (not near the other p-th roots of unity).
+    keeps its digits near a = 1, after a turn by the p-th root of unity w
+    among -1 (even p) and -i, i (p divisible by 4) that takes a nearest 1:
+    (w a)^p = a^p, and w a is exact in float.
     """
     if isinstance(a, complex):
+        if p % 4 == 0 and abs(a.imag) > abs(a.real):
+            a = complex(a.imag, -a.real) if a.imag > 0 else complex(-a.imag, a.real)
+        if p % 2 == 0 and a.real < 0:
+            a = -a
         g = 1
         for _ in range(p - 1):
             g = 1 + a * g

@@ -671,6 +671,75 @@ def test_fq_system_descent_is_F_q(cls, data, x):
     assert_exact(got.value.value, F_q(x, q).value)
 
 
+DEEP_DYADICS = st.integers(15, 64).flatmap(
+    lambda e: st.builds(lambda j: Fraction(2 * j + 1, 1 << e), st.integers(0, (1 << (e - 1)) - 1))
+)
+
+
+@pytest.mark.parametrize("cls", sorted(set(Q_CLASSES) - {"one"}))
+@settings(deadline=None, max_examples=25)
+@given(data=st.data(), x=DEEP_DYADICS)
+def test_derham_exact_descent_deep(cls, data, x):
+    # odd numerators over 2^15 .. 2^64: every level of the descent is taken
+    a = data.draw(Q_CLASSES[cls], label="a")
+    got = derham_eval(takagi_system(a), x)
+    assert got.error_bound == 0.0
+    assert_exact(got.value.value, ref_derham(*ref_scalar_systems("takagi", a), x, 64)[0])
+
+
+def lebesgue_digit_product(p, j, e):
+    """Lebesgue's singular function at j/2^e, x = 0.d_1 d_2 ... d_e in binary:
+    sum over d_k = 1 of p prod_{i<k} w(d_i), w(0) = p, w(1) = 1 - p, on the
+    integers n = p r and r over r^e; L(1) = 1."""
+    if j == 1 << e:
+        return Fraction(1)
+    n, r = p.numerator, p.denominator
+    acc, prod = 0, 1
+    for k in range(1, e + 1):
+        d = (j >> (e - k)) & 1
+        if d:
+            acc += n * prod * r ** (e - k)
+        prod *= r - n if d else n
+    return Fraction(acc, r**e)
+
+
+@pytest.mark.parametrize("p", [Fraction(1, 3), Fraction(2, 5), Fraction(-3, 7)], ids=str)
+def test_derham_lebesgue_system_is_its_digit_product(p):
+    # a0 = p != a1 = 1 - p, g0 = 0, g1 = p: every dyadic of depth <= 14
+    system = DeRhamSystem(a0=Scalar.exact(p), a1=Scalar.exact(1 - p), g0=(0, 0, 0), g1=(0, 1, p))
+    e = 14
+    for j in range((1 << e) + 1):
+        got = derham_eval(system, Fraction(j, 1 << e))
+        assert got.error_bound == 0.0
+        assert_exact(got.value.value, lebesgue_digit_product(p, j, e))
+
+
+def ref_fraction_descent(a0, a1, g0, g1, x):
+    """f(x) from f(x/2) = a0 f(x) + g0(x), f((x+1)/2) = a1 f(x) + g1(x) on
+    Fractions, recursing from x down to an endpoint."""
+    if x == 0:
+        return g0(Fraction(0)) / (1 - a0)
+    if x == 1:
+        return g1(Fraction(1)) / (1 - a1)
+    if x <= Fraction(1, 2):
+        return a0 * ref_fraction_descent(a0, a1, g0, g1, 2 * x) + g0(2 * x)
+    return a1 * ref_fraction_descent(a0, a1, g0, g1, 2 * x - 1) + g1(2 * x - 1)
+
+
+def test_derham_mixed_denominators():
+    # a0 = 1/3, a1 = 2/5 (R = 15), g0(x) = x/7, g1(x) = (13x + 50)/105 (C = 105):
+    # consistent, since a0 f(1) + g0(1) = 10/21 = a1 f(0) + g1(0) with f(0) = 0, f(1) = 1
+    a0, a1 = Fraction(1, 3), Fraction(2, 5)
+    system = DeRhamSystem(a0=Scalar.exact(a0), a1=Scalar.exact(a1),
+                          g0=(1, 0, Fraction(1, 7)), g1=(13, 50, Fraction(1, 105)))
+    assert system.consistency_residual().value == 0
+    for e in range(11):
+        for j in range((1 << e) + 1):
+            x = Fraction(j, 1 << e)
+            want = ref_fraction_descent(a0, a1, lambda y: y / 7, lambda y: (13 * y + 50) / 105, x)
+            assert_exact(derham_eval(system, x).value.value, want)
+
+
 FLOAT_ABSCISSAE = st.one_of(
     st.floats(0, 1),
     st.builds(lambda j, e: j / (1 << e), st.integers(0, 1 << 12), st.just(12)),
@@ -701,8 +770,7 @@ def test_derham_float_complex_bit_identical(kind, draw, data, x, depth):
 @pytest.mark.parametrize("mode", ["exact", "float"])
 def test_inconsistent_system_raises_on_every_call(mode):
     lift = Scalar.exact if mode == "exact" else Scalar.flt
-    system = DeRhamSystem(a0=lift(Fraction(1, 2)), a1=lift(Fraction(1, 2)),
-                          g0=lambda x: x, g1=lambda x: x, g_sup=1.0)
+    system = DeRhamSystem(a0=lift(Fraction(1, 2)), a1=lift(Fraction(1, 2)), g0=(1, 0, 1), g1=(1, 0, 1))
     for x in (Fraction(1, 2), Fraction(3, 8), Fraction(1, 2)):
         with pytest.raises(DomainError):
             derham_eval(system, x)

@@ -136,6 +136,58 @@ def test_series_at_a_rational_closes_its_cycle():
         assert math.isclose(takagi_series(Fraction(5, 12), float(a)).value, want, rel_tol=1e-13)
 
 
+def gaussian_cycle_sum(x, a):
+    """T_a(x) at a rational x for the float or complex a taken exactly, as a
+    pair of Fractions: the head before the doubling orbit of x mod 1 turns
+    periodic, plus the sum over one full cycle of the orbit over 1 - a^L."""
+    A = (Fraction(a.real), Fraction(a.imag))
+
+    def mul(u, v):
+        return (u[0] * v[0] - u[1] * v[1], u[0] * v[1] + u[1] * v[0])
+
+    d = x.denominator
+    m, seen, taus = x.numerator % d, {}, []
+    while m not in seen:
+        seen[m] = len(taus)
+        taus.append(Fraction(min(m, d - m), d))
+        m = 2 * m % d
+    s = seen[m]
+    head, cycle, w = (Fraction(0), Fraction(0)), (Fraction(0), Fraction(0)), (Fraction(1), Fraction(0))
+    for n, t in enumerate(taus):
+        if n == s:
+            w_s = w
+        part = (w[0] * t, w[1] * t)
+        if n < s:
+            head = (head[0] + part[0], head[1] + part[1])
+        else:
+            cycle = (cycle[0] + part[0], cycle[1] + part[1])
+        w = mul(w, A)
+    # w = a^{s + L} and w_s = a^s, so a^L = w / w_s
+    n2 = w_s[0] ** 2 + w_s[1] ** 2
+    a_L = ((w[0] * w_s[0] + w[1] * w_s[1]) / n2, (w[1] * w_s[0] - w[0] * w_s[1]) / n2)
+    den = (1 - a_L[0], -a_L[1])
+    n2 = den[0] ** 2 + den[1] ** 2
+    return (head[0] + (cycle[0] * den[0] + cycle[1] * den[1]) / n2,
+            head[1] + (cycle[1] * den[0] - cycle[0] * den[1]) / n2)
+
+
+@pytest.mark.parametrize("x, a", [
+    (Fraction(2, 21), complex(-(1 - 1e-8), 0)),  # p = 6: a^6 near 1 from a near -1
+    (Fraction(1, 17), complex(0, 1 - 1e-8)),  # p = 4: a^4 near 1 from a near i
+    (Fraction(1, 17), complex(0, -(1 - 1e-8))),  # ... and from a near -i
+    (Fraction(5, 12), complex(-(1 - 1e-5), 1e-3)),  # pre-period 2, then p = 1
+    (Fraction(1, 7), complex(1 - 1e-8, 0)),  # a near 1 itself
+], ids=str)
+def test_series_closure_near_a_root_of_unity(x, a):
+    # 1 - a^p is (1 - a)(1 + a + ... + a^{p-1}) after a turn of a by -1 or +-i,
+    # without which it cancelled near the other p-th roots of unity: 2/21 at
+    # a = -(1 - 1e-8) was 2.2e-9 off relative where the real a is exact
+    got = takagi_series(x, a).value
+    want = gaussian_cycle_sum(x, a)
+    err2 = (Fraction(got.real) - want[0]) ** 2 + (Fraction(got.imag) - want[1]) ** 2
+    assert err2 <= Fraction(1, 10**26) * (want[0] ** 2 + want[1] ** 2)
+
+
 def test_series_rejects_non_contractive():
     with pytest.raises(DomainError):
         takagi_series(0.3, 1.0)
@@ -184,15 +236,23 @@ def test_derham_float_descent_with_certificate():
 
 
 def test_derham_refuses_uncertified_bounds():
-    # no g_sup: a truncated descent has no proven bound, so it is refused
-    half = Scalar.flt(0.5)
-    system = DeRhamSystem(a0=half, a1=half, g0=lambda x: x * 0.5, g1=lambda x: (1.0 - x) * 0.5)
+    # the sup of |g0|, |g1| comes from the coefficients: |w| max(|v|, |u + v|)
+    assert takagi_system(0.5).g_sup == 0.5
+    q = 0.8 - 0.3j
+    c0, c1 = (2 * q - 3) / 4, (2 * q - 1) / 4
+    assert fq_system(q).g_sup == max(abs(c0), 2 * abs(c1))
+    # Lebesgue's system at p = -1/4: a0 = -1/4, a1 = 5/4; one non-contractive
+    # branch leaves a truncated descent without a proven bound, so it is refused
+    p = Scalar.flt(-0.25)
+    system = DeRhamSystem(a0=p, a1=1 - p, g0=(0, 0, 0), g1=(0, 1, p.value))
     with pytest.raises(DomainError):
         derham_eval(system, 1 / 3, depth=20)
     # a descent that terminates needs no bound: 1/3 rounds to a dyadic of depth 54
     got = derham_eval(system, 1 / 3)
     assert got.error_bound == 0.0
-    assert got.value.value == derham_eval(takagi_system(0.5), 1 / 3).value.value
+    exact = DeRhamSystem(a0=Scalar.exact(Fraction(-1, 4)), a1=Scalar.exact(Fraction(5, 4)),
+                         g0=(0, 0, 0), g1=(0, 1, Fraction(-1, 4)))
+    assert got.value.value == pytest.approx(float(derham_eval(exact, Fraction(1 / 3)).value.value), rel=1e-12)
 
 
 @pytest.mark.parametrize(
