@@ -20,7 +20,7 @@ from .digit_sums import iter_S_direct
 from .errors import DomainError, ModeError, ParseError, VerificationError
 from .scalar import Mode, QWeight, Scalar, as_qweight, infer_mode, parse_scalar
 
-N_LIMIT_DEFAULT = 1 << 62
+N_LIMIT = 1 << 62
 GRID_LIMIT = 20
 
 
@@ -38,9 +38,9 @@ def _finite_float(text: str) -> float:
     return v
 
 
-def _check_n(n: int, limit: int) -> int:
-    if n > limit:
-        raise DomainError(f"n = {n} exceeds the configured limit {limit} (see --n-limit)")
+def _check_n(n: int) -> int:
+    if n > N_LIMIT:
+        raise DomainError(f"n = {n} exceeds the limit 2^62 = {N_LIMIT}")
     return n
 
 
@@ -106,16 +106,15 @@ EVAL_NEEDS = {
 
 def cmd_eval(args) -> int:
     target = args.target
-    limit = args.n_limit
     need = EVAL_NEEDS[target]
     if getattr(args, need) is None:
         raise ParseError(f"eval {target} needs --{need}")
     if target == "sq":
         q = _parse_scalar_arg(args.q, args.mode)
-        print(digit_sums.s_q(_check_n(args.n, limit), q).render())
+        print(digit_sums.s_q(_check_n(args.n), q).render())
     elif target == "Sq":
         q = _parse_scalar_arg(args.q, args.mode)
-        n = _check_n(args.n, limit)
+        n = _check_n(args.n)
         route = {
             "direct": digit_sums.S_q_direct,
             "recursive": digit_sums.S_q_recursive,
@@ -142,9 +141,9 @@ def cmd_eval(args) -> int:
         print(takagi.tilde_F_q(args.t, 1, args.tol).render())
     elif target == "Gq":
         q = _parse_scalar_arg(args.q, args.mode)
-        print(odometer.G_q(_check_n(args.n, limit), q).render())
+        print(odometer.G_q(_check_n(args.n), q).render())
     elif target == "vdc":
-        print(trollope.vdc_star_discrepancy(_check_n(args.n, limit)).render())
+        print(trollope.vdc_star_discrepancy(_check_n(args.n)).render())
     else:  # pragma: no cover - argparse restricts choices
         raise ParseError(f"unknown eval target {target}")
     return 0
@@ -294,37 +293,41 @@ def cmd_verify(args) -> int:
 # curve / figures
 
 
+# A curve target sampled on the grid j/2^m: its parameter option, the parse
+# mode forced on that parameter, and values(p, m, grid, tol) for the parsed
+# parameter p.  gamma_limit arrives a float from argparse and is not parsed.
+class Curve(NamedTuple):
+    option: str
+    values: Callable
+    mode: str | None = None
+
+
+CURVES = {
+    "takagi": Curve("a", lambda a, m, grid, tol: takagi.takagi_grid(a, m)),
+    "F": Curve("q", lambda q, m, grid, tol: [takagi.F_q(t, q) for t in grid]),
+    "tildeF": Curve("q", lambda q, m, grid, tol: [takagi.tilde_F_q(float(t), q, tol) for t in grid]),
+    "complex-takagi": Curve("q", lambda q, m, grid, tol: takagi.takagi_grid(QWeight.of(q).a, m), "complex"),
+    "Gtilde": Curve(
+        "gamma_limit", lambda g, m, grid, tol: [takagi.G_tilde_gamma(float(t), g, tol) for t in grid]
+    ),
+}
+
+
+def _curve(target: str, param, mode: str | None, m: int, grid, tol: float):
+    """(meta, values) of a CURVES target at its parameter as given, on grid = _grid(m)."""
+    curve = CURVES[target]
+    p = param if isinstance(param, float) else _parse_scalar_arg(param, curve.mode or mode)
+    values = curve.values(p, m, grid, tol)
+    return {curve.option: param, "mode": values[0].mode.value, "depth": m}, values
+
+
 def cmd_curve(args) -> int:
-    target = args.target
-    grid = _grid(args.grid)
-    if target == "takagi":
-        a = _parse_scalar_arg(args.a, args.mode)
-        values = takagi.takagi_grid(a, args.grid)
-        meta = {"curve": "takagi", "a": args.a, "mode": a.mode.value, "depth": args.grid}
-    elif target == "F":
-        q = _parse_scalar_arg(args.q, args.mode)
-        values = [takagi.F_q(t, q) for t in grid]
-        meta = {"curve": "F", "q": args.q, "mode": q.mode.value, "depth": args.grid}
-    elif target == "tildeF":
-        q = _parse_scalar_arg(args.q, args.mode)
-        values = [takagi.tilde_F_q(float(t), q, args.tol) for t in grid]
-        meta = {"curve": "tildeF", "q": args.q, "mode": "float", "depth": args.grid}
-    elif target == "complex-takagi":
-        values = takagi.takagi_grid(QWeight.of(_parse_scalar_arg(args.q, "complex")).a, args.grid)
-        meta = {"curve": "complex-takagi", "q": args.q, "mode": "complex", "depth": args.grid}
-    elif target == "Gtilde":
-        values = [takagi.G_tilde_gamma(float(t), float(args.gamma_limit), args.tol) for t in grid]
-        meta = {
-            "curve": "Gtilde",
-            "gamma_limit": args.gamma_limit,
-            "mode": "float",
-            "depth": args.grid,
-        }
-    elif target == "fluctuation":
+    if args.target == "fluctuation":
         return _fluctuation(args)
-    else:  # pragma: no cover
-        raise ParseError(f"unknown curve target {target}")
-    _write_table(meta, grid, values, args.out, args.format)
+    grid = _grid(args.grid)
+    param = getattr(args, CURVES[args.target].option)
+    meta, values = _curve(args.target, param, args.mode, args.grid, grid, args.tol)
+    _write_table({"curve": args.target, **meta}, grid, values, args.out, args.format)
     return 0
 
 
@@ -332,7 +335,7 @@ def _fluctuation(args) -> int:
     q = _parse_scalar_arg(args.q, args.mode)
     qw = QWeight.of(q)
     omega = _parse_omega(args.omega, args.seed)
-    l = _check_n(args.l, args.n_limit)
+    l = _check_n(args.l)
     grid = _grid(args.grid)
     partials = odometer.orbit_partial_sums(omega, qw, l)
     if args.R == "auto-prop2":
@@ -362,52 +365,31 @@ def _fluctuation(args) -> int:
     return 0
 
 
-FIG1_PANELS = ("-1/2", "1/2", "2/3", "1/4")
-FIGT_PANELS = ("2/3", "1", "3/2", "4")
-FIG3_PANELS = ("i", "0.5+0.5i", "0.5-0.5i")
-
-
-def _slug(text: str) -> str:
-    """Filename-safe parameter slug: short exact decimal if one exists, else p_q."""
-    try:
-        fr = Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        return text.replace("/", "_")
-    for digits in range(4):
-        scaled = fr * 10 ** digits
-        if scaled.denominator == 1:
-            return str(fr.numerator) if digits == 0 else f"{float(fr):g}"
-    return text.replace("/", "_")
-
-
-def _figure_panels(depth: int, grid):
-    """(file name, meta, values) of every figure panel."""
-    for a_text in FIG1_PANELS:
-        a = parse_scalar(a_text, Mode.EXACT)
-        meta = {"figure": 1, "a": a_text, "mode": "exact", "depth": depth}
-        yield f"fig1_a{_slug(a_text)}.csv", meta, takagi.takagi_grid(a, depth)
-    q23 = parse_scalar("2/3", Mode.EXACT)
-    meta = {"figure": 2, "q": "2/3", "mode": "exact", "depth": depth}
-    yield "fig2_F_q2_3.csv", meta, [takagi.F_q(t, q23) for t in grid]
-    for q_text in FIGT_PANELS:
-        meta = {"figure": "tildeF", "q": q_text, "mode": "float", "depth": depth}
-        q = parse_scalar(q_text, Mode.EXACT)
-        yield f"figT_q{_slug(q_text)}.csv", meta, [takagi.tilde_F_q(float(t), q) for t in grid]
-    for q_text in FIG3_PANELS:
-        qw = QWeight.of(parse_scalar(q_text, Mode.COMPLEX))
-        meta = {"figure": 3, "q": q_text, "mode": "complex", "depth": depth}
-        yield f"fig3_q_{_slug(q_text)}.csv", meta, takagi.takagi_grid(qw.a, depth)
+# (file name, figure, curve target, parameter) of every figure panel
+FIGURES = (
+    ("fig1_a-0.5.csv", 1, "takagi", "-1/2"),
+    ("fig1_a0.5.csv", 1, "takagi", "1/2"),
+    ("fig1_a2_3.csv", 1, "takagi", "2/3"),
+    ("fig1_a0.25.csv", 1, "takagi", "1/4"),
+    ("fig2_F_q2_3.csv", 2, "F", "2/3"),
+    ("figT_q2_3.csv", "tildeF", "tildeF", "2/3"),
+    ("figT_q1.csv", "tildeF", "tildeF", "1"),
+    ("figT_q1.5.csv", "tildeF", "tildeF", "3/2"),
+    ("figT_q4.csv", "tildeF", "tildeF", "4"),
+    ("fig3_q_i.csv", 3, "complex-takagi", "i"),
+    ("fig3_q_0.5+0.5i.csv", 3, "complex-takagi", "0.5+0.5i"),
+    ("fig3_q_0.5-0.5i.csv", 3, "complex-takagi", "0.5-0.5i"),
+)
 
 
 def cmd_figures(args) -> int:
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     grid = _grid(args.grid)
-    written = 0
-    for name, meta, values in _figure_panels(args.grid, grid):
-        _write_table(meta, grid, values, outdir / name)
-        written += 1
-    print(f"wrote {written} files to {outdir}")
+    for name, figure, target, param in FIGURES:
+        meta, values = _curve(target, param, None, args.grid, grid, takagi.DEFAULT_SERIES_TOL)
+        _write_table({"figure": figure, **meta}, grid, values, outdir / name)
+    print(f"wrote {len(FIGURES)} files to {outdir}")
     return 0
 
 
@@ -419,7 +401,7 @@ def cmd_odometer(args) -> int:
     target = args.target
     if target == "run":
         pt = _parse_omega(args.omega, args.seed)
-        steps = _check_n(args.steps, args.n_limit)
+        steps = _check_n(args.steps)
         if steps < 1:
             raise DomainError("run requires --steps >= 1")
         for i in range(steps):
@@ -438,7 +420,7 @@ def cmd_odometer(args) -> int:
         if qw.q.modulus() >= 1:
             raise DomainError("birkhoff requires |q| < 1")
         omega = _parse_omega(args.omega, args.seed)
-        n = _check_n(args.n, args.n_limit)
+        n = _check_n(args.n)
         if n < 1:
             raise DomainError("birkhoff requires --n >= 1")
         mean_target = qw.q.value / (2 * (1 - qw.q.value))
@@ -480,7 +462,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(sp):
         sp.add_argument("--mode", choices=["exact", "float", "complex"], default=None)
-        sp.add_argument("--n-limit", type=int, default=N_LIMIT_DEFAULT)
         sp.add_argument("--seed", type=int, default=0)
 
     pe = sub.add_parser("eval", help="evaluate a single quantity")
@@ -524,7 +505,8 @@ def build_parser() -> argparse.ArgumentParser:
     pf = sub.add_parser("figures", help="emit figure-reproduction data files")
     pf.add_argument("--out", default="figures")
     pf.add_argument("--grid", type=int, default=10)
-    common(pf)
+    # figures draws nothing at random, but every subcommand takes --seed
+    pf.add_argument("--seed", type=int, default=0)
     pf.set_defaults(func=cmd_figures)
 
     po = sub.add_parser("odometer", help="odometer trajectories and fluctuation curves")

@@ -139,28 +139,28 @@ def _dyadic_steps(m: int, e: int, depth: int):
 def derham_eval(sys: DeRhamSystem, x, depth: int = 64) -> DeRhamValue:
     """Evaluate the de Rham fixed point at x in [0,1].
 
+    x is an int, a Fraction, a float or an exact or float Scalar, read
+    exactly, so it must be a dyadic rational; every finite float is one.
     Dyadic rationals descend to an endpoint and are exact regardless of
-    contraction (the system alone pins those values).  A float x descends
-    ``depth`` digits at most; when that cuts the descent, the system must be
-    contractive, and the returned radius C*rho^depth, C = g_sup / (1 - rho),
-    certifies the truncation.
+    contraction (the system alone pins those values).  In a float or complex
+    system a float x descends ``depth`` digits at most; when that cuts the
+    descent, the system must be contractive, and the returned radius
+    C*rho^depth, C = g_sup / (1 - rho), certifies the truncation.
     """
     f0, f1 = sys.endpoints
-    fr = as_dyadic_fraction(x)
-    cut = fr is None
-    if cut:
-        if sys.mode is Mode.EXACT:
-            raise ModeError("non-dyadic abscissae need a float or complex system")
-        xf = float(as_scalar(x).promote(Mode.FLOAT).value) if isinstance(x, Scalar) else float(x)
-        if not 0.0 <= xf <= 1.0:
-            raise DomainError("derham_eval domain is [0,1]")
-        fr = Fraction(xf)
-    if not 0 <= fr <= 1:
+    if isinstance(x, Scalar) and x.mode is not Mode.COMPLEX:
+        x = x.value
+    if not isinstance(x, (int, Fraction, float)):
+        raise ModeError(f"derham_eval reads an int, Fraction or float abscissa, not {type(x).__name__}")
+    if not 0 <= x <= 1:
         raise DomainError("derham_eval domain is [0,1]")
+    fr = x if isinstance(x, Fraction) else Fraction(x)
+    if fr.denominator & (fr.denominator - 1):
+        raise ModeError(f"{fr} has no finite digit descent: pass float(x) for a truncated one")
     if fr == 0 or fr == 1:
         return DeRhamValue(Scalar(sys.mode, f0 if fr == 0 else f1), 0.0)
     m, e = fr.numerator, fr.denominator.bit_length() - 1
-    if cut and e > depth:
+    if sys.mode is not Mode.EXACT and isinstance(x, float) and e > depth:
         rho = float(max(sys.a0.modulus(), sys.a1.modulus()))
         if rho >= 1:
             raise DomainError("non-contractive system off dyadic points")
@@ -260,7 +260,7 @@ def takagi_series(x, a, tol: float = DEFAULT_SERIES_TOL) -> Scalar:
 
     mode = Mode.FLOAT if a.mode is not Mode.COMPLEX else Mode.COMPLEX
     av = a.promote(mode).value
-    acc = 0 * av
+    acc = Scalar.zero(mode).value  # +0, where 0 * av is -0.0 at a negative a
     w = av ** 0
 
     fr = as_scalar(x).value
@@ -291,9 +291,10 @@ def takagi_series(x, a, tol: float = DEFAULT_SERIES_TOL) -> Scalar:
             w = w * av
     else:
         # a float is dyadic: y reaches 0 within ~1075 doublings and the terms
-        # after that are 0, so |a| near 1 costs no more than that; + 0.0 takes
-        # x = -0.0 to y = +0.0, whose trailing zero terms leave acc as it is
-        y = fr - math.floor(fr) + 0.0
+        # after that are 0, so |a| near 1 costs no more than that.  T_a is
+        # even, and |x| - floor(|x|) is exact where x - floor(x) rounds at x < 0
+        y = abs(fr)
+        y -= math.floor(y)
         for _ in range(n_terms):
             acc = acc + w * tau_float(y)
             y = 2.0 * y

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 from fractions import Fraction
@@ -50,7 +51,7 @@ def test_exit_code_contract(capsys):
     # 2: domain
     code, _, err = run(capsys, "eval", "tildeF", "--q", "1/3", "--u", "0.5")
     assert code == 2 and "domain" in err
-    code, _, _ = run(capsys, "eval", "Sq", "--q", "2/3", "--n", "100", "--n-limit", "10")
+    code, _, _ = run(capsys, "eval", "Sq", "--q", "2/3", "--n", str((1 << 62) + 1))
     assert code == 2
     code, _, _ = run(capsys, "eval", "Sq", "--q", "2/3", "--n", "6", "--route", "pow2")
     assert code == 2
@@ -171,32 +172,55 @@ def test_curve_grid_guard(capsys):
     assert code == 2
 
 
+# sha256 of each panel of `tdq figures --grid 4` and of the stdout of
+# `tdq curve TARGET ... --grid 4`: both run on the one curve table, and these
+# pin every byte either writes
+FIGURES_SHA256 = {
+    "fig1_a-0.5.csv": "4a2707ee2039364d2d96076b33fe9cd8313e9defc656f4d31f765f9eb0117759",
+    "fig1_a0.25.csv": "c9afb2938a22d3e5a2b9759892fed6af3248736e6d788ce0f0d902c733dd0e7a",
+    "fig1_a0.5.csv": "2e0fc09fdc631c79dc45501375107d037b235b3e533ea7cd6d8fc699ab8d82b2",
+    "fig1_a2_3.csv": "9006fb67c7d5a8de2622e3f4393307d9c38f9f12d09d0cedd6f707cc1f00caa0",
+    "fig2_F_q2_3.csv": "b2a59f4deac0ff8ddd7fa7922eacb24ebde65c8062807144bfceffb508f4a03d",
+    "fig3_q_0.5+0.5i.csv": "623be78841d053d9235a493ba0a73dd953401545e7b746234e4d318584d8f973",
+    "fig3_q_0.5-0.5i.csv": "63ed44b30898d837de19d34068a8471e9529ad813108231a8df805edee300d23",
+    "fig3_q_i.csv": "ecb390d4e0d06414c94cf2c247bd57af8f0c177a88c6372b4b6daf62036c7d21",
+    "figT_q1.5.csv": "e91a330050e05558120fdde481317b6d2fed3ea8bbc8a2aa8088bc8dadedc69d",
+    "figT_q1.csv": "677143c0c5abfe49e804dcc4a7e0778bf0102899a5b87bae74905f40ee039ab0",
+    "figT_q2_3.csv": "46b5e5e2c66c17c6d34eda84035bd40e29afeb83d4b728570c2735b3748bf732",
+    "figT_q4.csv": "a2489f5c99324412f7498b9b7a5908286d08626e12da6a5d79c3e7d92497704f",
+}
+CURVE_SHA256 = {
+    "takagi --a 2/3": "dbb0ef87221d1437ca6d63b67bda69f77318ecf4a70862e31fab1a6b90839994",
+    "takagi --a 0.7 --format json": "f21901ea38819de9f245127787b60a3535d80cf39c82a44b30c692addff95a6f",
+    "F --q 2/3": "a4f4b57fb2d87b2145fd488959d6537f5f10bc9fb5e4de83e2e155844890605c",
+    "F --q i": "ac53a24e2c1ef7ca794a56d95565d48ae9890f79cfd6062336f7c4ea89986d50",
+    "tildeF --q 2/3": "fe289d78241aa41064b097da2f8790ec01ed0f42115fa3d8e08f6889a1e3125c",
+    "tildeF --q 1 --format json": "45fa1ec31661857209f0ef656ac251be3155af0091c3978fa40a09a6d8232e45",
+    "complex-takagi --q i": "df86490a8058e5c0da6d15cd55e7511da83afe9bb183d325e89cde683ae9866e",
+    "complex-takagi --q 0.5+0.5i": "c0d876fd1aaff0cf0b6cd25b9483cc5c13e69bac670ae68e8489ebb706c642c3",
+    "Gtilde": "32096b19f21814b20fe9deec1ad3c1b22fc28c06cdf19e2bfec97e349880ba32",
+    "Gtilde --gamma-limit 2.5 --format json": "87883df0b4e4525804f0b2ca862785fc2d245717d5aadbcb9fdf0bcb8510e675",
+}
+
+
 def test_figures_filenames_and_content(tmp_path, capsys):
     code, out, _ = run(capsys, "figures", "--out", str(tmp_path / "figs"), "--grid", "4")
-    assert code == 0
-    names = sorted(p.name for p in (tmp_path / "figs").iterdir())
-    assert names == sorted(
-        [
-            "fig1_a-0.5.csv",
-            "fig1_a0.5.csv",
-            "fig1_a2_3.csv",
-            "fig1_a0.25.csv",
-            "fig2_F_q2_3.csv",
-            "figT_q2_3.csv",
-            "figT_q1.csv",
-            "figT_q1.5.csv",
-            "figT_q4.csv",
-            "fig3_q_i.csv",
-            "fig3_q_0.5+0.5i.csv",
-            "fig3_q_0.5-0.5i.csv",
-        ]
-    )
+    assert (code, out) == (0, f"wrote 12 files to {tmp_path / 'figs'}\n")
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in (tmp_path / "figs").iterdir()}
+    assert got == FIGURES_SHA256
     # parabola panel
     for t_text, v_text in _read_csv(tmp_path / "figs" / "fig1_a0.25.csv")[2]:
         t = Fraction(t_text)
         assert Fraction(v_text) == 2 * t * (1 - t)
     # complex panel has re/im columns
     assert _read_csv(tmp_path / "figs" / "fig3_q_i.csv")[1] == ["t", "re", "im"]
+
+
+@pytest.mark.parametrize("argv", sorted(CURVE_SHA256))
+def test_curve_output_pinned(capsys, argv):
+    code, out, err = run(capsys, "curve", *argv.split(), "--grid", "4")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == CURVE_SHA256[argv]
 
 
 # -- odometer -----------------------------------------------------------------
@@ -324,6 +348,9 @@ def test_odometer_search(capsys):
         ("eval tildeF1 --t inf", 1),
         ("verify theorem1 --q nan", 1),
         ("verify corollary --tol nan", 1),
+        # options no subcommand reads are not accepted
+        ("figures --mode float", 1),
+        ("verify theorem1 --n-limit 10", 1),
         ("eval vdc --n 0", 2),
         ("eval Sq --q 2/3 --n 0", 2),
         ("eval takagi --a 2 --x 0.3", 2),
@@ -338,7 +365,8 @@ def test_odometer_search(capsys):
         ("odometer birkhoff --n 0", 2),
         ("odometer run --steps 0", 2),
         ("odometer run --steps -2", 2),
-        ("odometer run --steps 100 --n-limit 10", 2),
+        # n above the fixed limit 2^62
+        ("odometer run --steps 4611686018427387905", 2),
         ("curve Gtilde --gamma-limit 1e300", 2),
         ("verify larcher --gamma-limit 1e300", 2),
         # a zero normalizer R, given or underflowed from (2q)^{N-1}, divides nothing

@@ -4,7 +4,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tdq.errors import DomainError, ModeError
@@ -188,6 +188,17 @@ def test_series_closure_near_a_root_of_unity(x, a):
     assert err2 <= Fraction(1, 10**26) * (want[0] ** 2 + want[1] ** 2)
 
 
+@settings(deadline=None)
+@given(x=st.floats(0, 8), a=st.floats(-0.999, 0.999))
+@example(x=0.3, a=0.75)
+def test_series_at_a_negative_float_is_even(x, a):
+    # T_a is even, and x mod 1 is exact only as |x| - floor(|x|): -0.3 - floor(-0.3)
+    # rounds, which put takagi_series(-0.3, 0.75) 1.4e-7 off T_0.75(0.3)
+    want = takagi_series(x, a).value.hex()
+    assert takagi_series(-x, a).value.hex() == want
+    assert takagi_series(Fraction(x), a).value.hex() == want
+
+
 def test_series_rejects_non_contractive():
     with pytest.raises(DomainError):
         takagi_series(0.3, 1.0)
@@ -220,8 +231,32 @@ def test_derham_non_contractive_dyadic_still_exact():
     sys_t = takagi_system(a)
     for x in (Fraction(1, 2), Fraction(3, 8), Fraction(5, 16)):
         assert derham_eval(sys_t, x).value.value == takagi_dyadic_exact(x, a).value
+    # the float 1/3 is a dyadic of depth 54, read exactly; the rational 1/3
+    # has no finite descent
+    assert derham_eval(sys_t, 1 / 3).value.value == takagi_dyadic_exact(Fraction(1 / 3), a).value
     with pytest.raises(ModeError):
-        derham_eval(sys_t, 1 / 3)  # exact-mode system, non-dyadic point
+        derham_eval(sys_t, Fraction(1, 3))
+
+
+def test_derham_reads_its_abscissa_by_one_rule():
+    systems = (takagi_system(Fraction(9, 10)), takagi_system(0.9), takagi_system(0.9 + 0j))
+    # an int, a Fraction, a float, or an exact or float Scalar is read exactly,
+    # so an exact system descends the dyadic float 0.375 too
+    for system in systems:
+        want = derham_eval(system, Fraction(3, 8))
+        for x in (0.375, Scalar.exact(Fraction(3, 8)), Scalar.flt(0.375)):
+            assert derham_eval(system, x) == want
+        assert derham_eval(system, 1) == derham_eval(system, Fraction(1))
+    assert derham_eval(systems[0], 0.375).value.value == takagi_dyadic_exact(Fraction(3, 8), Fraction(9, 10)).value
+    for system in systems:
+        # a complex or non-numeric abscissa is a mode error
+        for x in (0.5j, Scalar.cplx(0.5), "0.5"):
+            with pytest.raises(ModeError):
+                derham_eval(system, x)
+        # a non-dyadic rational is refused in every mode, not rounded to a
+        # float and reported exact: T_0.9(1/3) = 10/3, T_0.9(float(1/3)) = 3.32...
+        with pytest.raises(ModeError, match=r"float\(x\)"):
+            derham_eval(system, Fraction(1, 3))
 
 
 def test_derham_float_descent_with_certificate():
