@@ -9,7 +9,7 @@ exactly in exact mode.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import accumulate, chain, compress, islice, repeat, zip_longest
 from operator import add, mul
 from typing import Iterator
@@ -69,30 +69,59 @@ def S_pow2_payload(k: int, qv):
     return qv * (1 - checked_pow(qv, k)) / (1 - qv) * (1 << (k - 1)) if k else 0 * qv
 
 
-def _S_rec_num(n: int, a: int, b: int) -> int:
-    """R(n) = S_q(n) b^{bitlen n} for q = a/b: S_rec_payload's recursions scaled."""
-    if n == 1:
-        return 0
+@lru_cache(maxsize=256)
+def _rec_table(a: int, b: int, K: int) -> tuple:
+    """((a^i), (b^i), (S_q(2^i) b^{i+1})) for i = 0 .. K and q = a/b.
+
+    Depends on q and K only, so a sweep over n builds it once per bit length;
+    at the CLI's n < 2^62 a table is a few kB.  The last tuple runs G_{i+1} = b G_i + a^i (G_i = ``geometric_num(i, a, b)``)
+    into S_q(2^i) b^{i+1} = a G_i 2^{i-1} b.
+    """
+    apow, bpow, pow2 = [1], [1], [0]
+    g = 0
+    for i in range(1, K + 1):
+        g = g * b + apow[-1]
+        apow.append(apow[-1] * a)
+        bpow.append(bpow[-1] * b)
+        pow2.append(a * g * b << (i - 1))
+    return tuple(apow), tuple(bpow), tuple(pow2)
+
+
+def _S_rec_num(n: int, a: int, b: int) -> tuple:
+    """(R(n), b^L) with R(n) = S_q(n) b^L, L = bitlen n, q = a/b: S_rec_payload's
+    recursions scaled.
+
+    With k = L - 1, R(2^k) = S_q(2^k) b^{k+1}, an even n gives
+    R(n) = 2a R(n/2) + (n/2) a b^k, and an odd n = 2^k + m gives
+    R(n) = R(2^k) + R(m) b^{k+1-bitlen m} + m a^{k+1}; R(1) = 0.  The descent
+    carries R(n_0) = acc + mult R(n): even steps down to the odd part of n
+    (or a power of two), then odd steps, whose m stays odd, down to 1.
+    """
     k = n.bit_length() - 1
-    if n & (n - 1) == 0:
-        return _pow2_num(k, a, b) * b
-    if n & 1 == 0:
-        half = n >> 1
-        return 2 * a * _S_rec_num(half, a, b) + half * a * b ** k
-    m = n - (1 << k)
-    return (
-        _pow2_num(k, a, b) * b
-        + _S_rec_num(m, a, b) * b ** (k + 1 - m.bit_length())
-        + m * a ** (k + 1)
-    )
+    apow, bpow, pow2 = _rec_table(a, b, k + 1)
+    den = bpow[k + 1]
+    acc, mult = 0, 1
+    while not n & 1:
+        if n & (n - 1) == 0:
+            return acc + mult * pow2[k], den
+        n >>= 1
+        acc += mult * (n * a * bpow[k])
+        mult *= 2 * a
+        k -= 1
+    while n > 1:
+        n -= 1 << k
+        j = n.bit_length() - 1
+        acc += mult * (pow2[k] + n * apow[k + 1])
+        mult *= bpow[k - j]
+        k = j
+    return acc, den
 
 
 def S_rec_payload(n: int, qv):
     if n < 1:
         raise DomainError("S_q is defined for n >= 1")
     if isinstance(qv, Fraction):
-        a, b = qv.numerator, qv.denominator
-        return Fraction(_S_rec_num(n, a, b), b ** n.bit_length())
+        return Fraction(*_S_rec_num(n, qv.numerator, qv.denominator))
     if n == 1:
         return 0 * qv
     if n & (n - 1) == 0:

@@ -15,7 +15,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Union
 
 from .errors import DomainError, ModeError, ParseError
@@ -322,7 +322,17 @@ class QWeight:
         return QWeight(q=q, regime=regime, is_one=(q.value == 1))
 
 
+@lru_cache(maxsize=256)
+def _exact_qweight(q: Fraction) -> QWeight:
+    return QWeight.of(q)
+
+
 def as_qweight(q) -> QWeight:
+    """q as a ``QWeight``.  An exact q is boxed once per value: a sweep calls
+    this per n at one q.  Float and complex q are not cached, since equal
+    keys would merge 0.0 with -0.0."""
     if isinstance(q, QWeight):
         return q
+    if isinstance(q, Fraction):
+        return _exact_qweight(q)
     return QWeight.of(q)

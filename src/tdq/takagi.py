@@ -306,14 +306,28 @@ def takagi_series(x, a, tol: float = DEFAULT_SERIES_TOL) -> Scalar:
     return Scalar(mode, acc)
 
 
+def takagi_dyadic_num(taus, p: int, r: int) -> int:
+    """B = sum_j (2p)^j r^{e-1-j} taus[j], j < e = len(taus), by Horner's rule in r.
+
+    With taus = ``tau_profile(m, e)[::-1]`` and a = p/r this is the integer
+    B = T_a(m/2^e) r^{e-1} 2^e, for any m, reduced or not.
+    """
+    acc = 0
+    pj = 1
+    for t in taus:
+        acc = acc * r + pj * t
+        pj *= 2 * p
+    return acc
+
+
 def takagi_dyadic_exact(x, a) -> Scalar:
     """Finite sum at a dyadic rational x; exact when a is exact, any a allowed.
 
     With x mod 1 = m/2^e the terms are a^j tau(m_j/2^e), m_j = 2^j m mod 2^e,
     for j < e.  Since m_j = (m mod 2^{e-j}) 2^j, 2^e tau(m_j/2^e) is
     tau_scaled(m, e - j) 2^j: the profile of m read in reverse.  For exact
-    a = p/r the sum is B / (r^{e-1} 2^e) with the integer
-    B = sum_j (2p)^j r^{e-1-j} tau_scaled(m, e - j).
+    a = p/r the sum is B / (r^{e-1} 2^e) with the integer B of
+    ``takagi_dyadic_num``.
     """
     fr = as_dyadic_fraction(x)
     if fr is None:
@@ -324,15 +338,12 @@ def takagi_dyadic_exact(x, a) -> Scalar:
     e = size.bit_length() - 1
     taus = tau_profile(m, e)[::-1]
     if a.mode is Mode.EXACT:
+        if not e:
+            return Scalar(Mode.EXACT, Fraction(0))
         p, r = a.value.numerator, a.value.denominator
-        acc = 0
-        pj = 1
-        for t in taus:
-            acc = acc * r + pj * t
-            pj *= 2 * p
-        return Scalar(Mode.EXACT, Fraction(acc, r ** (e - 1) << e) if e else Fraction(0))
+        return Scalar(Mode.EXACT, Fraction(takagi_dyadic_num(taus, p, r), r ** (e - 1) << e))
     av = a.value
-    acc = 0 * av
+    acc = 0j if a.mode is Mode.COMPLEX else 0.0  # +0, where 0 * av is -0.0 at a negative a
     w = av ** 0
     for j, t in enumerate(taus):
         acc = acc + w * ((t << j) / size)
@@ -389,13 +400,14 @@ def takagi_at(x, a, tol: float = DEFAULT_SERIES_TOL) -> Scalar:
 def F_q(x, q) -> Scalar:
     """F_q(x) = q x - T_a(x) / 2 on [0,1], a = 1/(2q), in the mode of T_a
     (``takagi_at``): exact at dyadic x for exact q; off the dyadic points
-    the series needs |q| > 1/2."""
+    the series needs |q| > 1/2.  A zero is +0: at x = 0 a negative q makes
+    q x = -0.0, and T_a(0) = +0."""
     qw = as_qweight(q)
     t = takagi_at(x, qw.a)
     xs = as_scalar(x)
     if not 0 <= xs.value <= 1:
         raise DomainError("F_q domain is [0,1]")
-    return qw.q.promote(t.mode) * xs.promote(t.mode) - t / 2
+    return qw.q.promote(t.mode) * xs.promote(t.mode) - t / 2 + 0
 
 
 def hat_F_q(u, q, tol: float = DEFAULT_SERIES_TOL) -> Scalar:

@@ -21,7 +21,7 @@ from .scalar import (
     checked_pow,
     tau_profile,
 )
-from .takagi import G_tilde_gamma, takagi_dyadic_exact
+from .takagi import G_tilde_gamma, takagi_dyadic_exact, takagi_dyadic_num
 
 
 def theorem1_rhs(n: int, q) -> Scalar:
@@ -29,8 +29,9 @@ def theorem1_rhs(n: int, q) -> Scalar:
 
     Valid for |q| > 1/2, q != 1.  hat F_q(log2 n) is taken through the exact
     dyadic Takagi route, so the whole identity stays in rational arithmetic
-    for rational q.  Equals S_q(n)/n.  For exact q = a/b and T = tn/td it is
-    a (G_{k+1} n td - a^k 2^{k+1} tn) / (2 b^{k+1} n td), G_j = (b^j - a^j)/(b - a).
+    for rational q.  Equals S_q(n)/n.  For exact q = a/b, 1/(2q) = p/r and
+    T_{p/r}(n/2^{k+1}) = tn / (r^k 2^{k+1}) (``takagi_dyadic_num``) it is
+    a (G_{k+1} n r^k - a^k tn) / (2 b^{k+1} n r^k), G_j = (b^j - a^j)/(b - a).
     """
     if n < 1:
         raise DomainError("theorem1_rhs requires n >= 1")
@@ -42,12 +43,13 @@ def theorem1_rhs(n: int, q) -> Scalar:
     qv = qw.q.value
     mode = qw.q.mode
     k = n.bit_length() - 1
-    t = takagi_dyadic_exact(Fraction(n, 1 << (k + 1)), qw.a).value
     if mode is Mode.EXACT:
         a, b = qv.numerator, qv.denominator
-        tn, td = t.numerator, t.denominator
-        num = a * (geometric_num(k + 1, a, b) * n * td - (a ** k * tn << (k + 1)))
-        return Scalar(mode, Fraction(num, 2 * b ** (k + 1) * n * td))
+        p, r = qw.a.value.numerator, qw.a.value.denominator
+        tn, rk = takagi_dyadic_num(tau_profile(n, k + 1)[::-1], p, r), r ** k
+        num = a * (geometric_num(k + 1, a, b) * n * rk - a ** k * tn)
+        return Scalar(mode, Fraction(num, 2 * b ** (k + 1) * n * rk))
+    t = takagi_dyadic_exact(Fraction(n, 1 << (k + 1)), qw.a).value
     hat_f = float(Fraction(1 << (k + 1), n)) * t
     bracket = (1 - checked_pow(qv, k + 1)) / (1 - qv) - checked_pow(qv, k) * hat_f
     return Scalar(mode, qv / 2 * bracket)

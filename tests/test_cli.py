@@ -42,6 +42,14 @@ def test_eval_routes_and_targets(capsys):
     assert code == 0 and abs(float(out)) < 1e-12
 
 
+def test_takagi_at_an_integer_is_positive_zero(capsys):
+    # the float sum starts at +0, not at 0 * a = -0.0 for a negative a
+    code, out, _ = run(capsys, "eval", "takagi", "--a=-0.5", "--x", "0")
+    assert (code, out) == (0, "0\n")
+    code, out, _ = run(capsys, "curve", "takagi", "--a=-1/2", "--mode", "float", "--grid", "1")
+    assert code == 0 and out.splitlines()[2:] == ["0,0", "1/2,0.5", "1,0"]
+
+
 def test_exit_code_contract(capsys):
     # 1: parse
     code, _, err = run(capsys, "eval", "Sq", "--q", "2/x", "--n", "3")
@@ -465,6 +473,15 @@ FUZZ_COMMANDS = st.one_of(
         st.sampled_from((*FUZZ_QS, "0.99999999")), st.sampled_from(FUZZ_XS),
     ),
     st.builds(lambda q, m: f"curve F --q={q} --grid {m}", st.sampled_from(FUZZ_QS), st.integers(0, 8)),
+    st.builds(
+        lambda t, q, n: f"verify {t} --q={q} --n-max {n}",
+        st.sampled_from(("theorem1", "dyadic", "recursions")), st.sampled_from(FUZZ_QS),
+        st.integers(-1, 300),
+    ),
+    st.builds(
+        lambda r, q, n: f"eval Sq --route {r} --q={q} --n {n}",
+        st.sampled_from(("direct", "recursive", "pow2")), st.sampled_from(FUZZ_QS), st.integers(-1, 300),
+    ),
     st.builds(lambda w, s: f"odometer run --omega={w} --steps {s}", FUZZ_OMEGAS, st.integers(-2, 64)),
     st.builds(
         lambda q, w, n: f"odometer birkhoff --q={q} --omega={w} --n {n}",

@@ -101,7 +101,7 @@ def ref_tau(y: Fraction) -> Fraction:
 
 def ref_takagi_dyadic(x: Fraction, a):
     exact = isinstance(a, Fraction)
-    acc, w = 0 * a, a ** 0
+    acc, w = (0 * a if exact else type(a)(0)), a ** 0  # +0, never 0 * a = -0.0 at a negative a
     y = x - math.floor(x)
     while y != 0:
         t = ref_tau(y)
@@ -357,7 +357,7 @@ def per_level_takagi_dyadic(x: Fraction, a):
             acc = acc * r + pj * tau_scaled(m << j, e)
             pj *= p
         return Fraction(acc, r ** (e - 1) << e) if e else Fraction(0)
-    acc = 0 * a
+    acc = type(a)(0)  # +0, never 0 * a = -0.0 at a negative a
     w = a ** 0
     for j in range(e):
         acc = acc + w * (tau_scaled(m << j, e) / size)
@@ -472,6 +472,21 @@ def test_S_routes_exact(cls, data, n, k):
         assert_exact(s, want)
 
 
+def test_S_rec_exact_descends_without_recursion():
+    # 1500 odd steps: a Python recursion per level would pass the interpreter's limit
+    n = (1 << 1500) - 1
+    assert_exact(S_rec_payload(n, Fraction(2, 3)), S_q_counts(n, Fraction(2, 3)).value)
+
+
+def test_S_rec_exact_every_n_to_2_12():
+    # the q alternate at every n, so each call reads another q's power table
+    # than the call before; at q = 1 S_q(2^k) is the limit k 2^{k-1}
+    qs = [Fraction(1), Fraction(-3), Fraction(2, 3), Fraction(-2, 7), Fraction(1, 2), Fraction(7, 2)]
+    for n in range(1, (1 << 12) + 1):
+        for q in qs:
+            assert_exact(S_rec_payload(n, q), ref_S_rec(n, q))
+
+
 @pytest.mark.parametrize("draw", [FLOATS, COMPLEXES], ids=["float", "complex"])
 @settings(deadline=None, max_examples=25)
 # past n = 768 a point has two high bits, whose order the sum of s_q shows
@@ -576,6 +591,14 @@ def test_dyadic_formula_and_theorem1_exact(cls, data, n):
     assert_exact(dyadic_formula(n, q).value, ref_dyadic_formula(n, q))
     if abs(q) > Fraction(1, 2):
         assert_exact(theorem1_rhs(n, q).value, ref_theorem1_rhs(n, q))
+
+
+def test_theorem1_exact_every_n_to_2_12():
+    # q = 5/4 has an even b, so a = 1/(2q) = 4/10 is 2/5 only after reduction
+    qs = [Fraction(2, 3), Fraction(-7, 4), Fraction(4), Fraction(5, 4)]
+    for n in range(1, (1 << 12) + 1):
+        for q in qs:
+            assert_exact(theorem1_rhs(n, q).value, ref_theorem1_rhs(n, q))
 
 
 @pytest.mark.parametrize("kind", ["float", "complex"])

@@ -11,6 +11,7 @@ from tdq.scalar import (
     QWeight,
     Regime,
     Scalar,
+    as_qweight,
     as_scalar,
     checked_pow,
     parse_scalar,
@@ -133,6 +134,18 @@ def test_qweight_regimes():
     assert QWeight.of(1).is_one
     with pytest.raises(DomainError):
         QWeight.of(0)
+
+
+def test_as_qweight_boxes_an_exact_q_once():
+    assert as_qweight(Fraction(2, 3)) is as_qweight(Fraction(4, 6))
+    assert as_qweight(Fraction(2, 3)).a.value == Fraction(3, 4)
+    # 1, 1.0 and Fraction(1) are equal keys to a dict: each keeps its own mode
+    for q, mode in ((Fraction(1), Mode.EXACT), (1.0, Mode.FLOAT), (1, Mode.EXACT), (1 + 0j, Mode.COMPLEX)):
+        qw = as_qweight(q)
+        assert qw.q.mode is mode and qw.is_one
+    # float and complex q are not cached, so their signed zeros stay apart
+    assert math.copysign(1.0, as_qweight(complex(0.0, 1)).q.value.real) == 1.0
+    assert math.copysign(1.0, as_qweight(complex(-0.0, 1)).q.value.real) == -1.0
 
 
 @given(rationals.filter(lambda q: q != 0))

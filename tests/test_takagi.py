@@ -73,6 +73,22 @@ def test_symmetry_and_endpoints(x):
     assert takagi_dyadic_exact(Fraction(1), a).value == 0
 
 
+@pytest.mark.parametrize("a", [-0.5, -1.0, -0.25 + 0.0j, complex(-0.5, -0.0), 0.5])
+def test_dyadic_zero_is_positive_zero(a):
+    # the float and complex sums start at +0: 0 * a would be -0.0 at a negative a
+    for x in (0, 1, Fraction(3)):
+        t = complex(takagi_dyadic_exact(x, a).value)
+        assert math.copysign(1.0, t.real) == math.copysign(1.0, t.imag) == 1.0
+
+
+def test_F_q_at_zero_is_positive_zero():
+    # q x = -0.0 at x = 0 for a negative q
+    for x in (0, 0.0):
+        for q in (-0.6, complex(-0.6, 0.1)):
+            f = complex(F_q(x, q).value)
+            assert math.copysign(1.0, f.real) == math.copysign(1.0, f.imag) == 1.0
+
+
 @given(dyadics)
 def test_functional_equations(x):
     # T(x/2) = a T(x) + x/2 and T((x+1)/2) = a T(x) + (1-x)/2
