@@ -436,11 +436,12 @@ def _corollary_q(q) -> float:
 def _tilde_F(uf: float, qf: float, x, tol: float) -> Scalar:
     """tilde F_q(u) with the Takagi factor summed at the abscissa x = 2^{u-1}.
 
-    The head (1 - q^{1-u}) / (1 - q) is 1 - u at q = 1, its limit there.
+    The head (1 - q^{1-u}) / (1 - q) is 1 - u at q = 1, its limit there.  A
+    zero is +0: at u = 1 and q > 1 the head is 0 / (1 - q) = -0.0.
     """
     t = float(takagi_series(x, 1.0 / (2.0 * qf), tol).value)
     head = 1.0 - uf if qf == 1.0 else (1.0 - qf ** (1.0 - uf)) / (1.0 - qf)
-    return Scalar.flt(head - qf ** (-uf) * 2.0 ** (1.0 - uf) * t)
+    return Scalar.flt(head - qf ** (-uf) * 2.0 ** (1.0 - uf) * t + 0.0)
 
 
 def tilde_F_q(u, q, tol: float = DEFAULT_SERIES_TOL) -> Scalar:

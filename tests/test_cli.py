@@ -50,6 +50,15 @@ def test_takagi_at_an_integer_is_positive_zero(capsys):
     assert code == 0 and out.splitlines()[2:] == ["0,0", "1/2,0.5", "1,0"]
 
 
+@pytest.mark.parametrize("q", ["3/2", "4", "2/3", "1"])
+def test_tildeF_at_an_integer_is_positive_zero(capsys, q):
+    # u = 1 is not reduced mod 1, and there the head is 0 / (1 - q) = -0.0 at q > 1
+    for u in ("0", "1", "2"):
+        assert run(capsys, "eval", "tildeF", "--q", q, "--u", u) == (0, "0\n", "")
+    code, out, _ = run(capsys, "curve", "tildeF", "--q", q, "--grid", "1")
+    assert code == 0 and out.splitlines()[2::2] == ["0,0", "1,0"]
+
+
 def test_exit_code_contract(capsys):
     # 1: parse
     code, _, err = run(capsys, "eval", "Sq", "--q", "2/x", "--n", "3")
@@ -192,10 +201,10 @@ FIGURES_SHA256 = {
     "fig3_q_0.5+0.5i.csv": "623be78841d053d9235a493ba0a73dd953401545e7b746234e4d318584d8f973",
     "fig3_q_0.5-0.5i.csv": "63ed44b30898d837de19d34068a8471e9529ad813108231a8df805edee300d23",
     "fig3_q_i.csv": "ecb390d4e0d06414c94cf2c247bd57af8f0c177a88c6372b4b6daf62036c7d21",
-    "figT_q1.5.csv": "e91a330050e05558120fdde481317b6d2fed3ea8bbc8a2aa8088bc8dadedc69d",
+    "figT_q1.5.csv": "4dc5fb203b9dc40f7b4b7b6abaf311f950e4d3835dec78e6b78e95a15a21078f",
     "figT_q1.csv": "677143c0c5abfe49e804dcc4a7e0778bf0102899a5b87bae74905f40ee039ab0",
     "figT_q2_3.csv": "46b5e5e2c66c17c6d34eda84035bd40e29afeb83d4b728570c2735b3748bf732",
-    "figT_q4.csv": "a2489f5c99324412f7498b9b7a5908286d08626e12da6a5d79c3e7d92497704f",
+    "figT_q4.csv": "e8234e36f8710def5b78150fb463cec05c43cc94dfa2b54461afeeb3713e64c5",
 }
 CURVE_SHA256 = {
     "takagi --a 2/3": "dbb0ef87221d1437ca6d63b67bda69f77318ecf4a70862e31fab1a6b90839994",

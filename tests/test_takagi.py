@@ -388,6 +388,14 @@ def test_tilde_F_q_at_one_endpoints_and_negativity():
     assert tilde_F_q(0.5, 1).value < 0
 
 
+def test_tilde_F_q_at_an_integer_is_positive_zero():
+    # at u = 1 and q > 1 the head (1 - q^0) / (1 - q) is -0.0
+    for q in (Fraction(3, 2), Fraction(4), 1e308, Fraction(2, 3), 1):
+        for u in (0.0, 1.0, 2.0):
+            v = tilde_F_q(u, q).value
+            assert v == 0.0 and math.copysign(1.0, v) == 1.0
+
+
 def test_tilde_F_q_at_one_is_the_classic_correction():
     # the head (1 - q^{1-u}) / (1 - q) becomes 1 - u at q = 1, its limit
     for tol in (DEFAULT_SERIES_TOL, 1e-6):
