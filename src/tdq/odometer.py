@@ -126,7 +126,8 @@ def birkhoff_deviation(omega: OdometerPoint, q, n: int) -> Scalar:
 def G_q(n: int, q) -> Scalar:
     """G_q(n) = (S_q(n) - (n/p) S_q(p)) / (p q^k), p = 2^k = 2^[log2 n].
 
-    Lemma 1: G_q(n) = F_q((n - p)/p).
+    Lemma 1: G_q(n) = F_q((n - p)/p).  A float or complex p q^k that
+    underflows to 0 raises ``DomainError``.
     """
     if n < 1:
         raise DomainError("G_q requires n >= 1")
@@ -138,7 +139,10 @@ def G_q(n: int, q) -> Scalar:
     s_p = S_pow2_payload(k, qv)
     ratio = Fraction(n, p)
     factor = ratio if qw.q.mode is Mode.EXACT else float(ratio)
-    return Scalar(qw.q.mode, (s_n - factor * s_p) / (p * checked_pow(qv, k)))
+    den = p * checked_pow(qv, k)
+    if not den:
+        raise DomainError(f"p q^k = 2^{k} ({qv!r})^{k} underflows to 0")
+    return Scalar(qw.q.mode, (s_n - factor * s_p) / den)
 
 
 # ---------------------------------------------------------------------------

@@ -397,6 +397,9 @@ def test_odometer_search(capsys):
         ("eval Sq --q 1e300 --n 8", 2),
         ("eval Sq --q 1e300 --n 8 --route pow2", 2),
         ("eval Gq --q 1e300 --n 8", 2),
+        # ... and a p q^k that underflows to 0 divides nothing
+        ("eval Gq --q 1e-170 --n 5", 2),
+        ("eval Gq --q 1e-170i --n 5", 2),
         ("verify theorem1 --q 1e300", 2),
         ("verify recursions --q 1e300", 2),
         ("verify dyadic --q 1e200", 2),

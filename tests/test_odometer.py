@@ -167,6 +167,15 @@ def test_stabilizer_search_prefers_power_of_two_from_zero():
         stabilizer_search(OdometerPoint.zero(), Fraction(1, 3), [8], [Fraction(1, 2)])
 
 
+@pytest.mark.parametrize("q", [1e-170, -1e-170, 1e-170j])
+def test_G_q_underflowed_denominator_is_a_domain_error(q):
+    # p q^k = 4e-340 is 0 in float: the division is refused, not raised raw;
+    # at n = 2 the denominator 2q is still a float
+    assert G_q(2, q).value == 0
+    with pytest.raises(DomainError, match="underflows"):
+        G_q(5, q)
+
+
 @pytest.mark.parametrize("q", [1e300, -1e300, 1e300 + 1j])
 def test_float_powers_out_of_range_are_domain_errors(q):
     # library callers get DomainError, never a raw OverflowError
