@@ -5,7 +5,7 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tdq.cli import main
@@ -218,6 +218,41 @@ CURVE_SHA256 = {
     "Gtilde": "32096b19f21814b20fe9deec1ad3c1b22fc28c06cdf19e2bfec97e349880ba32",
     "Gtilde --gamma-limit 2.5 --format json": "87883df0b4e4525804f0b2ca862785fc2d245717d5aadbcb9fdf0bcb8510e675",
 }
+
+
+# the same at the default --grid 10: the 1025 abscissae of every panel and curve
+FIGURES_GRID10_SHA256 = {
+    "fig1_a-0.5.csv": "838c3e61d0c9a708b3537a3f5dd2af692ae33754547d581e9c608bb49cbad179",
+    "fig1_a0.25.csv": "30b27904b1a428074b01b51ba8919c495a19f4e1ab9ed980c009494264a289ee",
+    "fig1_a0.5.csv": "d19766207ad6000e4305e9c0f6ca573729485590b9594150ca8cebda892fbb5f",
+    "fig1_a2_3.csv": "05c4298a5df62080007d5eeb7f33e9e0384996f19b72a25dae90e33a07df8dfb",
+    "fig2_F_q2_3.csv": "ee3fc872a4b5922d653b93924a3c4747bb2a23d5bda01d2be0eda3c56ecc9b32",
+    "fig3_q_0.5+0.5i.csv": "38198fbd787faa873e9ca7e58097ca0a2c6916823338950bbd0c3a977548ec65",
+    "fig3_q_0.5-0.5i.csv": "e4c4ac2cafcb46e2694235adae76e41e9e106bd524d06c2040383c40834c41ab",
+    "fig3_q_i.csv": "a159ac14dedfb4e8c76acd3350a5932bdb82166b4c2b2c8736dbe2addd37e022",
+    "figT_q1.5.csv": "2e7c3913e1524e99f97078bc02efb4edcae38bb89a1940f335013f6ffffb5e9d",
+    "figT_q1.csv": "8411e7b6733309871c3612b5893d4fc2a3477bc2ba1da257925c874794dfd726",
+    "figT_q2_3.csv": "ca336344c5a6a8cfcd7ffe762f78f03f01ae44b1d11f1de93bc8f21586a3d8a0",
+    "figT_q4.csv": "206588acb3541bf82221d613a15d74992fb6a8a11eec381f999657d5cb3070fd",
+}
+CURVE_GRID10_SHA256 = {
+    "F --q 2/3": "d73c88e6fec970b53a4822c6c75ce66a664d6a0028340a14e97cf25f0c9b960a",
+    "tildeF --q 2/3": "c93e014fe42fb342d35dda7d94572e0a2a26b0b9be6850bd5465948a93759f03",
+}
+
+
+def test_figures_at_the_default_grid_pinned(tmp_path, capsys):
+    code, _, _ = run(capsys, "figures", "--out", str(tmp_path / "figs"))
+    assert code == 0
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in (tmp_path / "figs").iterdir()}
+    assert got == FIGURES_GRID10_SHA256
+
+
+@pytest.mark.parametrize("argv", sorted(CURVE_GRID10_SHA256))
+def test_curve_output_pinned_at_the_default_grid(capsys, argv):
+    code, out, err = run(capsys, "curve", *argv.split())
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == CURVE_GRID10_SHA256[argv]
 
 
 def test_figures_filenames_and_content(tmp_path, capsys):
@@ -458,9 +493,13 @@ def test_verify_corollary_at_defaults(capsys, q):
 
 # -- fuzz ----------------------------------------------------------------------
 
-FUZZ_QS = ("2/3", "-3", "1/2", "1", "0", "-1/2", "i", "0.7")
+FUZZ_QS = ("2/3", "-3", "1/2", "1", "0", "-1/2", "i", "0.7", "1e308", "1e-170", "0.5+0.5i")
 # abscissae of eval takagi: rationals with a pre-period and a cycle, a float, a dyadic
 FUZZ_XS = ("1/3", "1/7", "5/12", "-1/3", "7/3", "0.3", "1/2")
+# --u, --t, --tol and --gamma-limit values: in and out of range, tiny and huge
+FUZZ_US = ("0", "1", "0.5", "-2.5", "1e300", "1e-320")
+FUZZ_TOLS = ("1e-14", "1e-3", "0", "-1")
+FUZZ_GAMMAS = ("1", "0", "-3", "2.5", "1e300", "1e-300")
 FUZZ_OMEGAS = st.one_of(st.sampled_from(("", "2", "0b1", "random")), st.text("01", min_size=1, max_size=80))
 # the normaliser and mode options of the fluctuation curves
 FUZZ_CURVE_OPTIONS = st.builds(
@@ -494,6 +533,29 @@ FUZZ_COMMANDS = st.one_of(
         lambda r, q, n: f"eval Sq --route {r} --q={q} --n {n}",
         st.sampled_from(("direct", "recursive", "pow2")), st.sampled_from(FUZZ_QS), st.integers(-1, 300),
     ),
+    st.builds(
+        lambda t, q, u, tol: f"eval {t} --q={q} --u={u} --tol={tol}",
+        st.sampled_from(("hatF", "tildeF")), st.sampled_from(FUZZ_QS), st.sampled_from(FUZZ_US),
+        st.sampled_from(FUZZ_TOLS),
+    ),
+    st.builds(lambda t, tol: f"eval tildeF1 --t={t} --tol={tol}", st.sampled_from(FUZZ_US), st.sampled_from(FUZZ_TOLS)),
+    st.builds(
+        lambda t, q, n: f"eval {t} --q={q} --n {n}",
+        st.sampled_from(("sq", "Gq")), st.sampled_from(FUZZ_QS), st.integers(-1, 300),
+    ),
+    st.builds(lambda n: f"eval vdc --n {n}", st.integers(-1, 300)),
+    st.builds(lambda q, n: f"verify corollary --q={q} --n-max {n}", st.sampled_from(FUZZ_QS), st.integers(-1, 300)),
+    st.builds(lambda g: f"verify larcher --gamma-limit={g}", st.sampled_from(FUZZ_GAMMAS)),
+    st.builds(
+        lambda t, q, m, tol: f"curve {t} --q={q} --grid {m} --tol={tol}",
+        st.sampled_from(("tildeF", "complex-takagi")), st.sampled_from(FUZZ_QS), st.integers(0, 8),
+        st.sampled_from(FUZZ_TOLS),
+    ),
+    st.builds(
+        lambda g, m, tol: f"curve Gtilde --gamma-limit={g} --grid {m} --tol={tol}",
+        st.sampled_from(FUZZ_GAMMAS), st.integers(0, 8), st.sampled_from(FUZZ_TOLS),
+    ),
+    st.builds(lambda m: f"figures --grid {m} --out {{out}}", st.integers(-1, 5)),
     st.builds(lambda w, s: f"odometer run --omega={w} --steps {s}", FUZZ_OMEGAS, st.integers(-2, 64)),
     st.builds(
         lambda q, w, n: f"odometer birkhoff --q={q} --omega={w} --n {n}",
@@ -502,12 +564,17 @@ FUZZ_COMMANDS = st.one_of(
 )
 
 
-@settings(deadline=None, max_examples=80)
+@settings(deadline=None, max_examples=160)
 @given(argv=FUZZ_COMMANDS)
-def test_cli_fuzz_exits_cleanly(argv):
-    # in process: an uncaught exception fails the test with its traceback
+# p q^k underflowed to 0 and G_q divided by it
+@example(argv="eval Gq --q=1e-170 --n 5")
+@example(argv="eval Gq --q=1e-170i --n 5")
+def test_cli_fuzz_exits_cleanly(tmp_path_factory, argv):
+    # in process: an uncaught exception fails the test with its traceback;
+    # figures writes into a fresh directory
+    out = tmp_path_factory.mktemp("fuzz")
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        code = main(argv.split())
+        code = main(argv.format(out=out).split())
     assert 0 <= code <= 4
     assert "Traceback" not in err.getvalue()
