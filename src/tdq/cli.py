@@ -65,12 +65,13 @@ def _grid(m: int) -> list[Fraction]:
 
 
 def _write_table(meta: dict, grid, values, out=None, fmt: str = "csv") -> None:
-    """Write a sampled curve as CSV or JSON to the file ``out``, or to stdout."""
+    """Write a sampled curve, on a grid of Fractions, as CSV or JSON to the
+    file ``out``, or to stdout."""
     if any(v.mode is Mode.COMPLEX for v in values):
         columns = ["t", "re", "im"]
         rows = [
             [
-                Scalar.exact(t).render(),
+                str(t),
                 Scalar.flt(complex(v.value).real).render(),
                 Scalar.flt(complex(v.value).imag).render(),
             ]
@@ -78,7 +79,7 @@ def _write_table(meta: dict, grid, values, out=None, fmt: str = "csv") -> None:
         ]
     else:
         columns = ["t", "value"]
-        rows = [[Scalar.exact(t).render(), v.render()] for t, v in zip(grid, values)]
+        rows = [[str(t), v.render()] for t, v in zip(grid, values)]
     if fmt == "json":
         payload = json.dumps({"meta": meta, "columns": columns, "rows": rows}, indent=2)
         text = payload + "\n"
@@ -222,22 +223,23 @@ def _recursions(q: Scalar):
     return qv, q.mode, residual
 
 
-def _corollary(q: Scalar):
+def _corollary(q: Scalar, n_max: int):
     qf = float(q.promote(Mode.FLOAT).value)
     if qf <= 0.5 or qf == 1.0:
         raise DomainError("corollary requires real q > 1/2, q != 1")
+    tildes = takagi.tilde_F_q_log2_range(q, n_max)
 
-    def residual(n, s):
+    def residual(n, s, tilde):
         lg = math.log2(n)
         try:
             qlg = qf ** lg
         except OverflowError:
             raise DomainError(f"q^log2(n) overflows a float at n={n}") from None
-        rhs = qf / 2 * ((1 - qlg) / (1 - qf) + qlg * float(takagi.tilde_F_q_log2(n, q).value))
+        rhs = qf / 2 * ((1 - qlg) / (1 - qf) + qlg * tilde.value)
         lhs = s / n
         return abs(rhs - lhs) / (1.0 + abs(lhs))
 
-    return qf, Mode.FLOAT, residual
+    return Mode.FLOAT, ((n, residual(n, s, t)) for (n, s), t in zip(iter_S_direct(n_max, qf), tildes))
 
 
 def _prop2(q: Scalar, N_max: int):
@@ -249,7 +251,7 @@ SWEEPS = {
     "theorem1": _n_sweep(_theorem1),
     "dyadic": _n_sweep(_dyadic),
     "recursions": _n_sweep(_recursions),
-    "corollary": _n_sweep(_corollary),
+    "corollary": Sweep(_corollary),
     "prop2": Sweep(_prop2, var="N", option="N", least=2, scope=" N<={}"),
 }
 
@@ -304,8 +306,8 @@ class Curve(NamedTuple):
 
 CURVES = {
     "takagi": Curve("a", lambda a, m, grid, tol: takagi.takagi_grid(a, m)),
-    "F": Curve("q", lambda q, m, grid, tol: [takagi.F_q(t, q) for t in grid]),
-    "tildeF": Curve("q", lambda q, m, grid, tol: [takagi.tilde_F_q(float(t), q, tol) for t in grid]),
+    "F": Curve("q", lambda q, m, grid, tol: takagi.F_q_grid(q, m)),
+    "tildeF": Curve("q", lambda q, m, grid, tol: takagi.tilde_F_q_grid(q, m, tol)),
     "complex-takagi": Curve("q", lambda q, m, grid, tol: takagi.takagi_grid(QWeight.of(q).a, m), "complex"),
     "Gtilde": Curve(
         "gamma_limit", lambda g, m, grid, tol: [takagi.G_tilde_gamma(float(t), g, tol) for t in grid]

@@ -245,36 +245,27 @@ def _one_minus_power(a, p: int):
     return -math.expm1(p * math.log1p(abs(a) - 1))
 
 
-def takagi_series(x, a, tol: float = DEFAULT_SERIES_TOL) -> Scalar:
-    """Truncated series sum a^n tau(2^n x), certified within tol; needs |a| < 1.
-
-    A rational x ends the sum early: a dyadic one when 2^n x mod 1 reaches 0,
-    any other once its doubling orbit closes a cycle, whose geometric tail
-    is summed in closed form.
-    """
-    a = as_scalar(a)
-    abs_a = float(a.modulus())
+def _series_length(abs_a: float, tol: float) -> int:
+    """The number of terms the series sums at |a| within tol; needs |a| < 1."""
     if abs_a >= 1:
         raise DomainError("takagi_series requires |a| < 1")
-    n_terms = series_truncation_length(abs_a, tol) + 1
+    return series_truncation_length(abs_a, tol) + 1
 
-    mode = Mode.FLOAT if a.mode is not Mode.COMPLEX else Mode.COMPLEX
-    av = a.promote(mode).value
-    acc = Scalar.zero(mode).value  # +0, where 0 * av is -0.0 at a negative a
+
+def _series_sum(x, av, n_terms: int):
+    """The payload sum of ``takagi_series``: at most n_terms terms av^n tau(2^n x)
+    for a real payload x (int, Fraction or float) and a float or complex av.
+    """
+    acc = 0j if isinstance(av, complex) else 0.0  # +0, where 0 * av is -0.0 at a negative a
     w = av ** 0
-
-    fr = as_scalar(x).value
-    if isinstance(fr, complex):
-        raise ModeError("takagi_series requires a real abscissa")
-
-    if isinstance(fr, (int, Fraction)):
+    if isinstance(x, (int, Fraction)):
         # x mod 1 = m/d doubles to 2m mod d; from m = 0 on every term is 0.
         # Term n is a^n k/d with k = min(m, d - m), and m, d - m double to
         # mirror images, so from n = s = v2(d) on (where the orbit turns
         # periodic) the terms repeat times a^p once k is back at k_s after p
         # steps: the geometric tail closes the sum at
         # acc_s + (acc - acc_s) / (1 - a^p)
-        fr = Fraction(fr)
+        fr = Fraction(x)
         d = fr.denominator
         m = fr.numerator % d
         s = (d & -d).bit_length() - 1
@@ -285,25 +276,43 @@ def takagi_series(x, a, tol: float = DEFAULT_SERIES_TOL) -> Scalar:
             if n == s:
                 k_s, acc_s = k, acc
             elif n > s and k == k_s:
-                return Scalar(mode, acc_s + (acc - acc_s) / _one_minus_power(av, n - s))
+                return acc_s + (acc - acc_s) / _one_minus_power(av, n - s)
             acc = acc + w * (k / d)
             m = 2 * m % d
             w = w * av
     else:
         # a float is dyadic: y reaches 0 within ~1075 doublings and the terms
         # after that are 0, so |a| near 1 costs no more than that.  T_a is
-        # even, and |x| - floor(|x|) is exact where x - floor(x) rounds at x < 0
-        y = abs(fr)
+        # even, and |x| - floor(|x|) is exact where x - floor(x) rounds at
+        # x < 0.  On [0, 1) tau(y) is min(y, 1 - y), as ``tau_float`` takes it
+        y = abs(x)
         y -= math.floor(y)
         for _ in range(n_terms):
-            acc = acc + w * tau_float(y)
+            acc = acc + w * (1.0 - y if 1.0 - y < y else y)
             y = 2.0 * y
             if y >= 1.0:
                 y -= 1.0
             if not y:
                 break
             w = w * av
-    return Scalar(mode, acc)
+    return acc
+
+
+def takagi_series(x, a, tol: float = DEFAULT_SERIES_TOL) -> Scalar:
+    """Truncated series sum a^n tau(2^n x), certified within tol; needs |a| < 1.
+
+    A rational x ends the sum early: a dyadic one when 2^n x mod 1 reaches 0,
+    any other once its doubling orbit closes a cycle, whose geometric tail
+    is summed in closed form.
+    """
+    a = as_scalar(a)
+    n_terms = _series_length(float(a.modulus()), tol)
+    mode = Mode.FLOAT if a.mode is not Mode.COMPLEX else Mode.COMPLEX
+    av = a.promote(mode).value
+    fr = as_scalar(x).value
+    if isinstance(fr, complex):
+        raise ModeError("takagi_series requires a real abscissa")
+    return Scalar(mode, _series_sum(fr, av, n_terms))
 
 
 def takagi_dyadic_num(taus, p: int, r: int) -> int:
@@ -397,6 +406,15 @@ def takagi_at(x, a, tol: float = DEFAULT_SERIES_TOL) -> Scalar:
 # derived functions
 
 
+_TWO_ZERO = {mode: (Scalar.lift(2, mode).value, Scalar.lift(0, mode).value) for mode in Mode}
+
+
+def _F(qv, xv, tv, mode: Mode):
+    """q x - T / 2 + 0 on payloads of the mode: the + 0 turns a -0.0 into +0."""
+    two, zero = _TWO_ZERO[mode]
+    return qv * xv - tv / two + zero
+
+
 def F_q(x, q) -> Scalar:
     """F_q(x) = q x - T_a(x) / 2 on [0,1], a = 1/(2q), in the mode of T_a
     (``takagi_at``): exact at dyadic x for exact q; off the dyadic points
@@ -407,7 +425,19 @@ def F_q(x, q) -> Scalar:
     xs = as_scalar(x)
     if not 0 <= xs.value <= 1:
         raise DomainError("F_q domain is [0,1]")
-    return qw.q.promote(t.mode) * xs.promote(t.mode) - t / 2 + 0
+    mode = t.mode
+    return Scalar(mode, _F(qw.q.promote(mode).value, xs.promote(mode).value, t.value, mode))
+
+
+def F_q_grid(q, m: int) -> list[Scalar]:
+    """[F_q(j/2^m, q) for j = 0 .. 2^m], bit for bit: ``takagi_grid`` at
+    a = 1/(2q) gives T_a in q's mode, and q is boxed once."""
+    qw = as_qweight(q)
+    ts = takagi_grid(qw.a, m)
+    mode = qw.q.mode
+    size = 1 << m
+    xs = [Scalar.lift(Fraction(j, size), mode).value for j in range(size + 1)]
+    return [Scalar(mode, _F(qw.q.value, xv, t.value, mode)) for xv, t in zip(xs, ts)]
 
 
 def hat_F_q(u, q, tol: float = DEFAULT_SERIES_TOL) -> Scalar:
@@ -418,40 +448,62 @@ def hat_F_q(u, q, tol: float = DEFAULT_SERIES_TOL) -> Scalar:
     uf = float(as_scalar(u).promote(Mode.FLOAT).value)
     uf -= math.floor(uf)
     mode = Mode.COMPLEX if qw.q.mode is Mode.COMPLEX else Mode.FLOAT
-    t = takagi_series(2.0 ** (uf - 1.0), qw.a.promote(mode), tol)
-    return Scalar.lift(2.0 ** (1.0 - uf), mode) * t
+    a = qw.a.promote(mode)
+    t = _series_sum(2.0 ** (uf - 1.0), a.value, _series_length(float(a.modulus()), tol))
+    return Scalar(mode, Scalar.lift(2.0 ** (1.0 - uf), mode).value * t)
 
 
-def _corollary_q(q) -> float:
-    """q as a float after checking the corollary's domain: real q > 1/2."""
+def _corollary_q(q, tol: float) -> tuple:
+    """(q, a = 1/(2q), series length) as floats after checking the corollary's
+    domain, real q > 1/2: the series at a is summed within tol."""
     qw = as_qweight(q)
     if qw.q.mode is Mode.COMPLEX:
         raise ModeError("tilde_F_q is defined for real q only")
     qf = float(qw.q.promote(Mode.FLOAT).value)
     if qf <= 0.5:
         raise DomainError("tilde_F_q requires q > 1/2")
-    return qf
+    a = 1.0 / (2.0 * qf)
+    return qf, a, _series_length(a, tol)
 
 
-def _tilde_F(uf: float, qf: float, x, tol: float) -> Scalar:
+def _tilde_F(uf: float, x, qf: float, a: float, n_terms: int) -> float:
     """tilde F_q(u) with the Takagi factor summed at the abscissa x = 2^{u-1}.
 
     The head (1 - q^{1-u}) / (1 - q) is 1 - u at q = 1, its limit there.  A
     zero is +0: at u = 1 and q > 1 the head is 0 / (1 - q) = -0.0.
     """
-    t = float(takagi_series(x, 1.0 / (2.0 * qf), tol).value)
+    t = _series_sum(x, a, n_terms)
     head = 1.0 - uf if qf == 1.0 else (1.0 - qf ** (1.0 - uf)) / (1.0 - qf)
-    return Scalar.flt(head - qf ** (-uf) * 2.0 ** (1.0 - uf) * t + 0.0)
+    return head - qf ** (-uf) * 2.0 ** (1.0 - uf) * t + 0.0
+
+
+def _tilde_F_u(uf: float, qf: float, a: float, n_terms: int) -> float:
+    """tilde F_q(u) at a float u, reduced mod 1 except at u = 1."""
+    if uf != 1.0:
+        uf -= math.floor(uf)
+    return _tilde_F(uf, 2.0 ** (uf - 1.0), qf, a, n_terms)
 
 
 def tilde_F_q(u, q, tol: float = DEFAULT_SERIES_TOL) -> Scalar:
     """The corollary's periodic correction, real q > 1/2; at q = 1 the classic
     Trollope-Delange correction 1 - u - 2^{1-u} T(2^{u-1})."""
-    qf = _corollary_q(q)
-    uf = float(as_scalar(u).promote(Mode.FLOAT).value)
-    if uf != 1.0:
-        uf -= math.floor(uf)
-    return _tilde_F(uf, qf, 2.0 ** (uf - 1.0), tol)
+    series = _corollary_q(q, tol)
+    return Scalar.flt(_tilde_F_u(float(as_scalar(u).promote(Mode.FLOAT).value), *series))
+
+
+def tilde_F_q_grid(q, m: int, tol: float = DEFAULT_SERIES_TOL) -> list[Scalar]:
+    """[tilde_F_q(j/2^m, q, tol) for j = 0 .. 2^m], bit for bit, with q
+    checked and the series length fixed once."""
+    if m < 0:
+        raise DomainError("tilde_F_q_grid requires m >= 0")
+    series = _corollary_q(q, tol)
+    size = 1 << m
+    return [Scalar.flt(_tilde_F_u(j / size, *series)) for j in range(size + 1)]
+
+
+def _tilde_F_log2(n: int, qf: float, a: float, n_terms: int) -> float:
+    k = n.bit_length() - 1
+    return _tilde_F(math.log2(n) - k, Fraction(n, 2 << k), qf, a, n_terms)
 
 
 def tilde_F_q_log2(n: int, q, tol: float = DEFAULT_SERIES_TOL) -> Scalar:
@@ -462,11 +514,17 @@ def tilde_F_q_log2(n: int, q, tol: float = DEFAULT_SERIES_TOL) -> Scalar:
     Hoelder continuous, so the float-rounded 2^{u-1} would amplify one
     rounding error to ~1e-7 at a = 3/4.
     """
-    qf = _corollary_q(q)
+    series = _corollary_q(q, tol)
     if n < 1:
         raise DomainError("tilde_F_q_log2 requires n >= 1")
-    k = n.bit_length() - 1
-    return _tilde_F(math.log2(n) - k, qf, Fraction(n, 2 << k), tol)
+    return Scalar.flt(_tilde_F_log2(n, *series))
+
+
+def tilde_F_q_log2_range(q, n_max: int, tol: float = DEFAULT_SERIES_TOL) -> list[Scalar]:
+    """[tilde_F_q_log2(n, q, tol) for n = 1 .. n_max], bit for bit, with q
+    checked and the series length fixed once."""
+    series = _corollary_q(q, tol)
+    return [Scalar.flt(_tilde_F_log2(n, *series)) for n in range(1, n_max + 1)]
 
 
 def G_tilde_gamma(x, gamma_limit, tol: float) -> Scalar:

@@ -8,11 +8,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tdq.errors import DomainError, ModeError
-from tdq.scalar import Mode, QWeight, Scalar, tau_scaled
+from tdq.scalar import Mode, QWeight, Scalar, tau_float, tau_scaled
 from tdq.takagi import (
     DEFAULT_SERIES_TOL,
     DeRhamSystem,
     F_q,
+    F_q_grid,
     G_tilde_gamma,
     derham_eval,
     fq_system,
@@ -23,6 +24,9 @@ from tdq.takagi import (
     takagi_series,
     takagi_system,
     tilde_F_q,
+    tilde_F_q_grid,
+    tilde_F_q_log2,
+    tilde_F_q_log2_range,
 )
 
 dyadics = st.integers(0, 1 << 12).map(lambda n: Fraction(n, 1 << 12))
@@ -215,6 +219,84 @@ def test_series_at_a_negative_float_is_even(x, a):
     assert takagi_series(Fraction(x), a).value.hex() == want
 
 
+def ref_float_series(x: float, a, n_terms: int):
+    """The series at a float x, summed with the sawtooth taken by ``tau_float``."""
+    acc = 0j if isinstance(a, complex) else 0.0
+    w = a ** 0
+    y = abs(x) - math.floor(abs(x))
+    for _ in range(n_terms):
+        acc = acc + w * tau_float(y)
+        y = 2.0 * y
+        if y >= 1.0:
+            y -= 1.0
+        if not y:
+            break
+        w = w * a
+    return acc
+
+
+@settings(deadline=None)
+@given(
+    x=st.floats(-4, 4),
+    a=st.one_of(st.floats(-0.999, 0.999), st.builds(complex, st.floats(-0.7, 0.7), st.floats(-0.7, 0.7))),
+    tol=st.sampled_from((DEFAULT_SERIES_TOL, 1e-8, 1e-1)),
+)
+def test_series_float_loop_is_the_tau_float_loop(x, a, tol):
+    # the series reads tau(y) on [0, 1) inline as 1 - y if 1 - y < y else y
+    n_terms = series_truncation_length(abs(a), tol) + 1
+    assert repr(takagi_series(x, a, tol).value) == repr(ref_float_series(x, a, n_terms))
+
+
+# |a| in [0.9, 0.999], where the series needs the most terms and the tail
+# certificate's headroom is tightest
+near_one = st.tuples(st.floats(0.9, 0.999), st.booleans()).map(lambda t: -t[0] if t[1] else t[0])
+
+
+@given(j=st.integers(922, 1023), tol=st.sampled_from((DEFAULT_SERIES_TOL, 1e-10, 1e-6, 1e-1)))
+def test_series_tail_certificate_near_one_is_exact(j, tol):
+    # |a| = j/1024: N is the least length whose tail |a|^{N+1} / (2 (1 - |a|))
+    # is at most tol/2, decided in integers as j^K 1024 t_d <= t_n (1024 - j) 1024^K
+    n = series_truncation_length(j / 1024, tol)
+    t = Fraction(tol)
+
+    def tail_fits(k):
+        return j ** k * 1024 * t.denominator <= t.numerator * (1024 - j) << (10 * k)
+
+    assert tail_fits(n + 1)
+    assert n == 0 or not tail_fits(n)
+
+
+def series_error_bound(a: float, tol: float, n: int) -> float:
+    """tol/2 for the certified tail, plus the forward rounding bound 4 n eps M
+    of a float sum of n terms whose moduli sum to at most M = 1/(2(1 - |a|)).
+    Near |a| = 1 that rounding term is larger than the default tol: M is ~500
+    at |a| = 0.999, where one ulp of M is 1.1e-13."""
+    return tol / 2 + 4 * n * 2.0 ** -53 / (2 * (1 - abs(a)))
+
+
+@settings(deadline=None)
+@given(x=st.floats(2.0 ** -8, 1, exclude_max=True), a=near_one, tol=st.sampled_from((DEFAULT_SERIES_TOL, 1e-6, 1e-1)))
+def test_series_off_the_grid_near_one(x, a, tol):
+    # a float x has at most 61 binary digits from 2^-8 on, so at most 61 terms
+    exact = takagi_dyadic_exact(Fraction(x), Fraction(a)).value
+    assert abs(Fraction(takagi_series(x, a, tol).value) - exact) <= series_error_bound(a, tol, 61)
+
+
+@settings(deadline=None)
+@given(
+    x=st.fractions(0, 1, max_denominator=64).filter(lambda x: x.denominator & (x.denominator - 1)),
+    a=near_one,
+    tol=st.sampled_from((DEFAULT_SERIES_TOL, 1e-6, 1e-1)),
+)
+@example(x=Fraction(17, 24), a=0.9977879349466108, tol=DEFAULT_SERIES_TOL)
+def test_series_cycle_closure_near_one(x, a, tol):
+    # a rational x off the dyadic grid: the pre-period and one cycle of its
+    # doubling orbit take at most d terms, then the cycle closes the sum
+    want, _ = gaussian_cycle_sum(x, a)
+    err = abs(Fraction(takagi_series(x, a, tol).value) - want)
+    assert err <= series_error_bound(a, tol, x.denominator + 1)
+
+
 def test_series_rejects_non_contractive():
     with pytest.raises(DomainError):
         takagi_series(0.3, 1.0)
@@ -354,6 +436,52 @@ def test_F_q_sums_a_rational_abscissa_as_given():
         F_q(1 + Fraction(1, 3 << 60), Fraction(2, 3))
     with pytest.raises(ModeError):
         F_q(0.5j, Fraction(2, 3))
+
+
+@pytest.mark.parametrize("m", [0, 1, 5])
+@pytest.mark.parametrize(
+    "q", [Fraction(2, 3), Fraction(-3, 5), Fraction(1, 3), 0.7, -0.6, 1j, 0.5 + 0.5j, -0.6 + 0.1j], ids=str
+)
+def test_F_q_grid_is_F_q_at_each_point(q, m):
+    want = [F_q(Fraction(j, 1 << m), q) for j in range((1 << m) + 1)]
+    got = F_q_grid(q, m)
+    assert [(v.mode, repr(v.value)) for v in got] == [(v.mode, repr(v.value)) for v in want]
+
+
+@pytest.mark.parametrize("tol", [DEFAULT_SERIES_TOL, 1e-3])
+@pytest.mark.parametrize("q", [Fraction(2, 3), 1, 1.0, Fraction(3, 2), 4, 0.5000001, 1e308], ids=str)
+def test_tilde_F_q_grid_and_range_are_the_point_functions(q, tol):
+    want = [tilde_F_q(j / 64, q, tol).value for j in range(65)]
+    assert [repr(v.value) for v in tilde_F_q_grid(q, 6, tol)] == [repr(v) for v in want]
+    want = [tilde_F_q_log2(n, q, tol).value for n in range(1, 300)]
+    assert [repr(v.value) for v in tilde_F_q_log2_range(q, 299, tol)] == [repr(v) for v in want]
+
+
+def test_grid_forms_check_their_parameter():
+    with pytest.raises(DomainError):
+        F_q_grid(0, 3)
+    with pytest.raises(DomainError):
+        tilde_F_q_grid(Fraction(1, 2), 3)
+    with pytest.raises(ModeError):
+        tilde_F_q_grid(1j, 3)
+    with pytest.raises(DomainError):
+        tilde_F_q_grid(2, 3, 0.0)
+    with pytest.raises(DomainError):
+        tilde_F_q_grid(2, -1)
+    with pytest.raises(DomainError):
+        tilde_F_q_log2_range(Fraction(1, 2), 5)
+    assert tilde_F_q_log2_range(2, 0) == []
+
+
+@pytest.mark.parametrize("q", [Fraction(2, 3), 0.7, -0.6, 1j, 0.5 + 0.5j], ids=str)
+def test_hat_F_q_is_the_scaled_series(q):
+    a = QWeight.of(q).a
+    mode = Mode.COMPLEX if a.mode is Mode.COMPLEX else Mode.FLOAT
+    for u in (0.0, 0.3, 0.999, 2.5):
+        uf = u - math.floor(u)
+        want = Scalar.lift(2.0 ** (1.0 - uf), mode).value * takagi_series(2.0 ** (uf - 1.0), a).value
+        got = hat_F_q(u, q)
+        assert (got.mode, repr(got.value)) == (mode, repr(want))
 
 
 def test_hat_F_periodicity():
