@@ -81,8 +81,7 @@ def _write_table(meta: dict, grid, values, out=None, fmt: str = "csv") -> None:
         columns = ["t", "value"]
         rows = [[str(t), v.render()] for t, v in zip(grid, values)]
     if fmt == "json":
-        payload = json.dumps({"meta": meta, "columns": columns, "rows": rows}, indent=2)
-        text = payload + "\n"
+        text = json.dumps({"meta": meta, "columns": columns, "rows": rows}, indent=2) + "\n"
     else:
         lines = ["# " + ", ".join(f"{k}={v}" for k, v in meta.items())]
         lines.append(",".join(columns))
@@ -269,8 +268,7 @@ def cmd_verify(args) -> int:
         c = float(args.gamma_limit)
         # the identity is linear in gamma, so its float rounding grows with |gamma|
         scale = max(1, abs(c))
-        worst = 0.0
-        witness = None
+        worst, witness = 0.0, None
         for n in (3, 5, 17, 100, 255, 1024):
             r = abs(trollope.larcher_residual(n, (), c, args.tol).value)
             if r > (n * args.tol + 1e-9) * scale and r > worst:
@@ -340,16 +338,15 @@ def _fluctuation(args) -> int:
     l = _check_n(args.l)
     grid = _grid(args.grid)
     partials = odometer.orbit_partial_sums(omega, qw, l)
+    r = None  # --R max-abs
     if args.R == "auto-prop2":
         if l & (l - 1) or l < 2:
             raise DomainError("--R auto-prop2 needs l to be a power of two >= 2")
         r = odometer.prop2_R(qw, l.bit_length() - 1)
-        curve = odometer.phi_curve(partials, l, grid, odometer.Normalization.EXPLICIT, r)
-    elif args.R == "max-abs":
-        curve = odometer.phi_curve(partials, l, grid, odometer.Normalization.MAX_ABS)
-    else:
+    elif args.R != "max-abs":
         r = _parse_scalar_arg(args.R, args.mode)
-        curve = odometer.phi_curve(partials, l, grid, odometer.Normalization.EXPLICIT, r)
+    norm = odometer.Normalization.MAX_ABS if r is None else odometer.Normalization.EXPLICIT
+    curve = odometer.phi_curve(partials, l, grid, norm, r)
     meta = {
         "curve": "fluctuation",
         "q": args.q,
@@ -442,7 +439,10 @@ def cmd_odometer(args) -> int:
     if target == "search":
         q = _parse_scalar_arg(args.q, args.mode)
         omega = _parse_omega(args.omega, args.seed)
-        windows = [int(w) for w in args.candidates.split(",") if w]
+        try:
+            windows = [int(w) for w in args.candidates.split(",") if w]
+        except ValueError:
+            raise ParseError(f"--candidates must be a comma-separated list of integers: {args.candidates!r}") from None
         grid = _grid(args.grid)
         report = odometer.stabilizer_search(omega, q, windows, grid)
         print(f"# q={args.q} omega={args.omega} seed={args.seed}")

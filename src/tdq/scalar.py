@@ -1,10 +1,11 @@
-"""Numeric tower used throughout the package.
+"""Mode tags for the payloads that cross the API boundary.
 
 Three explicit modes: exact big rationals (``fractions.Fraction``), double
-floats, and double complex.  Arithmetic between mismatched modes raises
-``ModeError``; promotion is explicit via :meth:`Scalar.promote`.  The module
-also provides the sawtooth (distance to the nearest integer) and the test
-for dyadic rationals.
+floats, and double complex.  A ``Scalar`` tags a payload with its mode and
+has no arithmetic: the kernels compute on payloads.  Where modes meet,
+promotion is explicit via :meth:`Scalar.promote`, which refuses to demote.
+The module also provides the sawtooth (distance to the nearest integer) and
+the test for dyadic rationals.
 """
 
 from __future__ import annotations
@@ -46,14 +47,14 @@ def _format_float(v: float) -> str:
 
 @dataclass(frozen=True)
 class Scalar:
-    """A numeric value tagged with its mode.
+    """A payload tagged with its mode: built, checked, promoted and rendered
+    at the API boundary, with no arithmetic of its own.
 
     Exact payloads are always ``Fraction`` (lowest terms, positive
-    denominator, which ``Fraction`` guarantees).  Plain Python ints coerce
-    into any mode losslessly; everything else must match modes exactly.
-    Float and complex values are finite: a result that overflowed to inf
-    (or to nan, as inf - inf) raises ``DomainError`` here, so no caller can
-    print or compare it silently.
+    denominator, which ``Fraction`` guarantees).  Float and complex values
+    are finite: a result that overflowed to inf (or to nan, as inf - inf)
+    raises ``DomainError`` where it is boxed, so no caller can print or
+    compare it silently.
     """
 
     mode: Mode
@@ -92,58 +93,6 @@ class Scalar:
             v = float(v)
         return Scalar(Mode.COMPLEX, complex(v))
 
-    @staticmethod
-    def zero(mode: Mode) -> "Scalar":
-        return Scalar.lift(0, mode)
-
-    @staticmethod
-    def one(mode: Mode) -> "Scalar":
-        return Scalar.lift(1, mode)
-
-    # -- arithmetic --------------------------------------------------------
-
-    def _other(self, other) -> Payload:
-        if isinstance(other, Scalar):
-            if other.mode is not self.mode:
-                raise ModeError(
-                    f"mode mismatch: {self.mode.value} vs {other.mode.value} "
-                    "(promote explicitly)"
-                )
-            return other.value
-        if isinstance(other, int):
-            return Scalar.lift(other, self.mode).value
-        raise ModeError(f"cannot combine Scalar with {type(other).__name__}")
-
-    def __add__(self, other):
-        return Scalar(self.mode, self.value + self._other(other))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return Scalar(self.mode, self.value - self._other(other))
-
-    def __rsub__(self, other):
-        return Scalar(self.mode, self._other(other) - self.value)
-
-    def __mul__(self, other):
-        return Scalar(self.mode, self.value * self._other(other))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return Scalar(self.mode, self.value / self._other(other))
-
-    def __rtruediv__(self, other):
-        return Scalar(self.mode, self._other(other) / self.value)
-
-    def __neg__(self):
-        return Scalar(self.mode, -self.value)
-
-    def __pow__(self, k: int):
-        if not isinstance(k, int):
-            raise ModeError("Scalar exponents must be Python ints")
-        return Scalar(self.mode, checked_pow(self.value, k))
-
     # -- queries -------------------------------------------------------------
 
     def modulus(self):
@@ -169,9 +118,6 @@ class Scalar:
         re_, im = self.value.real, self.value.imag
         sign = "+" if im >= 0 else "-"
         return f"{_format_float(re_)}{sign}{_format_float(abs(im))}i"
-
-    def __str__(self) -> str:  # pragma: no cover - convenience
-        return self.render()
 
 
 def as_scalar(v) -> Scalar:

@@ -417,6 +417,9 @@ def test_odometer_search(capsys):
         ("odometer birkhoff --n 0", 2),
         ("odometer run --steps 0", 2),
         ("odometer run --steps -2", 2),
+        # a --candidates entry that is not an integer is a parse error, not a traceback
+        ("odometer search --candidates x", 1),
+        ("odometer search --candidates 1e3", 1),
         # n above the fixed limit 2^62
         ("odometer run --steps 4611686018427387905", 2),
         ("curve Gtilde --gamma-limit 1e300", 2),
@@ -507,11 +510,16 @@ FUZZ_CURVE_OPTIONS = st.builds(
     st.sampled_from(("max-abs", "auto-prop2", "0", "0.0", "1e-320", "2/3", "i", "abc")),
     st.sampled_from(("exact", "float", "complex", None)),
 )
+# --candidates of odometer search: unset, or a short list, good or not; a
+# large window runs long, since stabilizer_search has no work budget
+FUZZ_CANDIDATES = st.sampled_from(
+    ("", *(f" --candidates={c}" for c in ("16,32", "x", "1e3", "16,,", "", "0", "-4")))
+)
 FUZZ_COMMANDS = st.one_of(
     st.builds(lambda q, N: f"verify prop2 --q={q} --N {N}", st.sampled_from(FUZZ_QS), st.integers(1, 10)),
     st.builds(
-        lambda q, l, m: f"odometer search --q={q} --l {l} --grid {m}",
-        st.sampled_from(FUZZ_QS), st.integers(0, 300), st.integers(0, 8),
+        lambda q, l, m, opts: f"odometer search --q={q} --l {l} --grid {m}{opts}",
+        st.sampled_from(FUZZ_QS), st.integers(0, 300), st.integers(0, 8), FUZZ_CANDIDATES,
     ),
     st.builds(
         lambda cmd, q, l, m, opts: f"{cmd} fluctuation --q={q} --l {l} --grid {m}{opts}",

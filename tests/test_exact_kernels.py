@@ -9,6 +9,7 @@ results are checked against the exact value at the same q instead, within
 the bound its docstring derives.
 """
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -140,52 +141,77 @@ def ref_vdc(n):
     return total / n
 
 
-def ref_scalar_systems(kind, p):
-    """(a, g0, g1, g_sup) of the Takagi or F_q system with Scalar-valued g."""
+def finite(v):
+    """v, or DomainError where a float or complex step overflowed: the check
+    a ``Scalar`` makes on every payload it boxes."""
+    if not isinstance(v, Fraction) and not cmath.isfinite(v):
+        raise DomainError(f"a float overflowed: {v}")
+    return v
+
+
+def ref_payload_systems(kind, p):
+    """(mode, a0, a1, g0, g1, g_sup) of the Takagi, F_q or Lebesgue system on
+    payloads of the mode; ints and Fractions are lifted into it by ``Scalar.lift``."""
+    if kind == "fq":
+        qw = as_qweight(p)
+        q, mode = qw.q.value, qw.q.mode
+        two, three, one, quarter = (Scalar.lift(v, mode).value for v in (2, 3, 1, Fraction(1, 4)))
+        c0 = finite(finite(finite(q * two) - three) * quarter)
+        c1 = finite(finite(finite(q * two) - one) * quarter)
+        g_sup = max(float(abs(c0)), 2 * float(abs(c1)))
+        a = qw.a.value
+        return mode, a, a, (lambda x: finite(c0 * x)), (lambda x: finite(c1 * finite(x + one))), g_sup
+    a = as_scalar(p)
+    half, one, zero = (Scalar.lift(v, a.mode).value for v in (Fraction(1, 2), 1, 0))
     if kind == "takagi":
-        a = as_scalar(p)
-        half = Scalar.lift(Fraction(1, 2), a.mode)
-        return a, (lambda x: x * half), (lambda x: (Scalar.one(a.mode) - x) * half), 0.5
-    qw = as_qweight(p)
-    quarter = Scalar.lift(Fraction(1, 4), qw.q.mode)
-    c0 = (2 * qw.q - 3) * quarter
-    c1 = (2 * qw.q - 1) * quarter
-    g_sup = max(float(c0.modulus()), 2 * float(c1.modulus()))
-    return qw.a, (lambda x: c0 * x), (lambda x: c1 * (x + Scalar.one(qw.q.mode))), g_sup
+        g0, g1 = (lambda x: finite(x * half)), (lambda x: finite(finite(one - x) * half))
+        return a.mode, a.value, a.value, g0, g1, 0.5
+    # Lebesgue: a0 = p, a1 = 1 - p, g0 = 0, g1 = p; in complex mode 1 * p
+    # sets the sign of a zero part as the system's affine map (0 x + 1) p does
+    g1 = finite(one * a.value)
+    return a.mode, a.value, finite(one - a.value), (lambda x: zero), (lambda x: g1), float(abs(a.value))
 
 
-def ref_derham(a, g0, g1, g_sup, x, depth):
-    """Digit descent on Scalars, checking the system on every call."""
-    mode = a.mode
-    one, zero = Scalar.one(mode), Scalar.zero(mode)
-    r = (a * g1(one) / (one - a) + g0(one) - a * g0(zero) / (one - a) - g1(zero)).modulus()
+def lebesgue_system(p) -> DeRhamSystem:
+    return DeRhamSystem(a0=as_scalar(p), a1=as_scalar(1 - p), g0=(0, 0, 0), g1=(0, 1, p))
+
+
+def ref_derham(mode, a0, a1, g0, g1, g_sup, x, depth):
+    """Digit descent on payloads, checking the system on every call and each
+    step for overflow."""
+    one, zero = (Scalar.lift(v, mode).value for v in (1, 0))
+    d0, d1 = finite(one - a0), finite(one - a1)
+    r = abs(finite(finite(
+        finite(finite(finite(a0 * g1(one)) / d1) + g0(one))
+        - finite(finite(a1 * g0(zero)) / d0)
+    ) - g1(zero)))
     if (mode is Mode.EXACT and r != 0) or (mode is not Mode.EXACT and r > 1e-9):
         raise DomainError("inconsistent")
-    f0, f1 = g0(zero) / (one - a), g1(one) / (one - a)
+    f0, f1 = finite(g0(zero) / d0), finite(g1(one) / d1)
     exact = mode is Mode.EXACT
     y = x if isinstance(x, Fraction) else float(x)
     path = []
     while y not in (0, 1) and (isinstance(x, Fraction) or len(path) < depth):
         if y <= Fraction(1, 2):
             y = 2 * y
-            path.append((g0, y))
+            path.append((a0, g0, y))
         else:
             y = 2 * y - 1
-            path.append((g1, y))
+            path.append((a1, g1, y))
     bound = 0.0
     if y == 0:
         v = f0
     elif y == 1:
         v = f1
     else:
-        rho = float(a.modulus())
+        rho = float(max(abs(a0), abs(a1)))
         if rho >= 1:
             raise DomainError("non-contractive")
         bound = rho ** len(path) * g_sup / (1.0 - rho)
         v = zero
-    for g, arg in reversed(path):
-        v = a * v + g(Scalar.lift(arg if exact else float(arg), mode))
-    return v.value, bound
+    for a, g, arg in reversed(path):
+        v = finite(finite(a * v) + g(Scalar.lift(arg if exact else float(arg), mode).value))
+    return v, bound
 
 
 def bits_value(bits):
@@ -682,7 +708,7 @@ def test_derham_exact_descent(cls, data, x):
     assert got.error_bound == 0.0
     assert_exact(got.value.value, takagi_dyadic_exact(x, a).value)
     assert got.value.value == ref_takagi_dyadic(x, a)
-    assert got.value.value == ref_derham(*ref_scalar_systems("takagi", a), x, 64)[0]
+    assert got.value.value == ref_derham(*ref_payload_systems("takagi", a), x, 64)[0]
 
 
 @pytest.mark.parametrize("cls", sorted(set(Q_CLASSES) - {"half"}))
@@ -707,7 +733,7 @@ def test_derham_exact_descent_deep(cls, data, x):
     a = data.draw(Q_CLASSES[cls], label="a")
     got = derham_eval(takagi_system(a), x)
     assert got.error_bound == 0.0
-    assert_exact(got.value.value, ref_derham(*ref_scalar_systems("takagi", a), x, 64)[0])
+    assert_exact(got.value.value, ref_derham(*ref_payload_systems("takagi", a), x, 64)[0])
 
 
 def lebesgue_digit_product(p, j, e):
@@ -770,17 +796,21 @@ FLOAT_ABSCISSAE = st.one_of(
 )
 
 
-@pytest.mark.parametrize("kind", ["takagi", "fq"])
+# the system of each kind, and the parameters where one of its coefficients is 1
+SYSTEMS = {"takagi": (takagi_system, (1,)), "fq": (fq_system, (0.5,)), "lebesgue": (lebesgue_system, (0, 1))}
+
+
+@pytest.mark.parametrize("kind", sorted(SYSTEMS))
 @pytest.mark.parametrize("draw", [FLOATS, COMPLEXES], ids=["float", "complex"])
 @settings(deadline=None, max_examples=60)
 @given(data=st.data(), x=FLOAT_ABSCISSAE, depth=st.integers(1, 64))
 def test_derham_float_complex_bit_identical(kind, draw, data, x, depth):
-    pole = 1 if kind == "takagi" else 0.5  # where the coefficient a = 1
-    p = data.draw(draw.filter(lambda v: abs(v - pole) > 1e-3), label="param")
-    make = takagi_system if kind == "takagi" else fq_system
+    # Lebesgue's a0 = p differs from a1 = 1 - p, so each step must take its own branch's coefficient
+    make, poles = SYSTEMS[kind]
+    p = data.draw(draw.filter(lambda v: all(abs(v - c) > 1e-3 for c in poles)), label="param")
     try:
-        want = ref_derham(*ref_scalar_systems(kind, p), x, depth)
-    except DomainError:  # a float a = 1/(2p) that overflows raises in make(p)
+        want = ref_derham(*ref_payload_systems(kind, p), x, depth)
+    except DomainError:  # an overflow, or a truncated descent that does not contract
         with pytest.raises(DomainError):
             derham_eval(make(p), x, depth)
         return

@@ -376,8 +376,8 @@ def test_derham_refuses_uncertified_bounds():
     assert fq_system(q).g_sup == max(abs(c0), 2 * abs(c1))
     # Lebesgue's system at p = -1/4: a0 = -1/4, a1 = 5/4; one non-contractive
     # branch leaves a truncated descent without a proven bound, so it is refused
-    p = Scalar.flt(-0.25)
-    system = DeRhamSystem(a0=p, a1=1 - p, g0=(0, 0, 0), g1=(0, 1, p.value))
+    p = -0.25
+    system = DeRhamSystem(a0=Scalar.flt(p), a1=Scalar.flt(1 - p), g0=(0, 0, 0), g1=(0, 1, p))
     with pytest.raises(DomainError):
         derham_eval(system, 1 / 3, depth=20)
     # a descent that terminates needs no bound: 1/3 rounds to a dyadic of depth 54
