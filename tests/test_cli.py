@@ -471,6 +471,19 @@ def test_cli_fails_cleanly(capsys, argv, code):
         assert err.count("\n") == 1 and err.startswith("tdq: domain error:")
 
 
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        # n = 1 overflows in the head q/2 (1 - q)/(1 - q), no power on the way
+        ("verify dyadic --q 1e200", "a float overflowed: the result is inf, not a finite number"),
+        # n = 2 takes q^2 first
+        ("verify theorem1 --q 1e300", "1e+300 ** 2 overflows a float"),
+    ],
+)
+def test_cli_overflow_messages(capsys, argv, err):
+    assert run(capsys, *argv.split()) == (2, "", f"tdq: domain error: {err}\n")
+
+
 @pytest.mark.parametrize("argv", ["curve fluctuation --q 1/2 --l 64 --grid 1", "odometer fluctuation --q 1/2 --l 64"])
 @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
 def test_fluctuation_domain_error_writes_nothing(tmp_path, capsys, argv, to_file):

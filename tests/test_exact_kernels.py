@@ -638,6 +638,23 @@ def test_dyadic_formula_and_theorem1_float_complex_bit_identical(kind, data, n):
     assert same_bits(dyadic_formula(n, small).value, ref_dyadic_formula(n, small))
 
 
+# q values no other test draws: a sweep reads what its first call, at a
+# large n, left in any per-q cache, so that call comes first
+WARM_QS = {"float": -0.6180339887498949, "complex": complex(0.61, -0.83), "exact": Fraction(-13, 11)}
+
+
+@pytest.mark.parametrize("kind", sorted(WARM_QS))
+def test_dyadic_formula_and_theorem1_on_a_warm_cache(kind):
+    q = WARM_QS[kind]
+    for n in [(1 << 40) + 1, *range(1, (1 << 12) + 1)]:
+        for formula, ref in ((theorem1_rhs, ref_theorem1_rhs), (dyadic_formula, ref_dyadic_formula)):
+            got, want = formula(n, q).value, ref(n, q)
+            if kind == "exact":
+                assert_exact(got, want)
+            else:
+                assert same_bits(got, want), (formula.__name__, n)
+
+
 @settings(deadline=None, max_examples=200)
 @given(n=st.one_of(by_bit_length(40), st.just(1 << 40)))
 def test_vdc_star_discrepancy(n):

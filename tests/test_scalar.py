@@ -55,6 +55,17 @@ def test_tau_profile_wide_n(n, K):
     assert profile[n.bit_length():] == [n] * (K - n.bit_length())
 
 
+@pytest.mark.parametrize("K", [63, 64, 65, 70])
+def test_tau_profile_across_the_level_table_edge(K):
+    # levels up to 64 are read from a table, deeper ones from the loop
+    ns = [0, 1, 3, (1 << 62) + 1, (1 << 63) - 1, 1 << 63, (1 << 63) + 1, (1 << 64) - 1, 1 << 64, (1 << 64) + 1]
+    ns += [(1 << 70) - 1, 1 << 69, 0x2AAAAAAAAAAAAAAAAA, 0x355555555555555555]
+    for n in ns:
+        profile = tau_profile(n, K)
+        assert profile == [tau_scaled(n, i) for i in range(1, K + 1)]
+        assert all(type(t) is int for t in profile)
+
+
 def test_tau_float_and_complex():
     assert tau_float(0.75) == 0.25
     # the sawtooth is defined on reals only; a complex input is refused

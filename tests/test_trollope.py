@@ -51,6 +51,28 @@ def test_dyadic_formula_excludes_one():
         dyadic_formula(5, Fraction(1))
 
 
+def test_overflow_is_raised_at_the_power_the_formula_takes():
+    # a float power out of range raises where the formula computes it, in
+    # the order of the calls: dyadic_formula takes (2q)^i only at the levels
+    # where the sawtooth is not 0 (at n = 4 only i = 3), and theorem1_rhs
+    # takes q^{k+1}; a large n first must not move the message of a small one
+    calls = [
+        (dyadic_formula, (1 << 40) + 1, 1e200, "2e+200 ** 2 overflows a float"),
+        (dyadic_formula, 4, 1e200, "2e+200 ** 3 overflows a float"),
+        (dyadic_formula, 4, complex(1e200, 1), "(2e+200+2j) ** 3 overflows a float"),
+        (theorem1_rhs, 1 << 40, 1e300, "1e+300 ** 41 overflows a float"),
+        (theorem1_rhs, 2, 1e300, "1e+300 ** 2 overflows a float"),
+        # a complex power that turns nan raises no OverflowError: the result does
+        (theorem1_rhs, 1 << 40, complex(1e300, -1), "a float overflowed: the result is (nan+nanj), not a finite number"),
+        (dyadic_formula, 1, 1e200, "a float overflowed: the result is inf, not a finite number"),
+    ]
+    for _ in range(2):
+        for formula, n, q, message in calls:
+            with pytest.raises(DomainError) as err:
+                formula(n, q)
+            assert str(err.value) == message
+
+
 def test_complex_formulas_agree_with_direct():
     for q in (1j, 0.5 + 0.5j, 0.5 - 0.5j):
         for n, s in iter_S_direct(256, q):
