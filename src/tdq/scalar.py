@@ -198,9 +198,19 @@ def tau_scaled(n: int, i: int) -> int:
     return min(m, (1 << i) - m)
 
 
+# (mask, half, size) = (2^i - 1, 2^(i-1), 2^i) of the levels i = 1 .. 64: the
+# shifts of tau_profile, built once, since a sweep takes a profile per n
+_LEVELS = tuple(((1 << i) - 1, 1 << (i - 1), 1 << i) for i in range(1, 65))
+
+
 def tau_profile(n: int, K: int) -> list[int]:
     """[tau_scaled(n, 1), ..., tau_scaled(n, K)]: the sawtooth at every level in one pass."""
     out = []
+    if 0 <= K <= len(_LEVELS):
+        for mask, half, size in _LEVELS[:K]:
+            m = n & mask
+            out.append(m if m <= half else size - m)
+        return out
     size = 2
     for _ in range(K):
         m = n & (size - 1)
@@ -268,17 +278,31 @@ class QWeight:
         return QWeight(q=q, regime=regime, is_one=(q.value == 1))
 
 
+def payload_key(v) -> tuple:
+    """A hashable key equal for two float or complex payloads exactly when
+    their bits are: equal floats are equal keys, so 0.0 and -0.0 are told
+    apart by the signs of the parts."""
+    return type(v), v, math.copysign(1.0, v.real), math.copysign(1.0, v.imag)
+
+
 @lru_cache(maxsize=256)
 def _exact_qweight(q: Fraction) -> QWeight:
     return QWeight.of(q)
 
 
+@lru_cache(maxsize=256)
+def _payload_qweight(key: tuple, q) -> QWeight:
+    return QWeight.of(q)
+
+
 def as_qweight(q) -> QWeight:
-    """q as a ``QWeight``.  An exact q is boxed once per value: a sweep calls
-    this per n at one q.  Float and complex q are not cached, since equal
-    keys would merge 0.0 with -0.0."""
+    """q as a ``QWeight``, boxed (and checked finite) once per value: a sweep
+    calls this per n at one q.  Float and complex q are keyed by
+    ``payload_key``, so 0.0 and -0.0 keep QWeights of their own."""
     if isinstance(q, QWeight):
         return q
     if isinstance(q, Fraction):
         return _exact_qweight(q)
+    if isinstance(q, (float, complex)):
+        return _payload_qweight(payload_key(q), q)
     return QWeight.of(q)

@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from itertools import accumulate, repeat
+from operator import mul
 from typing import NamedTuple
 
 from .errors import DomainError, ModeError
@@ -329,6 +331,22 @@ def takagi_dyadic_num(taus, p: int, r: int) -> int:
     return acc
 
 
+def takagi_dyadic_sum(taus, powers):
+    """sum_j powers[j] (taus[j] 2^j / 2^e), j < e = len(taus), as a float or
+    complex payload summed left to right from +0.
+
+    With taus = ``tau_profile(m, e)[::-1]`` and powers[j] = a^j, built as
+    a ** 0 times a, j times, this is T_a(m/2^e): the float and complex
+    counterpart of ``takagi_dyadic_num``.  powers holds a^0 at least, and
+    its type picks the zero: a 0 * a would be -0.0 at a negative a.
+    """
+    acc = 0j if isinstance(powers[0], complex) else 0.0
+    size = 1 << len(taus)
+    for j, t in enumerate(taus):
+        acc = acc + powers[j] * ((t << j) / size)
+    return acc
+
+
 def takagi_dyadic_exact(x, a) -> Scalar:
     """Finite sum at a dyadic rational x; exact when a is exact, any a allowed.
 
@@ -336,7 +354,8 @@ def takagi_dyadic_exact(x, a) -> Scalar:
     for j < e.  Since m_j = (m mod 2^{e-j}) 2^j, 2^e tau(m_j/2^e) is
     tau_scaled(m, e - j) 2^j: the profile of m read in reverse.  For exact
     a = p/r the sum is B / (r^{e-1} 2^e) with the integer B of
-    ``takagi_dyadic_num``.
+    ``takagi_dyadic_num``; for float and complex a it is
+    ``takagi_dyadic_sum``.
     """
     fr = as_dyadic_fraction(x)
     if fr is None:
@@ -352,12 +371,8 @@ def takagi_dyadic_exact(x, a) -> Scalar:
         p, r = a.value.numerator, a.value.denominator
         return Scalar(Mode.EXACT, Fraction(takagi_dyadic_num(taus, p, r), r ** (e - 1) << e))
     av = a.value
-    acc = 0j if a.mode is Mode.COMPLEX else 0.0  # +0, where 0 * av is -0.0 at a negative a
-    w = av ** 0
-    for j, t in enumerate(taus):
-        acc = acc + w * ((t << j) / size)
-        w = w * av
-    return Scalar(a.mode, acc)
+    powers = list(accumulate(repeat(av, e - 1), mul, initial=av ** 0))  # a^0 .. a^{e-1}
+    return Scalar(a.mode, takagi_dyadic_sum(taus, powers))
 
 
 def takagi_grid(a, m: int) -> list[Scalar]:

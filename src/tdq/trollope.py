@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 from .digit_sums import bit_counts, geometric_num
 from .errors import DomainError
@@ -19,9 +20,55 @@ from .scalar import (
     as_qweight,
     as_scalar,
     checked_pow,
+    payload_key,
     tau_profile,
 )
-from .takagi import G_tilde_gamma, takagi_dyadic_exact, takagi_dyadic_num
+from .takagi import G_tilde_gamma, takagi_dyadic_num, takagi_dyadic_sum
+
+
+class _Powers(dict):
+    """x^i as ``checked_pow(x, i)``, computed at the first read of i: a power
+    out of the float range raises at every read, where the formula takes it,
+    and is never stored."""
+
+    def __init__(self, x):
+        super().__init__()
+        self.x = x
+
+    def __missing__(self, i: int):
+        v = self[i] = checked_pow(self.x, i)
+        return v
+
+
+class _QTable:
+    """The values of one float or complex q that theorem1_rhs and
+    dyadic_formula read at every n and that depend on q alone: q^k and
+    (2q)^i as ``_Powers``, and a^j, a = 1/(2q), by the repeated
+    multiplication from a ** 0 that ``takagi_dyadic_exact`` does.  No S_q(n),
+    T_a or residual is kept, so a pass over a warm table does the work of
+    the first."""
+
+    def __init__(self, qv):
+        self.q_pow = _Powers(qv)
+        self.two_q_pow = _Powers(2 * qv)
+        self._a_pow = []  # built on first use: dyadic_formula's q = 0 has no a
+
+    def a_pow(self, a, e: int) -> list:
+        """[a^0, a^1, ...] through a^{e-1} at least.  A longer list replaces
+        the old one whole, so no caller reads a half-grown list."""
+        powers = self._a_pow
+        if len(powers) < e:
+            powers = powers[:] or [a ** 0]
+            while len(powers) < e:
+                powers.append(powers[-1] * a)
+            self._a_pow = powers
+        return powers
+
+
+@lru_cache(maxsize=256)
+def _q_table(key: tuple, qv) -> _QTable:
+    """The ``_QTable`` of a float or complex q, key = ``payload_key(q)``."""
+    return _QTable(qv)
 
 
 def theorem1_rhs(n: int, q) -> Scalar:
@@ -32,6 +79,8 @@ def theorem1_rhs(n: int, q) -> Scalar:
     for rational q.  Equals S_q(n)/n.  For exact q = a/b, 1/(2q) = p/r and
     T_{p/r}(n/2^{k+1}) = tn / (r^k 2^{k+1}) (``takagi_dyadic_num``) it is
     a (G_{k+1} n r^k - a^k tn) / (2 b^{k+1} n r^k), G_j = (b^j - a^j)/(b - a).
+    For float and complex q, n/2^{k+1} = m/2^e in lowest terms and T_a there
+    is ``takagi_dyadic_sum`` over the profile of m.
     """
     if n < 1:
         raise DomainError("theorem1_rhs requires n >= 1")
@@ -49,9 +98,13 @@ def theorem1_rhs(n: int, q) -> Scalar:
         tn, rk = takagi_dyadic_num(tau_profile(n, k + 1)[::-1], p, r), r ** k
         num = a * (geometric_num(k + 1, a, b) * n * rk - a ** k * tn)
         return Scalar(mode, Fraction(num, 2 * b ** (k + 1) * n * rk))
-    t = takagi_dyadic_exact(Fraction(n, 1 << (k + 1)), qw.a).value
-    hat_f = float(Fraction(1 << (k + 1), n)) * t
-    bracket = (1 - checked_pow(qv, k + 1)) / (1 - qv) - checked_pow(qv, k) * hat_f
+    table = _q_table(payload_key(qv), qv)
+    z = (n & -n).bit_length() - 1
+    e = k + 1 - z
+    t = takagi_dyadic_sum(tau_profile(n >> z, e)[::-1], table.a_pow(qw.a.value, e))
+    hat_f = (1 << (k + 1)) / n * t  # int / int rounds once, as float(Fraction(2^{k+1}, n))
+    q_pow = table.q_pow
+    bracket = (1 - q_pow[k + 1]) / (1 - qv) - q_pow[k] * hat_f
     return Scalar(mode, qv / 2 * bracket)
 
 
@@ -80,11 +133,13 @@ def dyadic_formula(n: int, q) -> Scalar:
             acc = acc * b + ai * t
         head = a * geometric_num(k + 1, a, b) * n
         return Scalar(mode, Fraction(head - acc, 2 * n * b ** (k + 1)))
+    table = _q_table(payload_key(qv), qv)
+    two_q_pow = table.two_q_pow
     total = 0 * qv
     for i, t in enumerate(taus, 1):
         if t:
-            total = total + checked_pow(2 * qv, i) * (t / (1 << i))
-    head = qv / 2 * (1 - checked_pow(qv, k + 1)) / (1 - qv)
+            total = total + two_q_pow[i] * (t / (1 << i))
+    head = qv / 2 * (1 - table.q_pow[k + 1]) / (1 - qv)
     return Scalar(mode, head - total / (2 * n))
 
 

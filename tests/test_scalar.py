@@ -137,9 +137,26 @@ def test_as_qweight_boxes_an_exact_q_once():
     for q, mode in ((Fraction(1), Mode.EXACT), (1.0, Mode.FLOAT), (1, Mode.EXACT), (1 + 0j, Mode.COMPLEX)):
         qw = as_qweight(q)
         assert qw.q.mode is mode and qw.is_one
-    # float and complex q are not cached, so their signed zeros stay apart
+    # float and complex q are cached by their bits, so their signed zeros stay apart
     assert math.copysign(1.0, as_qweight(complex(0.0, 1)).q.value.real) == 1.0
     assert math.copysign(1.0, as_qweight(complex(-0.0, 1)).q.value.real) == -1.0
+
+
+def test_as_qweight_boxes_a_float_or_complex_q_once():
+    qs = [0.75, -2.5, 1e-310, -1e-310, 0.5 + 0.5j, 2 + 0j, complex(2, -0.0), complex(-0.0, 1), 1j, 2.0]
+    for q in qs:
+        qw = as_qweight(q)
+        assert as_qweight(q) is qw
+        v = qw.q.value
+        assert type(v) is type(q) and (v.real.hex(), v.imag.hex()) == (q.real.hex(), q.imag.hex())
+    # equal numbers are equal dict keys; each of these keeps a QWeight of its own
+    for q, other in ((2.0, 2 + 0j), (2 + 0j, complex(2, -0.0)), (complex(-0.0, 1), 1j)):
+        assert as_qweight(q) is not as_qweight(other)
+    # a q that cannot be boxed raises at every call
+    for bad in (math.inf, complex(1, math.nan), 0.0, -0.0):
+        for _ in range(2):
+            with pytest.raises(DomainError):
+                as_qweight(bad)
 
 
 @given(rationals.filter(lambda q: q != 0))
