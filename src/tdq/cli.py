@@ -18,7 +18,7 @@ from typing import Callable, NamedTuple
 from . import digit_sums, odometer, takagi, trollope
 from .digit_sums import iter_S_direct
 from .errors import DomainError, ModeError, ParseError, VerificationError
-from .scalar import Mode, QWeight, Scalar, as_qweight, infer_mode, parse_scalar
+from .scalar import Mode, Scalar, as_qweight, infer_mode, parse_scalar
 
 N_LIMIT = 1 << 62
 GRID_LIMIT = 20
@@ -173,6 +173,8 @@ def _sweep(sweep: Sweep, q: Scalar, top: int):
     for w, r in pairs:
         if r != r:  # nan compares false with everything, so it would pass unseen
             raise DomainError(f"the residual at {sweep.var}={w} is nan: a float overflowed")
+        if mode is Mode.EXACT and not isinstance(r, Fraction):  # a float 0.0 would print as 0/1
+            raise VerificationError(f"the residual at {sweep.var}={w} is {r!r}, not exact in an exact sweep")
         if r > worst:
             worst, witness = r, w
     return mode, worst, witness
@@ -202,7 +204,7 @@ def _n_sweep(make) -> Sweep:
 
 
 def _theorem1(q: Scalar):
-    qw = QWeight.of(q)
+    qw = as_qweight(q)
     return qw.q.value, q.mode, lambda n, s: abs(trollope.theorem1_rhs(n, qw).value - s / n)
 
 
@@ -242,7 +244,7 @@ def _corollary(q: Scalar, n_max: int):
 
 
 def _prop2(q: Scalar, N_max: int):
-    qw = QWeight.of(q)
+    qw = as_qweight(q)
     return q.mode, ((N, odometer.prop2_exact(qw, N).max_residual.value) for N in range(2, N_max + 1))
 
 
@@ -306,7 +308,7 @@ CURVES = {
     "takagi": Curve("a", lambda a, m, grid, tol: takagi.takagi_grid(a, m)),
     "F": Curve("q", lambda q, m, grid, tol: takagi.F_q_grid(q, m)),
     "tildeF": Curve("q", lambda q, m, grid, tol: takagi.tilde_F_q_grid(q, m, tol)),
-    "complex-takagi": Curve("q", lambda q, m, grid, tol: takagi.takagi_grid(QWeight.of(q).a, m), "complex"),
+    "complex-takagi": Curve("q", lambda q, m, grid, tol: takagi.takagi_grid(as_qweight(q).a, m), "complex"),
     "Gtilde": Curve(
         "gamma_limit", lambda g, m, grid, tol: [takagi.G_tilde_gamma(float(t), g, tol) for t in grid]
     ),
@@ -333,7 +335,7 @@ def cmd_curve(args) -> int:
 
 def _fluctuation(args) -> int:
     q = _parse_scalar_arg(args.q, args.mode)
-    qw = QWeight.of(q)
+    qw = as_qweight(q)
     omega = _parse_omega(args.omega, args.seed)
     l = _check_n(args.l)
     grid = _grid(args.grid)
@@ -423,12 +425,12 @@ def cmd_odometer(args) -> int:
         if n < 1:
             raise DomainError("birkhoff requires --n >= 1")
         mean_target = qw.q.value / (2 * (1 - qw.q.value))
-        print(f"# q={args.q} omega={args.omega} seed={args.seed} E[s_q]={Scalar(qw.q.mode, mean_target).render()}")
+        print(f"# q={args.q} omega={args.omega} seed={args.seed} E[s_q]={Scalar(mean_target).render()}")
         checkpoint = 1
         for j, total in enumerate(odometer.iter_ergodic_sums(omega, qw, n), 1):
             if j == checkpoint or j == n:
                 dev = total / j - mean_target
-                print(f"n={j} deviation={Scalar(qw.q.mode, dev).render()}")
+                print(f"n={j} deviation={Scalar(dev).render()}")
                 while checkpoint <= j:
                     checkpoint <<= 1
         return 0

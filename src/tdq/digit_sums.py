@@ -209,7 +209,7 @@ def s_q(n: int, q) -> Scalar:
     if n < 0:
         raise DomainError("s_q requires n >= 0")
     qw = as_qweight(q)
-    return Scalar(qw.q.mode, sq_payload(n, qw.q.value))
+    return Scalar(sq_payload(n, qw.q.value))
 
 
 def S_q_direct(n: int, q) -> Scalar:
@@ -219,7 +219,7 @@ def S_q_direct(n: int, q) -> Scalar:
     qw = as_qweight(q)
     for _, total in iter_S_direct(n, qw.q.value):
         pass
-    return Scalar(qw.q.mode, total)
+    return Scalar(total)
 
 
 def S_q_pow2(k: int, q) -> Scalar:
@@ -227,7 +227,7 @@ def S_q_pow2(k: int, q) -> Scalar:
     if k < 0:
         raise DomainError("S_q_pow2 requires k >= 0")
     qw = as_qweight(q)
-    return Scalar(qw.q.mode, S_pow2_payload(k, qw.q.value))
+    return Scalar(S_pow2_payload(k, qw.q.value))
 
 
 def S_q_counts(n: int, q) -> Scalar:
@@ -235,10 +235,10 @@ def S_q_counts(n: int, q) -> Scalar:
     if n < 1:
         raise DomainError("S_q is defined for n >= 1")
     qw = as_qweight(q)
-    return Scalar(qw.q.mode, window_sum(0, n, qw.q.value))
+    return Scalar(window_sum(0, n, qw.q.value))
 
 
 def S_q_recursive(n: int, q) -> Scalar:
     """S_q(n) via the shift recursions; equals S_q_direct(n) exactly."""
     qw = as_qweight(q)
-    return Scalar(qw.q.mode, S_rec_payload(n, qw.q.value))
+    return Scalar(S_rec_payload(n, qw.q.value))

@@ -98,7 +98,7 @@ def ergodic_sum(omega: OdometerPoint, q, n: int) -> Scalar:
     if n < 1:
         raise DomainError("ergodic_sum requires n >= 1")
     qw = as_qweight(q)
-    return Scalar(qw.q.mode, window_sum(omega.value, n, qw.q.value))
+    return Scalar(window_sum(omega.value, n, qw.q.value))
 
 
 def orbit_partial_sums(omega: OdometerPoint, q, l: int) -> list:
@@ -116,7 +116,7 @@ def birkhoff_deviation(omega: OdometerPoint, q, n: int) -> Scalar:
         raise DomainError("birkhoff_deviation requires |q| < 1")
     qv = qw.q.value
     mean = ergodic_sum(omega, qw, n).value / n
-    return Scalar(qw.q.mode, mean - qv / (2 * (1 - qv)))
+    return Scalar(mean - qv / (2 * (1 - qv)))
 
 
 # ---------------------------------------------------------------------------
@@ -126,8 +126,8 @@ def birkhoff_deviation(omega: OdometerPoint, q, n: int) -> Scalar:
 def G_q(n: int, q) -> Scalar:
     """G_q(n) = (S_q(n) - (n/p) S_q(p)) / (p q^k), p = 2^k = 2^[log2 n].
 
-    Lemma 1: G_q(n) = F_q((n - p)/p).  A float or complex p q^k that
-    underflows to 0 raises ``DomainError``.
+    Lemma 1: G_q(n) = F_q((n - p)/p).  A p q^k that is 0 (q = 0, n >= 2)
+    or that underflows to 0 (a float or complex q) raises ``DomainError``.
     """
     if n < 1:
         raise DomainError("G_q requires n >= 1")
@@ -141,8 +141,8 @@ def G_q(n: int, q) -> Scalar:
     factor = ratio if qw.q.mode is Mode.EXACT else float(ratio)
     den = p * checked_pow(qv, k)
     if not den:
-        raise DomainError(f"p q^k = 2^{k} ({qv!r})^{k} underflows to 0")
-    return Scalar(qw.q.mode, (s_n - factor * s_p) / den)
+        raise DomainError(f"p q^k = 2^{k} ({qv!r})^{k} {'underflows to' if qv else 'is'} 0")
+    return Scalar((s_n - factor * s_p) / den)
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +250,7 @@ def phi_curve(
     else:
         values = [(Fraction(v, den) if exact else v) / r_val for v in raw]
     out = Mode.widest(mode, r_scalar.mode, mode if rational else Mode.FLOAT)
-    values = tuple(Scalar(out, v) if out is mode else Scalar.lift(v, out) for v in values)
+    values = tuple(Scalar(v) if out is mode else Scalar.lift(v, out) for v in values)
     return FluctuationCurve(grid=grid, values=values, l=l, R=r_scalar, normalization=normalization)
 
 
@@ -264,9 +264,11 @@ def prop2_R(q, N: int) -> Scalar:
     """Proposition 2's normalizer R = (2q)^{N-1} at the window l = 2^N."""
     qw = as_qweight(q)
     try:
-        return Scalar(qw.q.mode, (2 * qw.q.value) ** (N - 1))
+        return Scalar((2 * qw.q.value) ** (N - 1))
     except OverflowError:
         raise DomainError(f"normalizer R = (2q)^{N - 1} overflows a float") from None
+    except ZeroDivisionError:
+        raise DomainError(f"normalizer R = (2q)^{N - 1} has no value at q = 0") from None
 
 
 def prop2_exact(q, N: int) -> Prop2Result:

@@ -36,6 +36,7 @@ class Mode(enum.Enum):
 
 
 _MODE_RANK = {m: i for i, m in enumerate(Mode)}  # built once: Mode.widest runs on every promote
+_MODE_OF = {Fraction: Mode.EXACT, float: Mode.FLOAT, complex: Mode.COMPLEX}  # a payload's type is its mode
 _EXACT = Mode.EXACT  # a global read, where Mode.EXACT costs an enum lookup on every Scalar built
 
 _RATIONAL_RE = re.compile(r"^[+-]?[0-9]+(/[0-9]+)?$")
@@ -45,53 +46,59 @@ def _format_float(v: float) -> str:
     return format(v, ".17g")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Scalar:
     """A payload tagged with its mode: built, checked, promoted and rendered
     at the API boundary, with no arithmetic of its own.
 
-    Exact payloads are always ``Fraction`` (lowest terms, positive
-    denominator, which ``Fraction`` guarantees).  Float and complex values
-    are finite: a result that overflowed to inf (or to nan, as inf - inf)
-    raises ``DomainError`` where it is boxed, so no caller can print or
-    compare it silently.
+    ``Scalar(value)`` reads the mode off the payload's type: a ``Fraction``
+    (lowest terms, positive denominator, which ``Fraction`` guarantees) is
+    exact, a ``float`` float and a ``complex`` complex; any other type is a
+    ``ModeError``.  Float and complex values are finite: a result that
+    overflowed to inf (or to nan, as inf - inf) raises ``DomainError`` where
+    it is boxed, so no caller can print or compare it silently.
     """
 
     mode: Mode
     value: Payload
 
-    def __post_init__(self):
-        if self.mode is not _EXACT and not cmath.isfinite(self.value):
-            raise DomainError(f"a float overflowed: the result is {self.value}, not a finite number")
+    def __init__(self, value: Payload):
+        mode = _MODE_OF.get(type(value))
+        if mode is None:
+            raise ModeError(f"cannot interpret {type(value).__name__} as a Scalar")
+        if mode is not _EXACT and not cmath.isfinite(value):
+            raise DomainError(f"a float overflowed: the result is {value}, not a finite number")
+        object.__setattr__(self, "mode", mode)
+        object.__setattr__(self, "value", value)
 
     # -- construction -----------------------------------------------------
 
     @staticmethod
     def exact(v) -> "Scalar":
-        return Scalar(Mode.EXACT, Fraction(v))
+        return Scalar(Fraction(v))
 
     @staticmethod
     def flt(v: float) -> "Scalar":
-        return Scalar(Mode.FLOAT, float(v))
+        return Scalar(float(v))
 
     @staticmethod
     def cplx(v: complex) -> "Scalar":
-        return Scalar(Mode.COMPLEX, complex(v))
+        return Scalar(complex(v))
 
     @staticmethod
     def lift(v, mode: Mode) -> "Scalar":
         """Build a Scalar of the given mode from an int/Fraction/float/complex."""
         if mode is Mode.EXACT:
             if isinstance(v, (int, Fraction)):
-                return Scalar(Mode.EXACT, Fraction(v))
+                return Scalar(Fraction(v))
             raise ModeError(f"cannot lift {type(v).__name__} into exact mode")
         if mode is Mode.FLOAT:
             if isinstance(v, complex):
                 raise ModeError("cannot lift complex into float mode")
-            return Scalar(Mode.FLOAT, float(v))
+            return Scalar(float(v))
         if isinstance(v, Fraction):
             v = float(v)
-        return Scalar(Mode.COMPLEX, complex(v))
+        return Scalar(complex(v))
 
     # -- queries -------------------------------------------------------------
 
@@ -121,16 +128,11 @@ class Scalar:
 
 
 def as_scalar(v) -> Scalar:
-    """Coerce a plain Python number into a Scalar of the natural mode."""
+    """Coerce a plain Python number into a Scalar of the natural mode: an int
+    is exact, as a ``Fraction``."""
     if isinstance(v, Scalar):
         return v
-    if isinstance(v, (int, Fraction)):
-        return Scalar.exact(v)
-    if isinstance(v, float):
-        return Scalar.flt(v)
-    if isinstance(v, complex):
-        return Scalar.cplx(v)
-    raise ModeError(f"cannot interpret {type(v).__name__} as a Scalar")
+    return Scalar(Fraction(v) if isinstance(v, int) else v)
 
 
 def parse_scalar(text: str, mode: Mode) -> Scalar:
@@ -249,9 +251,30 @@ class Regime(enum.Enum):
     EXPANDING = "expanding"       # |q| < 1/2
 
 
+class _Powers(dict):
+    """x^i as ``checked_pow(x, i)``, computed at the first read of i: a power
+    out of the float range raises at every read, where the formula takes it,
+    and is never stored."""
+
+    def __init__(self, x):
+        super().__init__()
+        self.x = x
+
+    def __missing__(self, i: int):
+        v = self[i] = checked_pow(self.x, i)
+        return v
+
+
 @dataclass(frozen=True)
 class QWeight:
-    """A weight parameter q together with a = 1/(2q) and its regime."""
+    """A weight parameter q together with a = 1/(2q) and its regime.
+
+    For a float or complex q it also holds the values that the
+    Trollope-Delange formulas read at every n and that depend on q alone,
+    each filled on first read: q^k and (2q)^i (``q_pow``, ``two_q_pow``)
+    and a^j (``a_pow``).  No S_q(n), T_a or residual is kept, so a pass
+    over a warm box does the work of the first.
+    """
 
     q: Scalar
     regime: Regime
@@ -259,14 +282,36 @@ class QWeight:
 
     @cached_property
     def a(self) -> Scalar:
-        """a = 1/(2q), built on first use: a float q below ~1e-308 has none."""
-        return Scalar(self.q.mode, 1 / (2 * self.q.value))
+        """a = 1/(2q), built on first use: q = 0 has none, and a float q below ~1e-308 none in range."""
+        if self.q.is_zero():
+            raise DomainError("q = 0 has no associated a = 1/(2q)")
+        return Scalar(1 / (2 * self.q.value))
+
+    @cached_property
+    def q_pow(self) -> _Powers:
+        return _Powers(self.q.value)
+
+    @cached_property
+    def two_q_pow(self) -> _Powers:
+        return _Powers(2 * self.q.value)
+
+    def a_pow(self, e: int) -> list:
+        """[a^0, a^1, ...] through a^{e-1} at least, by the repeated
+        multiplication from a ** 0 that ``takagi_dyadic_exact`` does.  A longer
+        list replaces the old one whole, so no caller reads a half-grown list."""
+        powers = self.__dict__.get("_a_pow", [])
+        if len(powers) < e:
+            a = self.a.value
+            powers = powers[:] or [a ** 0]
+            while len(powers) < e:
+                powers.append(powers[-1] * a)
+            self.__dict__["_a_pow"] = powers
+        return powers
 
     @staticmethod
     def of(q) -> "QWeight":
+        """q boxed afresh; ``as_qweight`` boxes each q once."""
         q = as_scalar(q)
-        if q.is_zero():
-            raise DomainError("q = 0 has no associated a = 1/(2q)")
         m = q.modulus()
         half = Fraction(1, 2) if q.mode is Mode.EXACT else 0.5
         if m > half:
@@ -279,30 +324,28 @@ class QWeight:
 
 
 def payload_key(v) -> tuple:
-    """A hashable key equal for two float or complex payloads exactly when
-    their bits are: equal floats are equal keys, so 0.0 and -0.0 are told
-    apart by the signs of the parts."""
+    """A hashable key equal for two payloads exactly when their types and
+    bits are: equal floats are equal keys, so 0.0 and -0.0 are told apart by
+    the signs of the parts.  A ``Fraction`` is keyed by its numerator and
+    denominator: its own hash costs a modular inverse, and its float can
+    overflow."""
+    if type(v) is Fraction:
+        return v.numerator, v.denominator
     return type(v), v, math.copysign(1.0, v.real), math.copysign(1.0, v.imag)
 
 
 @lru_cache(maxsize=256)
-def _exact_qweight(q: Fraction) -> QWeight:
-    return QWeight.of(q)
-
-
-@lru_cache(maxsize=256)
-def _payload_qweight(key: tuple, q) -> QWeight:
-    return QWeight.of(q)
+def _qweight(key: tuple) -> QWeight:
+    return QWeight.of(Fraction(*key) if len(key) == 2 else key[1])
 
 
 def as_qweight(q) -> QWeight:
     """q as a ``QWeight``, boxed (and checked finite) once per value: a sweep
-    calls this per n at one q.  Float and complex q are keyed by
-    ``payload_key``, so 0.0 and -0.0 keep QWeights of their own."""
+    calls this per n at one q.  A Scalar, int, Fraction, float or complex q
+    is keyed by ``payload_key`` of its payload, so 1, 1.0 and 1+0j, or 0.0
+    and -0.0, keep QWeights of their own.  q = 0 boxes like any other q;
+    only its ``a`` is refused."""
     if isinstance(q, QWeight):
         return q
-    if isinstance(q, Fraction):
-        return _exact_qweight(q)
-    if isinstance(q, (float, complex)):
-        return _payload_qweight(payload_key(q), q)
-    return QWeight.of(q)
+    v = q if type(q) in _MODE_OF else as_scalar(q).value
+    return _qweight(payload_key(v))

@@ -101,12 +101,12 @@ class DeRhamSystem:
         a0, a1 = self.a0.value, self.a1.value
         if a0 == one or a1 == one:
             raise DomainError("a de Rham system needs a0 != 1 and a1 != 1")
-        return Scalar(self.mode, (
+        return Scalar(
             a0 * self._g(1, one) / (one - a1)
             + self._g(0, one)
             - a1 * self._g(0, zero) / (one - a0)
             - self._g(1, zero)
-        ))
+        )
 
     @cached_property
     def endpoints(self) -> tuple:
@@ -160,7 +160,7 @@ def derham_eval(sys: DeRhamSystem, x, depth: int = 64) -> DeRhamValue:
     if fr.denominator & (fr.denominator - 1):
         raise ModeError(f"{fr} has no finite digit descent: pass float(x) for a truncated one")
     if fr == 0 or fr == 1:
-        return DeRhamValue(Scalar(sys.mode, f0 if fr == 0 else f1), 0.0)
+        return DeRhamValue(Scalar(f0 if fr == 0 else f1), 0.0)
     m, e = fr.numerator, fr.denominator.bit_length() - 1
     if sys.mode is not Mode.EXACT and isinstance(x, float) and e > depth:
         rho = float(max(sys.a0.modulus(), sys.a1.modulus()))
@@ -177,13 +177,13 @@ def derham_eval(sys: DeRhamSystem, x, depth: int = 64) -> DeRhamValue:
             FR *= R
             N = (P[b] * N << (i - s)) + ((Cn[b] << i) + Dn[b] * k) * FR
             s = i
-        return DeRhamValue(Scalar(Mode.EXACT, Fraction(N, FR * C << s)), 0.0)
+        return DeRhamValue(Scalar(Fraction(N, FR * C << s)), 0.0)
     else:
         bound, v, depth = 0.0, f1, e
     coefs = (sys.a0.value, sys.a1.value)
     for b, k, i in _dyadic_steps(m, e, depth):
         v = coefs[b] * v + sys._g(b, sys._lift(k / (1 << i)))
-    return DeRhamValue(Scalar(sys.mode, v), bound)
+    return DeRhamValue(Scalar(v), bound)
 
 
 def takagi_system(a) -> DeRhamSystem:
@@ -314,7 +314,7 @@ def takagi_series(x, a, tol: float = DEFAULT_SERIES_TOL) -> Scalar:
     fr = as_scalar(x).value
     if isinstance(fr, complex):
         raise ModeError("takagi_series requires a real abscissa")
-    return Scalar(mode, _series_sum(fr, av, n_terms))
+    return Scalar(_series_sum(fr, av, n_terms))
 
 
 def takagi_dyadic_num(taus, p: int, r: int) -> int:
@@ -367,12 +367,12 @@ def takagi_dyadic_exact(x, a) -> Scalar:
     taus = tau_profile(m, e)[::-1]
     if a.mode is Mode.EXACT:
         if not e:
-            return Scalar(Mode.EXACT, Fraction(0))
+            return Scalar(Fraction(0))
         p, r = a.value.numerator, a.value.denominator
-        return Scalar(Mode.EXACT, Fraction(takagi_dyadic_num(taus, p, r), r ** (e - 1) << e))
+        return Scalar(Fraction(takagi_dyadic_num(taus, p, r), r ** (e - 1) << e))
     av = a.value
     powers = list(accumulate(repeat(av, e - 1), mul, initial=av ** 0))  # a^0 .. a^{e-1}
-    return Scalar(a.mode, takagi_dyadic_sum(taus, powers))
+    return Scalar(takagi_dyadic_sum(taus, powers))
 
 
 def takagi_grid(a, m: int) -> list[Scalar]:
@@ -384,7 +384,8 @@ def takagi_grid(a, m: int) -> list[Scalar]:
     N_j = j r^{m-1} + p N_k / r, since 2^m tau(j/2^m) = j for j <= 2^{m-1},
     with k = 2j mod 2^m taken in the lower half (N_k = N_{2^m - k}); the
     division is exact because N_k sits one level coarser.  Float and complex
-    a take ``takagi_dyadic_exact`` at each point.
+    a build a^0 .. a^{m-1} once and take ``takagi_dyadic_sum`` over the
+    profile of j/2^m in lowest terms, as ``takagi_dyadic_exact`` does.
     """
     if m < 0:
         raise DomainError("takagi_grid requires m >= 0")
@@ -402,9 +403,13 @@ def takagi_grid(a, m: int) -> list[Scalar]:
                 k = min(2 * j, size - 2 * j)
                 num[j] = j * scale + p * num[k] // r
         den = scale << m
-        lower = [Scalar(Mode.EXACT, Fraction(v, den)) for v in num]
+        lower = [Scalar(Fraction(v, den)) for v in num]
     else:
-        lower = [takagi_dyadic_exact(Fraction(j, size), a) for j in range(half + 1)]
+        powers = list(accumulate(repeat(a.value, m - 1), mul, initial=a.value ** 0))  # a^0 .. a^{m-1}
+        lower = []
+        for j in range(half + 1):
+            z = (j & -j).bit_length() - 1 if j else m  # j/2^m = (j >> z)/2^{m-z} in lowest terms
+            lower.append(Scalar(takagi_dyadic_sum(tau_profile(j >> z, m - z)[::-1], powers)))
     return lower + lower[-2::-1]
 
 
@@ -441,7 +446,7 @@ def F_q(x, q) -> Scalar:
     if not 0 <= xs.value <= 1:
         raise DomainError("F_q domain is [0,1]")
     mode = t.mode
-    return Scalar(mode, _F(qw.q.promote(mode).value, xs.promote(mode).value, t.value, mode))
+    return Scalar(_F(qw.q.promote(mode).value, xs.promote(mode).value, t.value, mode))
 
 
 def F_q_grid(q, m: int) -> list[Scalar]:
@@ -452,7 +457,7 @@ def F_q_grid(q, m: int) -> list[Scalar]:
     mode = qw.q.mode
     size = 1 << m
     xs = [Scalar.lift(Fraction(j, size), mode).value for j in range(size + 1)]
-    return [Scalar(mode, _F(qw.q.value, xv, t.value, mode)) for xv, t in zip(xs, ts)]
+    return [Scalar(_F(qw.q.value, xv, t.value, mode)) for xv, t in zip(xs, ts)]
 
 
 def hat_F_q(u, q, tol: float = DEFAULT_SERIES_TOL) -> Scalar:
@@ -465,7 +470,7 @@ def hat_F_q(u, q, tol: float = DEFAULT_SERIES_TOL) -> Scalar:
     mode = Mode.COMPLEX if qw.q.mode is Mode.COMPLEX else Mode.FLOAT
     a = qw.a.promote(mode)
     t = _series_sum(2.0 ** (uf - 1.0), a.value, _series_length(float(a.modulus()), tol))
-    return Scalar(mode, Scalar.lift(2.0 ** (1.0 - uf), mode).value * t)
+    return Scalar(Scalar.lift(2.0 ** (1.0 - uf), mode).value * t)
 
 
 def _corollary_q(q, tol: float) -> tuple:

@@ -9,66 +9,11 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 
 from .digit_sums import bit_counts, geometric_num
 from .errors import DomainError
-from .scalar import (
-    Mode,
-    Regime,
-    Scalar,
-    as_qweight,
-    as_scalar,
-    checked_pow,
-    payload_key,
-    tau_profile,
-)
+from .scalar import Mode, Regime, Scalar, as_qweight, tau_profile
 from .takagi import G_tilde_gamma, takagi_dyadic_num, takagi_dyadic_sum
-
-
-class _Powers(dict):
-    """x^i as ``checked_pow(x, i)``, computed at the first read of i: a power
-    out of the float range raises at every read, where the formula takes it,
-    and is never stored."""
-
-    def __init__(self, x):
-        super().__init__()
-        self.x = x
-
-    def __missing__(self, i: int):
-        v = self[i] = checked_pow(self.x, i)
-        return v
-
-
-class _QTable:
-    """The values of one float or complex q that theorem1_rhs and
-    dyadic_formula read at every n and that depend on q alone: q^k and
-    (2q)^i as ``_Powers``, and a^j, a = 1/(2q), by the repeated
-    multiplication from a ** 0 that ``takagi_dyadic_exact`` does.  No S_q(n),
-    T_a or residual is kept, so a pass over a warm table does the work of
-    the first."""
-
-    def __init__(self, qv):
-        self.q_pow = _Powers(qv)
-        self.two_q_pow = _Powers(2 * qv)
-        self._a_pow = []  # built on first use: dyadic_formula's q = 0 has no a
-
-    def a_pow(self, a, e: int) -> list:
-        """[a^0, a^1, ...] through a^{e-1} at least.  A longer list replaces
-        the old one whole, so no caller reads a half-grown list."""
-        powers = self._a_pow
-        if len(powers) < e:
-            powers = powers[:] or [a ** 0]
-            while len(powers) < e:
-                powers.append(powers[-1] * a)
-            self._a_pow = powers
-        return powers
-
-
-@lru_cache(maxsize=256)
-def _q_table(key: tuple, qv) -> _QTable:
-    """The ``_QTable`` of a float or complex q, key = ``payload_key(q)``."""
-    return _QTable(qv)
 
 
 def theorem1_rhs(n: int, q) -> Scalar:
@@ -90,41 +35,39 @@ def theorem1_rhs(n: int, q) -> Scalar:
     if qw.regime is not Regime.CONTRACTIVE:
         raise DomainError("Theorem 1 requires |q| > 1/2")
     qv = qw.q.value
-    mode = qw.q.mode
     k = n.bit_length() - 1
-    if mode is Mode.EXACT:
+    if qw.q.mode is Mode.EXACT:
         a, b = qv.numerator, qv.denominator
         p, r = qw.a.value.numerator, qw.a.value.denominator
         tn, rk = takagi_dyadic_num(tau_profile(n, k + 1)[::-1], p, r), r ** k
         num = a * (geometric_num(k + 1, a, b) * n * rk - a ** k * tn)
-        return Scalar(mode, Fraction(num, 2 * b ** (k + 1) * n * rk))
-    table = _q_table(payload_key(qv), qv)
+        return Scalar(Fraction(num, 2 * b ** (k + 1) * n * rk))
     z = (n & -n).bit_length() - 1
     e = k + 1 - z
-    t = takagi_dyadic_sum(tau_profile(n >> z, e)[::-1], table.a_pow(qw.a.value, e))
+    t = takagi_dyadic_sum(tau_profile(n >> z, e)[::-1], qw.a_pow(e))
     hat_f = (1 << (k + 1)) / n * t  # int / int rounds once, as float(Fraction(2^{k+1}, n))
-    q_pow = table.q_pow
+    q_pow = qw.q_pow
     bracket = (1 - q_pow[k + 1]) / (1 - qv) - q_pow[k] * hat_f
-    return Scalar(mode, qv / 2 * bracket)
+    return Scalar(qv / 2 * bracket)
 
 
 def dyadic_formula(n: int, q) -> Scalar:
     """All-q exact formula for S_q(n)/n at the (dyadic) integer points.
 
-    No modulus constraint on q; only q = 1 is excluded.  For exact q = a/b,
-    multiplying through by 2n b^{k+1} leaves one integer expression,
-    a G_{k+1} n - sum_i a^i b^{k+1-i} min(m_i, 2^i - m_i), m_i = n mod 2^i.
+    No modulus constraint on q, q = 0 included; only q = 1 is excluded.
+    For exact q = a/b, multiplying through by 2n b^{k+1} leaves one integer
+    expression, a G_{k+1} n - sum_i a^i b^{k+1-i} min(m_i, 2^i - m_i),
+    m_i = n mod 2^i.
     """
     if n < 1:
         raise DomainError("dyadic_formula requires n >= 1")
-    q = as_scalar(q)
-    if q.value == 1:
+    qw = as_qweight(q)
+    if qw.is_one:
         raise DomainError("dyadic_formula excludes q = 1; use classic_formula")
-    qv = q.value
-    mode = q.mode
+    qv = qw.q.value
     k = n.bit_length() - 1
     taus = tau_profile(n, k + 1)
-    if mode is Mode.EXACT:
+    if qw.q.mode is Mode.EXACT:
         a, b = qv.numerator, qv.denominator
         acc = 0
         ai = 1
@@ -132,15 +75,14 @@ def dyadic_formula(n: int, q) -> Scalar:
             ai *= a
             acc = acc * b + ai * t
         head = a * geometric_num(k + 1, a, b) * n
-        return Scalar(mode, Fraction(head - acc, 2 * n * b ** (k + 1)))
-    table = _q_table(payload_key(qv), qv)
-    two_q_pow = table.two_q_pow
+        return Scalar(Fraction(head - acc, 2 * n * b ** (k + 1)))
+    two_q_pow = qw.two_q_pow
     total = 0 * qv
     for i, t in enumerate(taus, 1):
         if t:
             total = total + two_q_pow[i] * (t / (1 << i))
-    head = qv / 2 * (1 - table.q_pow[k + 1]) / (1 - qv)
-    return Scalar(mode, head - total / (2 * n))
+    head = qv / 2 * (1 - qw.q_pow[k + 1]) / (1 - qv)
+    return Scalar(head - total / (2 * n))
 
 
 def classic_formula(n: int) -> Scalar:
@@ -172,7 +114,7 @@ def vdc_star_discrepancy(n: int) -> Scalar:
     total = 1
     for t in tau_profile(n, k):
         total = 2 * total + t
-    return Scalar(Mode.EXACT, Fraction(total, n << k))
+    return Scalar(Fraction(total, n << k))
 
 
 def larcher_residual(n: int, weights, limit, tol: float) -> Scalar:

@@ -8,8 +8,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from tdq import trollope
 from tdq.cli import main
 from tdq.digit_sums import S_rec_payload
+from tdq.scalar import Scalar
 
 
 def run(capsys, *argv):
@@ -108,6 +110,15 @@ PROP2_GOLDEN = {
 def test_verify_prop2_golden(capsys, argv):
     code, out, err = run(capsys, "verify", "prop2", *argv)
     assert (code, out, err) == (*PROP2_GOLDEN[argv], "")
+
+
+def test_exact_sweep_fails_at_a_residual_that_is_not_exact(capsys, monkeypatch):
+    # a float 0.0 residual would print "max residual 0/1, PASS": an exact
+    # verdict stands on exact residuals, so the sweep stops at the first other one
+    monkeypatch.setattr(trollope, "theorem1_rhs", lambda n, q: Scalar(0.0))
+    code, out, err = run(capsys, "verify", "theorem1", "--q", "2/3", "--n-max", "8")
+    assert (code, out) == (3, "")
+    assert err == "tdq: identity violation: the residual at n=1 is 0.0, not exact in an exact sweep\n"
 
 
 def test_verify_domain_guard(capsys):

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tdq import scalar, trollope
+from tdq import scalar
 from tdq.digit_sums import S_pow2_payload, S_q_counts, S_q_direct, S_rec_payload, geometric_num, iter_S_direct
 from tdq.errors import DomainError
 from tdq.odometer import (
@@ -659,9 +659,8 @@ def test_dyadic_formula_and_theorem1_on_a_warm_cache(kind):
 @pytest.mark.parametrize("first", [0.0, -0.0], ids=["plus-zero-first", "minus-zero-first"])
 def test_signed_zero_q_keep_tables_of_their_own(first):
     # 2+0j and 2-0j (and 0.0 and -0.0) are equal dict keys; each keeps its own
-    # boxed q and table whichever is used first, so the caches start empty
-    scalar._payload_qweight.cache_clear()
-    trollope._q_table.cache_clear()
+    # boxed q and power tables whichever is used first, so the cache starts empty
+    scalar._qweight.cache_clear()
     for q in (complex(2, first), complex(2, -first)):
         for n in range(1, 300):
             assert same_bits(theorem1_rhs(n, q).value, ref_theorem1_rhs(n, q)), (q, n)

@@ -126,8 +126,10 @@ def test_qweight_regimes():
     assert QWeight.of(Fraction(-1, 3)).regime is Regime.EXPANDING
     assert QWeight.of(complex(0, 1)).regime is Regime.CONTRACTIVE
     assert QWeight.of(1).is_one
-    with pytest.raises(DomainError):
-        QWeight.of(0)
+    # q = 0 boxes like any other q; only a = 1/(2q) is refused
+    assert QWeight.of(0).regime is Regime.EXPANDING
+    with pytest.raises(DomainError, match="q = 0 has no associated a"):
+        QWeight.of(0).a
 
 
 def test_as_qweight_boxes_an_exact_q_once():
@@ -153,16 +155,53 @@ def test_as_qweight_boxes_a_float_or_complex_q_once():
     for q, other in ((2.0, 2 + 0j), (2 + 0j, complex(2, -0.0)), (complex(-0.0, 1), 1j)):
         assert as_qweight(q) is not as_qweight(other)
     # a q that cannot be boxed raises at every call
-    for bad in (math.inf, complex(1, math.nan), 0.0, -0.0):
+    for bad in (math.inf, complex(1, math.nan)):
         for _ in range(2):
             with pytest.raises(DomainError):
                 as_qweight(bad)
+    # a zero q boxes, each signed zero apart, and only its a is refused, at every read
+    for q in (0.0, -0.0, 0j, complex(-0.0, 0.0)):
+        qw = as_qweight(q)
+        assert qw is as_qweight(q) and qw.regime is Regime.EXPANDING
+        assert math.copysign(1.0, qw.q.value.real) == math.copysign(1.0, q.real)
+        for _ in range(2):
+            with pytest.raises(DomainError, match="q = 0 has no associated a"):
+                qw.a
+    assert as_qweight(0.0) is not as_qweight(-0.0)
+
+
+def test_as_qweight_has_one_cache_for_every_kind_of_q():
+    # a Scalar and an int q share the box of their payload
+    assert as_qweight(Scalar.flt(0.75)) is as_qweight(0.75)
+    assert as_qweight(Scalar.exact(3)) is as_qweight(3) is as_qweight(Fraction(3))
+    assert as_qweight(0) is as_qweight(Fraction(0))
+    qw = as_qweight(Fraction(2, 3))
+    assert as_qweight(qw) is qw
+    # an exact key needs no float, which would overflow past 1e308
+    big = Fraction(10) ** 400
+    assert as_qweight(big) is as_qweight(Fraction(10) ** 400)
+    assert as_qweight(big).a.value == Fraction(1, 2) / big
+    with pytest.raises(ModeError):
+        as_qweight("2/3")
 
 
 @given(rationals.filter(lambda q: q != 0))
 def test_qweight_inverse_identity(q):
     w = QWeight.of(q)
     assert w.a.value * 2 * w.q.value == 1
+
+
+def test_scalar_mode_is_its_payloads_type():
+    for v, mode in ((Fraction(1, 3), Mode.EXACT), (0.5, Mode.FLOAT), (0.5 + 1j, Mode.COMPLEX)):
+        assert Scalar(v).mode is mode and Scalar(v).value is v
+    # an int, a bool or a str is no payload: as_scalar is the step that makes an int exact
+    for bad in (1, True, "1"):
+        with pytest.raises(ModeError):
+            Scalar(bad)
+    # equal numbers of different types are different Scalars
+    assert len({Scalar(Fraction(1)), Scalar(1.0), Scalar(1 + 0j)}) == 3
+    assert Scalar(Fraction(1)) != Scalar(1.0)
+    assert math.copysign(1.0, Scalar(-0.0).value) == -1.0 and Scalar(-0.0).render() == "-0"
 
 
 def test_as_scalar_modes():
