@@ -344,7 +344,10 @@ def _fluctuation(args) -> int:
     if args.R == "auto-prop2":
         if l & (l - 1) or l < 2:
             raise DomainError("--R auto-prop2 needs l to be a power of two >= 2")
-        r = odometer.prop2_R(qw, l.bit_length() - 1)
+        N = l.bit_length() - 1
+        r = odometer.prop2_R(qw, N)
+        if r.is_zero():  # exactly 0 at q = 0; a tiny float q underflows
+            raise DomainError(f"normalizer R = (2q)^{N - 1} {'underflows to' if qw.q.value else 'is'} 0")
     elif args.R != "max-abs":
         r = _parse_scalar_arg(args.R, args.mode)
     norm = odometer.Normalization.MAX_ABS if r is None else odometer.Normalization.EXPLICIT

@@ -49,13 +49,19 @@ class DeRhamSystem:
     g0 and g1 are the coefficient triples (u_b, v_b, w_b): ints, Fractions or
     payloads of the system's mode (a0's), lifted into it.  Held as
     coefficients, the maps give the exact descent its integers and a
-    truncated descent its certified ``g_sup``.
+    truncated descent its certified ``g_sup``.  a0 and a1 share one mode,
+    or the system is refused with ``ModeError``.
     """
 
     a0: Scalar
     a1: Scalar
     g0: tuple
     g1: tuple
+
+    def __post_init__(self):
+        if self.a0.mode is not self.a1.mode:
+            modes = f"{self.a0.mode.value} and {self.a1.mode.value}"
+            raise ModeError(f"a de Rham system needs a0 and a1 of one mode, not {modes}")
 
     @property
     def mode(self) -> Mode:

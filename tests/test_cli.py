@@ -489,6 +489,11 @@ def test_cli_fails_cleanly(capsys, argv, code):
         ("verify dyadic --q 1e200", "a float overflowed: the result is inf, not a finite number"),
         # n = 2 takes q^2 first
         ("verify theorem1 --q 1e300", "1e+300 ** 2 overflows a float"),
+        # a zero normalizer names its case: auto-prop2 at l = 1024 takes
+        # R = (2q)^9, exactly 0 at q = 0 and underflowed at a tiny float q
+        ("odometer fluctuation --q 0", "normalizer R = (2q)^9 is 0"),
+        ("odometer fluctuation --q 1e-300", "normalizer R = (2q)^9 underflows to 0"),
+        ("odometer fluctuation --q 2/3 --R 0", "normalizer R must be non-zero (given, or underflowed to 0)"),
     ],
 )
 def test_cli_overflow_messages(capsys, argv, err):

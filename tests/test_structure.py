@@ -1,0 +1,149 @@
+"""Structural rules of the tdq package, one ``RULES`` row each, run by Tier-1.
+
+The paper's identities are checked by independent routes that must agree;
+these rules keep the routes apart and the modules talking through public
+names.  A row, keyed by its rule id, holds the modules it reads, a check
+that maps a module's text to its violations, and a mutant (module, exact
+snippet, replacement) that the check must flag in memory.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "tdq"
+MODULES = tuple(sorted(p.relative_to(SRC).as_posix() for p in SRC.rglob("*.py")))
+ARITHMETIC = {"__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+              "__truediv__", "__rtruediv__", "__neg__", "__pow__"}
+
+
+def reach(tree, roots, routes, prefix=None):
+    """Where the roots, or the module-level functions and classes they name
+    (transitively), name a route or a name starting with ``prefix``; a root
+    the module does not define is a violation too."""
+    defs = {n.name: n for n in tree.body if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
+    todo, seen, bad = list(roots), set(), []
+    while todo:
+        name = todo.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        if name not in defs:
+            bad.append(f"defines no {name}")
+            continue
+        for node in ast.walk(defs[name]):
+            ref = getattr(node, "id", None) or getattr(node, "attr", None)
+            if ref in routes or (prefix and str(ref).startswith(prefix)):
+                bad.append(f"{node.lineno}: {name} names {ref}")
+            elif ref in defs:
+                todo.append(ref)
+    return bad
+
+
+def grep(pattern):
+    """The lines that match, comments and docstrings included."""
+    rx = re.compile(pattern)
+    return lambda text: [f"{i}: {line.strip()}" for i, line in enumerate(text.splitlines(), 1) if rx.search(line)]
+
+
+def reaches(roots, routes, prefix=None):
+    return lambda text: reach(ast.parse(text), roots, routes, prefix)
+
+
+def private_imports(text):
+    """from .module import _name (or from tdq...), multi-line imports included."""
+    return [f"{node.lineno}: imports {alias.name}" for node in ast.walk(ast.parse(text))
+            if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("tdq"))
+            for alias in node.names if alias.name.startswith("_")]
+
+
+def unused_imports(text):
+    tree = ast.parse(text)
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return [f"{node.lineno}: {alias.asname or alias.name} is unused" for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+            for alias in node.names if (alias.asname or alias.name).split(".")[0] not in used]
+
+
+def scalar_arithmetic(text):
+    """Arithmetic dunders that class Scalar defines: methods, class-body
+    assignments, and Scalar.name = ... anywhere in the module."""
+    tree = ast.parse(text)
+    cls = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "Scalar"]
+    if not cls:
+        return ["defines no class Scalar"]
+    body = cls[0].body
+    names = [(n.lineno, n.name) for n in body if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    names += [(t.lineno, t.id) for n in body if isinstance(n, (ast.Assign, ast.AnnAssign, ast.AugAssign))
+              for t in ast.walk(n) if isinstance(t, ast.Name) and isinstance(t.ctx, ast.Store)]
+    names += [(t.lineno, t.attr) for t in ast.walk(tree) if isinstance(t, ast.Attribute)
+              and isinstance(t.ctx, ast.Store) and getattr(t.value, "id", None) == "Scalar"]
+    return [f"{line}: Scalar defines {name}" for line, name in names if name in ARITHMETIC]
+
+
+RULES = {  # rule id: (modules read, check, mutant as (module, snippet, replacement))
+    "no-private-names": (
+        MODULES, grep(r"\b(digit_sums|odometer|takagi|trollope|scalar)\._[A-Za-z]"),
+        ("cli.py", "digit_sums.S_rec_payload(n, qv)", "digit_sums._S_rec_num(n, qv)")),
+    "no-private-imports": (
+        MODULES, private_imports,
+        ("trollope.py", "import bit_counts, geometric_num", "import _rec_table, bit_counts, geometric_num")),
+    "no-unused-imports": (
+        tuple(f for f in MODULES if f != "__init__.py"), unused_imports,
+        ("digit_sums.py", "from operator import add, mul", "from operator import add, mul, sub")),
+    # an odometer point is its integer value: no overflow policy, capacity check or bit-tuple rebuild
+    "no-odometer-capacity": (
+        MODULES, grep(r"OverflowPolicy|binary_digits|capacity exhausted|\.reach\("),
+        ("odometer.py", "return OdometerPoint._of(n, 0)", "return OdometerPoint(binary_digits(n))")),
+    # T_a at a point is takagi.takagi_at's one rule
+    "one-takagi-at-rule": (
+        ("cli.py", "odometer.py"), grep(r"as_dyadic_fraction|takagi_series|takagi_dyadic_exact"),
+        ("odometer.py", "[takagi_at(t, a).value", "[takagi_series(t, a).value")),
+    # q is boxed by scalar.as_qweight alone, and the Trollope-Delange formulas take q through it
+    "q-boxed-by-as-qweight": (
+        tuple(f for f in MODULES if f != "scalar.py"), grep(r"QWeight\.of|payload_key"),
+        ("digit_sums.py", "qw = as_qweight(q)\n    return Scalar(sq_payload", "qw = QWeight.of(q)\n    return Scalar(sq_payload")),
+    "trollope-names-no-as-scalar": (
+        ("trollope.py",), grep(r"\bas_scalar\b"),
+        ("trollope.py", "Scalar, as_qweight, tau_profile", "Scalar, as_qweight, as_scalar, tau_profile")),
+    # Scalar tags a payload with its mode; the kernels compute on payloads
+    "scalar-is-a-boundary-tag": (
+        ("scalar.py",), scalar_arithmetic,
+        ("scalar.py", "def modulus(self):", "def __neg__(self):")),
+    # the independent routes: each root set reaches none of the routes it is checked against
+    "derham-independent-of-tau-routes": (
+        ("takagi.py",), reaches(["derham_eval", "DeRhamSystem"], {
+            "tau_profile", "tau_scaled", "tau_float", "takagi_dyadic_exact", "takagi_grid", "takagi_series", "takagi_at"}),
+        ("takagi.py", "sys._lift(k / (1 << i))", "sys._lift(tau_float(k / (1 << i)))")),
+    "S_rec-independent-of-counts-and-direct": (
+        ("digit_sums.py",), reaches(["S_rec_payload"], {
+            "orbit_sums", "window_sum", "bit_counts", "_digit_weights", "iter_S_direct", "sq_payload"}),
+        ("digit_sums.py", "apow, bpow, pow2 = [1], [1], [0]", "apow, bpow, pow2 = [1], [1], list(bit_counts(1))")),
+    # geometric_num is a closed form and stays allowed
+    "trollope-delange-independent-of-S_q-routes": (
+        ("trollope.py",), reaches(["theorem1_rhs", "dyadic_formula"], {
+            "S_rec_payload", "S_pow2_payload", "orbit_sums", "window_sum", "bit_counts", "iter_S_direct", "sq_payload"},
+            prefix="S_q_"),
+        ("trollope.py", "head = a * geometric_num(k + 1, a, b) * n", "head = a * S_q_pow2(k + 1, qv).value * n")),
+}
+
+
+@pytest.mark.parametrize("files, check, mutant", RULES.values(), ids=RULES)
+def test_rule(files, check, mutant):
+    bad = [f"src/tdq/{f}:{v}" for f in files for v in check((SRC / f).read_text(encoding="utf-8"))]
+    assert not bad, "\n".join(bad)
+
+
+@pytest.mark.parametrize("files, check, mutant", RULES.values(), ids=RULES)
+def test_rule_catches_its_mutant(files, check, mutant):
+    f, snippet, replacement = mutant
+    text = (SRC / f).read_text(encoding="utf-8")
+    # a refactor that moves the snippet has to update the row on purpose
+    assert f in files and text.count(snippet) == 1, f"the mutant's snippet is not once in src/tdq/{f}"
+    assert check(text.replace(snippet, replacement))
+
+
+def test_reach_fails_on_a_missing_root():
+    assert reach(ast.parse("def f():\n    return g\n"), ["f", "g"], set()) == ["defines no g"]

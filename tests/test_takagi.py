@@ -401,6 +401,20 @@ def test_derham_coefficient_one_is_a_domain_error(system):
         derham_eval(system(), Fraction(1, 3))
 
 
+@pytest.mark.parametrize(
+    "a0, a1",
+    [(Scalar.exact(Fraction(1, 3)), Scalar.flt(0.5)), (Scalar.flt(0.5), Scalar.cplx(0.5))],
+    ids=["exact-float", "float-complex"],
+)
+def test_derham_system_refuses_mixed_modes(a0, a1):
+    # the descent runs in the system's one mode: the exact descent cannot read
+    # a float a1, and a float system would return a complex value
+    g0, g1 = (1, 0, Fraction(1, 2)), (-1, 1, Fraction(1, 2))
+    for b0, b1 in ((a0, a1), (a1, a0)):
+        with pytest.raises(ModeError, match="a0 and a1 of one mode"):
+            DeRhamSystem(a0=b0, a1=b1, g0=g0, g1=g1)
+
+
 def test_derham_consistency_residuals_vanish():
     assert takagi_system(Fraction(2, 3)).consistency_residual().value == 0
     assert fq_system(Fraction(2, 3)).consistency_residual().value == 0
