@@ -97,55 +97,48 @@ def _write_table(meta: dict, grid, values, out=None, fmt: str = "csv") -> None:
 # eval
 
 
-# the option each eval target cannot run without (--q/--a are checked on parse)
-EVAL_NEEDS = {
-    "sq": "n", "Sq": "n", "Gq": "n", "vdc": "n",
-    "hatF": "u", "tildeF": "u", "tildeF1": "t", "takagi": "x",
+def _S_q_pow2(n: int, q: Scalar) -> Scalar:
+    if n & (n - 1):
+        raise DomainError("--route pow2 needs n to be a power of two")
+    return digit_sums.S_q_pow2(n.bit_length() - 1, q)
+
+
+SQ_ROUTES = {"direct": digit_sums.S_q_direct, "recursive": digit_sums.S_q_recursive, "pow2": _S_q_pow2}
+
+
+def _tilde_F1(_, args) -> Scalar:
+    if not 0.0 <= args.t <= 1.0:
+        raise DomainError("tilde_F_1 domain is [0,1]")
+    return takagi.tilde_F_q(args.t, 1, args.tol)
+
+
+# An eval target: the option it cannot run without, value(p, args) for p the
+# scalar option parsed first under --mode (None when there is none), and that
+# option.
+class Eval(NamedTuple):
+    need: str
+    value: Callable
+    option: str | None = "q"
+
+
+EVALS = {
+    "sq": Eval("n", lambda q, args: digit_sums.s_q(_check_n(args.n), q)),
+    "Sq": Eval("n", lambda q, args: SQ_ROUTES[args.route](_check_n(args.n), q)),
+    "takagi": Eval("x", lambda a, args: takagi.takagi_at(_parse_scalar_arg(args.x, None), a, args.tol), "a"),
+    "hatF": Eval("u", lambda q, args: takagi.hat_F_q(args.u, q, args.tol)),
+    "tildeF": Eval("u", lambda q, args: takagi.tilde_F_q(args.u, q, args.tol)),
+    "tildeF1": Eval("t", _tilde_F1, None),
+    "Gq": Eval("n", lambda q, args: odometer.G_q(_check_n(args.n), q)),
+    "vdc": Eval("n", lambda _, args: trollope.vdc_star_discrepancy(_check_n(args.n)), None),
 }
 
 
 def cmd_eval(args) -> int:
-    target = args.target
-    need = EVAL_NEEDS[target]
-    if getattr(args, need) is None:
-        raise ParseError(f"eval {target} needs --{need}")
-    if target == "sq":
-        q = _parse_scalar_arg(args.q, args.mode)
-        print(digit_sums.s_q(_check_n(args.n), q).render())
-    elif target == "Sq":
-        q = _parse_scalar_arg(args.q, args.mode)
-        n = _check_n(args.n)
-        route = {
-            "direct": digit_sums.S_q_direct,
-            "recursive": digit_sums.S_q_recursive,
-        }
-        if args.route == "pow2":
-            if n & (n - 1):
-                raise DomainError("--route pow2 needs n to be a power of two")
-            print(digit_sums.S_q_pow2(n.bit_length() - 1, q).render())
-        else:
-            print(route[args.route](n, q).render())
-    elif target == "takagi":
-        a = _parse_scalar_arg(args.a, args.mode)
-        x = _parse_scalar_arg(args.x, None)
-        print(takagi.takagi_at(x, a, args.tol).render())
-    elif target == "hatF":
-        q = _parse_scalar_arg(args.q, args.mode)
-        print(takagi.hat_F_q(args.u, q, args.tol).render())
-    elif target == "tildeF":
-        q = _parse_scalar_arg(args.q, args.mode)
-        print(takagi.tilde_F_q(args.u, q, args.tol).render())
-    elif target == "tildeF1":
-        if not 0.0 <= args.t <= 1.0:
-            raise DomainError("tilde_F_1 domain is [0,1]")
-        print(takagi.tilde_F_q(args.t, 1, args.tol).render())
-    elif target == "Gq":
-        q = _parse_scalar_arg(args.q, args.mode)
-        print(odometer.G_q(_check_n(args.n), q).render())
-    elif target == "vdc":
-        print(trollope.vdc_star_discrepancy(_check_n(args.n)).render())
-    else:  # pragma: no cover - argparse restricts choices
-        raise ParseError(f"unknown eval target {target}")
+    target = EVALS[args.target]
+    if getattr(args, target.need) is None:
+        raise ParseError(f"eval {args.target} needs --{target.need}")
+    p = target.option and _parse_scalar_arg(getattr(args, target.option), args.mode)
+    print(target.value(p, args).render())
     return 0
 
 
@@ -251,44 +244,43 @@ def _prop2(q: Scalar, N_max: int):
 SWEEPS = {
     "theorem1": _n_sweep(_theorem1),
     "dyadic": _n_sweep(_dyadic),
+    "prop2": Sweep(_prop2, var="N", option="N", least=2, scope=" N<={}"),
     "recursions": _n_sweep(_recursions),
     "corollary": Sweep(_corollary),
-    "prop2": Sweep(_prop2, var="N", option="N", least=2, scope=" N<={}"),
 }
 
 
+def _larcher(args) -> int:
+    c = float(args.gamma_limit)
+    # the identity is linear in gamma, so its float rounding grows with |gamma|
+    scale = max(1, abs(c))
+    worst, witness = 0.0, None
+    for n in (3, 5, 17, 100, 255, 1024):
+        r = abs(trollope.larcher_residual(n, (), c, args.tol).value)
+        if r > (n * args.tol + 1e-9) * scale and r > worst:
+            worst, witness = r, n
+    decay = [c + scale * 2.0 ** -i for i in range(64)]
+    r_small = abs(trollope.larcher_residual(1 << 6, decay, c, args.tol).value) / (1 << 6)
+    r_big = abs(trollope.larcher_residual(1 << 10, decay, c, args.tol).value) / (1 << 10)
+    trend_ok = r_big < r_small
+    ok = witness is None and trend_ok
+    print(
+        f"larcher: gamma_limit={c:g} constant-weight residual "
+        f"{'ok' if witness is None else f'violated at n={witness} ({worst:g})'}; "
+        f"decay trend |r/n|: {r_small:.3g} -> {r_big:.3g} "
+        f"({'decreasing' if trend_ok else 'NOT decreasing'}), {'PASS' if ok else 'FAIL'}"
+    )
+    return 0 if ok else 3
+
+
 def cmd_verify(args) -> int:
-    target = args.target
-    if target in SWEEPS:
-        sweep = SWEEPS[target]
-        top = getattr(args, sweep.option.replace("-", "_"))
-        mode, worst, witness = _sweep(sweep, _parse_scalar_arg(args.q, args.mode), top)
-        head = f"{target}: q={args.q} mode={mode.value}{sweep.scope.format(top)}"
-        return _report(head, sweep.var, worst, witness, mode, args.tol)
-
-    if target == "larcher":
-        c = float(args.gamma_limit)
-        # the identity is linear in gamma, so its float rounding grows with |gamma|
-        scale = max(1, abs(c))
-        worst, witness = 0.0, None
-        for n in (3, 5, 17, 100, 255, 1024):
-            r = abs(trollope.larcher_residual(n, (), c, args.tol).value)
-            if r > (n * args.tol + 1e-9) * scale and r > worst:
-                worst, witness = r, n
-        decay = [c + scale * 2.0 ** -i for i in range(64)]
-        r_small = abs(trollope.larcher_residual(1 << 6, decay, c, args.tol).value) / (1 << 6)
-        r_big = abs(trollope.larcher_residual(1 << 10, decay, c, args.tol).value) / (1 << 10)
-        trend_ok = r_big < r_small
-        ok = witness is None and trend_ok
-        print(
-            f"larcher: gamma_limit={c:g} constant-weight residual "
-            f"{'ok' if witness is None else f'violated at n={witness} ({worst:g})'}; "
-            f"decay trend |r/n|: {r_small:.3g} -> {r_big:.3g} "
-            f"({'decreasing' if trend_ok else 'NOT decreasing'}), {'PASS' if ok else 'FAIL'}"
-        )
-        return 0 if ok else 3
-
-    raise ParseError(f"unknown verify target {target}")  # pragma: no cover
+    if args.target not in SWEEPS:
+        return _larcher(args)
+    sweep = SWEEPS[args.target]
+    top = getattr(args, sweep.option.replace("-", "_"))
+    mode, worst, witness = _sweep(sweep, _parse_scalar_arg(args.q, args.mode), top)
+    head = f"{args.target}: q={args.q} mode={mode.value}{sweep.scope.format(top)}"
+    return _report(head, sweep.var, worst, witness, mode, args.tol)
 
 
 # ---------------------------------------------------------------------------
@@ -306,8 +298,8 @@ class Curve(NamedTuple):
 
 CURVES = {
     "takagi": Curve("a", lambda a, m, grid, tol: takagi.takagi_grid(a, m)),
-    "F": Curve("q", lambda q, m, grid, tol: takagi.F_q_grid(q, m)),
     "tildeF": Curve("q", lambda q, m, grid, tol: takagi.tilde_F_q_grid(q, m, tol)),
+    "F": Curve("q", lambda q, m, grid, tol: takagi.F_q_grid(q, m)),
     "complex-takagi": Curve("q", lambda q, m, grid, tol: takagi.takagi_grid(as_qweight(q).a, m), "complex"),
     "Gtilde": Curve(
         "gamma_limit", lambda g, m, grid, tol: [takagi.G_tilde_gamma(float(t), g, tol) for t in grid]
@@ -324,7 +316,7 @@ def _curve(target: str, param, mode: str | None, m: int, grid, tol: float):
 
 
 def cmd_curve(args) -> int:
-    if args.target == "fluctuation":
+    if args.target not in CURVES:
         return _fluctuation(args)
     grid = _grid(args.grid)
     param = getattr(args, CURVES[args.target].option)
@@ -353,7 +345,7 @@ def _fluctuation(args) -> int:
     norm = odometer.Normalization.MAX_ABS if r is None else odometer.Normalization.EXPLICIT
     curve = odometer.phi_curve(partials, l, grid, norm, r)
     meta = {
-        "curve": "fluctuation",
+        "curve": args.target,
         "q": args.q,
         "omega": args.omega,
         "l": l,
@@ -401,62 +393,64 @@ def cmd_figures(args) -> int:
 # odometer
 
 
+def _run(args) -> int:
+    pt = _parse_omega(args.omega, args.seed)
+    steps = _check_n(args.steps)
+    if steps < 1:
+        raise DomainError("run requires --steps >= 1")
+    for i in range(steps):
+        bits = f"{pt.value:0{pt.width}b}"[::-1]
+        print(f"{bits} (n={pt.value})")
+        if i + 1 < steps:
+            pt = odometer.odometer_step(pt)
+    return 0
+
+
+def _birkhoff(args) -> int:
+    q = _parse_scalar_arg(args.q, args.mode)
+    # Monte Carlo proxy: computed in float regardless of how q parses
+    qf = complex(q.promote(Mode.COMPLEX).value)
+    qf = qf.real if qf.imag == 0 else qf
+    qw = as_qweight(qf)
+    if qw.q.modulus() >= 1:
+        raise DomainError("birkhoff requires |q| < 1")
+    omega = _parse_omega(args.omega, args.seed)
+    n = _check_n(args.n)
+    if n < 1:
+        raise DomainError("birkhoff requires --n >= 1")
+    mean_target = qw.q.value / (2 * (1 - qw.q.value))
+    print(f"# q={args.q} omega={args.omega} seed={args.seed} E[s_q]={Scalar(mean_target).render()}")
+    checkpoint = 1
+    for j, total in enumerate(odometer.iter_ergodic_sums(omega, qw, n), 1):
+        if j == checkpoint or j == n:
+            dev = total / j - mean_target
+            print(f"n={j} deviation={Scalar(dev).render()}")
+            while checkpoint <= j:
+                checkpoint <<= 1
+    return 0
+
+
+def _search(args) -> int:
+    q = _parse_scalar_arg(args.q, args.mode)
+    omega = _parse_omega(args.omega, args.seed)
+    try:
+        windows = [int(w) for w in args.candidates.split(",") if w]
+    except ValueError:
+        raise ParseError(f"--candidates must be a comma-separated list of integers: {args.candidates!r}") from None
+    grid = _grid(args.grid)
+    report = odometer.stabilizer_search(omega, q, windows, grid)
+    print(f"# q={args.q} omega={args.omega} seed={args.seed}")
+    for l, dist in report.entries:
+        print(f"l={l} sup_distance={dist:.6g}")
+    print(f"best l={report.best_l} distance={report.best_distance:.6g}")
+    return 0
+
+
+ODOMETER = {"run": _run, "birkhoff": _birkhoff, "fluctuation": _fluctuation, "search": _search}
+
+
 def cmd_odometer(args) -> int:
-    target = args.target
-    if target == "run":
-        pt = _parse_omega(args.omega, args.seed)
-        steps = _check_n(args.steps)
-        if steps < 1:
-            raise DomainError("run requires --steps >= 1")
-        for i in range(steps):
-            bits = f"{pt.value:0{pt.width}b}"[::-1]
-            print(f"{bits} (n={pt.value})")
-            if i + 1 < steps:
-                pt = odometer.odometer_step(pt)
-        return 0
-
-    if target == "birkhoff":
-        q = _parse_scalar_arg(args.q, args.mode)
-        # Monte Carlo proxy: computed in float regardless of how q parses
-        qf = complex(q.promote(Mode.COMPLEX).value)
-        qf = qf.real if qf.imag == 0 else qf
-        qw = as_qweight(qf)
-        if qw.q.modulus() >= 1:
-            raise DomainError("birkhoff requires |q| < 1")
-        omega = _parse_omega(args.omega, args.seed)
-        n = _check_n(args.n)
-        if n < 1:
-            raise DomainError("birkhoff requires --n >= 1")
-        mean_target = qw.q.value / (2 * (1 - qw.q.value))
-        print(f"# q={args.q} omega={args.omega} seed={args.seed} E[s_q]={Scalar(mean_target).render()}")
-        checkpoint = 1
-        for j, total in enumerate(odometer.iter_ergodic_sums(omega, qw, n), 1):
-            if j == checkpoint or j == n:
-                dev = total / j - mean_target
-                print(f"n={j} deviation={Scalar(dev).render()}")
-                while checkpoint <= j:
-                    checkpoint <<= 1
-        return 0
-
-    if target == "fluctuation":
-        return _fluctuation(args)
-
-    if target == "search":
-        q = _parse_scalar_arg(args.q, args.mode)
-        omega = _parse_omega(args.omega, args.seed)
-        try:
-            windows = [int(w) for w in args.candidates.split(",") if w]
-        except ValueError:
-            raise ParseError(f"--candidates must be a comma-separated list of integers: {args.candidates!r}") from None
-        grid = _grid(args.grid)
-        report = odometer.stabilizer_search(omega, q, windows, grid)
-        print(f"# q={args.q} omega={args.omega} seed={args.seed}")
-        for l, dist in report.entries:
-            print(f"l={l} sup_distance={dist:.6g}")
-        print(f"best l={report.best_l} distance={report.best_distance:.6g}")
-        return 0
-
-    raise ParseError(f"unknown odometer target {target}")  # pragma: no cover
+    return ODOMETER[args.target](args)
 
 
 # ---------------------------------------------------------------------------
@@ -468,11 +462,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp):
-        sp.add_argument("--mode", choices=["exact", "float", "complex"], default=None)
+        sp.add_argument("--mode", choices=[m.value for m in Mode], default=None)
         sp.add_argument("--seed", type=int, default=0)
 
     pe = sub.add_parser("eval", help="evaluate a single quantity")
-    pe.add_argument("target", choices=["sq", "Sq", "takagi", "hatF", "tildeF", "tildeF1", "Gq", "vdc"])
+    pe.add_argument("target", choices=EVALS)
     pe.add_argument("--q")
     pe.add_argument("--a")
     pe.add_argument("--x")
@@ -480,12 +474,12 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--u", type=_finite_float)
     pe.add_argument("--t", type=_finite_float)
     pe.add_argument("--tol", type=_finite_float, default=takagi.DEFAULT_SERIES_TOL)
-    pe.add_argument("--route", choices=["direct", "recursive", "pow2"], default="recursive")
+    pe.add_argument("--route", choices=SQ_ROUTES, default="recursive")
     common(pe)
     pe.set_defaults(func=cmd_eval)
 
     pv = sub.add_parser("verify", help="run an identity sweep")
-    pv.add_argument("target", choices=["theorem1", "dyadic", "prop2", "recursions", "corollary", "larcher"])
+    pv.add_argument("target", choices=[*SWEEPS, "larcher"])
     pv.add_argument("--q", default="2/3")
     pv.add_argument("--n-max", type=int, default=4096)
     pv.add_argument("--N", type=int, default=8)
@@ -495,7 +489,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv.set_defaults(func=cmd_verify)
 
     pc = sub.add_parser("curve", help="sample a curve to CSV/JSON")
-    pc.add_argument("target", choices=["takagi", "tildeF", "F", "complex-takagi", "Gtilde", "fluctuation"])
+    pc.add_argument("target", choices=[*CURVES, "fluctuation"])
     pc.add_argument("--q")
     pc.add_argument("--a")
     pc.add_argument("--grid", type=int, default=10, help="grid density m; 2^m+1 points")
@@ -517,7 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
     pf.set_defaults(func=cmd_figures)
 
     po = sub.add_parser("odometer", help="odometer trajectories and fluctuation curves")
-    po.add_argument("target", choices=["run", "birkhoff", "fluctuation", "search"])
+    po.add_argument("target", choices=ODOMETER)
     po.add_argument("--q", default="2/3")
     po.add_argument("--omega", default="0")
     po.add_argument("--steps", type=int, default=8)

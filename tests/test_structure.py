@@ -127,6 +127,11 @@ RULES = {  # rule id: (modules read, check, mutant as (module, snippet, replacem
             "S_rec_payload", "S_pow2_payload", "orbit_sums", "window_sum", "bit_counts", "iter_S_direct", "sq_payload"},
             prefix="S_q_"),
         ("trollope.py", "head = a * geometric_num(k + 1, a, b) * n", "head = a * S_q_pow2(k + 1, qv).value * n")),
+    # each tdq target is a row of a cli table, and argparse reads its choices off that table
+    "targets-read-off-tables": (
+        ("cli.py",), grep(r'add_argument\("target", choices=\["'),
+        ("cli.py", 'pe.add_argument("target", choices=EVALS)',
+         'pe.add_argument("target", choices=["sq", "Sq", "takagi", "hatF", "tildeF", "tildeF1", "Gq", "vdc"])')),
 }
 
 
