@@ -182,6 +182,16 @@ def infer_mode(text: str) -> Mode:
     return Mode.FLOAT
 
 
+def powers_of(x, e: int, known=()) -> list:
+    """[x^0, x^1, ..., x^{e-1}], and x^0 at least, as a new list: ``known``
+    (a shorter such list) extended by repeated multiplication from x ** 0, so
+    each x^j is the same payload whichever list holds it."""
+    powers = list(known) or [x ** 0]
+    while len(powers) < e:
+        powers.append(powers[-1] * x)
+    return powers
+
+
 def checked_pow(x, k: int):
     """x ** k on a payload; a float or complex power out of range raises
     ``DomainError`` rather than ``OverflowError``.  Exact powers never do."""
@@ -296,16 +306,11 @@ class QWeight:
         return _Powers(2 * self.q.value)
 
     def a_pow(self, e: int) -> list:
-        """[a^0, a^1, ...] through a^{e-1} at least, by the repeated
-        multiplication from a ** 0 that ``takagi_dyadic_exact`` does.  A longer
+        """[a^0, a^1, ...] through a^{e-1} at least (``powers_of``).  A longer
         list replaces the old one whole, so no caller reads a half-grown list."""
         powers = self.__dict__.get("_a_pow", [])
         if len(powers) < e:
-            a = self.a.value
-            powers = powers[:] or [a ** 0]
-            while len(powers) < e:
-                powers.append(powers[-1] * a)
-            self.__dict__["_a_pow"] = powers
+            powers = self.__dict__["_a_pow"] = powers_of(self.a.value, e, powers)
         return powers
 
     @staticmethod

@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from itertools import accumulate, repeat
-from operator import mul
 from typing import NamedTuple
 
 from .errors import DomainError, ModeError
@@ -25,6 +23,7 @@ from .scalar import (
     as_dyadic_fraction,
     as_qweight,
     as_scalar,
+    powers_of,
     tau_float,
     tau_profile,
 )
@@ -323,32 +322,35 @@ def takagi_series(x, a, tol: float = DEFAULT_SERIES_TOL) -> Scalar:
     return Scalar(_series_sum(fr, av, n_terms))
 
 
-def takagi_dyadic_num(taus, p: int, r: int) -> int:
-    """B = sum_j (2p)^j r^{e-1-j} taus[j], j < e = len(taus), by Horner's rule in r.
+def takagi_dyadic_num(m: int, e: int, p: int, r: int) -> int:
+    """The integer B = T_a(m/2^e) r^{e-1} 2^e at a = p/r, for any m, reduced or not.
 
-    With taus = ``tau_profile(m, e)[::-1]`` and a = p/r this is the integer
-    B = T_a(m/2^e) r^{e-1} 2^e, for any m, reduced or not.
+    B = sum_j (2p)^j r^{e-1-j} t_j, j < e, by Horner's rule in r, where
+    t_j = 2^{e-j} tau(m_j/2^{e-j}) is ``tau_profile(m, e)`` read in reverse.
     """
     acc = 0
     pj = 1
-    for t in taus:
+    for t in tau_profile(m, e)[::-1]:
         acc = acc * r + pj * t
         pj *= 2 * p
     return acc
 
 
-def takagi_dyadic_sum(taus, powers):
-    """sum_j powers[j] (taus[j] 2^j / 2^e), j < e = len(taus), as a float or
-    complex payload summed left to right from +0.
+def takagi_dyadic_sum(m: int, e: int, powers):
+    """T_a(m/2^e) for 0 <= m <= 2^e as a float or complex payload, powers[j]
+    = a^j (``powers_of``) through a^{e-1} at least: the float and complex
+    counterpart of ``takagi_dyadic_num``.
 
-    With taus = ``tau_profile(m, e)[::-1]`` and powers[j] = a^j, built as
-    a ** 0 times a, j times, this is T_a(m/2^e): the float and complex
-    counterpart of ``takagi_dyadic_num``.  powers holds a^0 at least, and
-    its type picks the zero: a 0 * a would be -0.0 at a negative a.
+    m/2^e is reduced to lowest terms first, so no power past the last
+    nonzero term is read.  The terms powers[j] (t_j 2^j / 2^e) are summed
+    left to right from +0, the zero of powers' type: a 0 * a would be -0.0
+    at a negative a.
     """
+    z = (m & -m).bit_length() - 1 if m else e
+    m, e = m >> z, e - z
     acc = 0j if isinstance(powers[0], complex) else 0.0
-    size = 1 << len(taus)
-    for j, t in enumerate(taus):
+    size = 1 << e
+    for j, t in enumerate(tau_profile(m, e)[::-1]):
         acc = acc + powers[j] * ((t << j) / size)
     return acc
 
@@ -368,17 +370,13 @@ def takagi_dyadic_exact(x, a) -> Scalar:
         raise DomainError("takagi_dyadic_exact requires a dyadic rational x")
     a = as_scalar(a)
     y = fr - math.floor(fr)
-    m, size = y.numerator, y.denominator
-    e = size.bit_length() - 1
-    taus = tau_profile(m, e)[::-1]
+    m, e = y.numerator, y.denominator.bit_length() - 1
     if a.mode is Mode.EXACT:
         if not e:
             return Scalar(Fraction(0))
         p, r = a.value.numerator, a.value.denominator
-        return Scalar(Fraction(takagi_dyadic_num(taus, p, r), r ** (e - 1) << e))
-    av = a.value
-    powers = list(accumulate(repeat(av, e - 1), mul, initial=av ** 0))  # a^0 .. a^{e-1}
-    return Scalar(takagi_dyadic_sum(taus, powers))
+        return Scalar(Fraction(takagi_dyadic_num(m, e, p, r), r ** (e - 1) << e))
+    return Scalar(takagi_dyadic_sum(m, e, powers_of(a.value, e)))
 
 
 def takagi_grid(a, m: int) -> list[Scalar]:
@@ -390,8 +388,8 @@ def takagi_grid(a, m: int) -> list[Scalar]:
     N_j = j r^{m-1} + p N_k / r, since 2^m tau(j/2^m) = j for j <= 2^{m-1},
     with k = 2j mod 2^m taken in the lower half (N_k = N_{2^m - k}); the
     division is exact because N_k sits one level coarser.  Float and complex
-    a build a^0 .. a^{m-1} once and take ``takagi_dyadic_sum`` over the
-    profile of j/2^m in lowest terms, as ``takagi_dyadic_exact`` does.
+    a build a^0 .. a^{m-1} once (``powers_of``) and take ``takagi_dyadic_sum``
+    at each j/2^m, as ``takagi_dyadic_exact`` does.
     """
     if m < 0:
         raise DomainError("takagi_grid requires m >= 0")
@@ -411,11 +409,8 @@ def takagi_grid(a, m: int) -> list[Scalar]:
         den = scale << m
         lower = [Scalar(Fraction(v, den)) for v in num]
     else:
-        powers = list(accumulate(repeat(a.value, m - 1), mul, initial=a.value ** 0))  # a^0 .. a^{m-1}
-        lower = []
-        for j in range(half + 1):
-            z = (j & -j).bit_length() - 1 if j else m  # j/2^m = (j >> z)/2^{m-z} in lowest terms
-            lower.append(Scalar(takagi_dyadic_sum(tau_profile(j >> z, m - z)[::-1], powers)))
+        powers = powers_of(a.value, m)
+        lower = [Scalar(takagi_dyadic_sum(j, m, powers)) for j in range(half + 1)]
     return lower + lower[-2::-1]
 
 

@@ -24,8 +24,7 @@ def theorem1_rhs(n: int, q) -> Scalar:
     for rational q.  Equals S_q(n)/n.  For exact q = a/b, 1/(2q) = p/r and
     T_{p/r}(n/2^{k+1}) = tn / (r^k 2^{k+1}) (``takagi_dyadic_num``) it is
     a (G_{k+1} n r^k - a^k tn) / (2 b^{k+1} n r^k), G_j = (b^j - a^j)/(b - a).
-    For float and complex q, n/2^{k+1} = m/2^e in lowest terms and T_a there
-    is ``takagi_dyadic_sum`` over the profile of m.
+    For float and complex q, T_a(n/2^{k+1}) is ``takagi_dyadic_sum``.
     """
     if n < 1:
         raise DomainError("theorem1_rhs requires n >= 1")
@@ -39,12 +38,10 @@ def theorem1_rhs(n: int, q) -> Scalar:
     if qw.q.mode is Mode.EXACT:
         a, b = qv.numerator, qv.denominator
         p, r = qw.a.value.numerator, qw.a.value.denominator
-        tn, rk = takagi_dyadic_num(tau_profile(n, k + 1)[::-1], p, r), r ** k
+        tn, rk = takagi_dyadic_num(n, k + 1, p, r), r ** k
         num = a * (geometric_num(k + 1, a, b) * n * rk - a ** k * tn)
         return Scalar(Fraction(num, 2 * b ** (k + 1) * n * rk))
-    z = (n & -n).bit_length() - 1
-    e = k + 1 - z
-    t = takagi_dyadic_sum(tau_profile(n >> z, e)[::-1], qw.a_pow(e))
+    t = takagi_dyadic_sum(n, k + 1, qw.a_pow(k + 1))
     hat_f = (1 << (k + 1)) / n * t  # int / int rounds once, as float(Fraction(2^{k+1}, n))
     q_pow = qw.q_pow
     bracket = (1 - q_pow[k + 1]) / (1 - qv) - q_pow[k] * hat_f
