@@ -211,10 +211,15 @@ def phi_curve(
     run on integers over one denominator (``_phi_numerators``) and build one
     ``Fraction`` per value.  The curve takes the widest mode among its
     inputs, in ``Mode``'s order: a float abscissa or normaliser makes exact
-    sums a float curve, a complex normaliser any curve complex.
+    sums a float curve, a complex normaliser any curve complex.  R is given
+    with ``EXPLICIT`` normalization alone; ``MAX_ABS`` computes its own.
     """
     if l < 1:
         raise DomainError("phi_curve requires l >= 1")
+    if normalization is Normalization.EXPLICIT and R is None:
+        raise DomainError("explicit normalization needs R")
+    if normalization is Normalization.MAX_ABS and R is not None:
+        raise DomainError("max-abs normalization computes R and takes none")
     grid = tuple(grid)
     if not grid:
         raise DomainError("phi_curve requires a non-empty grid")
@@ -238,8 +243,6 @@ def phi_curve(
             m = Fraction(m, den)
         r_scalar = as_scalar(m if m != 0 else (1 if mode is Mode.EXACT else 1.0))
     else:
-        if R is None:
-            raise DomainError("explicit normalization needs R")
         r_scalar = as_scalar(R)
         if r_scalar.is_zero():
             raise DomainError("normalizer R must be non-zero (given, or underflowed to 0)")

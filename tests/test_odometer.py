@@ -108,6 +108,17 @@ def test_phi_curve_interpolation_and_normalization():
         phi_curve(partials, 8, [Fraction(3, 2)], Normalization.MAX_ABS)
 
 
+def test_phi_curve_takes_R_with_explicit_normalization_alone():
+    partials = orbit_partial_sums(OdometerPoint.zero(), Fraction(2, 3), 8)
+    grid = [Fraction(j, 4) for j in range(5)]
+    # max-abs used to drop a given R silently and return its own, 20/27 here
+    with pytest.raises(DomainError, match="max-abs normalization computes R and takes none"):
+        phi_curve(partials, 8, grid, Normalization.MAX_ABS, Fraction(1000))
+    with pytest.raises(DomainError, match="explicit normalization needs R"):
+        phi_curve(partials, 8, grid, Normalization.EXPLICIT)
+    assert phi_curve(partials, 8, grid, Normalization.MAX_ABS).R.value == Fraction(20, 27)
+
+
 @pytest.mark.parametrize("q", [Fraction(2, 3), Fraction(-1), Fraction(3, 2)])
 def test_prop2_residual_is_exactly_zero(q):
     for N in range(2, 9):
