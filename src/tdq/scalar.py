@@ -182,11 +182,10 @@ def infer_mode(text: str) -> Mode:
     return Mode.FLOAT
 
 
-def powers_of(x, e: int, known=()) -> list:
-    """[x^0, x^1, ..., x^{e-1}], and x^0 at least, as a new list: ``known``
-    (a shorter such list) extended by repeated multiplication from x ** 0, so
-    each x^j is the same payload whichever list holds it."""
-    powers = list(known) or [x ** 0]
+def powers_of(x, e: int) -> list:
+    """[x^0, x^1, ..., x^{e-1}], and x^0 at least, by repeated multiplication
+    from x ** 0, so each x^j is the same payload whichever list holds it."""
+    powers = [x ** 0]
     while len(powers) < e:
         powers.append(powers[-1] * x)
     return powers
@@ -310,7 +309,7 @@ class QWeight:
         list replaces the old one whole, so no caller reads a half-grown list."""
         powers = self.__dict__.get("_a_pow", [])
         if len(powers) < e:
-            powers = self.__dict__["_a_pow"] = powers_of(self.a.value, e, powers)
+            powers = self.__dict__["_a_pow"] = powers_of(self.a.value, e)
         return powers
 
     @staticmethod

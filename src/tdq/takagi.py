@@ -326,7 +326,7 @@ def takagi_dyadic_num(m: int, e: int, p: int, r: int) -> int:
     """The integer B = T_a(m/2^e) r^{e-1} 2^e at a = p/r, for any m, reduced or not.
 
     B = sum_j (2p)^j r^{e-1-j} t_j, j < e, by Horner's rule in r, where
-    t_j = 2^{e-j} tau(m_j/2^{e-j}) is ``tau_profile(m, e)`` read in reverse.
+    t_j = 2^{e-j} tau(m/2^{e-j}) is ``tau_profile(m, e)`` read in reverse.
     """
     acc = 0
     pj = 1

@@ -84,16 +84,16 @@ def test_cli_corpus_digests():
     assert not bad, f"{len(bad)} argv changed output; list them with tests/test_cli_corpus.py:\n" + "\n".join(bad[:20])
 
 
-
 def test_cli_corpus_covers_every_target():
     argvs = [shlex.split(line) for line in corpus_lines()]
     heads = {" ".join(argv[:2]) for argv in argvs} | {argv[0] for argv in argvs if argv}
     wanted = [f"eval {t}" for t in cli.EVALS] + [f"verify {t}" for t in [*cli.SWEEPS, "larcher"]]
     wanted += [f"curve {t}" for t in [*cli.CURVES, "fluctuation"]] + [f"odometer {t}" for t in cli.ODOMETER]
     missing = [w for w in [*wanted, "figures"] if w not in heads]
-    routes = {" ".join(argv[2:]) for argv in argvs if argv[:2] == ["eval", "Sq"]}
-    missing += [f"eval Sq --route {r}" for r in cli.SQ_ROUTES if not any(f"--route {r}" in a for a in routes)]
+    sq = [" ".join(argv) for argv in argvs if argv[:2] == ["eval", "Sq"]]
+    missing += [f"eval Sq --route {r}" for r in cli.SQ_ROUTES if not any(f"--route {r}" in a for a in sq)]
     assert not missing, f"no argv in cli_corpus.txt for: {missing}"
+
 
 def main(argv):
     got = digests(corpus_lines())
