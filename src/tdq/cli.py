@@ -18,7 +18,7 @@ from typing import Callable, NamedTuple
 from . import digit_sums, odometer, takagi, trollope
 from .digit_sums import iter_S_direct
 from .errors import DomainError, ModeError, ParseError, VerificationError
-from .scalar import Mode, Scalar, as_qweight, infer_mode, parse_scalar
+from .scalar import Mode, Scalar, as_qweight, parse_scalar
 
 N_LIMIT = 1 << 62
 GRID_LIMIT = 20
@@ -27,15 +27,16 @@ GRID_LIMIT = 20
 def _parse_scalar_arg(text: str | None, mode_opt: str | None) -> Scalar:
     if text is None:
         raise ParseError("missing scalar argument (--q/--a/--x)")
-    return parse_scalar(text, Mode(mode_opt) if mode_opt else infer_mode(text))
+    return parse_scalar(text, Mode(mode_opt) if mode_opt else None)
 
 
 def _finite_float(text: str) -> float:
-    """argparse type for the float options: nan and inf are parse errors."""
-    v = float(text)
-    if not math.isfinite(v):
-        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
-    return v
+    """argparse type for the float options: any real literal, as parse_scalar
+    reads it in float mode, so nan and inf are usage errors."""
+    try:
+        return parse_scalar(text, Mode.FLOAT).value
+    except ParseError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _check_n(n: int) -> int:
@@ -72,8 +73,8 @@ def _write_table(meta: dict, grid, values, out=None, fmt: str = "csv") -> None:
         rows = [
             [
                 str(t),
-                Scalar.flt(complex(v.value).real).render(),
-                Scalar.flt(complex(v.value).imag).render(),
+                Scalar(complex(v.value).real).render(),
+                Scalar(complex(v.value).imag).render(),
             ]
             for t, v in zip(grid, values)
         ]
@@ -98,6 +99,8 @@ def _write_table(meta: dict, grid, values, out=None, fmt: str = "csv") -> None:
 
 
 def _S_q_pow2(n: int, q: Scalar) -> Scalar:
+    if n < 1:
+        raise DomainError("S_q is defined for n >= 1")
     if n & (n - 1):
         raise DomainError("--route pow2 needs n to be a power of two")
     return digit_sums.S_q_pow2(n.bit_length() - 1, q)
@@ -180,7 +183,7 @@ def _report(head: str, var: str, worst, witness, mode: Mode, tol: float) -> int:
         f = Fraction(worst)
         shown = f"{f.numerator}/{f.denominator}"
     else:
-        shown = Scalar.flt(float(worst)).render()
+        shown = Scalar(float(worst)).render()
     tag = "PASS" if ok else f"FAIL at {var}={witness}"
     print(f"{head} max residual {shown}, {tag}")
     return 0 if ok else 3
@@ -251,7 +254,7 @@ SWEEPS = {
 
 
 def _larcher(args) -> int:
-    c = float(args.gamma_limit)
+    c = args.gamma_limit
     # the identity is linear in gamma, so its float rounding grows with |gamma|
     scale = max(1, abs(c))
     worst, witness = 0.0, None

@@ -40,6 +40,7 @@ _MODE_OF = {Fraction: Mode.EXACT, float: Mode.FLOAT, complex: Mode.COMPLEX}  # a
 _EXACT = Mode.EXACT  # a global read, where Mode.EXACT costs an enum lookup on every Scalar built
 
 _RATIONAL_RE = re.compile(r"^[+-]?[0-9]+(/[0-9]+)?$")
+_LITERAL = {Mode.EXACT: "rational", Mode.FLOAT: "float", Mode.COMPLEX: "complex"}  # a mode's literal, in messages
 
 
 def _format_float(v: float) -> str:
@@ -72,18 +73,6 @@ class Scalar:
         object.__setattr__(self, "value", value)
 
     # -- construction -----------------------------------------------------
-
-    @staticmethod
-    def exact(v) -> "Scalar":
-        return Scalar(Fraction(v))
-
-    @staticmethod
-    def flt(v: float) -> "Scalar":
-        return Scalar(float(v))
-
-    @staticmethod
-    def cplx(v: complex) -> "Scalar":
-        return Scalar(complex(v))
 
     @staticmethod
     def lift(v, mode: Mode) -> "Scalar":
@@ -135,51 +124,48 @@ def as_scalar(v) -> Scalar:
     return Scalar(Fraction(v) if isinstance(v, int) else v)
 
 
-def parse_scalar(text: str, mode: Mode) -> Scalar:
-    """Parse scalar text for the requested mode.
+def parse_scalar(text: str, mode: Mode | None = None) -> Scalar:
+    """Parse scalar text in its own mode, lifted into ``mode`` if one is given.
 
-    Grammar: rationals ``-?[0-9]+(/[0-9]+)?``, floats in decimal/scientific
-    notation, complex ``RE(+|-)IMi`` with no spaces.  nan and inf are
-    rejected in every mode.
+    One grammar decides the literal's own mode: a rational
+    ``[+-]?[0-9]+(/[0-9]+)?`` is exact; text with ``i`` or ``I`` that is not
+    inf is complex, ``RE(+|-)IMi`` with no spaces; anything else is a float
+    in decimal or scientific notation.  The literal is parsed once and
+    ``Scalar.lift`` widens it to ``mode``; a literal wider than ``mode`` is
+    refused, and so are nan and inf in every mode.  An integer literal
+    lifts as ``float`` reads it, so ``-0`` is -0.0 in float and complex mode.
     """
     text = text.strip()
     if not text:
         raise ParseError("empty scalar text")
-    if mode is Mode.EXACT:
-        if not _RATIONAL_RE.match(text):
-            raise ParseError(f"not a rational literal: {text!r}")
-        try:
-            return Scalar.exact(Fraction(text))
-        except ZeroDivisionError:
-            raise ParseError(f"zero denominator: {text!r}") from None
-    if mode is Mode.FLOAT:
-        try:
-            v = float(Fraction(text) if "/" in text else text)
-        except (ValueError, ZeroDivisionError):
-            raise ParseError(f"not a float literal: {text!r}") from None
-        if not math.isfinite(v):
-            raise ParseError(f"not a finite value: {text!r}")
-        return Scalar.flt(v)
-    # complex: reuse Python's parser with i -> j
-    if " " in text:
-        raise ParseError(f"complex literal must not contain spaces: {text!r}")
-    try:
-        c = complex(text.replace("i", "j").replace("I", "j"))
-    except ValueError:
-        raise ParseError(f"not a complex literal: {text!r}") from None
-    if not cmath.isfinite(c):
-        raise ParseError(f"not a finite value: {text!r}")
-    return Scalar.cplx(c)
-
-
-def infer_mode(text: str) -> Mode:
-    """Pick the natural mode for scalar text: rational, complex, or float."""
-    text = text.strip()
+    low = text.lower()
     if _RATIONAL_RE.match(text):
-        return Mode.EXACT
-    if "i" in text.lower() and "inf" not in text.lower():
-        return Mode.COMPLEX
-    return Mode.FLOAT
+        own = Mode.EXACT
+    elif "i" in low and "inf" not in low:
+        own = Mode.COMPLEX
+    else:
+        own = Mode.FLOAT
+    mode = mode or own
+    if Mode.widest(own, mode) is not mode:
+        raise ParseError(f"not a {_LITERAL[mode]} literal: {text!r}")
+    try:
+        if own is Mode.EXACT:
+            v = Fraction(text)
+            if mode is not Mode.EXACT and text[0] == "-" and "/" not in text:
+                v = -float(-v)  # float reads -0 as -0.0, and a Fraction has no -0
+        elif own is Mode.FLOAT:
+            v = float(text)
+        elif " " in text:
+            raise ParseError(f"complex literal must not contain spaces: {text!r}")
+        else:
+            v = complex(text.replace("i", "j").replace("I", "j"))
+        return Scalar.lift(v, mode)
+    except ZeroDivisionError:
+        raise ParseError(f"zero denominator: {text!r}") from None
+    except ValueError:
+        raise ParseError(f"not a {_LITERAL[mode]} literal: {text!r}") from None
+    except (OverflowError, DomainError):  # inf, nan, or a rational past the float range
+        raise ParseError(f"not a finite value: {text!r}") from None
 
 
 def powers_of(x, e: int) -> list:

@@ -509,7 +509,7 @@ def tilde_F_q(u, q, tol: float = DEFAULT_SERIES_TOL) -> Scalar:
     """The corollary's periodic correction, real q > 1/2; at q = 1 the classic
     Trollope-Delange correction 1 - u - 2^{1-u} T(2^{u-1})."""
     series = _corollary_q(q, tol)
-    return Scalar.flt(_tilde_F_u(float(as_scalar(u).promote(Mode.FLOAT).value), *series))
+    return Scalar(_tilde_F_u(float(as_scalar(u).promote(Mode.FLOAT).value), *series))
 
 
 def tilde_F_q_grid(q, m: int, tol: float = DEFAULT_SERIES_TOL) -> list[Scalar]:
@@ -519,7 +519,7 @@ def tilde_F_q_grid(q, m: int, tol: float = DEFAULT_SERIES_TOL) -> list[Scalar]:
         raise DomainError("tilde_F_q_grid requires m >= 0")
     series = _corollary_q(q, tol)
     size = 1 << m
-    return [Scalar.flt(_tilde_F_u(j / size, *series)) for j in range(size + 1)]
+    return [Scalar(_tilde_F_u(j / size, *series)) for j in range(size + 1)]
 
 
 def _tilde_F_log2(n: int, qf: float, a: float, n_terms: int) -> float:
@@ -538,14 +538,14 @@ def tilde_F_q_log2(n: int, q, tol: float = DEFAULT_SERIES_TOL) -> Scalar:
     series = _corollary_q(q, tol)
     if n < 1:
         raise DomainError("tilde_F_q_log2 requires n >= 1")
-    return Scalar.flt(_tilde_F_log2(n, *series))
+    return Scalar(_tilde_F_log2(n, *series))
 
 
 def tilde_F_q_log2_range(q, n_max: int, tol: float = DEFAULT_SERIES_TOL) -> list[Scalar]:
     """[tilde_F_q_log2(n, q, tol) for n = 1 .. n_max], bit for bit, with q
     checked and the series length fixed once."""
     series = _corollary_q(q, tol)
-    return [Scalar.flt(_tilde_F_log2(n, *series)) for n in range(1, n_max + 1)]
+    return [Scalar(_tilde_F_log2(n, *series)) for n in range(1, n_max + 1)]
 
 
 def G_tilde_gamma(x, gamma_limit, tol: float) -> Scalar:
@@ -561,7 +561,7 @@ def G_tilde_gamma(x, gamma_limit, tol: float) -> Scalar:
         raise ModeError("G_tilde_gamma requires a real limit")
     gf = float(g.promote(Mode.FLOAT).value)
     if gf == 0.0:
-        return Scalar.flt(0.0)
+        return Scalar(0.0)
     xf = float(as_scalar(x).promote(Mode.FLOAT).value)
     xf -= math.floor(xf)
     # tail past i = I is bounded by |g/2| * 2 * 2^{-(x+I)} <= |g| 2^{-I}
@@ -572,4 +572,4 @@ def G_tilde_gamma(x, gamma_limit, tol: float) -> Scalar:
     for i in range(-1, imax + 1):
         p = 2.0 ** (xf + i)
         acc += tau_float(p) / p
-    return Scalar.flt(-0.5 * gf * acc)
+    return Scalar(-0.5 * gf * acc)

@@ -96,7 +96,7 @@ def classic_formula(n: int) -> Scalar:
     lg = math.log2(n)
     u = lg - k
     tilde_f1 = 1.0 - u - tk_scaled / n
-    return Scalar.flt(0.5 * lg + 0.5 * tilde_f1)
+    return Scalar(0.5 * lg + 0.5 * tilde_f1)
 
 
 def vdc_star_discrepancy(n: int) -> Scalar:
@@ -129,4 +129,4 @@ def larcher_residual(n: int, weights, limit, tol: float) -> Scalar:
     counts = bit_counts(n)
     gamma = [float(weights[i] if i < len(weights) else limit) for i in range(len(counts))]
     s_f = sum(g * c for g, c in zip(gamma, counts))
-    return Scalar.flt(s_f - 0.5 * n * sum(gamma) - n * g_term)
+    return Scalar(s_f - 0.5 * n * sum(gamma) - n * g_term)

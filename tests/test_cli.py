@@ -36,6 +36,8 @@ def test_eval_routes_and_targets(capsys):
     for route in ("direct", "recursive", "pow2"):
         code, out, _ = run(capsys, "eval", "Sq", "--q", "2/3", "--n", "8", "--route", route)
         assert code == 0 and out.strip() == "152/27"
+        code, _, err = run(capsys, "eval", "Sq", "--q", "2/3", "--n", "0", "--route", route)
+        assert (code, err) == (2, "tdq: domain error: S_q is defined for n >= 1\n")
     code, out, _ = run(capsys, "eval", "sq", "--q", "2/3", "--n", "6")
     assert code == 0 and out.strip() == "20/27"
     code, out, _ = run(capsys, "eval", "Gq", "--q", "2/3", "--n", "3")

@@ -789,7 +789,7 @@ def lebesgue_digit_product(p, j, e):
 @pytest.mark.parametrize("p", [Fraction(1, 3), Fraction(2, 5), Fraction(-3, 7)], ids=str)
 def test_derham_lebesgue_system_is_its_digit_product(p):
     # a0 = p != a1 = 1 - p, g0 = 0, g1 = p: every dyadic of depth <= 14
-    system = DeRhamSystem(a0=Scalar.exact(p), a1=Scalar.exact(1 - p), g0=(0, 0, 0), g1=(0, 1, p))
+    system = DeRhamSystem(a0=Scalar(p), a1=Scalar(1 - p), g0=(0, 0, 0), g1=(0, 1, p))
     e = 14
     for j in range((1 << e) + 1):
         got = derham_eval(system, Fraction(j, 1 << e))
@@ -813,7 +813,7 @@ def test_derham_mixed_denominators():
     # a0 = 1/3, a1 = 2/5 (R = 15), g0(x) = x/7, g1(x) = (13x + 50)/105 (C = 105):
     # consistent, since a0 f(1) + g0(1) = 10/21 = a1 f(0) + g1(0) with f(0) = 0, f(1) = 1
     a0, a1 = Fraction(1, 3), Fraction(2, 5)
-    system = DeRhamSystem(a0=Scalar.exact(a0), a1=Scalar.exact(a1),
+    system = DeRhamSystem(a0=Scalar(a0), a1=Scalar(a1),
                           g0=(1, 0, Fraction(1, 7)), g1=(13, 50, Fraction(1, 105)))
     assert system.consistency_residual().value == 0
     for e in range(11):
@@ -856,8 +856,8 @@ def test_derham_float_complex_bit_identical(kind, draw, data, x, depth):
 
 @pytest.mark.parametrize("mode", ["exact", "float"])
 def test_inconsistent_system_raises_on_every_call(mode):
-    lift = Scalar.exact if mode == "exact" else Scalar.flt
-    system = DeRhamSystem(a0=lift(Fraction(1, 2)), a1=lift(Fraction(1, 2)), g0=(1, 0, 1), g1=(1, 0, 1))
+    half = Scalar(Fraction(1, 2) if mode == "exact" else 0.5)
+    system = DeRhamSystem(a0=half, a1=half, g0=(1, 0, 1), g1=(1, 0, 1))
     for x in (Fraction(1, 2), Fraction(3, 8), Fraction(1, 2)):
         with pytest.raises(DomainError):
             derham_eval(system, x)

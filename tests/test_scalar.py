@@ -15,6 +15,7 @@ from tdq.scalar import (
     as_scalar,
     checked_pow,
     parse_scalar,
+    payload_key,
     tau_float,
     tau_profile,
     tau_scaled,
@@ -91,11 +92,11 @@ def test_tau_periodicity_and_symmetry(m, i, n):
 
 
 def test_promotion_is_explicit_and_upward_only():
-    s = Scalar.exact(Fraction(1, 3))
+    s = Scalar(Fraction(1, 3))
     assert s.promote(Mode.FLOAT).value == pytest.approx(1 / 3)
     assert s.promote(Mode.COMPLEX).value == pytest.approx(complex(1 / 3))
     with pytest.raises(ModeError):
-        Scalar.flt(0.5).promote(Mode.EXACT)
+        Scalar(0.5).promote(Mode.EXACT)
 
 
 def test_parse_examples():
@@ -106,17 +107,53 @@ def test_parse_examples():
     with pytest.raises(ParseError):
         parse_scalar("0.5", Mode.EXACT)
     assert parse_scalar("i", Mode.COMPLEX).value == 1j
+    # a rational past the float range is refused, not an OverflowError
+    with pytest.raises(ParseError, match="not a finite value"):
+        parse_scalar(f"1{'0' * 400}/1", Mode.FLOAT)
+
+
+# One grammar: each literal parses in its own mode (None) and lifts into any
+# wider mode; a narrower mode names its literal in the ParseError.  -0 is an
+# integer literal, and float() reads it as -0.0, which payload_key (equal for
+# equal types and bits) keeps apart from 0.0, so its lift keeps the sign.
+PARSE_MODES = (None, Mode.EXACT, Mode.FLOAT, Mode.COMPLEX)
+PARSE_MATRIX = {
+    "2/3": (Fraction(2, 3), Fraction(2, 3), 2 / 3, complex(2 / 3)),
+    "-0": (Fraction(0), Fraction(0), -0.0, complex(-0.0, 0.0)),
+    "0.5": (0.5, "not a rational literal", 0.5, 0.5 + 0j),
+    "1e5": (1e5, "not a rational literal", 1e5, 1e5 + 0j),
+    "0.5+0.5i": (0.5 + 0.5j, "not a rational literal", "not a float literal", 0.5 + 0.5j),
+    "i": (1j, "not a rational literal", "not a float literal", 1j),
+    "1/0": ("zero denominator",) * 4,
+    "nan": ("not a finite value", "not a rational literal", "not a finite value", "not a finite value"),
+    "inf": ("not a finite value", "not a rational literal", "not a finite value", "not a finite value"),
+    "abc": ("not a float literal", "not a rational literal", "not a float literal", "not a complex literal"),
+}
+
+
+@pytest.mark.parametrize(
+    "text, mode, want",
+    [(text, mode, want) for text, row in PARSE_MATRIX.items() for mode, want in zip(PARSE_MODES, row)],
+    ids=[f"{text}-{mode.value if mode else 'own'}" for text in PARSE_MATRIX for mode in PARSE_MODES],
+)
+def test_parse_matrix(text, mode, want):
+    if isinstance(want, str):
+        with pytest.raises(ParseError) as exc:
+            parse_scalar(text, mode)
+        assert str(exc.value) == f"{want}: {text!r}"
+    else:
+        assert payload_key(parse_scalar(text, mode).value) == payload_key(want)
 
 
 @given(rationals)
 def test_parse_render_round_trip_exact(x):
-    s = Scalar.exact(x)
+    s = Scalar(x)
     assert parse_scalar(s.render(), Mode.EXACT) == s
 
 
 @given(st.floats(allow_nan=False, allow_infinity=False, width=64))
 def test_parse_render_round_trip_float(x):
-    s = Scalar.flt(x)
+    s = Scalar(x)
     assert parse_scalar(s.render(), Mode.FLOAT).value == x
 
 
@@ -172,8 +209,8 @@ def test_as_qweight_boxes_a_float_or_complex_q_once():
 
 def test_as_qweight_has_one_cache_for_every_kind_of_q():
     # a Scalar and an int q share the box of their payload
-    assert as_qweight(Scalar.flt(0.75)) is as_qweight(0.75)
-    assert as_qweight(Scalar.exact(3)) is as_qweight(3) is as_qweight(Fraction(3))
+    assert as_qweight(Scalar(0.75)) is as_qweight(0.75)
+    assert as_qweight(Scalar(Fraction(3))) is as_qweight(3) is as_qweight(Fraction(3))
     assert as_qweight(0) is as_qweight(Fraction(0))
     qw = as_qweight(Fraction(2, 3))
     assert as_qweight(qw) is qw
@@ -214,9 +251,9 @@ def test_float_and_complex_scalars_are_finite():
     # an overflowed result raises where it becomes a Scalar, never printed as inf or nan
     for bad in (math.inf, -math.inf, math.nan):
         with pytest.raises(DomainError):
-            Scalar.flt(bad)
+            Scalar(bad)
         with pytest.raises(DomainError):
-            Scalar.cplx(complex(1.0, bad))
+            Scalar(complex(1.0, bad))
     # a tiny q still weighs digits; only its a = 1/(2q) overflows, on use
     qw = QWeight.of(1e-310)
     assert qw.q.value == 1e-310 and qw.regime is Regime.EXPANDING

@@ -127,6 +127,14 @@ RULES = {  # rule id: (modules read, check, mutant as (module, snippet, replacem
             "S_rec_payload", "S_pow2_payload", "orbit_sums", "window_sum", "bit_counts", "iter_S_direct", "sq_payload"},
             prefix="S_q_"),
         ("trollope.py", "head = a * geometric_num(k + 1, a, b) * n", "head = a * S_q_pow2(k + 1, qv).value * n")),
+    # Scalar(payload) is the one constructor: the payload's type is its mode
+    "one-scalar-constructor": (
+        MODULES, grep(r"Scalar\.(exact|flt|cplx)\b"),
+        ("trollope.py", "return Scalar(0.5 * lg + 0.5 * tilde_f1)", "return Scalar.flt(0.5 * lg + 0.5 * tilde_f1)")),
+    # option text enters a mode through scalar.parse_scalar's one grammar alone
+    "one-literal-grammar": (
+        ("cli.py",), grep(r"infer_mode|\b(float|complex|Fraction)\(text"),
+        ("cli.py", "return parse_scalar(text, Mode.FLOAT).value", "v = float(text)\n        return v")),
     # each tdq target is a row of a cli table, and argparse reads its choices off that table
     "targets-read-off-tables": (
         ("cli.py",), grep(r'add_argument\("target", choices=\["'),
