@@ -16,8 +16,8 @@ from .odometer import (
     Normalization,
     OdometerPoint,
     birkhoff_deviation,
+    birkhoff_mean,
     ergodic_sum,
-    iter_ergodic_sums,
     odometer_step,
     phi_curve,
     prop2_R,

@@ -291,8 +291,9 @@ def cmd_verify(args) -> int:
 
 
 # A curve target sampled on the grid j/2^m: its parameter option, the parse
-# mode forced on that parameter, and values(p, m, grid, tol) for the parsed
-# parameter p.  gamma_limit arrives a float from argparse and is not parsed.
+# mode of that parameter when --mode is not given, and values(p, m, grid, tol)
+# for the parsed parameter p.  gamma_limit arrives a float from argparse and
+# is not parsed.
 class Curve(NamedTuple):
     option: str
     values: Callable
@@ -313,7 +314,7 @@ CURVES = {
 def _curve(target: str, param, mode: str | None, m: int, grid, tol: float):
     """(meta, values) of a CURVES target at its parameter as given, on grid = _grid(m)."""
     curve = CURVES[target]
-    p = param if isinstance(param, float) else _parse_scalar_arg(param, curve.mode or mode)
+    p = param if isinstance(param, float) else _parse_scalar_arg(param, mode or curve.mode)
     values = curve.values(p, m, grid, tol)
     return {curve.option: param, "mode": values[0].mode.value, "depth": m}, values
 
@@ -411,25 +412,14 @@ def _run(args) -> int:
 
 def _birkhoff(args) -> int:
     q = _parse_scalar_arg(args.q, args.mode)
-    # Monte Carlo proxy: computed in float regardless of how q parses
-    qf = complex(q.promote(Mode.COMPLEX).value)
-    qf = qf.real if qf.imag == 0 else qf
-    qw = as_qweight(qf)
-    if qw.q.modulus() >= 1:
-        raise DomainError("birkhoff requires |q| < 1")
+    mean = odometer.birkhoff_mean(q)
     omega = _parse_omega(args.omega, args.seed)
     n = _check_n(args.n)
     if n < 1:
         raise DomainError("birkhoff requires --n >= 1")
-    mean_target = qw.q.value / (2 * (1 - qw.q.value))
-    print(f"# q={args.q} omega={args.omega} seed={args.seed} E[s_q]={Scalar(mean_target).render()}")
-    checkpoint = 1
-    for j, total in enumerate(odometer.iter_ergodic_sums(omega, qw, n), 1):
-        if j == checkpoint or j == n:
-            dev = total / j - mean_target
-            print(f"n={j} deviation={Scalar(dev).render()}")
-            while checkpoint <= j:
-                checkpoint <<= 1
+    print(f"# q={args.q} omega={args.omega} seed={args.seed} E[s_q]={mean.render()}")
+    for j in sorted({*(1 << k for k in range(n.bit_length())), n}):
+        print(f"n={j} deviation={odometer.birkhoff_deviation(omega, q, j).render()}")
     return 0
 
 

@@ -2,10 +2,10 @@
 
 ``ergodic_sum`` (and so ``birkhoff_deviation``) is a difference of per-bit
 counts: over the window v, ..., v + n - 1 bit i is set c_i(v + n) - c_i(v)
-times, so the sum costs O(log(v + n)), not n steps.  The streaming sums
-(``iter_ergodic_sums``, ``orbit_partial_sums``) are ``digit_sums.orbit_sums``
-from the point's value.  Exact q = a/b works on integer numerators over b^K
-in both, so exact runs stay exact.
+times, so the sum costs O(log(v + n)), not n steps.  The streaming sums of
+``orbit_partial_sums`` are ``digit_sums.orbit_sums`` from the point's value.
+Exact q = a/b works on integer numerators over b^K in both, so exact runs
+stay exact.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .digit_sums import S_pow2_payload, S_rec_payload, orbit_sums, window_sum
 from .errors import DomainError
@@ -63,13 +63,6 @@ def odometer_step(omega: OdometerPoint) -> OdometerPoint:
     return OdometerPoint._of(omega.value + 1, omega.width)
 
 
-def iter_ergodic_sums(omega: OdometerPoint, q, n: int) -> Iterator:
-    """The payloads S_{q,omega}(j), j = 1 .. n, one orbit step apart (``orbit_sums``)."""
-    if n < 1:
-        raise DomainError("ergodic sums need n >= 1")
-    return orbit_sums(omega.value, as_qweight(q).q.value, n)
-
-
 def ergodic_sum(omega: OdometerPoint, q, n: int) -> Scalar:
     """S_{q,omega}(n) = sum of s_q over the first n orbit points.
 
@@ -109,14 +102,19 @@ def orbit_partial_sums(omega: OdometerPoint, q, l: int) -> list:
     return [0 * qv, *orbit_sums(omega.value, qv, l)]
 
 
-def birkhoff_deviation(omega: OdometerPoint, q, n: int) -> Scalar:
-    """(1/n) S_{q,omega}(n) - E s_q, with E s_q = q / (2 (1 - q))."""
+def birkhoff_mean(q) -> Scalar:
+    """E s_q = q / (2 (1 - q)), the limit of (1/n) S_{q,omega}(n), |q| < 1."""
     qw = as_qweight(q)
     if qw.q.modulus() >= 1:
-        raise DomainError("birkhoff_deviation requires |q| < 1")
+        raise DomainError("birkhoff requires |q| < 1")
     qv = qw.q.value
-    mean = ergodic_sum(omega, qw, n).value / n
-    return Scalar(mean - qv / (2 * (1 - qv)))
+    return Scalar(qv / (2 * (1 - qv)))
+
+
+def birkhoff_deviation(omega: OdometerPoint, q, n: int) -> Scalar:
+    """(1/n) S_{q,omega}(n) - E s_q (``birkhoff_mean``), exact at an exact q."""
+    mean = birkhoff_mean(q)
+    return Scalar(ergodic_sum(omega, q, n).value / n - mean.value)
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tdq import trollope
-from tdq.cli import main
+from tdq.cli import _parse_omega, main
 from tdq.digit_sums import S_rec_payload
-from tdq.scalar import Scalar
+from tdq.odometer import birkhoff_deviation, birkhoff_mean
+from tdq.scalar import Mode, Scalar, parse_scalar
 
 
 def run(capsys, *argv):
@@ -173,6 +174,24 @@ def test_curve_complex_columns(tmp_path, capsys):
     assert len(rows) == 9
 
 
+# complex-takagi parses q as complex unless --mode is given
+COMPLEX_TAKAGI_MODES = {
+    "exact": ("--q 2/3 --mode exact", 0, "# curve=complex-takagi, q=2/3, mode=exact, depth=2\n"
+              "t,value\n0,0\n1/4,5/8\n1/2,1/2\n3/4,5/8\n1,0\n"),
+    "float": ("--q 2/3 --mode float", 0, "# curve=complex-takagi, q=2/3, mode=float, depth=2\n"
+              "t,value\n0,0\n1/4,0.625\n1/2,0.5\n3/4,0.625\n1,0\n"),
+    "default": ("--q 2/3", 0, "# curve=complex-takagi, q=2/3, mode=complex, depth=2\n"
+                "t,re,im\n0,0,0\n1/4,0.625,0\n1/2,0.5,0\n3/4,0.625,0\n1,0,0\n"),
+    "refused-literal": ("--q i --mode float", 1, "tdq: parse error: not a float literal: 'i'\n"),
+}
+
+
+@pytest.mark.parametrize("argv, code, want", COMPLEX_TAKAGI_MODES.values(), ids=COMPLEX_TAKAGI_MODES)
+def test_curve_complex_takagi_takes_the_given_mode(capsys, argv, code, want):
+    got_code, out, err = run(capsys, "curve", "complex-takagi", *argv.split(), "--grid", "2")
+    assert (got_code, out or err) == (code, want)
+
+
 def test_curve_json_round_trip(tmp_path, capsys):
     f = tmp_path / "t.json"
     code, _, _ = run(
@@ -318,66 +337,128 @@ def test_odometer_birkhoff_small(capsys):
     assert code == 0
     last = out.strip().splitlines()[-1]
     assert last.startswith("n=4096 ")
-    dev = float(last.split("deviation=")[1])
-    assert abs(dev) < 0.05
+    # from omega = 0 the deviation at n = 2^k is exactly -(2/3)^k
+    assert Fraction(last.split("deviation=")[1]) == -Fraction(2, 3) ** 12
     code, _, _ = run(capsys, "odometer", "birkhoff", "--q", "3/2", "--n", "16")
     assert code == 2
 
 
 BIRKHOFF_GOLDEN = {
-    ("--q=-1/2", "--n", "1000"): """\
-# q=-1/2 omega=0 seed=0 E[s_q]=-0.16666666666666666
-n=1 deviation=0.16666666666666666
-n=2 deviation=-0.083333333333333343
-n=4 deviation=0.041666666666666657
-n=8 deviation=-0.020833333333333343
-n=16 deviation=0.010416666666666657
-n=32 deviation=-0.0052083333333333426
-n=64 deviation=0.0026041666666666574
-n=128 deviation=-0.0013020833333333426
-n=256 deviation=0.00065104166666665741
-n=512 deviation=-0.00032552083333334259
-n=1000 deviation=-9.1145833333333703e-05
+    (): """\
+# q=2/3 omega=0 seed=0 E[s_q]=1
+n=1 deviation=-1
+n=2 deviation=-2/3
+n=4 deviation=-4/9
+n=8 deviation=-8/27
+n=16 deviation=-16/81
+n=32 deviation=-32/243
+n=64 deviation=-64/729
+n=128 deviation=-128/2187
+n=256 deviation=-256/6561
+n=512 deviation=-512/19683
+n=1024 deviation=-1024/59049
+n=2048 deviation=-2048/177147
+n=4096 deviation=-4096/531441
+n=8192 deviation=-8192/1594323
+n=16384 deviation=-16384/4782969
+n=32768 deviation=-32768/14348907
+n=65536 deviation=-65536/43046721
 """,
-    ("--q", "2/3", "--n", "4096"): """\
+    ("--q", "1/3", "--n", "8"): """\
+# q=1/3 omega=0 seed=0 E[s_q]=1/4
+n=1 deviation=-1/4
+n=2 deviation=-1/12
+n=4 deviation=-1/36
+n=8 deviation=-1/108
+""",
+    ("--q=-1/2", "--n", "1000"): """\
+# q=-1/2 omega=0 seed=0 E[s_q]=-1/6
+n=1 deviation=1/6
+n=2 deviation=-1/12
+n=4 deviation=1/24
+n=8 deviation=-1/48
+n=16 deviation=1/96
+n=32 deviation=-1/192
+n=64 deviation=1/384
+n=128 deviation=-1/768
+n=256 deviation=1/1536
+n=512 deviation=-1/3072
+n=1000 deviation=-7/76800
+""",
+    ("--q", "2/3", "--n", "4096", "--mode", "float"): """\
 # q=2/3 omega=0 seed=0 E[s_q]=0.99999999999999989
 n=1 deviation=-0.99999999999999989
 n=2 deviation=-0.66666666666666652
 n=4 deviation=-0.44444444444444431
 n=8 deviation=-0.29629629629629617
-n=16 deviation=-0.19753086419753063
+n=16 deviation=-0.19753086419753074
 n=32 deviation=-0.13168724279835375
-n=64 deviation=-0.087791495198902614
-n=128 deviation=-0.058527663465935187
-n=256 deviation=-0.039018442310623569
-n=512 deviation=-0.026012294873749009
+n=64 deviation=-0.087791495198902503
+n=128 deviation=-0.058527663465934965
+n=256 deviation=-0.039018442310623236
+n=512 deviation=-0.026012294873748787
 n=1024 deviation=-0.017341529915832488
-n=2048 deviation=-0.011561019943888029
-n=4096 deviation=-0.0077073466292577608
+n=2048 deviation=-0.011561019943888251
+n=4096 deviation=-0.00770734662925876
 """,
 }
 
 
 @pytest.mark.parametrize("argv", sorted(BIRKHOFF_GOLDEN))
 def test_odometer_birkhoff_golden(capsys, argv):
-    # float orbit sums are pinned bit for bit: every printed digit must match
+    # exact q prints exact fractions; the float proxy is pinned bit for bit
     code, out, _ = run(capsys, "odometer", "birkhoff", *argv)
     assert (code, out) == (0, BIRKHOFF_GOLDEN[argv])
 
 
 def test_odometer_birkhoff_at_defaults_is_within_1e_11_of_exact(capsys):
-    # each s_q(j) is summed from its digits, so no rounding carries along the
-    # orbit; a carry step s - (w_0 + ... + w_{t-1}) + w_t left 9.5e-10
-    code, out, _ = run(capsys, "odometer", "birkhoff")
-    assert code == 0
-    q = Fraction(2 / 3)  # the float q, exactly
+    q = Fraction(2, 3)
     mean = q / (2 * (1 - q))
+    code, out = run(capsys, "odometer", "birkhoff")[:2]
+    assert code == 0
+    assert out.splitlines()[0].endswith("E[s_q]=1")
     lines = out.splitlines()[1:]
     assert len(lines) == 17  # n = 1, 2, 4, ..., 65536
     for line in lines:
         n, dev = (field.split("=")[1] for field in line.split())
+        assert Fraction(dev) == S_rec_payload(int(n), q) / int(n) - mean
+    # the float proxy sums at most 16 per-bit terms; a walk over the orbit
+    # with the carry step s - (w_0 + ... + w_{t-1}) + w_t left 9.5e-10
+    code, out = run(capsys, "odometer", "birkhoff", "--mode", "float")[:2]
+    assert code == 0
+    q = Fraction(2 / 3)  # the float q, exactly
+    mean = q / (2 * (1 - q))
+    lines = out.splitlines()[1:]
+    assert len(lines) == 17
+    for line in lines:
+        n, dev = (field.split("=")[1] for field in line.split())
         exact = S_rec_payload(int(n), q) / int(n) - mean
         assert abs(Fraction(float(dev)) - exact) <= abs(exact) / 10 ** 11
+
+
+@pytest.mark.parametrize("omega", ["0", "random"])
+@pytest.mark.parametrize("q, mode", [
+    ("1/3", None), ("-1/2", None), ("2/3", "float"), ("0.7", None), ("1e-300", None), ("-0.0", None),
+    ("0.3+0.4i", None), ("1/3", "complex"),
+])
+def test_odometer_birkhoff_prints_the_librarys_values(capsys, q, mode, omega):
+    argv = ["odometer", "birkhoff", f"--q={q}", "--omega", omega, "--seed", "11", "--n", "1000"]
+    code, out, err = run(capsys, *argv, *(["--mode", mode] if mode else []))
+    assert (code, err) == (0, "")
+    qs = parse_scalar(q, Mode(mode) if mode else None)
+    pt = _parse_omega(omega, 11)
+    head, *lines = out.splitlines()
+    assert head == f"# q={q} omega={omega} seed=11 E[s_q]={birkhoff_mean(qs).render()}"
+    js = [1 << k for k in range(10)] + [1000]
+    assert lines == [f"n={j} deviation={birkhoff_deviation(pt, qs, j).render()}" for j in js]
+
+
+def test_odometer_birkhoff_at_the_n_limit(capsys):
+    # each line is O(log n): the orbit is never walked
+    code, out, _ = run(capsys, "odometer", "birkhoff", "--q", "1/3", "--omega", "random", "--n", str(1 << 62))
+    lines = out.splitlines()[1:]
+    assert (code, len(lines)) == (0, 63)
+    assert lines[-1].startswith(f"n={1 << 62} deviation=")
 
 
 def test_odometer_search(capsys):

@@ -27,7 +27,6 @@ from tdq.odometer import (
     OdometerPoint,
     birkhoff_deviation,
     ergodic_sum,
-    iter_ergodic_sums,
     odometer_step,
     orbit_partial_sums,
     phi_curve,
@@ -884,9 +883,7 @@ def test_orbit_partial_sums_exact(cls, data, bits, l):
     for g, w in zip(got, ref_partial_sums(walk, q)):
         assert_exact(g, w)
     assert_exact(ergodic_sum(omega, q, l).value, ref_ergodic(walk[:-1]))
-    got = list(iter_ergodic_sums(omega, q, l))
-    assert len(got) == l
-    for j, g in enumerate(got, 1):
+    for j, g in enumerate(got[1:], 1):
         assert_exact(g, ergodic_sum(omega, q, j).value)
 
 
@@ -901,9 +898,7 @@ def test_orbit_sums_float_complex_bit_identical(draw, data, bits, l):
     want = ref_partial_sums(walk, q)
     assert len(got) == len(want) == l + 1
     assert all(same_bits(g, w) for g, w in zip(got, want))
-    got = list(iter_ergodic_sums(omega, q, l))
-    assert len(got) == l
-    assert all(same_bits(g, w) for g, w in zip(got, accumulate(walk[:-1])))
+    assert all(same_bits(g, w) for g, w in zip(got[1:], accumulate(walk[:-1])))
 
 
 U = Fraction(1, 1 << 53)  # the unit roundoff of a double

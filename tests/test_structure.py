@@ -127,6 +127,10 @@ RULES = {  # rule id: (modules read, check, mutant as (module, snippet, replacem
             "S_rec_payload", "S_pow2_payload", "orbit_sums", "window_sum", "bit_counts", "iter_S_direct", "sq_payload"},
             prefix="S_q_"),
         ("trollope.py", "head = a * geometric_num(k + 1, a, b) * n", "head = a * S_q_pow2(k + 1, qv).value * n")),
+    # odometer birkhoff prints birkhoff_mean and birkhoff_deviation at q as parsed: no orbit walk, no re-boxing
+    "one-birkhoff-average": (
+        ("cli.py",), reaches(["_birkhoff"], {"orbit_sums", "orbit_partial_sums", "promote", "as_qweight"}),
+        ("cli.py", "odometer.birkhoff_mean(q)", "odometer.birkhoff_mean(q.promote(Mode.FLOAT))")),
     # Scalar(payload) is the one constructor: the payload's type is its mode
     "one-scalar-constructor": (
         MODULES, grep(r"Scalar\.(exact|flt|cplx)\b"),
