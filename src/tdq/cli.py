@@ -7,6 +7,7 @@ Exit codes: 0 pass, 1 parse error, 2 domain error, 3 identity violation,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import random
@@ -189,23 +190,54 @@ def _report(head: str, var: str, worst, witness, mode: Mode, tol: float) -> int:
     return 0 if ok else 3
 
 
+_ZERO = Fraction(0)
+
+
 def _n_sweep(make) -> Sweep:
-    """The sweep over n of make(q) = (S_q payload q, report mode, residual(n, S_q(n)))."""
+    """The sweep over n of make(q) = (S_q payload q, report mode, residual(n, S_q(n)), gap).
+
+    In exact mode gap(n, s) is an integer cross-product, 0 exactly where the
+    residual is, so the residual's Fraction is built only where it is not.
+    """
 
     def run(q: Scalar, n_max: int):
-        qv, mode, residual = make(q)
-        return mode, ((n, residual(n, s)) for n, s in iter_S_direct(n_max, qv))
+        qv, mode, residual, gap = make(q)
+        pairs = iter_S_direct(n_max, qv)
+        if mode is not Mode.EXACT:
+            return mode, ((n, residual(n, s)) for n, s in pairs)
+
+        def exact():
+            for n, s in pairs:
+                d = gap(n, s)
+                if type(d) is not int:  # a float numerator could compare equal and pass unseen
+                    raise VerificationError(f"the cross-product at n={n} is {d!r}, not exact in an exact sweep")
+                yield n, residual(n, s) if d else _ZERO
+
+        return mode, exact()
 
     return Sweep(run)
 
 
+def _gap_of(kernel, q):
+    """gap(n, s) = num·n·s.den − s.num·den for (num, den) = kernel(n, q), the
+    formula's S_q(n)/n: 0 exactly where num/den = s/n."""
+
+    def gap(n, s):
+        num, den = kernel(n, q)
+        return num * n * s.denominator - s.numerator * den
+
+    return gap
+
+
 def _theorem1(q: Scalar):
     qw = as_qweight(q)
-    return qw.q.value, q.mode, lambda n, s: abs(trollope.theorem1_rhs(n, qw).value - s / n)
+    residual = lambda n, s: abs(trollope.theorem1_rhs(n, qw).value - s / n)
+    return qw.q.value, q.mode, residual, _gap_of(trollope.theorem1_num, qw)
 
 
 def _dyadic(q: Scalar):
-    return q.value, q.mode, lambda n, s: abs(trollope.dyadic_formula(n, q).value - s / n)
+    residual = lambda n, s: abs(trollope.dyadic_formula(n, q).value - s / n)
+    return q.value, q.mode, residual, _gap_of(trollope.dyadic_num, q)
 
 
 def _recursions(q: Scalar):
@@ -217,7 +249,15 @@ def _recursions(q: Scalar):
             r = max(r, abs(digit_sums.S_pow2_payload(n.bit_length() - 1, qv) - s))
         return r
 
-    return qv, q.mode, residual
+    def gap(n, s):
+        num, den = digit_sums.S_rec_num(n, qv.numerator, qv.denominator)
+        d = num * s.denominator - s.numerator * den
+        if n & (n - 1) == 0 and not d:  # the closed form at 2^k is checked too
+            p = digit_sums.S_pow2_payload(n.bit_length() - 1, qv)
+            d = p.numerator * s.denominator - s.numerator * p.denominator
+        return d
+
+    return qv, q.mode, residual, gap
 
 
 def _corollary(q: Scalar, n_max: int):
@@ -450,6 +490,7 @@ def cmd_odometer(args) -> int:
 # parser
 
 
+@functools.cache  # argparse reads the help width when it formats, not here
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="tdq", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)

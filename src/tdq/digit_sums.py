@@ -87,7 +87,7 @@ def _rec_table(a: int, b: int, K: int) -> tuple:
     return tuple(apow), tuple(bpow), tuple(pow2)
 
 
-def _S_rec_num(n: int, a: int, b: int) -> tuple:
+def S_rec_num(n: int, a: int, b: int) -> tuple:
     """(R(n), b^L) with R(n) = S_q(n) b^L, L = bitlen n, q = a/b: S_rec_payload's
     recursions scaled.
 
@@ -121,7 +121,7 @@ def S_rec_payload(n: int, qv):
     if n < 1:
         raise DomainError("S_q is defined for n >= 1")
     if isinstance(qv, Fraction):
-        return Fraction(*_S_rec_num(n, qv.numerator, qv.denominator))
+        return Fraction(*S_rec_num(n, qv.numerator, qv.denominator))
     if n == 1:
         return 0 * qv
     if n & (n - 1) == 0:

@@ -218,7 +218,8 @@ def tau_profile(n: int, K: int) -> list[int]:
 
 def tau_float(x: float) -> float:
     f = x - math.floor(x)
-    return min(f, 1.0 - f)
+    g = 1.0 - f
+    return g if g < f else f  # min(f, g) without the call: f on a tie
 
 
 # -- dyadic rationals ----------------------------------------------------------

@@ -8,11 +8,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tdq import trollope
+from tdq import digit_sums, trollope
 from tdq.cli import _parse_omega, main
-from tdq.digit_sums import S_rec_payload
+from tdq.digit_sums import S_q_direct, S_rec_payload
 from tdq.odometer import birkhoff_deviation, birkhoff_mean
-from tdq.scalar import Mode, Scalar, parse_scalar
+from tdq.scalar import Mode, parse_scalar
 
 
 def run(capsys, *argv):
@@ -116,12 +116,47 @@ def test_verify_prop2_golden(capsys, argv):
 
 
 def test_exact_sweep_fails_at_a_residual_that_is_not_exact(capsys, monkeypatch):
-    # a float 0.0 residual would print "max residual 0/1, PASS": an exact
-    # verdict stands on exact residuals, so the sweep stops at the first other one
-    monkeypatch.setattr(trollope, "theorem1_rhs", lambda n, q: Scalar(0.0))
+    # a float 0.0 numerator meets the cross-product test at n = 1 (0.0 == 0):
+    # an exact verdict stands on integers, so the sweep stops there
+    monkeypatch.setattr(trollope, "theorem1_num", lambda n, q: (0.0, 1))
     code, out, err = run(capsys, "verify", "theorem1", "--q", "2/3", "--n-max", "8")
     assert (code, out) == (3, "")
-    assert err == "tdq: identity violation: the residual at n=1 is 0.0, not exact in an exact sweep\n"
+    assert err == "tdq: identity violation: the cross-product at n=1 is 0.0, not exact in an exact sweep\n"
+
+
+# target: (module, numerator kernel, its arguments after n, m), the kernel's
+# value standing for S_q(n)/m at q = 2/3
+NUMERATORS = {
+    "theorem1": (trollope, "theorem1_num", (Fraction(2, 3),), 777),
+    "dyadic": (trollope, "dyadic_num", (Fraction(2, 3),), 777),
+    "recursions": (digit_sums, "S_rec_num", (2, 3), 1),
+}
+
+
+@pytest.mark.parametrize("target", NUMERATORS)
+def test_exact_sweep_fails_where_a_numerator_is_off(capsys, monkeypatch, target):
+    # the cross-product test fails at n = 777 alone, and the Fraction residual
+    # there is the sweep's max: |num/den - S_q(777)/m| with num one too big
+    module, name, rest, m = NUMERATORS[target]
+    kernel = getattr(module, name)
+
+    def off(n, *args):
+        num, den = kernel(n, *args)
+        return num + (n == 777), den
+
+    monkeypatch.setattr(module, name, off)
+    num, den = kernel(777, *rest)
+    r = abs(Fraction(num + 1, den) - S_q_direct(777, Fraction(2, 3)).value / m)
+    code, out, err = run(capsys, "verify", target, "--q", "2/3")
+    assert (code, out, err) == (3, f"{target}: q=2/3 mode=exact max residual {r.numerator}/{r.denominator}, FAIL at n=777\n", "")
+
+
+@pytest.mark.parametrize("target", NUMERATORS)
+def test_exact_sweep_passes_at_two_primes_above_the_coefficients(capsys, target):
+    # 8219 and 8209 are primes above 2^13, large numbers on both sides of
+    # every cross-product at n <= 4096
+    code, out, err = run(capsys, "verify", target, "--q", "8219/8209")
+    assert (code, out, err) == (0, f"{target}: q=8219/8209 mode=exact max residual 0/1, PASS\n", "")
 
 
 def test_verify_domain_guard(capsys):

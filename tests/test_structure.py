@@ -123,7 +123,7 @@ RULES = {  # rule id: (modules read, check, mutant as (module, snippet, replacem
         ("digit_sums.py", "apow, bpow, pow2 = [1], [1], [0]", "apow, bpow, pow2 = [1], [1], list(bit_counts(1))")),
     # geometric_num is a closed form and stays allowed
     "trollope-delange-independent-of-S_q-routes": (
-        ("trollope.py",), reaches(["theorem1_rhs", "dyadic_formula"], {
+        ("trollope.py",), reaches(["theorem1_rhs", "dyadic_formula", "theorem1_num", "dyadic_num"], {
             "S_rec_payload", "S_pow2_payload", "orbit_sums", "window_sum", "bit_counts", "iter_S_direct", "sq_payload"},
             prefix="S_q_"),
         ("trollope.py", "head = a * geometric_num(k + 1, a, b) * n", "head = a * S_q_pow2(k + 1, qv).value * n")),

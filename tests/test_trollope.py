@@ -1,15 +1,18 @@
 import math
+import re
 from fractions import Fraction
 
 import pytest
 
 from tdq.digit_sums import S_q_direct, iter_S_direct
-from tdq.errors import DomainError
+from tdq.errors import DomainError, ModeError
 from tdq.takagi import G_tilde_gamma
 from tdq.trollope import (
     classic_formula,
     dyadic_formula,
+    dyadic_num,
     larcher_residual,
+    theorem1_num,
     theorem1_rhs,
     vdc_star_discrepancy,
 )
@@ -49,6 +52,21 @@ def test_dyadic_formula_all_q_small_sweep(q):
 def test_dyadic_formula_excludes_one():
     with pytest.raises(DomainError):
         dyadic_formula(5, Fraction(1))
+
+
+@pytest.mark.parametrize("num, formula", [(theorem1_num, theorem1_rhs), (dyadic_num, dyadic_formula)])
+def test_numerator_kernels_take_exact_q_and_the_formulas_domain(num, formula):
+    for n in (1, 6, 777):
+        top, den = num(n, Fraction(-5, 3))
+        assert type(top) is int and type(den) is int and den > 0
+        assert Fraction(top, den) == formula(n, Fraction(-5, 3)).value
+    for n, q in ((0, Fraction(2, 3)), (5, Fraction(1)), (5, 1)):
+        with pytest.raises(DomainError) as exc:
+            formula(n, q)
+        with pytest.raises(DomainError, match=re.escape(str(exc.value))):
+            num(n, q)
+    with pytest.raises(ModeError):
+        num(5, 0.7)
 
 
 def test_overflow_is_raised_at_the_power_the_formula_takes():
