@@ -196,22 +196,24 @@ _ZERO = Fraction(0)
 def _n_sweep(make) -> Sweep:
     """The sweep over n of make(q) = (S_q payload q, report mode, residual(n, S_q(n)), gap).
 
-    In exact mode gap(n, s) is an integer cross-product, 0 exactly where the
-    residual is, so the residual's Fraction is built only where it is not.
+    In exact mode S_q(n) = s/d, with s the direct route's unreduced numerator
+    over its one denominator d (``digit_sums.orbit_numerators``), and
+    gap(n, s, d) is an integer cross-product, 0 exactly where the residual
+    is, so S_q(n) and the residual become Fractions only where it is not.
     """
 
     def run(q: Scalar, n_max: int):
         qv, mode, residual, gap = make(q)
-        pairs = iter_S_direct(n_max, qv)
         if mode is not Mode.EXACT:
-            return mode, ((n, residual(n, s)) for n, s in pairs)
+            return mode, ((n, residual(n, s)) for n, s in iter_S_direct(n_max, qv))
+        d, sums = digit_sums.orbit_numerators(0, qv, n_max)
 
         def exact():
-            for n, s in pairs:
-                d = gap(n, s)
-                if type(d) is not int:  # a float numerator could compare equal and pass unseen
-                    raise VerificationError(f"the cross-product at n={n} is {d!r}, not exact in an exact sweep")
-                yield n, residual(n, s) if d else _ZERO
+            for n, s in enumerate(sums, 1):
+                g = gap(n, s, d)
+                if type(g) is not int:  # a float numerator could compare equal and pass unseen
+                    raise VerificationError(f"the cross-product at n={n} is {g!r}, not exact in an exact sweep")
+                yield n, residual(n, Fraction(s, d)) if g else _ZERO
 
         return mode, exact()
 
@@ -219,12 +221,12 @@ def _n_sweep(make) -> Sweep:
 
 
 def _gap_of(kernel, q):
-    """gap(n, s) = num·n·s.den − s.num·den for (num, den) = kernel(n, q), the
-    formula's S_q(n)/n: 0 exactly where num/den = s/n."""
+    """gap(n, s, d) = num·n·d − s·den for (num, den) = kernel(n, q), the
+    formula's S_q(n)/n: 0 exactly where num/den = s/(n d)."""
 
-    def gap(n, s):
+    def gap(n, s, d):
         num, den = kernel(n, q)
-        return num * n * s.denominator - s.numerator * den
+        return num * n * d - s * den
 
     return gap
 
@@ -249,13 +251,13 @@ def _recursions(q: Scalar):
             r = max(r, abs(digit_sums.S_pow2_payload(n.bit_length() - 1, qv) - s))
         return r
 
-    def gap(n, s):
+    def gap(n, s, d):
         num, den = digit_sums.S_rec_num(n, qv.numerator, qv.denominator)
-        d = num * s.denominator - s.numerator * den
-        if n & (n - 1) == 0 and not d:  # the closed form at 2^k is checked too
+        g = num * d - s * den
+        if n & (n - 1) == 0 and not g:  # the closed form at 2^k is checked too
             p = digit_sums.S_pow2_payload(n.bit_length() - 1, qv)
-            d = p.numerator * s.denominator - s.numerator * p.denominator
-        return d
+            g = p.numerator * d - s * p.denominator
+        return g
 
     return qv, q.mode, residual, gap
 

@@ -146,8 +146,8 @@ def _digit_weights(qv, K: int):
     return 1, list(accumulate(repeat(qv, K), mul))  # q, q*q, (q*q)*q, ...
 
 
-def orbit_sums(v: int, qv, n: int) -> Iterator:
-    """Payloads S(j) = s_q(v) + s_q(v + 1) + ... + s_q(v + j - 1), j = 1 .. n.
+def orbit_numerators(v: int, qv, n: int) -> tuple:
+    """(den, sums), sums[j - 1] / den = S(j) = s_q(v) + ... + s_q(v + j - 1), j = 1 .. n.
 
     The odometer orbit from v: the points need K = bit_length(v + n - 1)
     bits, with the digit weights w_i over den of ``_digit_weights(qv, K)``.
@@ -157,11 +157,11 @@ def orbit_sums(v: int, qv, n: int) -> Iterator:
     points.  Each s_q(j) is a fixed function of j and q, so no rounding
     carries along the orbit.  B stays 8 whatever n is (fewer bits leave no
     high part), so a longer stream extends a shorter one bit for bit.
-    Exact q = a/b sums integer numerators over den = b^K and builds one
-    ``Fraction`` per sum.
+    Exact q = a/b streams integer numerators over den = b^K, unreduced;
+    float and complex q stream the payloads themselves over den = 1.
     """
     if n < 1:
-        return iter(())
+        return 1, iter(())
     K = (v + n - 1).bit_length()
     den, w = _digit_weights(qv, K)
     zero = 0 if isinstance(qv, Fraction) else 0 * qv
@@ -175,7 +175,12 @@ def orbit_sums(v: int, qv, n: int) -> Iterator:
             hi = reduce(add, compress(high, (H >> i & 1 for i in range(B, K))), zero)
             yield map(add, repeat(hi), islice(lo, max(v - H, 0), min(v + n - H, 1 << B)))
 
-    sums = accumulate(chain.from_iterable(blocks()))
+    return den, accumulate(chain.from_iterable(blocks()))
+
+
+def orbit_sums(v: int, qv, n: int) -> Iterator:
+    """Payloads S(1), ..., S(n) of ``orbit_numerators``: a ``Fraction`` per sum for exact q."""
+    den, sums = orbit_numerators(v, qv, n)
     return map(Fraction, sums, repeat(den)) if isinstance(qv, Fraction) else sums
 
 
@@ -216,10 +221,11 @@ def S_q_direct(n: int, q) -> Scalar:
     """Brute-force oracle: sum of s_q(k) for k = 0 .. n-1."""
     if n < 1:
         raise DomainError("S_q is defined for n >= 1")
-    qw = as_qweight(q)
-    for _, total in iter_S_direct(n, qw.q.value):
+    qv = as_qweight(q).q.value
+    den, sums = orbit_numerators(0, qv, n)
+    for total in sums:
         pass
-    return Scalar(total)
+    return Scalar(Fraction(total, den) if isinstance(qv, Fraction) else total)
 
 
 def S_q_pow2(k: int, q) -> Scalar:

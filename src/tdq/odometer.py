@@ -2,21 +2,24 @@
 
 ``ergodic_sum`` (and so ``birkhoff_deviation``) is a difference of per-bit
 counts: over the window v, ..., v + n - 1 bit i is set c_i(v + n) - c_i(v)
-times, so the sum costs O(log(v + n)), not n steps.  The streaming sums of
-``orbit_partial_sums`` are ``digit_sums.orbit_sums`` from the point's value.
-Exact q = a/b works on integer numerators over b^K in both, so exact runs
-stay exact.
+times, so the sum costs O(log(v + n)), not n steps.  ``orbit_partial_sums``
+holds the stream of ``digit_sums.orbit_numerators`` from the point's value
+as a ``PartialSums``.  Exact q = a/b works on integer numerators over b^K in
+both, so exact runs stay exact; ``phi_curve`` reads those numerators, and a
+partial sum becomes a ``Fraction`` only where one is read by index.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from itertools import repeat
+from typing import Optional
 
-from .digit_sums import S_pow2_payload, S_rec_payload, orbit_sums, window_sum
+from .digit_sums import S_pow2_payload, S_rec_payload, orbit_numerators, window_sum
 from .errors import DomainError
 from .scalar import Mode, Regime, Scalar, as_qweight, as_scalar, checked_pow
 from .takagi import takagi_at, takagi_grid
@@ -94,12 +97,45 @@ def ergodic_sum(omega: OdometerPoint, q, n: int) -> Scalar:
     return Scalar(window_sum(omega.value, n, qw.q.value))
 
 
-def orbit_partial_sums(omega: OdometerPoint, q, l: int) -> list:
-    """Payload list P with P[j] = S_{q,omega}(j), j = 0 .. l."""
+class PartialSums(Sequence):
+    """Read-only payloads P[0], ..., P[l] over one list of ``numerators``.
+
+    Exact sums are integers over one ``den`` and P[j] is
+    ``Fraction(numerators[j], den)``, built when read; float and complex
+    sums are their payloads, with den None.  A slice is a ``PartialSums``
+    over the same den, and P equals a list of the same payloads.
+    """
+
+    __slots__ = ("numerators", "den")
+
+    def __init__(self, numerators: list, den: Optional[int]):
+        self.numerators, self.den = numerators, den
+
+    def __len__(self) -> int:
+        return len(self.numerators)
+
+    def __getitem__(self, j):
+        if isinstance(j, slice):
+            return PartialSums(self.numerators[j], self.den)
+        x = self.numerators[j]
+        return x if self.den is None else Fraction(x, self.den)
+
+    def __iter__(self):
+        return iter(self.numerators) if self.den is None else map(Fraction, self.numerators, repeat(self.den))
+
+    def __eq__(self, other):
+        return list(self) == list(other) if isinstance(other, (PartialSums, list)) else NotImplemented
+
+
+def orbit_partial_sums(omega: OdometerPoint, q, l: int) -> PartialSums:
+    """P with P[j] = S_{q,omega}(j), j = 0 .. l: ``orbit_numerators`` from omega's value."""
     if l < 1:
         raise DomainError("orbit_partial_sums requires l >= 1")
     qv = as_qweight(q).q.value
-    return [0 * qv, *orbit_sums(omega.value, qv, l)]
+    den, sums = orbit_numerators(omega.value, qv, l)
+    if isinstance(qv, Fraction):
+        return PartialSums([0, *sums], den)
+    return PartialSums([0 * qv, *sums], None)
 
 
 def birkhoff_mean(q) -> Scalar:
@@ -171,12 +207,12 @@ def _interp(partials: Sequence, pos):
     return lo + frac * (partials[int(i) + 1] - lo)
 
 
-def _phi_numerators(sums: Sequence, l: int, grid: tuple) -> tuple[list[int], int]:
+def _phi_numerators(sums: PartialSums, l: int, grid: tuple) -> tuple[list[int], int]:
     """(X, den) with S(t l) - t S(l) = X_t / den at each rational t of the grid.
 
     With W the lcm of the grid's denominators, t = u/W and u l = i W + r, so
-    S(t l) = S(i) + (r/W) (S(i + 1) - S(i)).  The sums read come to the lcm
-    D of their denominators as integers s_i, which gives
+    S(t l) = S(i) + (r/W) (S(i + 1) - S(i)).  With s_i the exact sums'
+    numerators over their one denominator D,
     X_t = s_i W + r (s_{i+1} - s_i) - u s_l over den = D W.
     """
     W = math.lcm(*(t.denominator for t in grid))
@@ -184,15 +220,13 @@ def _phi_numerators(sums: Sequence, l: int, grid: tuple) -> tuple[list[int], int
     if not all(0 <= u <= W for u in us):
         raise DomainError("grid abscissae must lie in [0,1]")
     pos = [divmod(u * l, W) for u in us]
-    read = {l, *(i for i, _ in pos), *(i + 1 for i, r in pos if r)}
-    D = math.lcm(*(sums[i].denominator for i in read))
-    s = {i: sums[i].numerator * (D // sums[i].denominator) for i in read}
+    s = sums.numerators
     sl = s[l]
     X = [
         (s[i] * W + r * (s[i + 1] - s[i]) if r else s[i] * W) - u * sl
         for u, (i, r) in zip(us, pos)
     ]
-    return X, D * W
+    return X, sums.den * W
 
 
 def phi_curve(
@@ -204,10 +238,10 @@ def phi_curve(
 ) -> FluctuationCurve:
     """phi_l(t) = (S(t l) - t S(l)) / R on the grid, S linearly interpolated.
 
-    ``partial_sums`` are the payloads S(0), ..., S(l) at least, as
-    ``orbit_partial_sums`` returns them.  Exact sums on a grid of rationals
-    run on integers over one denominator (``_phi_numerators``) and build one
-    ``Fraction`` per value.  The curve takes the widest mode among its
+    ``partial_sums`` is what ``orbit_partial_sums`` returns, S(0), ..., S(l)
+    at least.  Exact sums on a grid of rationals are read as its integer
+    numerators over the one denominator (``_phi_numerators``), and each
+    value is one ``Fraction``.  The curve takes the widest mode among its
     inputs, in ``Mode``'s order: a float abscissa or normaliser makes exact
     sums a float curve, a complex normaliser any curve complex.  R is given
     with ``EXPLICIT`` normalization alone; ``MAX_ABS`` computes its own.

@@ -39,6 +39,11 @@ def theorem1_num(n: int, q) -> tuple:
     qw = _theorem1_q(n, q)
     if qw.q.mode is not Mode.EXACT:
         raise ModeError("theorem1_num needs an exact q")
+    return _theorem1_int(n, qw)
+
+
+def _theorem1_int(n: int, qw) -> tuple:
+    """``theorem1_num`` at a boxed exact q, n and q already checked."""
     qv = qw.q.value
     k = n.bit_length() - 1
     a, b = qv.numerator, qv.denominator
@@ -58,7 +63,7 @@ def theorem1_rhs(n: int, q) -> Scalar:
     """
     qw = _theorem1_q(n, q)
     if qw.q.mode is Mode.EXACT:
-        return Scalar(Fraction(*theorem1_num(n, qw)))
+        return Scalar(Fraction(*_theorem1_int(n, qw)))
     qv = qw.q.value
     k = n.bit_length() - 1
     t = takagi_dyadic_sum(n, k + 1, qw.a_pow(k + 1))
@@ -88,6 +93,11 @@ def dyadic_num(n: int, q) -> tuple:
     qw = _dyadic_q(n, q)
     if qw.q.mode is not Mode.EXACT:
         raise ModeError("dyadic_num needs an exact q")
+    return _dyadic_int(n, qw)
+
+
+def _dyadic_int(n: int, qw) -> tuple:
+    """``dyadic_num`` at a boxed exact q, n and q already checked."""
     qv = qw.q.value
     k = n.bit_length() - 1
     a, b = qv.numerator, qv.denominator
@@ -108,7 +118,7 @@ def dyadic_formula(n: int, q) -> Scalar:
     """
     qw = _dyadic_q(n, q)
     if qw.q.mode is Mode.EXACT:
-        return Scalar(Fraction(*dyadic_num(n, qw)))
+        return Scalar(Fraction(*_dyadic_int(n, qw)))
     qv = qw.q.value
     k = n.bit_length() - 1
     two_q_pow = qw.two_q_pow

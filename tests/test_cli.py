@@ -12,7 +12,7 @@ from tdq import digit_sums, trollope
 from tdq.cli import _parse_omega, main
 from tdq.digit_sums import S_q_direct, S_rec_payload
 from tdq.odometer import birkhoff_deviation, birkhoff_mean
-from tdq.scalar import Mode, parse_scalar
+from tdq.scalar import Mode, as_qweight, parse_scalar
 
 
 def run(capsys, *argv):
@@ -125,10 +125,11 @@ def test_exact_sweep_fails_at_a_residual_that_is_not_exact(capsys, monkeypatch):
 
 
 # target: (module, numerator kernel, its arguments after n, m), the kernel's
-# value standing for S_q(n)/m at q = 2/3
+# value standing for S_q(n)/m at q = 2/3; theorem1_num and theorem1_rhs share
+# the integer core _theorem1_int, and dyadic_num and dyadic_formula _dyadic_int
 NUMERATORS = {
-    "theorem1": (trollope, "theorem1_num", (Fraction(2, 3),), 777),
-    "dyadic": (trollope, "dyadic_num", (Fraction(2, 3),), 777),
+    "theorem1": (trollope, "_theorem1_int", (as_qweight(Fraction(2, 3)),), 777),
+    "dyadic": (trollope, "_dyadic_int", (as_qweight(Fraction(2, 3)),), 777),
     "recursions": (digit_sums, "S_rec_num", (2, 3), 1),
 }
 

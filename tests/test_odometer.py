@@ -1,16 +1,18 @@
+import struct
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tdq.digit_sums import S_q_direct, s_q
+from tdq.digit_sums import S_q_direct, orbit_sums, s_q
 from tdq.errors import DomainError
 from tdq.odometer import (
     FluctuationCurve,
     G_q,
     Normalization,
     OdometerPoint,
+    PartialSums,
     birkhoff_deviation,
     ergodic_sum,
     odometer_step,
@@ -78,6 +80,61 @@ def test_empty_windows_are_rejected(q):
     partials = orbit_partial_sums(OdometerPoint.zero(), q, 4)
     with pytest.raises(DomainError):
         phi_curve(partials, 0, [Fraction(0), Fraction(1)], Normalization.MAX_ABS)
+
+
+# -- orbit_partial_sums' read-only sequence over the integer core
+
+PARTIAL_QS = {"exact": Fraction(2, 3), "exact-negative": Fraction(-5, 3), "float": -1.3, "complex": 0.5 + 0.7j}
+
+
+def bits_of(x):
+    """A payload's value with its bits: tells 0.0 from -0.0 and 1 from 1.0."""
+    if isinstance(x, complex):
+        return complex, struct.pack("<dd", x.real, x.imag)
+    return (float, struct.pack("<d", x)) if isinstance(x, float) else (type(x), x)
+
+
+@pytest.mark.parametrize("q", PARTIAL_QS.values(), ids=PARTIAL_QS)
+def test_partial_sums_read_like_the_list_of_the_orbit_stream(q):
+    # what orbit_partial_sums returned as a list: 0 q, then the orbit sums from omega's value
+    v, l = 1000, 64
+    want = [0 * q, *orbit_sums(v, q, l)]
+    p = orbit_partial_sums(OdometerPoint.from_int(v), q, l)
+    assert len(p) == l + 1 and p == want and want == p and list(p) == want
+    assert [bits_of(p[j]) for j in range(l + 1)] == [bits_of(w) for w in want]
+    assert [bits_of(x) for x in p] == [bits_of(w) for w in want]
+    assert bits_of(p[-1]) == bits_of(p[l]) == bits_of(want[-1])
+    assert bits_of(p[-(l + 1)]) == bits_of(want[0])
+    for j in (l + 1, -(l + 2)):
+        with pytest.raises(IndexError):
+            p[j]
+    # bit_length(1000 + 63) = 11: exact sums are numerators over 3^11
+    assert p.den == (3 ** 11 if isinstance(q, Fraction) else None)
+    for part, ref in ((p[1:], want[1:]), (p[: l + 1], want), (p[10:20], want[10:20]), (p[::-7], want[::-7])):
+        assert type(part) is PartialSums and part.den == p.den
+        assert part == ref and [bits_of(part[j]) for j in range(len(part))] == [bits_of(w) for w in ref]
+    assert p != want[:-1] and p != [*want[:-1], want[-1] + 1]
+
+
+@pytest.mark.parametrize("q", PARTIAL_QS.values(), ids=PARTIAL_QS)
+def test_phi_curve_on_a_slice_is_the_curve_of_the_shorter_orbit(q):
+    # the slice keeps the longer orbit's den (3^11 at v + 63 = 1063), the
+    # shorter orbit has its own (3^10 at v + 22 = 1022): the curves agree bit for bit
+    v, l = 1000, 23
+    partials = orbit_partial_sums(OdometerPoint.from_int(v), q, 64)
+    short = orbit_partial_sums(OdometerPoint.from_int(v), q, l)
+    if isinstance(q, Fraction):
+        assert (partials.den, short.den) == (3 ** 11, 3 ** 10)
+    grid = [Fraction(j, 16) for j in range(17)] + [Fraction(1, 3), Fraction(5, 7)]
+    for norm, R in ((Normalization.MAX_ABS, None), (Normalization.EXPLICIT, Fraction(7, 5))):
+        got = phi_curve(partials[: l + 1], l, grid, norm, R)
+        want = phi_curve(short, l, grid, norm, R)
+        assert bits_of(got.R.value) == bits_of(want.R.value)
+        assert [bits_of(x.value) for x in got.values] == [bits_of(x.value) for x in want.values]
+    if isinstance(q, Fraction):  # S(t l) - t S(l) by Fraction arithmetic, t = 5/7: 115/7 = 16 + 3/7
+        s = [S_q_direct(v + j, q).value - S_q_direct(v, q).value for j in range(l + 1)]
+        raw = s[16] + Fraction(3, 7) * (s[17] - s[16]) - Fraction(5, 7) * s[l]
+        assert got.values[-1].value == raw / Fraction(7, 5)
 
 
 def test_G_q_equals_F_at_dyadic_points():

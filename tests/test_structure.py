@@ -119,12 +119,14 @@ RULES = {  # rule id: (modules read, check, mutant as (module, snippet, replacem
         ("takagi.py", "sys._lift(k / (1 << i))", "sys._lift(tau_float(k / (1 << i)))")),
     "S_rec-independent-of-counts-and-direct": (
         ("digit_sums.py",), reaches(["S_rec_payload"], {
-            "orbit_sums", "window_sum", "bit_counts", "_digit_weights", "iter_S_direct", "sq_payload"}),
+            "orbit_sums", "orbit_numerators", "window_sum", "bit_counts", "_digit_weights", "iter_S_direct",
+            "sq_payload"}),
         ("digit_sums.py", "apow, bpow, pow2 = [1], [1], [0]", "apow, bpow, pow2 = [1], [1], list(bit_counts(1))")),
     # geometric_num is a closed form and stays allowed
     "trollope-delange-independent-of-S_q-routes": (
         ("trollope.py",), reaches(["theorem1_rhs", "dyadic_formula", "theorem1_num", "dyadic_num"], {
-            "S_rec_payload", "S_pow2_payload", "orbit_sums", "window_sum", "bit_counts", "iter_S_direct", "sq_payload"},
+            "S_rec_payload", "S_pow2_payload", "orbit_sums", "orbit_numerators", "window_sum", "bit_counts",
+            "iter_S_direct", "sq_payload"},
             prefix="S_q_"),
         ("trollope.py", "head = a * geometric_num(k + 1, a, b) * n", "head = a * S_q_pow2(k + 1, qv).value * n")),
     # odometer birkhoff prints birkhoff_mean and birkhoff_deviation at q as parsed: no orbit walk, no re-boxing
