@@ -9,15 +9,13 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import random
 import sys
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-from . import digit_sums, odometer, takagi, trollope
-from .digit_sums import iter_S_direct
+from . import digit_sums, odometer, takagi, trollope, verify
 from .errors import DomainError, ModeError, ParseError, VerificationError
 from .scalar import Mode, Scalar, as_qweight, parse_scalar
 
@@ -150,151 +148,6 @@ def cmd_eval(args) -> int:
 # verify
 
 
-# A verify target swept over var = least .. top, top the value of --option:
-# run(q, top) gives the report mode and the (witness, residual) pairs, and the
-# verdict prints scope, formatted with top, after the mode.
-class Sweep(NamedTuple):
-    run: Callable
-    var: str = "n"
-    option: str = "n-max"
-    least: int = 1
-    scope: str = ""
-
-
-def _sweep(sweep: Sweep, q: Scalar, top: int):
-    """(report mode, max residual, its witness) over the sweep's range."""
-    if top < sweep.least:
-        raise DomainError(f"--{sweep.option} must be >= {sweep.least}; an empty range checks nothing")
-    mode, pairs = sweep.run(q, top)
-    worst, witness = 0, None
-    for w, r in pairs:
-        if r != r:  # nan compares false with everything, so it would pass unseen
-            raise DomainError(f"the residual at {sweep.var}={w} is nan: a float overflowed")
-        if mode is Mode.EXACT and not isinstance(r, Fraction):  # a float 0.0 would print as 0/1
-            raise VerificationError(f"the residual at {sweep.var}={w} is {r!r}, not exact in an exact sweep")
-        if r > worst:
-            worst, witness = r, w
-    return mode, worst, witness
-
-
-def _report(head: str, var: str, worst, witness, mode: Mode, tol: float) -> int:
-    """Print the verdict line; exact sweeps pass at residual 0, the others within tol."""
-    ok = worst == 0 if mode is Mode.EXACT else worst <= tol
-    if mode is Mode.EXACT:
-        f = Fraction(worst)
-        shown = f"{f.numerator}/{f.denominator}"
-    else:
-        shown = Scalar(float(worst)).render()
-    tag = "PASS" if ok else f"FAIL at {var}={witness}"
-    print(f"{head} max residual {shown}, {tag}")
-    return 0 if ok else 3
-
-
-_ZERO = Fraction(0)
-
-
-def _n_sweep(make) -> Sweep:
-    """The sweep over n of make(q) = (S_q payload q, report mode, residual(n, S_q(n)), gap).
-
-    In exact mode S_q(n) = s/d, with s the direct route's unreduced numerator
-    over its one denominator d (``digit_sums.orbit_numerators``), and
-    gap(n, s, d) is an integer cross-product, 0 exactly where the residual
-    is, so S_q(n) and the residual become Fractions only where it is not.
-    """
-
-    def run(q: Scalar, n_max: int):
-        qv, mode, residual, gap = make(q)
-        if mode is not Mode.EXACT:
-            return mode, ((n, residual(n, s)) for n, s in iter_S_direct(n_max, qv))
-        d, sums = digit_sums.orbit_numerators(0, qv, n_max)
-
-        def exact():
-            for n, s in enumerate(sums, 1):
-                g = gap(n, s, d)
-                if type(g) is not int:  # a float numerator could compare equal and pass unseen
-                    raise VerificationError(f"the cross-product at n={n} is {g!r}, not exact in an exact sweep")
-                yield n, residual(n, Fraction(s, d)) if g else _ZERO
-
-        return mode, exact()
-
-    return Sweep(run)
-
-
-def _gap_of(kernel, q):
-    """gap(n, s, d) = num·n·d − s·den for (num, den) = kernel(n, q), the
-    formula's S_q(n)/n: 0 exactly where num/den = s/(n d)."""
-
-    def gap(n, s, d):
-        num, den = kernel(n, q)
-        return num * n * d - s * den
-
-    return gap
-
-
-def _theorem1(q: Scalar):
-    qw = as_qweight(q)
-    residual = lambda n, s: abs(trollope.theorem1_rhs(n, qw).value - s / n)
-    return qw.q.value, q.mode, residual, _gap_of(trollope.theorem1_num, qw)
-
-
-def _dyadic(q: Scalar):
-    residual = lambda n, s: abs(trollope.dyadic_formula(n, q).value - s / n)
-    return q.value, q.mode, residual, _gap_of(trollope.dyadic_num, q)
-
-
-def _recursions(q: Scalar):
-    qv = q.value
-
-    def residual(n, s):
-        r = abs(digit_sums.S_rec_payload(n, qv) - s)
-        if n & (n - 1) == 0:
-            r = max(r, abs(digit_sums.S_pow2_payload(n.bit_length() - 1, qv) - s))
-        return r
-
-    def gap(n, s, d):
-        num, den = digit_sums.S_rec_num(n, qv.numerator, qv.denominator)
-        g = num * d - s * den
-        if n & (n - 1) == 0 and not g:  # the closed form at 2^k is checked too
-            p = digit_sums.S_pow2_payload(n.bit_length() - 1, qv)
-            g = p.numerator * d - s * p.denominator
-        return g
-
-    return qv, q.mode, residual, gap
-
-
-def _corollary(q: Scalar, n_max: int):
-    qf = float(q.promote(Mode.FLOAT).value)
-    if qf <= 0.5 or qf == 1.0:
-        raise DomainError("corollary requires real q > 1/2, q != 1")
-    tildes = takagi.tilde_F_q_log2_range(q, n_max)
-
-    def residual(n, s, tilde):
-        lg = math.log2(n)
-        try:
-            qlg = qf ** lg
-        except OverflowError:
-            raise DomainError(f"q^log2(n) overflows a float at n={n}") from None
-        rhs = qf / 2 * ((1 - qlg) / (1 - qf) + qlg * tilde.value)
-        lhs = s / n
-        return abs(rhs - lhs) / (1.0 + abs(lhs))
-
-    return Mode.FLOAT, ((n, residual(n, s, t)) for (n, s), t in zip(iter_S_direct(n_max, qf), tildes))
-
-
-def _prop2(q: Scalar, N_max: int):
-    qw = as_qweight(q)
-    return q.mode, ((N, odometer.prop2_exact(qw, N).max_residual.value) for N in range(2, N_max + 1))
-
-
-SWEEPS = {
-    "theorem1": _n_sweep(_theorem1),
-    "dyadic": _n_sweep(_dyadic),
-    "prop2": Sweep(_prop2, var="N", option="N", least=2, scope=" N<={}"),
-    "recursions": _n_sweep(_recursions),
-    "corollary": Sweep(_corollary),
-}
-
-
 def _larcher(args) -> int:
     c = args.gamma_limit
     # the identity is linear in gamma, so its float rounding grows with |gamma|
@@ -318,14 +171,24 @@ def _larcher(args) -> int:
     return 0 if ok else 3
 
 
+def _verdict(head: str, result: verify.SweepResult, tol: float) -> int:
+    """Print a sweep's verdict line and return its exit code."""
+    w = result.worst  # an int 0 or a Fraction when exact
+    shown = f"{w.numerator}/{w.denominator}" if result.mode is Mode.EXACT else Scalar(float(w)).render()
+    ok = result.passed(tol)
+    print(f"{head} max residual {shown}, {'PASS' if ok else f'FAIL at {result.var}={result.witness}'}")
+    return 0 if ok else 3
+
+
 def cmd_verify(args) -> int:
-    if args.target not in SWEEPS:
+    if args.target not in verify.SWEEPS:
         return _larcher(args)
-    sweep = SWEEPS[args.target]
+    sweep = verify.SWEEPS[args.target]
     top = getattr(args, sweep.option.replace("-", "_"))
-    mode, worst, witness = _sweep(sweep, _parse_scalar_arg(args.q, args.mode), top)
-    head = f"{args.target}: q={args.q} mode={mode.value}{sweep.scope.format(top)}"
-    return _report(head, sweep.var, worst, witness, mode, args.tol)
+    q = _parse_scalar_arg(args.q, args.mode)
+    result = verify.run(args.target, q, top)
+    scope = "" if sweep.var == "n" else f" {sweep.var}<={top}"
+    return _verdict(f"{args.target}: q={args.q} mode={result.mode.value}{scope}", result, args.tol)
 
 
 # ---------------------------------------------------------------------------
@@ -515,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     pe.set_defaults(func=cmd_eval)
 
     pv = sub.add_parser("verify", help="run an identity sweep")
-    pv.add_argument("target", choices=[*SWEEPS, "larcher"])
+    pv.add_argument("target", choices=[*verify.SWEEPS, "larcher"])
     pv.add_argument("--q", default="2/3")
     pv.add_argument("--n-max", type=int, default=4096)
     pv.add_argument("--N", type=int, default=8)

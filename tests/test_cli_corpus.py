@@ -24,7 +24,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from tdq import cli
+from tdq import cli, verify
 
 HERE = Path(__file__).resolve().parent
 CORPUS = HERE / "cli_corpus.txt"
@@ -87,7 +87,7 @@ def test_cli_corpus_digests():
 def test_cli_corpus_covers_every_target():
     argvs = [shlex.split(line) for line in corpus_lines()]
     heads = {" ".join(argv[:2]) for argv in argvs} | {argv[0] for argv in argvs if argv}
-    wanted = [f"eval {t}" for t in cli.EVALS] + [f"verify {t}" for t in [*cli.SWEEPS, "larcher"]]
+    wanted = [f"eval {t}" for t in cli.EVALS] + [f"verify {t}" for t in [*verify.SWEEPS, "larcher"]]
     wanted += [f"curve {t}" for t in [*cli.CURVES, "fluctuation"]] + [f"odometer {t}" for t in cli.ODOMETER]
     missing = [w for w in [*wanted, "figures"] if w not in heads]
     sq = [" ".join(argv) for argv in argvs if argv[:2] == ["eval", "Sq"]]

@@ -86,7 +86,7 @@ def scalar_arithmetic(text):
 RULES = {  # rule id: (modules read, check, mutant as (module, snippet, replacement))
     "no-private-names": (
         MODULES, grep(r"\b(digit_sums|odometer|takagi|trollope|scalar)\._[A-Za-z]"),
-        ("cli.py", "digit_sums.S_rec_payload(n, qv)", "digit_sums._S_rec_num(n, qv)")),
+        ("verify.py", "digit_sums.S_rec_payload(n, qv)", "digit_sums._S_rec_num(n, qv)")),
     "no-private-imports": (
         MODULES, private_imports,
         ("trollope.py", "import bit_counts, geometric_num", "import _rec_table, bit_counts, geometric_num")),
@@ -129,6 +129,12 @@ RULES = {  # rule id: (modules read, check, mutant as (module, snippet, replacem
             "iter_S_direct", "sq_payload"},
             prefix="S_q_"),
         ("trollope.py", "head = a * geometric_num(k + 1, a, b) * n", "head = a * S_q_pow2(k + 1, qv).value * n")),
+    # tdq verify's sweeps are verify.run's: cli.py names none of the routes they check
+    "sweeps-live-in-verify": (
+        ("cli.py",), grep(r"\b(theorem1_num|dyadic_num|S_rec_num|orbit_numerators|iter_S_direct|prop2_exact"
+                          r"|tilde_F_q_log2_range)\b"),
+        ("cli.py", "result = verify.run(args.target, q, top)",
+         "result = verify.run(args.target, q, top)\n    trollope.theorem1_num(1, q)")),
     # odometer birkhoff prints birkhoff_mean and birkhoff_deviation at q as parsed: no orbit walk, no re-boxing
     "one-birkhoff-average": (
         ("cli.py",), reaches(["_birkhoff"], {"orbit_sums", "orbit_partial_sums", "promote", "as_qweight"}),
