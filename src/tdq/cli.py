@@ -38,9 +38,10 @@ def _finite_float(text: str) -> float:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _check_n(n: int) -> int:
+def _check_n(n: int, shown: str | None = None) -> int:
+    """n, once it is at most the limit 2^62; the error shows it as shown, or as "n = <n>"."""
     if n > N_LIMIT:
-        raise DomainError(f"n = {n} exceeds the limit 2^62 = {N_LIMIT}")
+        raise DomainError(f"{shown or f'n = {n}'} exceeds the limit 2^62 = {N_LIMIT}")
     return n
 
 
@@ -186,6 +187,10 @@ def cmd_verify(args) -> int:
     sweep = verify.SWEEPS[args.target]
     top = getattr(args, sweep.option.replace("-", "_"))
     q = _parse_scalar_arg(args.q, args.mode)
+    if sweep.var == "n":
+        _check_n(top)
+    else:  # prop2 walks 2^N points; 2^N is built only up to 2^63, which is refused already
+        _check_n(1 << min(max(top, 0), 63), f"the window 2^N = 2^{top}")
     result = verify.run(args.target, q, top)
     scope = "" if sweep.var == "n" else f" {sweep.var}<={top}"
     return _verdict(f"{args.target}: q={args.q} mode={result.mode.value}{scope}", result, args.tol)
@@ -335,6 +340,8 @@ def _search(args) -> int:
         windows = [int(w) for w in args.candidates.split(",") if w]
     except ValueError:
         raise ParseError(f"--candidates must be a comma-separated list of integers: {args.candidates!r}") from None
+    for l in windows:
+        _check_n(l)
     grid = _grid(args.grid)
     report = odometer.stabilizer_search(omega, q, windows, grid)
     print(f"# q={args.q} omega={args.omega} seed={args.seed}")
@@ -355,9 +362,36 @@ def cmd_odometer(args) -> int:
 # parser
 
 
+class _Choices(tuple):
+    """The choices of the argument called name, in table order.  argparse
+    tests a value with ``in``, and for any other value ``in`` raises the
+    invalid-choice error in tdq's own words: argparse's text differs between
+    patch releases (3.13.13 prints the choices unquoted)."""
+
+    def __new__(cls, name: str, table):
+        choices = super().__new__(cls, table)
+        choices.name = name
+        return choices
+
+    def __contains__(self, value) -> bool:
+        if not super().__contains__(value):
+            choices = ", ".join(map(repr, self))
+            raise argparse.ArgumentError(None, f"argument {self.name}: invalid choice: {value!r} (choose from {choices})")
+        return True
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose choices are ``_Choices``."""
+
+    def add_argument(self, *names, **kwargs):
+        if "choices" in kwargs:
+            kwargs["choices"] = _Choices("/".join(names), kwargs["choices"])
+        return super().add_argument(*names, **kwargs)
+
+
 @functools.cache  # argparse reads the help width when it formats, not here
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="tdq", description=__doc__)
+    p = _Parser(prog="tdq", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp):
@@ -424,6 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(po)
     po.set_defaults(func=cmd_odometer)
 
+    sub.choices = _Choices("command", sub.choices)
     return p
 
 

@@ -552,6 +552,10 @@ def test_odometer_search(capsys):
         ("odometer search --candidates 1e3", 1),
         # n above the fixed limit 2^62
         ("odometer run --steps 4611686018427387905", 2),
+        # ... for every range option: --n-max, --N by its window 2^N, each --candidates window
+        ("verify theorem1 --n-max 9223372036854775808", 2),
+        ("verify prop2 --N 70", 2),
+        ("odometer search --candidates 16,9223372036854775808", 2),
         ("curve Gtilde --gamma-limit 1e300", 2),
         ("verify larcher --gamma-limit 1e300", 2),
         # a zero normalizer R, given or underflowed from (2q)^{N-1}, divides nothing
