@@ -11,13 +11,21 @@ import math
 from fractions import Fraction
 
 from .digit_sums import bit_counts, geometric_num
-from .errors import DomainError, ModeError
+from .errors import DomainError
 from .scalar import Mode, Regime, Scalar, as_qweight, tau_profile
 from .takagi import G_tilde_gamma, takagi_dyadic_num, takagi_dyadic_sum
 
 
-def _theorem1_q(n: int, q):
-    """q boxed, once n and q are in Theorem 1's domain."""
+def theorem1_num(n: int, q) -> tuple:
+    """(num, den) with num/den = ``theorem1_rhs(n, q)``: integers for exact q,
+    else the payload over den = 1.
+
+    For q = a/b, 1/(2q) = p/r and T_{p/r}(n/2^{k+1}) = tn / (r^k 2^{k+1})
+    (``takagi_dyadic_num``), num/den is
+    a (G_{k+1} n r^k - a^k tn) / (2 b^{k+1} n r^k), G_j = (b^j - a^j)/(b - a).
+    Not reduced: a sweep decides num/den = S_q(n)/n by one cross-product.
+    For float and complex q, T_a(n/2^{k+1}) is ``takagi_dyadic_sum``.
+    """
     if n < 1:
         raise DomainError("theorem1_rhs requires n >= 1")
     qw = as_qweight(q)
@@ -25,32 +33,19 @@ def _theorem1_q(n: int, q):
         raise DomainError("Theorem 1 excludes q = 1; use classic_formula")
     if qw.regime is not Regime.CONTRACTIVE:
         raise DomainError("Theorem 1 requires |q| > 1/2")
-    return qw
-
-
-def theorem1_num(n: int, q) -> tuple:
-    """(num, den), integers with num/den = ``theorem1_rhs(n, q)`` for exact q.
-
-    For q = a/b, 1/(2q) = p/r and T_{p/r}(n/2^{k+1}) = tn / (r^k 2^{k+1})
-    (``takagi_dyadic_num``), num/den is
-    a (G_{k+1} n r^k - a^k tn) / (2 b^{k+1} n r^k), G_j = (b^j - a^j)/(b - a).
-    Not reduced: a sweep decides num/den = S_q(n)/n by one cross-product.
-    """
-    qw = _theorem1_q(n, q)
-    if qw.q.mode is not Mode.EXACT:
-        raise ModeError("theorem1_num needs an exact q")
-    return _theorem1_int(n, qw)
-
-
-def _theorem1_int(n: int, qw) -> tuple:
-    """``theorem1_num`` at a boxed exact q, n and q already checked."""
     qv = qw.q.value
     k = n.bit_length() - 1
-    a, b = qv.numerator, qv.denominator
-    p, r = qw.a.value.numerator, qw.a.value.denominator
-    tn, rk = takagi_dyadic_num(n, k + 1, p, r), r ** k
-    num = a * (geometric_num(k + 1, a, b) * n * rk - a ** k * tn)
-    return num, 2 * b ** (k + 1) * n * rk
+    if qw.q.mode is Mode.EXACT:
+        a, b = qv.numerator, qv.denominator
+        p, r = qw.a.value.numerator, qw.a.value.denominator
+        tn, rk = takagi_dyadic_num(n, k + 1, p, r), r ** k
+        num = a * (geometric_num(k + 1, a, b) * n * rk - a ** k * tn)
+        return num, 2 * b ** (k + 1) * n * rk
+    t = takagi_dyadic_sum(n, k + 1, qw.a_pow(k + 1))
+    hat_f = (1 << (k + 1)) / n * t  # int / int rounds once, as float(Fraction(2^{k+1}, n))
+    q_pow = qw.q_pow
+    bracket = (1 - q_pow[k + 1]) / (1 - qv) - q_pow[k] * hat_f
+    return qv / 2 * bracket, 1
 
 
 def theorem1_rhs(n: int, q) -> Scalar:
@@ -58,76 +53,53 @@ def theorem1_rhs(n: int, q) -> Scalar:
 
     Valid for |q| > 1/2, q != 1.  hat F_q(log2 n) is taken through the exact
     dyadic Takagi route, so the whole identity stays in rational arithmetic
-    for rational q (``theorem1_num``).  Equals S_q(n)/n.  For float and
-    complex q, T_a(n/2^{k+1}) is ``takagi_dyadic_sum``.
+    for rational q.  Equals S_q(n)/n.  ``theorem1_num``, boxed.
     """
-    qw = _theorem1_q(n, q)
-    if qw.q.mode is Mode.EXACT:
-        return Scalar(Fraction(*_theorem1_int(n, qw)))
-    qv = qw.q.value
-    k = n.bit_length() - 1
-    t = takagi_dyadic_sum(n, k + 1, qw.a_pow(k + 1))
-    hat_f = (1 << (k + 1)) / n * t  # int / int rounds once, as float(Fraction(2^{k+1}, n))
-    q_pow = qw.q_pow
-    bracket = (1 - q_pow[k + 1]) / (1 - qv) - q_pow[k] * hat_f
-    return Scalar(qv / 2 * bracket)
-
-
-def _dyadic_q(n: int, q):
-    """q boxed, once n and q are in the dyadic formula's domain."""
-    if n < 1:
-        raise DomainError("dyadic_formula requires n >= 1")
-    qw = as_qweight(q)
-    if qw.is_one:
-        raise DomainError("dyadic_formula excludes q = 1; use classic_formula")
-    return qw
+    num, den = theorem1_num(n, q)
+    return Scalar(Fraction(num, den) if type(num) is int else num)
 
 
 def dyadic_num(n: int, q) -> tuple:
-    """(num, den), integers with num/den = ``dyadic_formula(n, q)`` for exact q.
+    """(num, den) with num/den = ``dyadic_formula(n, q)``: integers for exact q,
+    else the payload over den = 1.
 
     For q = a/b, multiplying through by den = 2n b^{k+1} leaves one integer
     expression, num = a G_{k+1} n - sum_i a^i b^{k+1-i} min(m_i, 2^i - m_i),
     m_i = n mod 2^i.  Not reduced, like ``theorem1_num``.
     """
-    qw = _dyadic_q(n, q)
-    if qw.q.mode is not Mode.EXACT:
-        raise ModeError("dyadic_num needs an exact q")
-    return _dyadic_int(n, qw)
-
-
-def _dyadic_int(n: int, qw) -> tuple:
-    """``dyadic_num`` at a boxed exact q, n and q already checked."""
+    if n < 1:
+        raise DomainError("dyadic_formula requires n >= 1")
+    qw = as_qweight(q)
+    if qw.is_one:
+        raise DomainError("dyadic_formula excludes q = 1; use classic_formula")
     qv = qw.q.value
     k = n.bit_length() - 1
-    a, b = qv.numerator, qv.denominator
-    acc = 0
-    ai = 1
-    for t in tau_profile(n, k + 1):
-        ai *= a
-        acc = acc * b + ai * t
-    head = a * geometric_num(k + 1, a, b) * n
-    return head - acc, 2 * n * b ** (k + 1)
-
-
-def dyadic_formula(n: int, q) -> Scalar:
-    """All-q exact formula for S_q(n)/n at the (dyadic) integer points.
-
-    No modulus constraint on q, q = 0 included; only q = 1 is excluded.
-    Exact q takes ``dyadic_num``.
-    """
-    qw = _dyadic_q(n, q)
     if qw.q.mode is Mode.EXACT:
-        return Scalar(Fraction(*_dyadic_int(n, qw)))
-    qv = qw.q.value
-    k = n.bit_length() - 1
+        a, b = qv.numerator, qv.denominator
+        acc = 0
+        ai = 1
+        for t in tau_profile(n, k + 1):
+            ai *= a
+            acc = acc * b + ai * t
+        head = a * geometric_num(k + 1, a, b) * n
+        return head - acc, 2 * n * b ** (k + 1)
     two_q_pow = qw.two_q_pow
     total = 0 * qv
     for i, t in enumerate(tau_profile(n, k + 1), 1):
         if t:
             total = total + two_q_pow[i] * (t / (1 << i))
     head = qv / 2 * (1 - qw.q_pow[k + 1]) / (1 - qv)
-    return Scalar(head - total / (2 * n))
+    return head - total / (2 * n), 1
+
+
+def dyadic_formula(n: int, q) -> Scalar:
+    """All-q exact formula for S_q(n)/n at the (dyadic) integer points.
+
+    No modulus constraint on q, q = 0 included; only q = 1 is excluded.
+    ``dyadic_num``, boxed.
+    """
+    num, den = dyadic_num(n, q)
+    return Scalar(Fraction(num, den) if type(num) is int else num)
 
 
 def classic_formula(n: int) -> Scalar:

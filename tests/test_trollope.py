@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from tdq.digit_sums import S_q_direct, iter_S_direct
-from tdq.errors import DomainError, ModeError
+from tdq.errors import DomainError
 from tdq.takagi import G_tilde_gamma
 from tdq.trollope import (
     classic_formula,
@@ -60,13 +60,18 @@ def test_numerator_kernels_take_exact_q_and_the_formulas_domain(num, formula):
         top, den = num(n, Fraction(-5, 3))
         assert type(top) is int and type(den) is int and den > 0
         assert Fraction(top, den) == formula(n, Fraction(-5, 3)).value
-    for n, q in ((0, Fraction(2, 3)), (5, Fraction(1)), (5, 1)):
+    # at a float q too, and at 1e300, where a power the formula takes overflows
+    for n, q in ((0, Fraction(2, 3)), (5, Fraction(1)), (5, 1), (0, 0.7), (5, 1.0), (4, 1e300)):
         with pytest.raises(DomainError) as exc:
             formula(n, q)
         with pytest.raises(DomainError, match=re.escape(str(exc.value))):
             num(n, q)
-    with pytest.raises(ModeError):
-        num(5, 0.7)
+    # a float or complex q gives the formula's payload over 1, bit for bit
+    for q in (0.7, -0.6, 4.0, 0.5 + 0.5j, -0.3 + 0.9j):
+        for n in [*range(1, (1 << 12) + 1), (1 << 40) + 1, 1 << 62]:
+            top, den = num(n, q)
+            value = formula(n, q).value
+            assert (type(top), repr(top), den) == (type(value), repr(value), 1)
 
 
 def test_overflow_is_raised_at_the_power_the_formula_takes():
