@@ -97,6 +97,8 @@ def S_rec_num(n: int, a: int, b: int) -> tuple:
     carries R(n_0) = acc + mult R(n): even steps down to the odd part of n
     (or a power of two), then odd steps, whose m stays odd, down to 1.
     """
+    if n < 1:
+        raise DomainError("S_q is defined for n >= 1")
     k = n.bit_length() - 1
     apow, bpow, pow2 = _rec_table(a, b, k + 1)
     den = bpow[k + 1]
@@ -118,10 +120,10 @@ def S_rec_num(n: int, a: int, b: int) -> tuple:
 
 
 def S_rec_payload(n: int, qv):
-    if n < 1:
-        raise DomainError("S_q is defined for n >= 1")
     if isinstance(qv, Fraction):
         return Fraction(*S_rec_num(n, qv.numerator, qv.denominator))
+    if n < 1:
+        raise DomainError("S_q is defined for n >= 1")
     if n == 1:
         return 0 * qv
     if n & (n - 1) == 0:

@@ -207,12 +207,13 @@ def _interp(partials: Sequence, pos):
     return lo + frac * (partials[int(i) + 1] - lo)
 
 
-def _phi_numerators(sums: PartialSums, l: int, grid: tuple) -> tuple[list[int], int]:
+def _phi_numerators(sums: Sequence, l: int, grid: tuple) -> tuple[list[int], int]:
     """(X, den) with S(t l) - t S(l) = X_t / den at each rational t of the grid.
 
     With W the lcm of the grid's denominators, t = u/W and u l = i W + r, so
     S(t l) = S(i) + (r/W) (S(i + 1) - S(i)).  With s_i the exact sums'
-    numerators over their one denominator D,
+    numerators over their one denominator D (a ``PartialSums``' own, else
+    the lcm of the denominators of S(0), ..., S(l)),
     X_t = s_i W + r (s_{i+1} - s_i) - u s_l over den = D W.
     """
     W = math.lcm(*(t.denominator for t in grid))
@@ -220,13 +221,18 @@ def _phi_numerators(sums: PartialSums, l: int, grid: tuple) -> tuple[list[int], 
     if not all(0 <= u <= W for u in us):
         raise DomainError("grid abscissae must lie in [0,1]")
     pos = [divmod(u * l, W) for u in us]
-    s = sums.numerators
+    if isinstance(sums, PartialSums):
+        s, D = sums.numerators, sums.den
+    else:
+        head = [sums[j] for j in range(l + 1)]
+        D = math.lcm(*(x.denominator for x in head))
+        s = [x.numerator * (D // x.denominator) for x in head]
     sl = s[l]
     X = [
         (s[i] * W + r * (s[i + 1] - s[i]) if r else s[i] * W) - u * sl
         for u, (i, r) in zip(us, pos)
     ]
-    return X, sums.den * W
+    return X, D * W
 
 
 def phi_curve(
@@ -238,13 +244,14 @@ def phi_curve(
 ) -> FluctuationCurve:
     """phi_l(t) = (S(t l) - t S(l)) / R on the grid, S linearly interpolated.
 
-    ``partial_sums`` is what ``orbit_partial_sums`` returns, S(0), ..., S(l)
-    at least.  Exact sums on a grid of rationals are read as its integer
-    numerators over the one denominator (``_phi_numerators``), and each
-    value is one ``Fraction``.  The curve takes the widest mode among its
-    inputs, in ``Mode``'s order: a float abscissa or normaliser makes exact
-    sums a float curve, a complex normaliser any curve complex.  R is given
-    with ``EXPLICIT`` normalization alone; ``MAX_ABS`` computes its own.
+    ``partial_sums`` is what ``orbit_partial_sums`` returns, or any sequence
+    of payloads, S(0), ..., S(l) at least.  Exact sums on a grid of
+    rationals are read as integer numerators over one denominator
+    (``_phi_numerators``), and each value is one ``Fraction``.  The curve
+    takes the widest mode among its inputs, in ``Mode``'s order: a float
+    abscissa or normaliser makes exact sums a float curve, a complex
+    normaliser any curve complex.  R is given with ``EXPLICIT``
+    normalization alone; ``MAX_ABS`` computes its own.
     """
     if l < 1:
         raise DomainError("phi_curve requires l >= 1")

@@ -76,18 +76,24 @@ class Scalar:
 
     @staticmethod
     def lift(v, mode: Mode) -> "Scalar":
-        """Build a Scalar of the given mode from an int/Fraction/float/complex."""
+        """Build a Scalar of the given mode from an int/Fraction/float/complex.
+
+        An exact value beyond the float range has no float or complex lift:
+        ``DomainError``, whose message leaves the value out, since it can be
+        too long to print.
+        """
         if mode is Mode.EXACT:
             if isinstance(v, (int, Fraction)):
                 return Scalar(Fraction(v))
             raise ModeError(f"cannot lift {type(v).__name__} into exact mode")
-        if mode is Mode.FLOAT:
-            if isinstance(v, complex):
-                raise ModeError("cannot lift complex into float mode")
-            return Scalar(float(v))
-        if isinstance(v, Fraction):
-            v = float(v)
-        return Scalar(complex(v))
+        if mode is Mode.FLOAT and isinstance(v, complex):
+            raise ModeError("cannot lift complex into float mode")
+        try:
+            if mode is Mode.FLOAT or isinstance(v, Fraction):
+                v = float(v)
+            return Scalar(v if mode is Mode.FLOAT else complex(v))
+        except OverflowError:
+            raise DomainError("an exact value is beyond the float range") from None
 
     # -- queries -------------------------------------------------------------
 
@@ -107,8 +113,15 @@ class Scalar:
         return Scalar.lift(self.value, mode)
 
     def render(self) -> str:
+        """The payload as text.  An exact value with more digits than Python's
+        int-to-str limit is a ``DomainError`` in tdq's own words, not
+        Python's, which differ between releases.
+        """
         if self.mode is Mode.EXACT:
-            return str(self.value)
+            try:
+                return str(self.value)
+            except ValueError:
+                raise DomainError("an exact value has too many digits to print") from None
         if self.mode is Mode.FLOAT:
             return _format_float(self.value)
         re_, im = self.value.real, self.value.imag

@@ -507,6 +507,8 @@ def test_odometer_search(capsys):
 
 # -- input validation and the corollary sweep -------------------------------------
 
+BIG = "1" + "0" * 400  # an integer literal past the float range
+
 
 @pytest.mark.parametrize(
     "argv, code",
@@ -592,6 +594,15 @@ def test_odometer_search(capsys):
         ("verify larcher --gamma-limit=-1e20", 0),
         ("eval Sq --q 2/3 --n 8", 0),
         ("eval takagi --a 1/2 --x 0.3", 0),
+        # an exact q beyond the float range where a float is needed
+        (f"verify corollary --q {BIG}", 2),
+        (f"eval tildeF --q {BIG} --u 0.5", 2),
+        (f"eval tildeF --q=-{BIG} --u 0.5", 2),
+        (f"curve tildeF --q {BIG} --grid 1", 2),
+        # an exact value past Python's int-to-str digit limit: at q = 1/BIG the
+        # deviation at n = 1024 and S_q(2048) have over 4300 digits
+        (f"odometer birkhoff --q 1/{BIG}", 2),
+        (f"eval Sq --q 1/{BIG} --n 2048", 2),
     ],
 )
 def test_cli_fails_cleanly(capsys, argv, code):

@@ -8,6 +8,8 @@ from tdq.digit_sums import (
     S_q_direct,
     S_q_pow2,
     S_q_recursive,
+    S_rec_num,
+    S_rec_payload,
     bit_counts,
     iter_S_direct,
     s_q,
@@ -137,6 +139,14 @@ def test_domain_errors():
         S_q_pow2(-1, Fraction(2, 3))
     with pytest.raises(DomainError):
         s_q(-1, Fraction(2, 3))
+
+
+def test_S_rec_num_refuses_n_below_one():
+    # the integer kernel returned (0, 1) at n = 0 and (-456, 81) at n = -8
+    for n in (0, -8):
+        for call in (lambda: S_rec_num(n, 2, 3), lambda: S_rec_payload(n, Fraction(2, 3)), lambda: S_rec_payload(n, 0.7)):
+            with pytest.raises(DomainError, match=r"^S_q is defined for n >= 1$"):
+                call()
 
 
 @pytest.mark.parametrize("n_max", [0, -3])

@@ -137,6 +137,20 @@ def test_phi_curve_on_a_slice_is_the_curve_of_the_shorter_orbit(q):
         assert got.values[-1].value == raw / Fraction(7, 5)
 
 
+def test_phi_curve_reads_a_list_of_exact_sums_like_partial_sums():
+    # a plain list is read over the lcm of its denominators: Fractions at
+    # q = 2/3, ints (the popcount sums) at q = 1; it used to raise AttributeError
+    grid = [Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1)]
+    for q, kind in ((Fraction(2, 3), Fraction), (1, int)):
+        partials = orbit_partial_sums(OdometerPoint.zero(), q, 8)
+        sums = [kind(x) for x in partials]
+        for norm, R in ((Normalization.MAX_ABS, None), (Normalization.EXPLICIT, Fraction(7, 5))):
+            got, want = phi_curve(sums, 8, grid, norm, R), phi_curve(partials, 8, grid, norm, R)
+            assert bits_of(got.R.value) == bits_of(want.R.value)
+            assert [bits_of(x.value) for x in got.values] == [bits_of(x.value) for x in want.values]
+            assert any(x.value for x in got.values)
+
+
 def test_G_q_equals_F_at_dyadic_points():
     q = Fraction(2, 3)
     for n in range(1, 512):

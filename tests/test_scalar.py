@@ -268,3 +268,16 @@ def test_checked_pow():
     for x in (1e300, -1e300, 1e300 + 1j):
         with pytest.raises(DomainError):
             checked_pow(x, 2)
+
+
+def test_an_exact_value_past_float_range_or_print_limit_is_a_domain_error():
+    # the messages are tdq's own and leave the value out: it may be too long to print
+    for v in (10 ** 400, Fraction(-(10 ** 400), 3)):
+        for mode in (Mode.FLOAT, Mode.COMPLEX):
+            with pytest.raises(DomainError, match="^an exact value is beyond the float range$"):
+                Scalar.lift(v, mode)
+            with pytest.raises(DomainError):
+                Scalar(Fraction(v)).promote(mode)
+    with pytest.raises(DomainError, match="^an exact value has too many digits to print$"):
+        Scalar(Fraction(1, 10 ** 5000)).render()
+    assert Scalar(Fraction(10 ** 300, 3)).render() == f"{10 ** 300}/3"
