@@ -14,7 +14,7 @@ from __future__ import annotations
 import enum
 import math
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import repeat
 from typing import Optional
@@ -22,7 +22,7 @@ from typing import Optional
 from .digit_sums import S_pow2_payload, S_rec_payload, orbit_numerators, window_sum
 from .errors import DomainError
 from .scalar import Mode, Regime, Scalar, as_qweight, as_scalar, checked_pow
-from .takagi import takagi_at, takagi_grid
+from .takagi import takagi_at, takagi_grid, takagi_grid_num
 
 
 @dataclass(frozen=True, init=False)
@@ -127,6 +127,34 @@ class PartialSums(Sequence):
         return list(self) == list(other) if isinstance(other, (PartialSums, list)) else NotImplemented
 
 
+class DyadicGrid(Sequence):
+    """Read-only points G[j] = j/2^m, j = 0 .. 2^m, each a ``Fraction`` built
+    when read.  A slice is a tuple, and G equals the tuple and the list of its points."""
+
+    __slots__ = ("m",)
+
+    def __init__(self, m: int):
+        if m < 0:
+            raise DomainError("a dyadic grid needs m >= 0")
+        self.m = m
+
+    def __len__(self) -> int:
+        return (1 << self.m) + 1
+
+    def __getitem__(self, j):
+        js = range(len(self))[j]
+        return tuple(Fraction(i, 1 << self.m) for i in js) if isinstance(j, slice) else Fraction(js, 1 << self.m)
+
+    def __eq__(self, other):
+        return list(self) == list(other) if isinstance(other, (DyadicGrid, tuple, list)) else NotImplemented
+
+    def __hash__(self):  # the hash of the equal tuple, so a curve on the grid stays hashable
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return f"DyadicGrid({self.m})"
+
+
 def orbit_partial_sums(omega: OdometerPoint, q, l: int) -> PartialSums:
     """P with P[j] = S_{q,omega}(j), j = 0 .. l: ``orbit_numerators`` from omega's value."""
     if l < 1:
@@ -190,11 +218,14 @@ class Normalization(enum.Enum):
 
 @dataclass(frozen=True)
 class FluctuationCurve:
-    grid: tuple
+    """phi_l on the grid; an exact curve's ``numerators`` (X, D), D > 0, give values[j] = X[j] / D unreduced."""
+
+    grid: Sequence
     values: tuple[Scalar, ...]
     l: int
     R: Scalar
     normalization: Normalization
+    numerators: Optional[tuple[list[int], int]] = field(default=None, compare=False, repr=False)
 
 
 def _interp(partials: Sequence, pos):
@@ -207,32 +238,40 @@ def _interp(partials: Sequence, pos):
     return lo + frac * (partials[int(i) + 1] - lo)
 
 
-def _phi_numerators(sums: Sequence, l: int, grid: tuple) -> tuple[list[int], int]:
-    """(X, den) with S(t l) - t S(l) = X_t / den at each rational t of the grid.
+def _phi_numerators(sums: Sequence, l: int, grid: Sequence) -> tuple[list[int], int]:
+    """(X, den) with S(t l) - t S(l) = X_t / den at each rational t of the grid (in [0, 1]).
 
-    With W the lcm of the grid's denominators, t = u/W and u l = i W + r, so
+    With W the lcm of the grid's denominators (2^m, u = 0 .. 2^m, on a
+    ``DyadicGrid``), t = u/W and u l = i W + r, so
     S(t l) = S(i) + (r/W) (S(i + 1) - S(i)).  With s_i the exact sums'
     numerators over their one denominator D (a ``PartialSums``' own, else
-    the lcm of the denominators of S(0), ..., S(l)),
+    the lcm of the denominators of the list S(0), ..., S(l)),
     X_t = s_i W + r (s_{i+1} - s_i) - u s_l over den = D W.
     """
-    W = math.lcm(*(t.denominator for t in grid))
-    us = [t.numerator * (W // t.denominator) for t in grid]
-    if not all(0 <= u <= W for u in us):
-        raise DomainError("grid abscissae must lie in [0,1]")
+    dyadic = isinstance(grid, DyadicGrid)
+    W = 1 << grid.m if dyadic else math.lcm(*(t.denominator for t in grid))
+    us = range(W + 1) if dyadic else [t.numerator * (W // t.denominator) for t in grid]
     pos = [divmod(u * l, W) for u in us]
     if isinstance(sums, PartialSums):
         s, D = sums.numerators, sums.den
     else:
-        head = [sums[j] for j in range(l + 1)]
-        D = math.lcm(*(x.denominator for x in head))
-        s = [x.numerator * (D // x.denominator) for x in head]
+        D = math.lcm(*(x.denominator for x in sums))
+        s = [x.numerator * (D // x.denominator) for x in sums]
     sl = s[l]
     X = [
         (s[i] * W + r * (s[i + 1] - s[i]) if r else s[i] * W) - u * sl
         for u, (i, r) in zip(us, pos)
     ]
     return X, D * W
+
+
+def _read_sums(partial_sums: Sequence, l: int) -> tuple[Mode, Sequence]:
+    """(mode, sums): a ``PartialSums`` as it is; a plain sequence's S(0), ..., S(l) lifted into their widest mode."""
+    if isinstance(partial_sums, PartialSums):  # P[0] is a Fraction exactly when P has a den
+        return as_scalar(partial_sums[0]).mode, partial_sums
+    head = [as_scalar(partial_sums[j]) for j in range(l + 1)]
+    mode = Mode.widest(*(x.mode for x in head))
+    return mode, [x.promote(mode).value for x in head]
 
 
 def phi_curve(
@@ -245,11 +284,12 @@ def phi_curve(
     """phi_l(t) = (S(t l) - t S(l)) / R on the grid, S linearly interpolated.
 
     ``partial_sums`` is what ``orbit_partial_sums`` returns, or any sequence
-    of payloads, S(0), ..., S(l) at least.  Exact sums on a grid of
-    rationals are read as integer numerators over one denominator
-    (``_phi_numerators``), and each value is one ``Fraction``.  The curve
-    takes the widest mode among its inputs, in ``Mode``'s order: a float
-    abscissa or normaliser makes exact sums a float curve, a complex
+    of payloads, S(0), ..., S(l) at least.  A ``DyadicGrid`` stays the
+    curve's grid, read as j / 2^m.  Exact sums on a grid of rationals are
+    read as integer numerators over one denominator (``_phi_numerators``),
+    and each value is one ``Fraction``.  The curve takes the widest mode
+    among its inputs (every S(j) of a plain sequence), in ``Mode``'s order:
+    a float abscissa or normaliser makes exact sums a float curve, a complex
     normaliser any curve complex.  R is given with ``EXPLICIT``
     normalization alone; ``MAX_ABS`` computes its own.
     """
@@ -259,23 +299,27 @@ def phi_curve(
         raise DomainError("explicit normalization needs R")
     if normalization is Normalization.MAX_ABS and R is not None:
         raise DomainError("max-abs normalization computes R and takes none")
-    grid = tuple(grid)
+    dyadic = isinstance(grid, DyadicGrid)
+    if not dyadic:
+        grid = tuple(grid)
     if not grid:
         raise DomainError("phi_curve requires a non-empty grid")
     if len(partial_sums) < l + 1:
         raise DomainError("partial sums must cover [0, l]")
-    mode = as_scalar(partial_sums[0]).mode
-    rational = all(isinstance(t, (int, Fraction)) for t in grid)
+    mode, sums = _read_sums(partial_sums, l)
+    if not dyadic and not all(0 <= t <= 1 for t in grid):
+        raise DomainError("grid abscissae must lie in [0,1]")
+    rational = dyadic or all(isinstance(t, (int, Fraction)) for t in grid)
     exact = mode is Mode.EXACT and rational
     if exact:
-        raw, den = _phi_numerators(partial_sums, l, grid)
+        raw, den = _phi_numerators(sums, l, grid)
     else:
-        raw, total = [], partial_sums[l]
-        for t in grid:
-            tq = t if mode is Mode.EXACT else float(t)
-            if not 0 <= t <= 1:
-                raise DomainError("grid abscissae must lie in [0,1]")
-            raw.append(_interp(partial_sums, tq * l) - tq * total)
+        if dyadic:  # j / 2^m rounds once, as float(Fraction(j, 2^m)) does
+            ts = [j / (1 << grid.m) for j in range(len(grid))]
+        else:
+            ts = grid if mode is Mode.EXACT else [float(t) for t in grid]
+        total = sums[l]
+        raw = [_interp(sums, t * l) - t * total for t in ts]
     if normalization is Normalization.MAX_ABS:
         m = max(abs(v) for v in raw)
         if exact:
@@ -286,14 +330,16 @@ def phi_curve(
         if r_scalar.is_zero():
             raise DomainError("normalizer R must be non-zero (given, or underflowed to 0)")
     r_val = r_scalar.value
+    numerators = None
     if exact and r_scalar.mode is Mode.EXACT:
-        rn, rd = r_val.numerator, r_val.denominator
-        values = [Fraction(v * rd, den * rn) for v in raw]
+        rd = r_val.denominator if r_val > 0 else -r_val.denominator
+        numerators = X, D = [v * rd for v in raw], den * abs(r_val.numerator)
+        values = [Fraction(x, D) for x in X]
     else:
         values = [(Fraction(v, den) if exact else v) / r_val for v in raw]
     out = Mode.widest(mode, r_scalar.mode, mode if rational else Mode.FLOAT)
     values = tuple(Scalar(v) if out is mode else Scalar.lift(v, out) for v in values)
-    return FluctuationCurve(grid=grid, values=values, l=l, R=r_scalar, normalization=normalization)
+    return FluctuationCurve(grid, values, l, r_scalar, normalization, numerators)
 
 
 @dataclass(frozen=True)
@@ -316,8 +362,8 @@ def prop2_R(q, N: int) -> Scalar:
 def prop2_exact(q, N: int) -> Prop2Result:
     """The exact limiting-curve identity at l = 2^N, R = (2q)^{N-1}.
 
-    Grid points t_j = j/2^{N-1}; the returned values equal -q T_a(t_j) with
-    zero residual in exact mode.
+    Grid points t_j = j/2^{N-1} (a ``DyadicGrid``); the returned values
+    equal -q T_a(t_j) with zero residual in exact mode.
     """
     if N < 1:
         raise DomainError("prop2_exact requires N >= 1")
@@ -326,19 +372,26 @@ def prop2_exact(q, N: int) -> Prop2Result:
         raise DomainError("Proposition 2 requires |q| > 1/2")
     l = 1 << N
     partials = orbit_partial_sums(OdometerPoint.zero(), qw, l)
-    grid = tuple(Fraction(j, 1 << (N - 1)) for j in range((1 << (N - 1)) + 1))
-    curve = phi_curve(partials, l, grid, Normalization.EXPLICIT, prop2_R(qw, N))
+    curve = phi_curve(partials, l, DyadicGrid(N - 1), Normalization.EXPLICIT, prop2_R(qw, N))
     return Prop2Result(curve=curve, max_residual=sup_distance_to_limit(curve, qw))
 
 
-def _takagi_on(grid, a) -> list:
-    """T_a payloads on the grid: ``takagi_grid`` when the grid is exactly
-    {j/2^m : j = 0 .. 2^m}, else ``takagi_at`` per point."""
+def _dyadic_order(grid: Sequence) -> Optional[int]:
+    """m when the grid is exactly {j/2^m : j = 0 .. 2^m} (a ``DyadicGrid``'s m, unscanned), else None."""
+    if isinstance(grid, DyadicGrid):
+        return grid.m
     n = len(grid) - 1
     m = n.bit_length() - 1
-    if n >= 1 and n == 1 << m and all(
+    whole = n >= 1 and n == 1 << m and all(
         isinstance(t, (int, Fraction)) and t.numerator << m == j * t.denominator for j, t in enumerate(grid)
-    ):
+    )
+    return m if whole else None
+
+
+def _takagi_on(grid: Sequence, a: Scalar) -> list:
+    """T_a payloads: ``takagi_grid`` on a whole grid j/2^m (``_dyadic_order``), else ``takagi_at``."""
+    m = _dyadic_order(grid)
+    if m is not None:
         return [v.value for v in takagi_grid(a, m)]
     return [takagi_at(t, a).value for t in grid]
 
@@ -362,11 +415,22 @@ def _sup_gap(xs: Sequence, ys: Sequence, c):
 
 
 def sup_distance_to_limit(curve: FluctuationCurve, q) -> Scalar:
-    """max over the grid of |phi(t) + q T_a(t)|, T_a by ``takagi_at``."""
+    """max over the grid of |phi(t) + q T_a(t)|, T_a as ``_takagi_on`` takes it.
+
+    An exact curve X/D on a whole grid j/2^m at exact q = c/b, with T_a = T/Dt
+    (``takagi_grid_num``), is max_j |X_j b Dt + c T_j D| / (D b Dt); else ``_sup_gap``.
+    """
     qw = as_qweight(q)
     if qw.regime is not Regime.CONTRACTIVE:
         raise DomainError("limiting curve requires |q| > 1/2")
-    worst = _sup_gap([v.value for v in curve.values], _takagi_on(curve.grid, qw.a), qw.q.value)
+    qv = qw.q.value
+    m = _dyadic_order(curve.grid)
+    if curve.numerators is not None and m is not None and isinstance(qv, Fraction):
+        (X, D), (c, b) = curve.numerators, (qv.numerator, qv.denominator)
+        T, Dt = takagi_grid_num(qw.a.value.numerator, qw.a.value.denominator, m)
+        bDt, cD = b * Dt, c * D
+        return Scalar(Fraction(max(abs(x * bDt + cD * t) for x, t in zip(X, T)), D * bDt))
+    worst = _sup_gap([v.value for v in curve.values], _takagi_on(curve.grid, qw.a), qv)
     return Scalar.lift(worst, Mode.EXACT if isinstance(worst, Fraction) else Mode.FLOAT)
 
 

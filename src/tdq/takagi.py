@@ -358,19 +358,18 @@ def takagi_dyadic_sum(m: int, e: int, powers):
 def takagi_dyadic_exact(x, a) -> Scalar:
     """Finite sum at a dyadic rational x; exact when a is exact, any a allowed.
 
-    With x mod 1 = m/2^e the terms are a^j tau(m_j/2^e), m_j = 2^j m mod 2^e,
-    for j < e.  Since m_j = (m mod 2^{e-j}) 2^j, 2^e tau(m_j/2^e) is
-    tau_scaled(m, e - j) 2^j: the profile of m read in reverse.  For exact
-    a = p/r the sum is B / (r^{e-1} 2^e) with the integer B of
-    ``takagi_dyadic_num``; for float and complex a it is
-    ``takagi_dyadic_sum``.
+    With x = n/2^e in lowest terms, x mod 1 = m/2^e, m = n mod 2^e, and the
+    terms are a^j tau(m_j/2^e), m_j = 2^j m mod 2^e, for j < e.  Since m_j =
+    (m mod 2^{e-j}) 2^j, 2^e tau(m_j/2^e) is tau_scaled(m, e - j) 2^j: the
+    profile of m read in reverse.  For exact a = p/r the sum is
+    B / (r^{e-1} 2^e) with the integer B of ``takagi_dyadic_num``; for float
+    and complex a it is ``takagi_dyadic_sum``.
     """
     fr = as_dyadic_fraction(x)
     if fr is None:
         raise DomainError("takagi_dyadic_exact requires a dyadic rational x")
     a = as_scalar(a)
-    y = fr - math.floor(fr)
-    m, e = y.numerator, y.denominator.bit_length() - 1
+    m, e = fr.numerator % fr.denominator, fr.denominator.bit_length() - 1
     if a.mode is Mode.EXACT:
         if not e:
             return Scalar(Fraction(0))
@@ -379,35 +378,42 @@ def takagi_dyadic_exact(x, a) -> Scalar:
     return Scalar(takagi_dyadic_sum(m, e, powers_of(a.value, e)))
 
 
+def takagi_grid_num(p: int, r: int, m: int) -> tuple[list[int], int]:
+    """(N, D), T_a(j/2^m) = N[j] / D for j = 0 .. 2^m at a = p/r, r > 0, D = r^{m-1} 2^m
+    (1 at m = 0).  T_a(1 - x) = T_a(x), so N_j is computed for j <= 2^{m-1} and
+    mirrored, in one coarse-to-fine pass of T(x) = tau(x) + a T(2x mod 1):
+    N_j = j r^{m-1} + p N_k / r, since 2^m tau(j/2^m) = j for j <= 2^{m-1}, with k =
+    2j mod 2^m in the lower half (N_k = N_{2^m - k}); the division is exact because N_k sits one level coarser.
+    """
+    if not m:
+        return [0, 0], 1
+    size, half = 1 << m, 1 << (m - 1)
+    scale = r ** (m - 1)
+    num = [0] * (half + 1)
+    for level in range(m):
+        step = half >> level
+        for j in range(step, half + 1, 2 * step):
+            k = min(2 * j, size - 2 * j)
+            num[j] = j * scale + p * num[k] // r
+    return num + num[-2::-1], scale << m
+
+
 def takagi_grid(a, m: int) -> list[Scalar]:
     """[T_a(j/2^m) for j = 0 .. 2^m], equal to ``takagi_dyadic_exact`` point by point.
 
-    T_a(1 - x) = T_a(x), so the points j <= 2^{m-1} are computed and
-    mirrored.  For exact a = p/r they come from one coarse-to-fine pass of
-    T(x) = tau(x) + a T(2x mod 1) on the integers N_j = T_a(j/2^m) r^{m-1} 2^m:
-    N_j = j r^{m-1} + p N_k / r, since 2^m tau(j/2^m) = j for j <= 2^{m-1},
-    with k = 2j mod 2^m taken in the lower half (N_k = N_{2^m - k}); the
-    division is exact because N_k sits one level coarser.  Float and complex
-    a build a^0 .. a^{m-1} once (``powers_of``) and take ``takagi_dyadic_sum``
-    at each j/2^m, as ``takagi_dyadic_exact`` does.
+    T_a(1 - x) = T_a(x), so the points j <= 2^{m-1} are boxed and mirrored:
+    exact a = p/r boxes ``takagi_grid_num``'s integers, and float and complex a
+    take ``takagi_dyadic_sum`` at each j/2^m on a^0 .. a^{m-1} built once (``powers_of``).
     """
     if m < 0:
         raise DomainError("takagi_grid requires m >= 0")
     a = as_scalar(a)
     if not m:
         return [takagi_dyadic_exact(0, a)] * 2
-    size, half = 1 << m, 1 << (m - 1)
+    half = 1 << (m - 1)
     if a.mode is Mode.EXACT:
-        p, r = a.value.numerator, a.value.denominator
-        scale = r ** (m - 1)
-        num = [0] * (half + 1)
-        for level in range(m):
-            step = half >> level
-            for j in range(step, half + 1, 2 * step):
-                k = min(2 * j, size - 2 * j)
-                num[j] = j * scale + p * num[k] // r
-        den = scale << m
-        lower = [Scalar(Fraction(v, den)) for v in num]
+        num, den = takagi_grid_num(a.value.numerator, a.value.denominator, m)
+        lower = [Scalar(Fraction(v, den)) for v in num[: half + 1]]
     else:
         powers = powers_of(a.value, m)
         lower = [Scalar(takagi_dyadic_sum(j, m, powers)) for j in range(half + 1)]

@@ -42,6 +42,7 @@ from tdq.takagi import (
     fq_system,
     takagi_dyadic_exact,
     takagi_grid,
+    takagi_grid_num,
     takagi_series,
     takagi_system,
 )
@@ -591,6 +592,16 @@ GRID_AS = [
 def test_takagi_grid_is_takagi_dyadic_exact(a):
     for m in range(11):
         assert_grid_is_pointwise(a, m)
+
+
+@pytest.mark.parametrize("a", [a for a in GRID_AS if isinstance(a, Fraction)], ids=repr)
+def test_takagi_grid_num_is_takagi_dyadic_exact(a):
+    # every point, the mirrored upper half too, over D = r^{m-1} 2^m (1 at m = 0)
+    for m in range(11):
+        num, den = takagi_grid_num(a.numerator, a.denominator, m)
+        assert den == (a.denominator ** (m - 1) << m if m else 1) and len(num) == (1 << m) + 1
+        assert [Fraction(v, den) for v in num] == [takagi_dyadic_exact(Fraction(j, 1 << m), a).value
+                                                   for j in range((1 << m) + 1)]
 
 
 @pytest.mark.parametrize("draw", [*(Q_CLASSES[c] for c in sorted(Q_CLASSES)), FLOATS, COMPLEXES],

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from tdq.digit_sums import S_q_direct, orbit_sums, s_q
 from tdq.errors import DomainError
 from tdq.odometer import (
+    DyadicGrid,
     FluctuationCurve,
     G_q,
     Normalization,
@@ -23,6 +24,7 @@ from tdq.odometer import (
     stabilizer_search,
     sup_distance_to_limit,
 )
+from tdq.scalar import Mode
 from tdq.takagi import F_q, takagi_dyadic_exact
 
 
@@ -149,6 +151,105 @@ def test_phi_curve_reads_a_list_of_exact_sums_like_partial_sums():
             assert bits_of(got.R.value) == bits_of(want.R.value)
             assert [bits_of(x.value) for x in got.values] == [bits_of(x.value) for x in want.values]
             assert any(x.value for x in got.values)
+
+
+@pytest.mark.parametrize(
+    "sums, widest",
+    [
+        ([0, 0.5, 1.0, 1.5, 2.0], Mode.FLOAT),
+        ([0, Fraction(1, 2), 1 + 0.5j, 1.5, Fraction(2)], Mode.COMPLEX),
+        ([Fraction(0), 0.25, -0.0, 2, 1.5], Mode.FLOAT),
+        ([0.0, 1, Fraction(1, 3), 2.0 - 1j, 3], Mode.COMPLEX),
+    ],
+)
+def test_phi_curve_takes_the_widest_mode_of_a_plain_list(sums, widest):
+    # the mode was read off S(0) alone: an int 0 first sent floats and
+    # complex numbers down the exact path, which raised AttributeError
+    lift = {Mode.FLOAT: float, Mode.COMPLEX: complex}[widest]
+    grid = [Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1)]
+    for g in (grid, DyadicGrid(2)):
+        for norm, R in ((Normalization.MAX_ABS, None), (Normalization.EXPLICIT, Fraction(7, 5))):
+            got, want = phi_curve(sums, 4, g, norm, R), phi_curve([lift(x) for x in sums], 4, g, norm, R)
+            assert {v.mode for v in got.values} == {widest} and got.numerators is None
+            assert bits_of(got.R.value) == bits_of(want.R.value)
+            assert [bits_of(x.value) for x in got.values] == [bits_of(x.value) for x in want.values]
+
+
+@pytest.mark.parametrize("m", [0, 1, 3, 6])
+def test_dyadic_grid_reads_like_the_tuple_of_its_points(m):
+    size = 1 << m
+    want = [Fraction(j, size) for j in range(size + 1)]
+    g = DyadicGrid(m)
+    assert len(g) == size + 1 and g.m == m and repr(g) == f"DyadicGrid({m})"
+    assert list(g) == want and [type(t) for t in g] == [Fraction] * (size + 1)
+    assert g == want and g == tuple(want) and want == g and tuple(want) == g and g == DyadicGrid(m)
+    assert g != DyadicGrid(m + 1) and g != want[:-1] and g != [*want[:-1], Fraction(2)]
+    assert hash(g) == hash(tuple(want)) and hash(prop2_exact(Fraction(2, 3), m + 1).curve)
+    assert g[0] == 0 and g[-1] == g[size] == 1 and g[-(size + 1)] == 0
+    for j in range(-(size + 1), size + 1):
+        assert g[j] == want[j] and type(g[j]) is Fraction
+    for j in (size + 1, -(size + 2)):
+        with pytest.raises(IndexError):
+            g[j]
+    for sl in (slice(None), slice(1, None), slice(None, -1), slice(None, None, -1), slice(1, 5, 2), slice(7, 2)):
+        assert g[sl] == tuple(want[sl]) and type(g[sl]) is tuple
+    assert [g.index(t) for t in want] == list(range(size + 1))
+    with pytest.raises(ValueError):
+        g.index(Fraction(1, 3 * size))
+    assert g.count(Fraction(1, 2)) == (1 if m else 0) and Fraction(1, 1 << (m + 1)) not in g
+    with pytest.raises(DomainError):
+        DyadicGrid(-1)
+
+
+@pytest.mark.parametrize("q", PARTIAL_QS.values(), ids=PARTIAL_QS)
+@pytest.mark.parametrize("m", [0, 1, 4, 6])
+def test_phi_curve_on_a_dyadic_grid_is_the_list_curve(q, m):
+    # a DyadicGrid is read on integers (exact sums) or as j / 2^m (float
+    # and complex sums): every value and R as on the list of its Fractions
+    grid = [Fraction(j, 1 << m) for j in range((1 << m) + 1)]
+    for omega, l in ((OdometerPoint.zero(), 1 << (m + 1)), (OdometerPoint.from_int(1000), 77)):
+        partials = orbit_partial_sums(omega, q, l)
+        for norm, R in ((Normalization.MAX_ABS, None), (Normalization.EXPLICIT, Fraction(-7, 5)),
+                        (Normalization.EXPLICIT, prop2_R(q, m + 1)), (Normalization.EXPLICIT, 0.5)):
+            got = phi_curve(partials, l, DyadicGrid(m), norm, R)
+            want = phi_curve(partials, l, grid, norm, R)
+            assert type(got.grid) is DyadicGrid and got.grid == want.grid == tuple(grid)
+            assert (type(got.R.value), repr(got.R.value)) == (type(want.R.value), repr(want.R.value))
+            assert [(type(v.value), repr(v.value)) for v in got.values] == \
+                [(type(v.value), repr(v.value)) for v in want.values]
+            if got.values[0].mode is Mode.EXACT:  # unreduced numerators over one positive denominator
+                X, D = got.numerators
+                assert D > 0 and [Fraction(x, D) for x in X] == [v.value for v in got.values]
+            else:
+                assert got.numerators is None
+
+
+def ref_residual(curve, q):
+    """max |phi(t) + q T_a(t)| by Fraction arithmetic, T_a from takagi_dyadic_exact at each point."""
+    a = 1 / (2 * q)
+    return max(abs(v.value + q * takagi_dyadic_exact(t, a).value) for t, v in zip(curve.grid, curve.values))
+
+
+@pytest.mark.parametrize("q", [Fraction(2, 3), Fraction(-7, 6), Fraction(3), Fraction(8219, 8209)], ids=str)
+def test_sup_distance_is_the_fraction_max_where_it_is_not_zero(q):
+    # the integer max against a test-local one, on curves that miss -q T_a:
+    # twice Proposition 2's R, a curve measured at another q', and max-abs
+    # normalization; on the DyadicGrid of prop2_exact and on its list
+    seen = 0
+    for N in range(1, 10):
+        l, m = 1 << N, N - 1
+        partials = orbit_partial_sums(OdometerPoint.zero(), q, l)
+        grid = [Fraction(j, 1 << m) for j in range((1 << m) + 1)]
+        for g in (DyadicGrid(m), grid):
+            doubled = phi_curve(partials, l, g, Normalization.EXPLICIT, 2 * prop2_R(q, N).value)
+            max_abs = phi_curve(partials, l, g, Normalization.MAX_ABS)
+            exact_R = phi_curve(partials, l, g, Normalization.EXPLICIT, prop2_R(q, N))
+            for curve, at in ((doubled, q), (max_abs, q), (exact_R, Fraction(5, 6)), (exact_R, Fraction(-9, 8))):
+                got = sup_distance_to_limit(curve, at)
+                assert curve.numerators is not None and got.mode is Mode.EXACT
+                assert got.value == ref_residual(curve, at)
+                seen += got.value != 0
+    assert seen >= 60
 
 
 def test_G_q_equals_F_at_dyadic_points():
