@@ -69,8 +69,9 @@ class Scalar:
             raise ModeError(f"cannot interpret {type(value).__name__} as a Scalar")
         if mode is not _EXACT and not cmath.isfinite(value):
             raise DomainError(f"a float overflowed: the result is {value}, not a finite number")
-        object.__setattr__(self, "mode", mode)
-        object.__setattr__(self, "value", value)
+        d = self.__dict__  # written directly, past the frozen __setattr__
+        d["mode"] = mode
+        d["value"] = value
 
     # -- construction -----------------------------------------------------
 
@@ -213,6 +214,20 @@ def tau_scaled(n: int, i: int) -> int:
 _LEVELS = tuple(((1 << i) - 1, 1 << (i - 1), 1 << i) for i in range(1, 65))
 
 
+def _byte_sums() -> list[int]:
+    """[sum(tau_profile(m, 8)) for m in range(256)], level by level: the sum
+    over levels 1..i of m < 2^i is that over levels 1..i-1 of m mod 2^(i-1)
+    plus min(m, 2^i - m)."""
+    sums = [0]
+    for i in range(1, 9):
+        half = 1 << (i - 1)
+        sums = [s + m for m, s in enumerate(sums)] + [s + half - m for m, s in enumerate(sums)]
+    return sums
+
+
+_SAW = _byte_sums()  # the sawtooth of a byte summed over its eight levels, read by tau_sum
+
+
 def tau_profile(n: int, K: int) -> list[int]:
     """[tau_scaled(n, 1), ..., tau_scaled(n, K)]: the sawtooth at every level in one pass."""
     out = []
@@ -227,6 +242,28 @@ def tau_profile(n: int, K: int) -> list[int]:
         out.append(m if 2 * m <= size else size - m)
         size <<= 1
     return out
+
+
+def tau_sum(n: int, K: int) -> int:
+    """sum(tau_profile(n, K)), eight levels a step, with no list built.
+
+    With lo = n mod 2^8 and h = n >> 8, the level-i sawtooth of n past level
+    8 is 2^8 times the level-(i-8) sawtooth of h, plus lo where bit i-1 of n
+    is 0 and minus lo where it is 1.  For K <= 8, n < 2^K is below the half
+    of every level from K+1 to 8, whose sawtooth is n itself, so the byte
+    sum counts n once for each of those 8 - K levels.
+    """
+    if K <= 0:
+        return 0
+    n &= (1 << K) - 1
+    total = shift = 0
+    while K > 8:
+        lo = n & 255
+        n >>= 8
+        K -= 8
+        total += (_SAW[lo] + lo * (K - 2 * n.bit_count())) << shift
+        shift += 8
+    return total + ((_SAW[n] - (8 - K) * n) << shift)
 
 
 def tau_float(x: float) -> float:

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .digit_sums import bit_counts, geometric_num
 from .errors import DomainError
-from .scalar import Mode, Regime, Scalar, as_qweight, tau_profile
+from .scalar import Mode, Regime, Scalar, as_qweight, tau_profile, tau_sum
 from .takagi import G_tilde_gamma, takagi_dyadic_num, takagi_dyadic_sum
 
 
@@ -112,7 +112,7 @@ def classic_formula(n: int) -> Scalar:
         raise DomainError("classic_formula requires n >= 1")
     k = n.bit_length() - 1
     # 2^{k+1} T(n / 2^{k+1}) at a = 1/2 collapses to sum_i min(m_i, 2^i - m_i)
-    tk_scaled = sum(tau_profile(n, k + 1))
+    tk_scaled = tau_sum(n, k + 1)
     lg = math.log2(n)
     u = lg - k
     tilde_f1 = 1.0 - u - tk_scaled / n

@@ -730,7 +730,9 @@ def test_exact_identities_are_the_per_level_loops(cls, data, n):
 
 
 def test_classic_formula_is_the_per_level_loop():
-    for start in (1, (1 << 40) - 2000, (1 << 62) - 2000):
+    # windows of +-2000 around 2^8 (inside the first), 2^16, 2^24 and 2^32
+    # cross a byte of levels
+    for start in (1, *((1 << e) - 2000 for e in (16, 24, 32, 40, 62))):
         for n in range(start, start + 4000):
             assert classic_formula(n).value.hex() == per_level_classic_formula(n).hex()
 

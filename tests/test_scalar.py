@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -19,6 +20,7 @@ from tdq.scalar import (
     tau_float,
     tau_profile,
     tau_scaled,
+    tau_sum,
 )
 
 rationals = st.fractions(max_denominator=10**6)
@@ -65,6 +67,20 @@ def test_tau_profile_across_the_level_table_edge(K):
         profile = tau_profile(n, K)
         assert profile == [tau_scaled(n, i) for i in range(1, K + 1)]
         assert all(type(t) is int for t in profile)
+
+
+def test_tau_sum_is_the_profile_sum():
+    # K crosses each byte of levels (8, 9, 16, 17), stops short of n's bit
+    # length (the high bits are ignored) and runs past the level table (K > 64)
+    small_K = [*range(18), 23, 24, 25, 63, 64, 65, 70]
+    for n in range(1 << 12):
+        for K in small_K:
+            assert tau_sum(n, K) == sum(tau_profile(n, K))
+    wide = [(j << 8) + d for j in (*range(1, 129), 1 << 8, 1 << 16, 1 << 54) for d in (-1, 1)]
+    wide += [1 << 62, (1 << 70) + 3, 3 ** 40]
+    for n in wide:
+        for K in range(71):
+            assert tau_sum(n, K) == sum(tau_profile(n, K))
 
 
 def test_tau_float_and_complex():
@@ -239,6 +255,28 @@ def test_scalar_mode_is_its_payloads_type():
     assert len({Scalar(Fraction(1)), Scalar(1.0), Scalar(1 + 0j)}) == 3
     assert Scalar(Fraction(1)) != Scalar(1.0)
     assert math.copysign(1.0, Scalar(-0.0).value) == -1.0 and Scalar(-0.0).render() == "-0"
+
+
+def test_a_scalar_is_frozen_and_built_as_before():
+    # __init__ writes the two fields past the frozen __setattr__; nothing else may
+    s = Scalar(Fraction(1, 3))
+    for field in ("value", "mode"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(s, field, Fraction(1, 2))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(s, field)
+    assert s.value == Fraction(1, 3) and s.mode is Mode.EXACT
+    assert repr(s) == "Scalar(mode=<Mode.EXACT: 'exact'>, value=Fraction(1, 3))"
+    assert repr(Scalar(0.5)) == "Scalar(mode=<Mode.FLOAT: 'float'>, value=0.5)"
+    assert repr(Scalar(1 + 2j)) == "Scalar(mode=<Mode.COMPLEX: 'complex'>, value=(1+2j))"
+    assert s == Scalar(Fraction(2, 6)) and hash(s) == hash(Scalar(Fraction(2, 6)))
+    assert s != Scalar(Fraction(1, 2)) and Scalar(0.5) != Scalar(0.5 + 0j)  # three values of 1: the test above
+    with pytest.raises(ModeError, match="^cannot interpret int as a Scalar$"):
+        Scalar(1)
+    with pytest.raises(DomainError, match=r"^a float overflowed: the result is inf, not a finite number$"):
+        Scalar(math.inf)
+    with pytest.raises(DomainError, match=r"^a float overflowed: the result is \(1\+infj\), not a finite number$"):
+        Scalar(complex(1.0, math.inf))
 
 
 def test_as_scalar_modes():

@@ -115,7 +115,8 @@ RULES = {  # rule id: (modules read, check, mutant as (module, snippet, replacem
     # the independent routes: each root set reaches none of the routes it is checked against
     "derham-independent-of-tau-routes": (
         ("takagi.py",), reaches(["derham_eval", "DeRhamSystem"], {
-            "tau_profile", "tau_scaled", "tau_float", "takagi_dyadic_exact", "takagi_grid", "takagi_series", "takagi_at"}),
+            "tau_profile", "tau_scaled", "tau_sum", "tau_float", "takagi_dyadic_exact", "takagi_grid", "takagi_series",
+            "takagi_at"}),
         ("takagi.py", "sys._lift(k / (1 << i))", "sys._lift(tau_float(k / (1 << i)))")),
     "S_rec-independent-of-counts-and-direct": (
         ("digit_sums.py",), reaches(["S_rec_payload"], {
@@ -124,7 +125,8 @@ RULES = {  # rule id: (modules read, check, mutant as (module, snippet, replacem
         ("digit_sums.py", "apow, bpow, pow2 = [1], [1], [0]", "apow, bpow, pow2 = [1], [1], list(bit_counts(1))")),
     # geometric_num is a closed form and stays allowed
     "trollope-delange-independent-of-S_q-routes": (
-        ("trollope.py",), reaches(["theorem1_rhs", "dyadic_formula", "theorem1_num", "dyadic_num"], {
+        ("trollope.py",), reaches(["theorem1_rhs", "dyadic_formula", "theorem1_num", "dyadic_num", "classic_formula",
+                                   "vdc_star_discrepancy"], {
             "S_rec_payload", "S_pow2_payload", "orbit_sums", "orbit_numerators", "window_sum", "bit_counts",
             "iter_S_direct", "sq_payload"},
             prefix="S_q_"),
