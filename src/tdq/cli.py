@@ -166,7 +166,7 @@ def _larcher(args) -> int:
     print(
         f"larcher: gamma_limit={c:g} constant-weight residual "
         f"{'ok' if witness is None else f'violated at n={witness} ({worst:g})'}; "
-        f"decay trend |r/n|: {r_small:.3g} -> {r_big:.3g} "
+        f"decay trend |r/n| (two-point estimate): {r_small:.3g} -> {r_big:.3g} "
         f"({'decreasing' if trend_ok else 'NOT decreasing'}), {'PASS' if ok else 'FAIL'}"
     )
     return 0 if ok else 3

@@ -4,9 +4,11 @@
 counts: over the window v, ..., v + n - 1 bit i is set c_i(v + n) - c_i(v)
 times, so the sum costs O(log(v + n)), not n steps.  ``orbit_partial_sums``
 holds the stream of ``digit_sums.orbit_numerators`` from the point's value
-as a ``PartialSums``.  Exact q = a/b works on integer numerators over b^K in
-both, so exact runs stay exact; ``phi_curve`` reads those numerators, and a
-partial sum becomes a ``Fraction`` only where one is read by index.
+as ``Ratios``, the module's one sequence of integers over one denominator.
+Exact q = a/b works on integer numerators over b^K in both, so exact runs
+stay exact; curves, grids and T_a are ``Ratios`` too, ``phi_curve`` and
+``_sup_gap`` read their numerators, and a value becomes a ``Fraction`` only
+where one is read by index.
 """
 
 from __future__ import annotations
@@ -97,26 +99,38 @@ def ergodic_sum(omega: OdometerPoint, q, n: int) -> Scalar:
     return Scalar(window_sum(omega.value, n, qw.q.value))
 
 
-class PartialSums(Sequence):
-    """Read-only payloads P[0], ..., P[l] over one list of ``numerators``.
+class Ratios(Sequence):
+    """Read-only payloads R[0], ..., R[l] over one list of ``numerators``.
 
-    Exact sums are integers over one ``den`` and P[j] is
+    Exact payloads are integers over one positive ``den`` and R[j] is
     ``Fraction(numerators[j], den)``, built when read; float and complex
-    sums are their payloads, with den None.  A slice is a ``PartialSums``
-    over the same den, and P equals a list of the same payloads.
+    payloads are themselves, with den None.  A slice is a ``Ratios`` over
+    the same den, and R equals, and hashes as, the list and the tuple of its payloads.
     """
 
     __slots__ = ("numerators", "den")
 
-    def __init__(self, numerators: list, den: Optional[int]):
+    def __init__(self, numerators: Sequence, den: Optional[int]):
         self.numerators, self.den = numerators, den
+
+    @classmethod
+    def of(cls, values: Iterable) -> "Ratios":
+        """``values`` over one denominator: a ``Ratios`` as it is, ints and
+        Fractions over the lcm of their denominators, other payloads with den None."""
+        if isinstance(values, Ratios):
+            return values
+        values = list(values)
+        if not all(isinstance(v, (int, Fraction)) for v in values):
+            return cls(values, None)
+        den = math.lcm(*(v.denominator for v in values))
+        return cls([v.numerator * (den // v.denominator) for v in values], den)
 
     def __len__(self) -> int:
         return len(self.numerators)
 
     def __getitem__(self, j):
         if isinstance(j, slice):
-            return PartialSums(self.numerators[j], self.den)
+            return Ratios(self.numerators[j], self.den)
         x = self.numerators[j]
         return x if self.den is None else Fraction(x, self.den)
 
@@ -124,46 +138,31 @@ class PartialSums(Sequence):
         return iter(self.numerators) if self.den is None else map(Fraction, self.numerators, repeat(self.den))
 
     def __eq__(self, other):
-        return list(self) == list(other) if isinstance(other, (PartialSums, list)) else NotImplemented
-
-
-class DyadicGrid(Sequence):
-    """Read-only points G[j] = j/2^m, j = 0 .. 2^m, each a ``Fraction`` built
-    when read.  A slice is a tuple, and G equals the tuple and the list of its points."""
-
-    __slots__ = ("m",)
-
-    def __init__(self, m: int):
-        if m < 0:
-            raise DomainError("a dyadic grid needs m >= 0")
-        self.m = m
-
-    def __len__(self) -> int:
-        return (1 << self.m) + 1
-
-    def __getitem__(self, j):
-        js = range(len(self))[j]
-        return tuple(Fraction(i, 1 << self.m) for i in js) if isinstance(j, slice) else Fraction(js, 1 << self.m)
-
-    def __eq__(self, other):
-        return list(self) == list(other) if isinstance(other, (DyadicGrid, tuple, list)) else NotImplemented
+        return list(self) == list(other) if isinstance(other, (Ratios, tuple, list)) else NotImplemented
 
     def __hash__(self):  # the hash of the equal tuple, so a curve on the grid stays hashable
         return hash(tuple(self))
 
     def __repr__(self) -> str:
-        return f"DyadicGrid({self.m})"
+        return f"Ratios({self.numerators!r}, {self.den!r})"
 
 
-def orbit_partial_sums(omega: OdometerPoint, q, l: int) -> PartialSums:
+def dyadic_grid(m: int) -> Ratios:
+    """The points j/2^m, j = 0 .. 2^m, as integers over the one denominator 2^m."""
+    if m < 0:
+        raise DomainError("a dyadic grid needs m >= 0")
+    return Ratios(range((1 << m) + 1), 1 << m)
+
+
+def orbit_partial_sums(omega: OdometerPoint, q, l: int) -> Ratios:
     """P with P[j] = S_{q,omega}(j), j = 0 .. l: ``orbit_numerators`` from omega's value."""
     if l < 1:
         raise DomainError("orbit_partial_sums requires l >= 1")
     qv = as_qweight(q).q.value
     den, sums = orbit_numerators(omega.value, qv, l)
     if isinstance(qv, Fraction):
-        return PartialSums([0, *sums], den)
-    return PartialSums([0 * qv, *sums], None)
+        return Ratios([0, *sums], den)
+    return Ratios([0 * qv, *sums], None)
 
 
 def birkhoff_mean(q) -> Scalar:
@@ -218,14 +217,14 @@ class Normalization(enum.Enum):
 
 @dataclass(frozen=True)
 class FluctuationCurve:
-    """phi_l on the grid; an exact curve's ``numerators`` (X, D), D > 0, give values[j] = X[j] / D unreduced."""
+    """phi_l on the grid; an exact curve's ``numerators`` are its values as ``Ratios`` over one positive D, unreduced."""
 
     grid: Sequence
     values: tuple[Scalar, ...]
     l: int
     R: Scalar
     normalization: Normalization
-    numerators: Optional[tuple[list[int], int]] = field(default=None, compare=False, repr=False)
+    numerators: Optional[Ratios] = field(default=None, compare=False, repr=False)
 
 
 def _interp(partials: Sequence, pos):
@@ -238,25 +237,15 @@ def _interp(partials: Sequence, pos):
     return lo + frac * (partials[int(i) + 1] - lo)
 
 
-def _phi_numerators(sums: Sequence, l: int, grid: Sequence) -> tuple[list[int], int]:
-    """(X, den) with S(t l) - t S(l) = X_t / den at each rational t of the grid (in [0, 1]).
+def _phi_numerators(sums: Ratios, l: int, grid: Ratios) -> tuple[list[int], int]:
+    """(X, den) with S(t l) - t S(l) = X_t / den at each point t = u/W of the grid (in [0, 1]).
 
-    With W the lcm of the grid's denominators (2^m, u = 0 .. 2^m, on a
-    ``DyadicGrid``), t = u/W and u l = i W + r, so
-    S(t l) = S(i) + (r/W) (S(i + 1) - S(i)).  With s_i the exact sums'
-    numerators over their one denominator D (a ``PartialSums``' own, else
-    the lcm of the denominators of the list S(0), ..., S(l)),
-    X_t = s_i W + r (s_{i+1} - s_i) - u s_l over den = D W.
+    With u l = i W + r, S(t l) = S(i) + (r/W) (S(i + 1) - S(i)); with s_i
+    the sums' numerators over D, X_t = s_i W + r (s_{i+1} - s_i) - u s_l
+    over den = D W.
     """
-    dyadic = isinstance(grid, DyadicGrid)
-    W = 1 << grid.m if dyadic else math.lcm(*(t.denominator for t in grid))
-    us = range(W + 1) if dyadic else [t.numerator * (W // t.denominator) for t in grid]
+    s, D, us, W = sums.numerators, sums.den, grid.numerators, grid.den
     pos = [divmod(u * l, W) for u in us]
-    if isinstance(sums, PartialSums):
-        s, D = sums.numerators, sums.den
-    else:
-        D = math.lcm(*(x.denominator for x in sums))
-        s = [x.numerator * (D // x.denominator) for x in sums]
     sl = s[l]
     X = [
         (s[i] * W + r * (s[i + 1] - s[i]) if r else s[i] * W) - u * sl
@@ -265,13 +254,13 @@ def _phi_numerators(sums: Sequence, l: int, grid: Sequence) -> tuple[list[int], 
     return X, D * W
 
 
-def _read_sums(partial_sums: Sequence, l: int) -> tuple[Mode, Sequence]:
-    """(mode, sums): a ``PartialSums`` as it is; a plain sequence's S(0), ..., S(l) lifted into their widest mode."""
-    if isinstance(partial_sums, PartialSums):  # P[0] is a Fraction exactly when P has a den
+def _read_sums(partial_sums: Sequence, l: int) -> tuple[Mode, Ratios]:
+    """(mode, sums): ``Ratios`` as they are; a plain sequence's S(0), ..., S(l) lifted into their widest mode."""
+    if isinstance(partial_sums, Ratios):  # P[0] is a Fraction exactly when P has a den
         return as_scalar(partial_sums[0]).mode, partial_sums
     head = [as_scalar(partial_sums[j]) for j in range(l + 1)]
     mode = Mode.widest(*(x.mode for x in head))
-    return mode, [x.promote(mode).value for x in head]
+    return mode, Ratios.of(x.promote(mode).value for x in head)
 
 
 def phi_curve(
@@ -284,12 +273,12 @@ def phi_curve(
     """phi_l(t) = (S(t l) - t S(l)) / R on the grid, S linearly interpolated.
 
     ``partial_sums`` is what ``orbit_partial_sums`` returns, or any sequence
-    of payloads, S(0), ..., S(l) at least.  A ``DyadicGrid`` stays the
-    curve's grid, read as j / 2^m.  Exact sums on a grid of rationals are
-    read as integer numerators over one denominator (``_phi_numerators``),
-    and each value is one ``Fraction``.  The curve takes the widest mode
-    among its inputs (every S(j) of a plain sequence), in ``Mode``'s order:
-    a float abscissa or normaliser makes exact sums a float curve, a complex
+    of payloads, S(0), ..., S(l) at least.  The curve's grid is
+    ``Ratios.of(grid)``.  Exact sums on a grid of rationals are read as
+    integer numerators over one denominator (``_phi_numerators``), and each
+    value is one ``Fraction``.  The curve takes the widest mode among its
+    inputs (every S(j) of a plain sequence), in ``Mode``'s order: a float
+    abscissa or normaliser makes exact sums a float curve, a complex
     normaliser any curve complex.  R is given with ``EXPLICIT``
     normalization alone; ``MAX_ABS`` computes its own.
     """
@@ -299,25 +288,25 @@ def phi_curve(
         raise DomainError("explicit normalization needs R")
     if normalization is Normalization.MAX_ABS and R is not None:
         raise DomainError("max-abs normalization computes R and takes none")
-    dyadic = isinstance(grid, DyadicGrid)
-    if not dyadic:
-        grid = tuple(grid)
+    grid = Ratios.of(grid)
     if not grid:
         raise DomainError("phi_curve requires a non-empty grid")
     if len(partial_sums) < l + 1:
         raise DomainError("partial sums must cover [0, l]")
     mode, sums = _read_sums(partial_sums, l)
-    if not dyadic and not all(0 <= t <= 1 for t in grid):
+    W = grid.den
+    top = W or 1
+    if not all(0 <= u <= top for u in grid.numerators):
         raise DomainError("grid abscissae must lie in [0,1]")
-    rational = dyadic or all(isinstance(t, (int, Fraction)) for t in grid)
+    rational = W is not None
     exact = mode is Mode.EXACT and rational
     if exact:
         raw, den = _phi_numerators(sums, l, grid)
     else:
-        if dyadic:  # j / 2^m rounds once, as float(Fraction(j, 2^m)) does
-            ts = [j / (1 << grid.m) for j in range(len(grid))]
+        if rational:  # u / W rounds once, as float(Fraction(u, W)) does
+            ts = [u / W for u in grid.numerators]
         else:
-            ts = grid if mode is Mode.EXACT else [float(t) for t in grid]
+            ts = grid.numerators if mode is Mode.EXACT else [float(t) for t in grid.numerators]
         total = sums[l]
         raw = [_interp(sums, t * l) - t * total for t in ts]
     if normalization is Normalization.MAX_ABS:
@@ -333,8 +322,8 @@ def phi_curve(
     numerators = None
     if exact and r_scalar.mode is Mode.EXACT:
         rd = r_val.denominator if r_val > 0 else -r_val.denominator
-        numerators = X, D = [v * rd for v in raw], den * abs(r_val.numerator)
-        values = [Fraction(x, D) for x in X]
+        numerators = Ratios([v * rd for v in raw], den * abs(r_val.numerator))
+        values = list(numerators)
     else:
         values = [(Fraction(v, den) if exact else v) / r_val for v in raw]
     out = Mode.widest(mode, r_scalar.mode, mode if rational else Mode.FLOAT)
@@ -362,7 +351,7 @@ def prop2_R(q, N: int) -> Scalar:
 def prop2_exact(q, N: int) -> Prop2Result:
     """The exact limiting-curve identity at l = 2^N, R = (2q)^{N-1}.
 
-    Grid points t_j = j/2^{N-1} (a ``DyadicGrid``); the returned values
+    Grid points t_j = j/2^{N-1} (``dyadic_grid``); the returned values
     equal -q T_a(t_j) with zero residual in exact mode.
     """
     if N < 1:
@@ -372,65 +361,54 @@ def prop2_exact(q, N: int) -> Prop2Result:
         raise DomainError("Proposition 2 requires |q| > 1/2")
     l = 1 << N
     partials = orbit_partial_sums(OdometerPoint.zero(), qw, l)
-    curve = phi_curve(partials, l, DyadicGrid(N - 1), Normalization.EXPLICIT, prop2_R(qw, N))
+    curve = phi_curve(partials, l, dyadic_grid(N - 1), Normalization.EXPLICIT, prop2_R(qw, N))
     return Prop2Result(curve=curve, max_residual=sup_distance_to_limit(curve, qw))
 
 
-def _dyadic_order(grid: Sequence) -> Optional[int]:
-    """m when the grid is exactly {j/2^m : j = 0 .. 2^m} (a ``DyadicGrid``'s m, unscanned), else None."""
-    if isinstance(grid, DyadicGrid):
-        return grid.m
-    n = len(grid) - 1
-    m = n.bit_length() - 1
-    whole = n >= 1 and n == 1 << m and all(
-        isinstance(t, (int, Fraction)) and t.numerator << m == j * t.denominator for j, t in enumerate(grid)
-    )
-    return m if whole else None
+def _dyadic_order(grid: Ratios) -> Optional[int]:
+    """m when the grid is exactly {j/2^m : j = 0 .. 2^m}, else None."""
+    W, us = grid.den, grid.numerators  # a range compares with a range in O(1)
+    whole = W is not None and W & (W - 1) == 0 and (us == range(W + 1) or list(us) == list(range(W + 1)))
+    return W.bit_length() - 1 if whole else None
 
 
-def _takagi_on(grid: Sequence, a: Scalar) -> list:
-    """T_a payloads: ``takagi_grid`` on a whole grid j/2^m (``_dyadic_order``), else ``takagi_at``."""
+def _takagi_on(grid: Sequence, a: Scalar) -> Ratios:
+    """T_a on the grid: on a whole grid j/2^m (``_dyadic_order``) ``takagi_grid_num``
+    at an exact a and ``takagi_grid`` at any other, else ``takagi_at`` at each point."""
+    grid = Ratios.of(grid)
     m = _dyadic_order(grid)
-    if m is not None:
-        return [v.value for v in takagi_grid(a, m)]
-    return [takagi_at(t, a).value for t in grid]
+    if m is None:
+        return Ratios.of([takagi_at(t, a).value for t in grid])
+    if a.mode is Mode.EXACT:
+        return Ratios(*takagi_grid_num(a.value.numerator, a.value.denominator, m))
+    return Ratios([v.value for v in takagi_grid(a, m)], None)
 
 
-def _sup_gap(xs: Sequence, ys: Sequence, c):
+def _values(curve: FluctuationCurve) -> Ratios:
+    """The curve's values as ``Ratios``: its numerators when exact, else its payloads."""
+    return curve.numerators if curve.numerators is not None else Ratios.of([v.value for v in curve.values])
+
+
+def _sup_gap(xs: Ratios, ys: Ratios, c):
     """max |x + c y| over paired payloads xs, ys.
 
-    When every x, y and c is rational the terms come to one denominator L,
-    the lcm of the x denominators and of c's denominator times the y
-    denominators: the max is taken over integers and is one ``Fraction``.
+    When xs = X/D, ys = Y/Dy and c = cn/cd are all rational this is one
+    integer max, max |x cd Dy + cn y D| / (D cd Dy), and one ``Fraction``;
+    else the max over the payloads.
     """
-    if isinstance(c, (int, Fraction)) and all(isinstance(v, Fraction) for v in (*xs, *ys)):
+    if xs.den is not None and ys.den is not None and isinstance(c, (int, Fraction)):
         cn, cd = c.numerator, c.denominator
-        L = math.lcm(math.lcm(*(x.denominator for x in xs)), cd * math.lcm(*(y.denominator for y in ys)))
-        Ly = L // cd
-        return Fraction(max(
-            abs(x.numerator * (L // x.denominator) + cn * y.numerator * (Ly // y.denominator))
-            for x, y in zip(xs, ys)
-        ), L)
+        xc, yc = cd * ys.den, cn * xs.den
+        return Fraction(max(abs(x * xc + yc * y) for x, y in zip(xs.numerators, ys.numerators)), xs.den * xc)
     return max(abs(x + c * y) for x, y in zip(xs, ys))
 
 
 def sup_distance_to_limit(curve: FluctuationCurve, q) -> Scalar:
-    """max over the grid of |phi(t) + q T_a(t)|, T_a as ``_takagi_on`` takes it.
-
-    An exact curve X/D on a whole grid j/2^m at exact q = c/b, with T_a = T/Dt
-    (``takagi_grid_num``), is max_j |X_j b Dt + c T_j D| / (D b Dt); else ``_sup_gap``.
-    """
+    """max over the grid of |phi(t) + q T_a(t)|, T_a as ``_takagi_on`` takes it, by ``_sup_gap``."""
     qw = as_qweight(q)
     if qw.regime is not Regime.CONTRACTIVE:
         raise DomainError("limiting curve requires |q| > 1/2")
-    qv = qw.q.value
-    m = _dyadic_order(curve.grid)
-    if curve.numerators is not None and m is not None and isinstance(qv, Fraction):
-        (X, D), (c, b) = curve.numerators, (qv.numerator, qv.denominator)
-        T, Dt = takagi_grid_num(qw.a.value.numerator, qw.a.value.denominator, m)
-        bDt, cD = b * Dt, c * D
-        return Scalar(Fraction(max(abs(x * bDt + cD * t) for x, t in zip(X, T)), D * bDt))
-    worst = _sup_gap([v.value for v in curve.values], _takagi_on(curve.grid, qw.a), qv)
+    worst = _sup_gap(_values(curve), _takagi_on(curve.grid, qw.a), qw.q.value)
     return Scalar.lift(worst, Mode.EXACT if isinstance(worst, Fraction) else Mode.FLOAT)
 
 
@@ -449,7 +427,7 @@ def stabilizer_search(
     For each candidate l the MaxAbs-normalized fluctuation curve is compared
     to -q T_a scaled the same way; the profile and best window are reported.
     """
-    grid = tuple(grid)
+    grid = Ratios.of(grid)
     if not grid:
         raise DomainError("stabilizer_search requires a non-empty grid")
     windows = sorted(set(int(l) for l in candidate_windows))
@@ -464,12 +442,12 @@ def stabilizer_search(
     t_norm = max(abs(v) for v in targets)
     if t_norm == 0:
         t_norm = 1
-    targets = [v / t_norm for v in targets]
+    targets = Ratios.of([v / t_norm for v in targets])
 
     partials = orbit_partial_sums(omega, qw, windows[-1])
     entries = []
     for l in windows:
         curve = phi_curve(partials[: l + 1], l, grid, Normalization.MAX_ABS)
-        entries.append((l, float(_sup_gap([v.value for v in curve.values], targets, -1))))
+        entries.append((l, float(_sup_gap(_values(curve), targets, -1))))
     best_l, best_distance = min(entries, key=lambda e: (e[1], e[0]))
     return StabilizerReport(entries=tuple(entries), best_l=best_l, best_distance=best_distance)

@@ -8,13 +8,13 @@ from hypothesis import strategies as st
 from tdq.digit_sums import S_q_direct, orbit_sums, s_q
 from tdq.errors import DomainError
 from tdq.odometer import (
-    DyadicGrid,
     FluctuationCurve,
     G_q,
     Normalization,
     OdometerPoint,
-    PartialSums,
+    Ratios,
     birkhoff_deviation,
+    dyadic_grid,
     ergodic_sum,
     odometer_step,
     orbit_partial_sums,
@@ -112,9 +112,6 @@ def test_partial_sums_read_like_the_list_of_the_orbit_stream(q):
             p[j]
     # bit_length(1000 + 63) = 11: exact sums are numerators over 3^11
     assert p.den == (3 ** 11 if isinstance(q, Fraction) else None)
-    for part, ref in ((p[1:], want[1:]), (p[: l + 1], want), (p[10:20], want[10:20]), (p[::-7], want[::-7])):
-        assert type(part) is PartialSums and part.den == p.den
-        assert part == ref and [bits_of(part[j]) for j in range(len(part))] == [bits_of(w) for w in ref]
     assert p != want[:-1] and p != [*want[:-1], want[-1] + 1]
 
 
@@ -167,7 +164,7 @@ def test_phi_curve_takes_the_widest_mode_of_a_plain_list(sums, widest):
     # complex numbers down the exact path, which raised AttributeError
     lift = {Mode.FLOAT: float, Mode.COMPLEX: complex}[widest]
     grid = [Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1)]
-    for g in (grid, DyadicGrid(2)):
+    for g in (grid, dyadic_grid(2)):
         for norm, R in ((Normalization.MAX_ABS, None), (Normalization.EXPLICIT, Fraction(7, 5))):
             got, want = phi_curve(sums, 4, g, norm, R), phi_curve([lift(x) for x in sums], 4, g, norm, R)
             assert {v.mode for v in got.values} == {widest} and got.numerators is None
@@ -176,49 +173,62 @@ def test_phi_curve_takes_the_widest_mode_of_a_plain_list(sums, widest):
 
 
 @pytest.mark.parametrize("m", [0, 1, 3, 6])
-def test_dyadic_grid_reads_like_the_tuple_of_its_points(m):
+def test_ratios_read_like_the_tuple_of_their_payloads(m):
+    # the points j/2^m over a range (dyadic_grid) and over a list: one Fraction per read
     size = 1 << m
     want = [Fraction(j, size) for j in range(size + 1)]
-    g = DyadicGrid(m)
-    assert len(g) == size + 1 and g.m == m and repr(g) == f"DyadicGrid({m})"
-    assert list(g) == want and [type(t) for t in g] == [Fraction] * (size + 1)
-    assert g == want and g == tuple(want) and want == g and tuple(want) == g and g == DyadicGrid(m)
-    assert g != DyadicGrid(m + 1) and g != want[:-1] and g != [*want[:-1], Fraction(2)]
-    assert hash(g) == hash(tuple(want)) and hash(prop2_exact(Fraction(2, 3), m + 1).curve)
-    assert g[0] == 0 and g[-1] == g[size] == 1 and g[-(size + 1)] == 0
-    for j in range(-(size + 1), size + 1):
-        assert g[j] == want[j] and type(g[j]) is Fraction
-    for j in (size + 1, -(size + 2)):
-        with pytest.raises(IndexError):
-            g[j]
-    for sl in (slice(None), slice(1, None), slice(None, -1), slice(None, None, -1), slice(1, 5, 2), slice(7, 2)):
-        assert g[sl] == tuple(want[sl]) and type(g[sl]) is tuple
-    assert [g.index(t) for t in want] == list(range(size + 1))
-    with pytest.raises(ValueError):
-        g.index(Fraction(1, 3 * size))
-    assert g.count(Fraction(1, 2)) == (1 if m else 0) and Fraction(1, 1 << (m + 1)) not in g
+    grid, listed = dyadic_grid(m), Ratios(list(range(size + 1)), size)
+    assert repr(grid) == f"Ratios(range(0, {size + 1}), {size})"
+    for g in (grid, listed):
+        assert len(g) == size + 1 and g.den == size
+        assert list(g) == want and [type(t) for t in g] == [Fraction] * (size + 1)
+        assert g == want and g == tuple(want) and want == g and tuple(want) == g and g == grid and listed == g
+        assert g != dyadic_grid(m + 1) and g != want[:-1] and g != [*want[:-1], Fraction(2)]
+        assert hash(g) == hash(tuple(want))
+        assert g[0] == 0 and g[-1] == g[size] == 1 and g[-(size + 1)] == 0
+        for j in range(-(size + 1), size + 1):
+            assert g[j] == want[j] and type(g[j]) is Fraction
+        for j in (size + 1, -(size + 2)):
+            with pytest.raises(IndexError):
+                g[j]
+        for sl in (slice(None), slice(1, None), slice(None, -1), slice(None, None, -1), slice(1, 5, 2), slice(7, 2)):
+            part = g[sl]
+            assert type(part) is Ratios and part.den == size and part == want[sl] and tuple(want[sl]) == part
+        assert [g.index(t) for t in want] == list(range(size + 1))
+    assert hash(prop2_exact(Fraction(2, 3), m + 1).curve)
+    # Ratios.of: a Ratios as it is, ints and Fractions over their lcm, other payloads with den None
+    assert Ratios.of(grid) is grid and Ratios.of(listed) is listed
+    mixed = Ratios.of([1, Fraction(1, 6), Fraction(-3, 4 * size), 0])
+    assert (mixed.numerators, mixed.den) == ([12 * size, 2 * size, -9, 0], 12 * size)
+    assert mixed == [1, Fraction(1, 6), Fraction(-3, 4 * size), 0] and type(mixed[0]) is Fraction
+    payloads = [0.5, -0.0, Fraction(1, 3), 1 + 2j, size]
+    floats = Ratios.of(payloads)
+    assert floats.den is None and floats == payloads and floats == tuple(payloads)
+    assert [bits_of(x) for x in floats] == [bits_of(x) for x in payloads]
+    assert type(floats[1:]) is Ratios and floats[1:].den is None and [bits_of(x) for x in floats[::-2]] == \
+        [bits_of(x) for x in payloads[::-2]]
     with pytest.raises(DomainError):
-        DyadicGrid(-1)
+        dyadic_grid(-1)
 
 
 @pytest.mark.parametrize("q", PARTIAL_QS.values(), ids=PARTIAL_QS)
 @pytest.mark.parametrize("m", [0, 1, 4, 6])
 def test_phi_curve_on_a_dyadic_grid_is_the_list_curve(q, m):
-    # a DyadicGrid is read on integers (exact sums) or as j / 2^m (float
+    # dyadic_grid(m) is read on integers (exact sums) or as j / 2^m (float
     # and complex sums): every value and R as on the list of its Fractions
     grid = [Fraction(j, 1 << m) for j in range((1 << m) + 1)]
     for omega, l in ((OdometerPoint.zero(), 1 << (m + 1)), (OdometerPoint.from_int(1000), 77)):
         partials = orbit_partial_sums(omega, q, l)
         for norm, R in ((Normalization.MAX_ABS, None), (Normalization.EXPLICIT, Fraction(-7, 5)),
                         (Normalization.EXPLICIT, prop2_R(q, m + 1)), (Normalization.EXPLICIT, 0.5)):
-            got = phi_curve(partials, l, DyadicGrid(m), norm, R)
+            got = phi_curve(partials, l, dyadic_grid(m), norm, R)
             want = phi_curve(partials, l, grid, norm, R)
-            assert type(got.grid) is DyadicGrid and got.grid == want.grid == tuple(grid)
+            assert type(got.grid) is Ratios and got.grid == want.grid == tuple(grid)
             assert (type(got.R.value), repr(got.R.value)) == (type(want.R.value), repr(want.R.value))
             assert [(type(v.value), repr(v.value)) for v in got.values] == \
                 [(type(v.value), repr(v.value)) for v in want.values]
             if got.values[0].mode is Mode.EXACT:  # unreduced numerators over one positive denominator
-                X, D = got.numerators
+                X, D = got.numerators.numerators, got.numerators.den
                 assert D > 0 and [Fraction(x, D) for x in X] == [v.value for v in got.values]
             else:
                 assert got.numerators is None
@@ -234,17 +244,23 @@ def ref_residual(curve, q):
 def test_sup_distance_is_the_fraction_max_where_it_is_not_zero(q):
     # the integer max against a test-local one, on curves that miss -q T_a:
     # twice Proposition 2's R, a curve measured at another q', and max-abs
-    # normalization; on the DyadicGrid of prop2_exact and on its list
+    # normalization, from omega = 0 and (not symmetric about 1/2) from 1000;
+    # on the dyadic_grid of prop2_exact, on its list and on the odd points
+    # j/2^{m+1}, a dyadic grid that is not whole
     seen = 0
     for N in range(1, 10):
         l, m = 1 << N, N - 1
         partials = orbit_partial_sums(OdometerPoint.zero(), q, l)
+        shifted = orbit_partial_sums(OdometerPoint.from_int(1000), q, l)
         grid = [Fraction(j, 1 << m) for j in range((1 << m) + 1)]
-        for g in (DyadicGrid(m), grid):
+        odd = [Fraction(j, 2 << m) for j in range(1, 2 << m, 2)]
+        for g in (dyadic_grid(m), grid, odd):
             doubled = phi_curve(partials, l, g, Normalization.EXPLICIT, 2 * prop2_R(q, N).value)
             max_abs = phi_curve(partials, l, g, Normalization.MAX_ABS)
             exact_R = phi_curve(partials, l, g, Normalization.EXPLICIT, prop2_R(q, N))
-            for curve, at in ((doubled, q), (max_abs, q), (exact_R, Fraction(5, 6)), (exact_R, Fraction(-9, 8))):
+            off = phi_curve(shifted, l, g, Normalization.MAX_ABS)
+            for curve, at in ((doubled, q), (max_abs, q), (exact_R, Fraction(5, 6)), (exact_R, Fraction(-9, 8)),
+                              (off, q)):
                 got = sup_distance_to_limit(curve, at)
                 assert curve.numerators is not None and got.mode is Mode.EXACT
                 assert got.value == ref_residual(curve, at)

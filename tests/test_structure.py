@@ -83,6 +83,17 @@ def scalar_arithmetic(text):
     return [f"{line}: Scalar defines {name}" for line, name in names if name in ARITHMETIC]
 
 
+def one_common_denominator(text):
+    """Names of the two sequences ``Ratios`` replaced, and lcm calls outside ``Ratios.of``."""
+    tree = ast.parse(text)
+    of = [f for c in tree.body if isinstance(c, ast.ClassDef) and c.name == "Ratios"
+          for f in c.body if isinstance(f, ast.FunctionDef) and f.name == "of"]
+    inside = {id(n) for f in of for n in ast.walk(f)}
+    calls = [n for n in ast.walk(tree) if isinstance(n, ast.Call) and id(n) not in inside
+             and (getattr(n.func, "attr", None) or getattr(n.func, "id", None)) == "lcm"]
+    return grep(r"\b(PartialSums|DyadicGrid)\b")(text) + [f"{n.lineno}: lcm outside Ratios.of" for n in calls]
+
+
 RULES = {  # rule id: (modules read, check, mutant as (module, snippet, replacement))
     "no-private-names": (
         MODULES, grep(r"\b(digit_sums|odometer|takagi|trollope|scalar)\._[A-Za-z]"),
@@ -97,6 +108,11 @@ RULES = {  # rule id: (modules read, check, mutant as (module, snippet, replacem
     "no-odometer-capacity": (
         MODULES, grep(r"OverflowPolicy|binary_digits|capacity exhausted|\.reach\("),
         ("odometer.py", "return OdometerPoint._of(n, 0)", "return OdometerPoint(binary_digits(n))")),
+    # odometer sequences of rationals are Ratios, brought to one denominator by Ratios.of alone
+    "one-common-denominator": (
+        ("odometer.py",), one_common_denominator,
+        ("odometer.py", "s, D, us, W = sums.numerators, sums.den, grid.numerators, grid.den",
+         "s, D, us = sums.numerators, sums.den, grid.numerators\n    W = math.lcm(*(t.denominator for t in grid))")),
     # T_a at a point is takagi.takagi_at's one rule
     "one-takagi-at-rule": (
         ("cli.py", "odometer.py"), grep(r"as_dyadic_fraction|takagi_series|takagi_dyadic_exact"),
