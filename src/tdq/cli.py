@@ -150,6 +150,8 @@ def cmd_eval(args) -> int:
 
 
 def _larcher(args) -> int:
+    if args.q is not None or args.mode is not None:  # larcher weighs bits by gamma, in float
+        raise ParseError(f"verify larcher takes no --{'q' if args.q is not None else 'mode'}")
     c = args.gamma_limit
     # the identity is linear in gamma, so its float rounding grows with |gamma|
     scale = max(1, abs(c))
@@ -186,14 +188,15 @@ def cmd_verify(args) -> int:
         return _larcher(args)
     sweep = verify.SWEEPS[args.target]
     top = getattr(args, sweep.option.replace("-", "_"))
-    q = _parse_scalar_arg(args.q, args.mode)
+    q_text = "2/3" if args.q is None else args.q  # no argparse default, so larcher sees a --q it was given
+    q = _parse_scalar_arg(q_text, args.mode)
     if sweep.var == "n":
         _check_n(top)
     else:  # prop2 walks 2^N points; 2^N is built only up to 2^63, which is refused already
         _check_n(1 << min(max(top, 0), 63), f"the window 2^N = 2^{top}")
     result = verify.run(args.target, q, top)
     scope = "" if sweep.var == "n" else f" {sweep.var}<={top}"
-    return _verdict(f"{args.target}: q={args.q} mode={result.mode.value}{scope}", result, args.tol)
+    return _verdict(f"{args.target}: q={q_text} mode={result.mode.value}{scope}", result, args.tol)
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pv = sub.add_parser("verify", help="run an identity sweep")
     pv.add_argument("target", choices=[*verify.SWEEPS, "larcher"])
-    pv.add_argument("--q", default="2/3")
+    pv.add_argument("--q")
     pv.add_argument("--n-max", type=int, default=4096)
     pv.add_argument("--N", type=int, default=8)
     pv.add_argument("--tol", type=_finite_float, default=1e-9)

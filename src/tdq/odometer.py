@@ -6,18 +6,20 @@ times, so the sum costs O(log(v + n)), not n steps.  ``orbit_partial_sums``
 holds the stream of ``digit_sums.orbit_numerators`` from the point's value
 as ``Ratios``, the module's one sequence of integers over one denominator.
 Exact q = a/b works on integer numerators over b^K in both, so exact runs
-stay exact; curves, grids and T_a are ``Ratios`` too, ``phi_curve`` and
-``_sup_gap`` read their numerators, and a value becomes a ``Fraction`` only
-where one is read by index.
+stay exact; grids, T_a and curve ``payloads`` are ``Ratios`` too, read on
+their numerators by ``phi_curve`` and ``_sup_gap``, and a ``Fraction`` or a
+curve's ``Scalar`` is built only where a value is read.
 """
 
 from __future__ import annotations
 
+import cmath
 import enum
 import math
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import repeat
 from typing import Optional
 
@@ -217,14 +219,17 @@ class Normalization(enum.Enum):
 
 @dataclass(frozen=True)
 class FluctuationCurve:
-    """phi_l on the grid; an exact curve's ``numerators`` are its values as ``Ratios`` over one positive D, unreduced."""
+    """phi_l on the grid: ``payloads`` (exact: ints over one D > 0, unreduced), boxed as ``values`` on first read."""
 
-    grid: Sequence
-    values: tuple[Scalar, ...]
+    grid: Ratios
+    payloads: Ratios
     l: int
     R: Scalar
     normalization: Normalization
-    numerators: Optional[Ratios] = field(default=None, compare=False, repr=False)
+
+    @cached_property
+    def values(self) -> tuple[Scalar, ...]:
+        return tuple(map(Scalar, self.payloads))
 
 
 def _interp(partials: Sequence, pos):
@@ -275,12 +280,12 @@ def phi_curve(
     ``partial_sums`` is what ``orbit_partial_sums`` returns, or any sequence
     of payloads, S(0), ..., S(l) at least.  The curve's grid is
     ``Ratios.of(grid)``.  Exact sums on a grid of rationals are read as
-    integer numerators over one denominator (``_phi_numerators``), and each
-    value is one ``Fraction``.  The curve takes the widest mode among its
+    integer numerators over one denominator (``_phi_numerators``), the
+    payloads under an exact R.  The curve takes the widest mode among its
     inputs (every S(j) of a plain sequence), in ``Mode``'s order: a float
     abscissa or normaliser makes exact sums a float curve, a complex
-    normaliser any curve complex.  R is given with ``EXPLICIT``
-    normalization alone; ``MAX_ABS`` computes its own.
+    normaliser any curve complex; such payloads are lifted and checked finite
+    here.  R is given with ``EXPLICIT`` alone; ``MAX_ABS`` computes its own.
     """
     if l < 1:
         raise DomainError("phi_curve requires l >= 1")
@@ -319,16 +324,15 @@ def phi_curve(
         if r_scalar.is_zero():
             raise DomainError("normalizer R must be non-zero (given, or underflowed to 0)")
     r_val = r_scalar.value
-    numerators = None
     if exact and r_scalar.mode is Mode.EXACT:
         rd = r_val.denominator if r_val > 0 else -r_val.denominator
-        numerators = Ratios([v * rd for v in raw], den * abs(r_val.numerator))
-        values = list(numerators)
-    else:
-        values = [(Fraction(v, den) if exact else v) / r_val for v in raw]
+        payloads = Ratios([v * rd for v in raw], den * abs(r_val.numerator))
+        return FluctuationCurve(grid, payloads, l, r_scalar, normalization)
+    values = [(Fraction(v, den) if exact else v) / r_val for v in raw]
     out = Mode.widest(mode, r_scalar.mode, mode if rational else Mode.FLOAT)
-    values = tuple(Scalar(v) if out is mode else Scalar.lift(v, out) for v in values)
-    return FluctuationCurve(grid, values, l, r_scalar, normalization, numerators)
+    if out is not mode or not all(map(cmath.isfinite, values)):  # box to lift, or to raise the overflow
+        values = [(Scalar(v) if out is mode else Scalar.lift(v, out)).value for v in values]
+    return FluctuationCurve(grid, Ratios(values, None), l, r_scalar, normalization)
 
 
 @dataclass(frozen=True)
@@ -372,21 +376,15 @@ def _dyadic_order(grid: Ratios) -> Optional[int]:
     return W.bit_length() - 1 if whole else None
 
 
-def _takagi_on(grid: Sequence, a: Scalar) -> Ratios:
+def _takagi_on(grid: Ratios, a: Scalar) -> Ratios:
     """T_a on the grid: on a whole grid j/2^m (``_dyadic_order``) ``takagi_grid_num``
     at an exact a and ``takagi_grid`` at any other, else ``takagi_at`` at each point."""
-    grid = Ratios.of(grid)
     m = _dyadic_order(grid)
     if m is None:
         return Ratios.of([takagi_at(t, a).value for t in grid])
     if a.mode is Mode.EXACT:
         return Ratios(*takagi_grid_num(a.value.numerator, a.value.denominator, m))
     return Ratios([v.value for v in takagi_grid(a, m)], None)
-
-
-def _values(curve: FluctuationCurve) -> Ratios:
-    """The curve's values as ``Ratios``: its numerators when exact, else its payloads."""
-    return curve.numerators if curve.numerators is not None else Ratios.of([v.value for v in curve.values])
 
 
 def _sup_gap(xs: Ratios, ys: Ratios, c):
@@ -408,7 +406,7 @@ def sup_distance_to_limit(curve: FluctuationCurve, q) -> Scalar:
     qw = as_qweight(q)
     if qw.regime is not Regime.CONTRACTIVE:
         raise DomainError("limiting curve requires |q| > 1/2")
-    worst = _sup_gap(_values(curve), _takagi_on(curve.grid, qw.a), qw.q.value)
+    worst = _sup_gap(curve.payloads, _takagi_on(curve.grid, qw.a), qw.q.value)
     return Scalar.lift(worst, Mode.EXACT if isinstance(worst, Fraction) else Mode.FLOAT)
 
 
@@ -439,15 +437,13 @@ def stabilizer_search(
     qv = qw.q.value
 
     targets = [-qv * ta for ta in _takagi_on(grid, qw.a)]
-    t_norm = max(abs(v) for v in targets)
-    if t_norm == 0:
-        t_norm = 1
+    t_norm = max(abs(v) for v in targets) or 1
     targets = Ratios.of([v / t_norm for v in targets])
 
     partials = orbit_partial_sums(omega, qw, windows[-1])
     entries = []
     for l in windows:
         curve = phi_curve(partials[: l + 1], l, grid, Normalization.MAX_ABS)
-        entries.append((l, float(_sup_gap(_values(curve), targets, -1))))
+        entries.append((l, float(_sup_gap(curve.payloads, targets, -1))))
     best_l, best_distance = min(entries, key=lambda e: (e[1], e[0]))
     return StabilizerReport(entries=tuple(entries), best_l=best_l, best_distance=best_distance)

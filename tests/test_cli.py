@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tdq import digit_sums, trollope
+from tdq import digit_sums, trollope, verify
 from tdq.cli import _parse_omega, main
 from tdq.digit_sums import S_q_direct, S_rec_payload
 from tdq.odometer import birkhoff_deviation, birkhoff_mean
@@ -162,6 +162,28 @@ def test_exact_sweep_passes_at_two_primes_above_the_coefficients(capsys, target)
 def test_verify_domain_guard(capsys):
     code, _, _ = run(capsys, "verify", "theorem1", "--q", "1/3")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv, option", [
+    (("--q", "junk"), "q"),
+    (("--q", "2/3"), "q"),
+    (("--q", ""), "q"),
+    (("--mode", "complex"), "mode"),
+    (("--mode", "float"), "mode"),
+    (("--q", "2/3", "--mode", "exact"), "q"),
+])
+def test_verify_larcher_refuses_q_and_mode(capsys, argv, option):
+    # larcher weighs bits by gamma, in float: it printed PASS past a --q or --mode it never read
+    code, out, err = run(capsys, "verify", "larcher", *argv)
+    assert (code, out, err) == (1, "", f"tdq: parse error: verify larcher takes no --{option}\n")
+
+
+@pytest.mark.parametrize("target", verify.SWEEPS)
+def test_verify_takes_q_2_3_when_none_is_given_and_refuses_an_empty_q(capsys, target):
+    code, out, err = run(capsys, "verify", target, f"--{verify.SWEEPS[target].option}", "3")
+    assert code == 0 and out.startswith(f"{target}: q=2/3 mode=") and out.endswith(", PASS\n") and err == ""
+    code, out, err = run(capsys, "verify", target, "--q", "")
+    assert (code, out, err) == (1, "", "tdq: parse error: empty scalar text\n")
 
 
 # -- curve / figures ----------------------------------------------------------

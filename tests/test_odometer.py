@@ -24,7 +24,7 @@ from tdq.odometer import (
     stabilizer_search,
     sup_distance_to_limit,
 )
-from tdq.scalar import Mode
+from tdq.scalar import Mode, Scalar
 from tdq.takagi import F_q, takagi_dyadic_exact
 
 
@@ -167,7 +167,7 @@ def test_phi_curve_takes_the_widest_mode_of_a_plain_list(sums, widest):
     for g in (grid, dyadic_grid(2)):
         for norm, R in ((Normalization.MAX_ABS, None), (Normalization.EXPLICIT, Fraction(7, 5))):
             got, want = phi_curve(sums, 4, g, norm, R), phi_curve([lift(x) for x in sums], 4, g, norm, R)
-            assert {v.mode for v in got.values} == {widest} and got.numerators is None
+            assert {v.mode for v in got.values} == {widest} and got.payloads.den is None
             assert bits_of(got.R.value) == bits_of(want.R.value)
             assert [bits_of(x.value) for x in got.values] == [bits_of(x.value) for x in want.values]
 
@@ -228,10 +228,10 @@ def test_phi_curve_on_a_dyadic_grid_is_the_list_curve(q, m):
             assert [(type(v.value), repr(v.value)) for v in got.values] == \
                 [(type(v.value), repr(v.value)) for v in want.values]
             if got.values[0].mode is Mode.EXACT:  # unreduced numerators over one positive denominator
-                X, D = got.numerators.numerators, got.numerators.den
+                X, D = got.payloads.numerators, got.payloads.den
                 assert D > 0 and [Fraction(x, D) for x in X] == [v.value for v in got.values]
             else:
-                assert got.numerators is None
+                assert got.payloads.den is None
 
 
 def ref_residual(curve, q):
@@ -262,7 +262,7 @@ def test_sup_distance_is_the_fraction_max_where_it_is_not_zero(q):
             for curve, at in ((doubled, q), (max_abs, q), (exact_R, Fraction(5, 6)), (exact_R, Fraction(-9, 8)),
                               (off, q)):
                 got = sup_distance_to_limit(curve, at)
-                assert curve.numerators is not None and got.mode is Mode.EXACT
+                assert curve.payloads.den is not None and got.mode is Mode.EXACT
                 assert got.value == ref_residual(curve, at)
                 seen += got.value != 0
     assert seen >= 60
@@ -322,6 +322,28 @@ def test_prop2_pinned_value():
     res = prop2_exact(Fraction(2, 3), 2)
     mid = res.curve.grid.index(Fraction(1, 2))
     assert res.curve.values[mid].value == Fraction(-1, 3)  # -q/2
+
+
+def test_curve_values_are_boxed_once_on_first_read():
+    # a curve holds its payloads alone: prop2_exact and the sup distance read
+    # them, and values boxes one Scalar per payload when first read, then keeps them
+    curve = prop2_exact(Fraction(2, 3), 12).curve
+    assert "values" not in curve.__dict__
+    sup_distance_to_limit(curve, Fraction(2, 3))
+    assert "values" not in curve.__dict__
+    assert curve.values is curve.values and "values" in curve.__dict__
+    assert curve.values == tuple(Scalar(x) for x in curve.payloads)
+    assert curve.payloads.den > 0 and len(curve.values) == 2049
+
+
+@pytest.mark.parametrize("q", [0.7, Fraction(2, 3)], ids=str)
+def test_phi_curve_raises_a_float_overflow_where_it_is_built(q):
+    # R = 5e-324 takes the curve's values past the float range; phi_curve
+    # checks its float payloads itself, so the error comes before any read
+    partials = orbit_partial_sums(OdometerPoint.zero(), q, 16)
+    with pytest.raises(DomainError) as err:
+        phi_curve(partials, 16, dyadic_grid(3), Normalization.EXPLICIT, 5e-324)
+    assert str(err.value) == "a float overflowed: the result is -inf, not a finite number"
 
 
 def test_prop2_domain():

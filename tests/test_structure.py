@@ -94,6 +94,20 @@ def one_common_denominator(text):
     return grep(r"\b(PartialSums|DyadicGrid)\b")(text) + [f"{n.lineno}: lcm outside Ratios.of" for n in calls]
 
 
+def curve_values_held_once(text):
+    """Fields of ``FluctuationCurve`` besides its grid, payloads, l, R and
+    normalization, and any definition, import or assignment of ``_values``."""
+    tree = ast.parse(text)
+    cls = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "FluctuationCurve"]
+    if not cls:
+        return ["defines no class FluctuationCurve"]
+    fields = [n.target for n in cls[0].body if isinstance(n, ast.AnnAssign)]
+    bad = [f"{f.lineno}: FluctuationCurve declares {ast.unparse(f)}" for f in fields
+           if getattr(f, "id", None) not in {"grid", "payloads", "l", "R", "normalization"}]
+    return bad + [f"{n.lineno}: defines _values" for n in ast.walk(tree) if getattr(n, "name", None) == "_values"
+                  or isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store) and n.id == "_values"]
+
+
 RULES = {  # rule id: (modules read, check, mutant as (module, snippet, replacement))
     "no-private-names": (
         MODULES, grep(r"\b(digit_sums|odometer|takagi|trollope|scalar)\._[A-Za-z]"),
@@ -113,6 +127,10 @@ RULES = {  # rule id: (modules read, check, mutant as (module, snippet, replacem
         ("odometer.py",), one_common_denominator,
         ("odometer.py", "s, D, us, W = sums.numerators, sums.den, grid.numerators, grid.den",
          "s, D, us = sums.numerators, sums.den, grid.numerators\n    W = math.lcm(*(t.denominator for t in grid))")),
+    # a curve holds its values once, as payloads; values are boxed from them on read
+    "curve-values-held-once": (
+        ("odometer.py",), curve_values_held_once,
+        ("odometer.py", "    payloads: Ratios\n", "    payloads: Ratios\n    numerators: Optional[Ratios] = None\n")),
     # T_a at a point is takagi.takagi_at's one rule
     "one-takagi-at-rule": (
         ("cli.py", "odometer.py"), grep(r"as_dyadic_fraction|takagi_series|takagi_dyadic_exact"),

@@ -13,10 +13,12 @@ TWO_THIRDS = parse_scalar("2/3")
 
 
 def defaults(target):
-    """(q, top, tol) of ``tdq verify target`` with no options."""
+    """(q, top, tol) of ``tdq verify target`` with no options: --q has no
+    argparse default, and ``cmd_verify`` takes q = 2/3 in its place."""
     args = cli.build_parser().parse_args(["verify", target])
     top = getattr(args, verify.SWEEPS[target].option.replace("-", "_"))
-    return parse_scalar(args.q), top, args.tol
+    assert args.q is None
+    return TWO_THIRDS, top, args.tol
 
 
 @pytest.mark.parametrize("target", verify.SWEEPS)
