@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple
 
 from . import digit_sums, odometer, takagi, trollope, verify
 from .errors import DomainError, ModeError, ParseError, VerificationError
-from .scalar import Mode, Scalar, as_qweight, parse_scalar
+from .scalar import Mode, Ratios, Scalar, as_qweight, parse_scalar, render, render_ratio
 
 N_LIMIT = 1 << 62
 GRID_LIMIT = 20
@@ -67,20 +67,16 @@ def _grid(m: int) -> list[Fraction]:
 
 def _write_table(meta: dict, grid, values, out=None, fmt: str = "csv") -> None:
     """Write a sampled curve, on a grid of Fractions, as CSV or JSON to the
-    file ``out``, or to stdout."""
-    if any(v.mode is Mode.COMPLEX for v in values):
+    file ``out``, or to stdout.  ``values`` are payloads of one mode; an exact
+    ``Ratios`` is written from its integer pairs."""
+    columns = ["t", "value"]
+    if isinstance(values, Ratios) and values.den is not None:
+        rows = [[str(t), render_ratio(n, values.den)] for t, n in zip(grid, values.numerators)]
+    elif type(values[0]) is complex:
         columns = ["t", "re", "im"]
-        rows = [
-            [
-                str(t),
-                Scalar(complex(v.value).real).render(),
-                Scalar(complex(v.value).imag).render(),
-            ]
-            for t, v in zip(grid, values)
-        ]
+        rows = [[str(t), render(v.real), render(v.imag)] for t, v in zip(grid, values)]
     else:
-        columns = ["t", "value"]
-        rows = [[str(t), v.render()] for t, v in zip(grid, values)]
+        rows = [[str(t), render(v)] for t, v in zip(grid, values)]
     if fmt == "json":
         text = json.dumps({"meta": meta, "columns": columns, "rows": rows}, indent=2) + "\n"
     else:
@@ -150,8 +146,10 @@ def cmd_eval(args) -> int:
 
 
 def _larcher(args) -> int:
-    if args.q is not None or args.mode is not None:  # larcher weighs bits by gamma, in float
-        raise ParseError(f"verify larcher takes no --{'q' if args.q is not None else 'mode'}")
+    # larcher weighs bits by gamma, in float, at its own n: it reads none of these
+    given = [o for o in ("q", "mode", "n_max", "N") if getattr(args, o) is not None]
+    if given:
+        raise ParseError(f"verify larcher takes no --{given[0].replace('_', '-')}")
     c = args.gamma_limit
     # the identity is linear in gamma, so its float rounding grows with |gamma|
     scale = max(1, abs(c))
@@ -187,8 +185,10 @@ def cmd_verify(args) -> int:
     if args.target not in verify.SWEEPS:
         return _larcher(args)
     sweep = verify.SWEEPS[args.target]
+    # no argparse defaults, so larcher sees the options it was given
     top = getattr(args, sweep.option.replace("-", "_"))
-    q_text = "2/3" if args.q is None else args.q  # no argparse default, so larcher sees a --q it was given
+    top = (4096 if sweep.var == "n" else 8) if top is None else top
+    q_text = "2/3" if args.q is None else args.q
     q = _parse_scalar_arg(q_text, args.mode)
     if sweep.var == "n":
         _check_n(top)
@@ -219,7 +219,7 @@ CURVES = {
     "F": Curve("q", lambda q, m, grid, tol: takagi.F_q_grid(q, m)),
     "complex-takagi": Curve("q", lambda q, m, grid, tol: takagi.takagi_grid(as_qweight(q).a, m), "complex"),
     "Gtilde": Curve(
-        "gamma_limit", lambda g, m, grid, tol: [takagi.G_tilde_gamma(float(t), g, tol) for t in grid]
+        "gamma_limit", lambda g, m, grid, tol: [takagi.G_tilde_gamma(float(t), g, tol).value for t in grid]
     ),
 }
 
@@ -229,7 +229,7 @@ def _curve(target: str, param, mode: str | None, m: int, grid, tol: float):
     curve = CURVES[target]
     p = param if isinstance(param, float) else _parse_scalar_arg(param, mode or curve.mode)
     values = curve.values(p, m, grid, tol)
-    return {curve.option: param, "mode": values[0].mode.value, "depth": m}, values
+    return {curve.option: param, "mode": Scalar(values[0]).mode.value, "depth": m}, values
 
 
 def cmd_curve(args) -> int:
@@ -273,7 +273,7 @@ def _fluctuation(args) -> int:
     }
     # a domain error in the distance exits before any output is written
     dist = odometer.sup_distance_to_limit(curve, qw)
-    _write_table(meta, grid, curve.values, args.out, args.format)
+    _write_table(meta, grid, curve.payloads, args.out, args.format)
     print(f"sup distance to -q*T_a: {dist.render()}", file=sys.stderr)
     return 0
 
@@ -417,8 +417,8 @@ def build_parser() -> argparse.ArgumentParser:
     pv = sub.add_parser("verify", help="run an identity sweep")
     pv.add_argument("target", choices=[*verify.SWEEPS, "larcher"])
     pv.add_argument("--q")
-    pv.add_argument("--n-max", type=int, default=4096)
-    pv.add_argument("--N", type=int, default=8)
+    pv.add_argument("--n-max", type=int)
+    pv.add_argument("--N", type=int)
     pv.add_argument("--tol", type=_finite_float, default=1e-9)
     pv.add_argument("--gamma-limit", type=_finite_float, default=1.0)
     common(pv)

@@ -4,7 +4,8 @@
 counts: over the window v, ..., v + n - 1 bit i is set c_i(v + n) - c_i(v)
 times, so the sum costs O(log(v + n)), not n steps.  ``orbit_partial_sums``
 holds the stream of ``digit_sums.orbit_numerators`` from the point's value
-as ``Ratios``, the module's one sequence of integers over one denominator.
+as ``Ratios`` (from ``scalar``), tdq's one sequence of payloads, exact ones
+as integers over one denominator.
 Exact q = a/b works on integer numerators over b^K in both, so exact runs
 stay exact; grids, T_a and curve ``payloads`` are ``Ratios`` too, read on
 their numerators by ``phi_curve`` and ``_sup_gap``, and a ``Fraction`` or a
@@ -13,20 +14,18 @@ curve's ``Scalar`` is built only where a value is read.
 
 from __future__ import annotations
 
-import cmath
 import enum
 import math
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import repeat
 from typing import Optional
 
 from .digit_sums import S_pow2_payload, S_rec_payload, orbit_numerators, window_sum
 from .errors import DomainError
-from .scalar import Mode, Regime, Scalar, as_qweight, as_scalar, checked_pow
-from .takagi import takagi_at, takagi_grid, takagi_grid_num
+from .scalar import Mode, Ratios, Regime, Scalar, as_qweight, as_scalar, checked_pow, finite
+from .takagi import takagi_at, takagi_grid
 
 
 @dataclass(frozen=True, init=False)
@@ -99,54 +98,6 @@ def ergodic_sum(omega: OdometerPoint, q, n: int) -> Scalar:
         raise DomainError("ergodic_sum requires n >= 1")
     qw = as_qweight(q)
     return Scalar(window_sum(omega.value, n, qw.q.value))
-
-
-class Ratios(Sequence):
-    """Read-only payloads R[0], ..., R[l] over one list of ``numerators``.
-
-    Exact payloads are integers over one positive ``den`` and R[j] is
-    ``Fraction(numerators[j], den)``, built when read; float and complex
-    payloads are themselves, with den None.  A slice is a ``Ratios`` over
-    the same den, and R equals, and hashes as, the list and the tuple of its payloads.
-    """
-
-    __slots__ = ("numerators", "den")
-
-    def __init__(self, numerators: Sequence, den: Optional[int]):
-        self.numerators, self.den = numerators, den
-
-    @classmethod
-    def of(cls, values: Iterable) -> "Ratios":
-        """``values`` over one denominator: a ``Ratios`` as it is, ints and
-        Fractions over the lcm of their denominators, other payloads with den None."""
-        if isinstance(values, Ratios):
-            return values
-        values = list(values)
-        if not all(isinstance(v, (int, Fraction)) for v in values):
-            return cls(values, None)
-        den = math.lcm(*(v.denominator for v in values))
-        return cls([v.numerator * (den // v.denominator) for v in values], den)
-
-    def __len__(self) -> int:
-        return len(self.numerators)
-
-    def __getitem__(self, j):
-        if isinstance(j, slice):
-            return Ratios(self.numerators[j], self.den)
-        x = self.numerators[j]
-        return x if self.den is None else Fraction(x, self.den)
-
-    def __iter__(self):
-        return iter(self.numerators) if self.den is None else map(Fraction, self.numerators, repeat(self.den))
-
-    def __eq__(self, other):
-        return list(self) == list(other) if isinstance(other, (Ratios, tuple, list)) else NotImplemented
-
-    def __hash__(self):  # the hash of the equal tuple, so a curve on the grid stays hashable
-        return hash(tuple(self))
-
-    def __repr__(self) -> str:
-        return f"Ratios({self.numerators!r}, {self.den!r})"
 
 
 def dyadic_grid(m: int) -> Ratios:
@@ -268,6 +219,9 @@ def _read_sums(partial_sums: Sequence, l: int) -> tuple[Mode, Ratios]:
     return mode, Ratios.of(x.promote(mode).value for x in head)
 
 
+_R_ZERO = "normalizer R must be non-zero (given, or underflowed to 0)"
+
+
 def phi_curve(
     partial_sums: Sequence,
     l: int,
@@ -322,16 +276,20 @@ def phi_curve(
     else:
         r_scalar = as_scalar(R)
         if r_scalar.is_zero():
-            raise DomainError("normalizer R must be non-zero (given, or underflowed to 0)")
+            raise DomainError(_R_ZERO)
     r_val = r_scalar.value
     if exact and r_scalar.mode is Mode.EXACT:
         rd = r_val.denominator if r_val > 0 else -r_val.denominator
         payloads = Ratios([v * rd for v in raw], den * abs(r_val.numerator))
         return FluctuationCurve(grid, payloads, l, r_scalar, normalization)
-    values = [(Fraction(v, den) if exact else v) / r_val for v in raw]
+    try:  # an exact R reaches float or complex sums as its float, which can be 0 or out of range
+        values = [(Fraction(v, den) if exact else v) / r_val for v in raw]
+    except ZeroDivisionError:
+        raise DomainError(_R_ZERO) from None
+    except OverflowError:
+        raise DomainError("an exact value is beyond the float range") from None
     out = Mode.widest(mode, r_scalar.mode, mode if rational else Mode.FLOAT)
-    if out is not mode or not all(map(cmath.isfinite, values)):  # box to lift, or to raise the overflow
-        values = [(Scalar(v) if out is mode else Scalar.lift(v, out)).value for v in values]
+    values = finite(values) if out is mode else [Scalar.lift(v, out).value for v in values]
     return FluctuationCurve(grid, Ratios(values, None), l, r_scalar, normalization)
 
 
@@ -377,14 +335,12 @@ def _dyadic_order(grid: Ratios) -> Optional[int]:
 
 
 def _takagi_on(grid: Ratios, a: Scalar) -> Ratios:
-    """T_a on the grid: on a whole grid j/2^m (``_dyadic_order``) ``takagi_grid_num``
-    at an exact a and ``takagi_grid`` at any other, else ``takagi_at`` at each point."""
+    """T_a on the grid: ``takagi_grid`` on a whole grid j/2^m (``_dyadic_order``),
+    else ``takagi_at`` at each point."""
     m = _dyadic_order(grid)
     if m is None:
         return Ratios.of([takagi_at(t, a).value for t in grid])
-    if a.mode is Mode.EXACT:
-        return Ratios(*takagi_grid_num(a.value.numerator, a.value.denominator, m))
-    return Ratios([v.value for v in takagi_grid(a, m)], None)
+    return takagi_grid(a, m)
 
 
 def _sup_gap(xs: Ratios, ys: Ratios, c):
@@ -398,7 +354,10 @@ def _sup_gap(xs: Ratios, ys: Ratios, c):
         cn, cd = c.numerator, c.denominator
         xc, yc = cd * ys.den, cn * xs.den
         return Fraction(max(abs(x * xc + yc * y) for x, y in zip(xs.numerators, ys.numerators)), xs.den * xc)
-    return max(abs(x + c * y) for x, y in zip(xs, ys))
+    try:
+        return max(abs(x + c * y) for x, y in zip(xs, ys))
+    except OverflowError:  # an exact x past the float range, read by a float or complex c y
+        raise DomainError("an exact value is beyond the float range") from None
 
 
 def sup_distance_to_limit(curve: FluctuationCurve, q) -> Scalar:

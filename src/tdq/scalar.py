@@ -4,8 +4,10 @@ Three explicit modes: exact big rationals (``fractions.Fraction``), double
 floats, and double complex.  A ``Scalar`` tags a payload with its mode and
 has no arithmetic: the kernels compute on payloads.  Where modes meet,
 promotion is explicit via :meth:`Scalar.promote`, which refuses to demote.
-The module also provides the sawtooth (distance to the nearest integer) and
-the test for dyadic rationals.
+A many-point value is a sequence of payloads (``Ratios``, exact ones over
+one denominator), checked by ``finite`` and written by ``render``.  The
+module also provides the sawtooth (distance to the nearest integer) and the
+test for dyadic rationals.
 """
 
 from __future__ import annotations
@@ -14,10 +16,12 @@ import cmath
 import enum
 import math
 import re
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Union
+from itertools import repeat
+from typing import Optional, Union
 
 from .errors import DomainError, ModeError, ParseError
 
@@ -68,7 +72,7 @@ class Scalar:
         if mode is None:
             raise ModeError(f"cannot interpret {type(value).__name__} as a Scalar")
         if mode is not _EXACT and not cmath.isfinite(value):
-            raise DomainError(f"a float overflowed: the result is {value}, not a finite number")
+            finite((value,))  # raises, in the one overflow message
         d = self.__dict__  # written directly, past the frozen __setattr__
         d["mode"] = mode
         d["value"] = value
@@ -114,20 +118,85 @@ class Scalar:
         return Scalar.lift(self.value, mode)
 
     def render(self) -> str:
-        """The payload as text.  An exact value with more digits than Python's
-        int-to-str limit is a ``DomainError`` in tdq's own words, not
-        Python's, which differ between releases.
-        """
-        if self.mode is Mode.EXACT:
-            try:
-                return str(self.value)
-            except ValueError:
-                raise DomainError("an exact value has too many digits to print") from None
-        if self.mode is Mode.FLOAT:
-            return _format_float(self.value)
-        re_, im = self.value.real, self.value.imag
-        sign = "+" if im >= 0 else "-"
-        return f"{_format_float(re_)}{sign}{_format_float(abs(im))}i"
+        return render(self.value)
+
+
+def render(v: Payload) -> str:
+    """A payload as text: a ``Fraction`` as ``render_ratio`` writes its pair,
+    a float to 17 significant digits, a complex as RE+IMi or RE-IMi."""
+    if type(v) is Fraction:
+        return render_ratio(v.numerator, v.denominator)
+    if type(v) is float:
+        return _format_float(v)
+    sign = "+" if v.imag >= 0 else "-"
+    return f"{_format_float(v.real)}{sign}{_format_float(abs(v.imag))}i"
+
+
+def render_ratio(n: int, d: int) -> str:
+    """n/d, d > 0, as ``str(Fraction(n, d))``, with no ``Fraction`` built.  Past
+    Python's int-to-str limit a ``DomainError`` in tdq's words, not Python's."""
+    g = math.gcd(n, d)
+    try:
+        return str(n // g) if d == g else f"{n // g}/{d // g}"
+    except ValueError:
+        raise DomainError("an exact value has too many digits to print") from None
+
+
+def finite(values: Sequence) -> Sequence:
+    """Float or complex ``values``, once each is finite: an overflow to inf (or
+    nan, as inf - inf) raises ``DomainError`` at the first, as ``Scalar`` does."""
+    if not all(map(cmath.isfinite, values)):
+        bad = next(v for v in values if not cmath.isfinite(v))
+        raise DomainError(f"a float overflowed: the result is {bad}, not a finite number")
+    return values
+
+
+class Ratios(Sequence):
+    """Read-only payloads R[0], ..., R[l] over one list of ``numerators``.
+
+    Exact payloads are integers over one positive ``den`` and R[j] is
+    ``Fraction(numerators[j], den)``, built when read; float and complex
+    payloads are themselves, with den None.  A slice is a ``Ratios`` over
+    the same den, and R equals, and hashes as, the list and the tuple of its payloads.
+    """
+
+    __slots__ = ("numerators", "den")
+
+    def __init__(self, numerators: Sequence, den: Optional[int]):
+        self.numerators, self.den = numerators, den
+
+    @classmethod
+    def of(cls, values: Iterable) -> "Ratios":
+        """``values`` over one denominator: a ``Ratios`` as it is, ints and
+        Fractions over the lcm of their denominators, other payloads with den None."""
+        if isinstance(values, Ratios):
+            return values
+        values = list(values)
+        if not all(isinstance(v, (int, Fraction)) for v in values):
+            return cls(values, None)
+        den = math.lcm(*(v.denominator for v in values))
+        return cls([v.numerator * (den // v.denominator) for v in values], den)
+
+    def __len__(self) -> int:
+        return len(self.numerators)
+
+    def __getitem__(self, j):
+        if isinstance(j, slice):
+            return Ratios(self.numerators[j], self.den)
+        x = self.numerators[j]
+        return x if self.den is None else Fraction(x, self.den)
+
+    def __iter__(self):
+        return iter(self.numerators) if self.den is None else map(Fraction, self.numerators, repeat(self.den))
+
+    def __eq__(self, other):
+        return list(self) == list(other) if isinstance(other, (Ratios, tuple, list)) else NotImplemented
+
+    def __hash__(self):  # the hash of the equal tuple, so a curve on the grid stays hashable
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return f"Ratios({self.numerators!r}, {self.den!r})"
 
 
 def as_scalar(v) -> Scalar:

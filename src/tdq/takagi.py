@@ -18,11 +18,13 @@ from typing import NamedTuple
 from .errors import DomainError, ModeError
 from .scalar import (
     Mode,
+    Ratios,
     Regime,
     Scalar,
     as_dyadic_fraction,
     as_qweight,
     as_scalar,
+    finite,
     powers_of,
     tau_float,
     tau_profile,
@@ -398,26 +400,21 @@ def takagi_grid_num(p: int, r: int, m: int) -> tuple[list[int], int]:
     return num + num[-2::-1], scale << m
 
 
-def takagi_grid(a, m: int) -> list[Scalar]:
-    """[T_a(j/2^m) for j = 0 .. 2^m], equal to ``takagi_dyadic_exact`` point by point.
-
-    T_a(1 - x) = T_a(x), so the points j <= 2^{m-1} are boxed and mirrored:
-    exact a = p/r boxes ``takagi_grid_num``'s integers, and float and complex a
-    take ``takagi_dyadic_sum`` at each j/2^m on a^0 .. a^{m-1} built once (``powers_of``).
+def takagi_grid(a, m: int) -> Ratios:
+    """T_a(j/2^m) for j = 0 .. 2^m, equal to ``takagi_dyadic_exact(j/2^m, a).value``
+    point by point: ``takagi_grid_num``'s integers at exact a = p/r; at float
+    and complex a, ``takagi_dyadic_sum`` on a^0 .. a^{m-1} built once
+    (``powers_of``) at j <= 2^m / 2, checked ``finite`` and mirrored, since
+    T_a(1 - x) = T_a(x).
     """
     if m < 0:
         raise DomainError("takagi_grid requires m >= 0")
     a = as_scalar(a)
-    if not m:
-        return [takagi_dyadic_exact(0, a)] * 2
-    half = 1 << (m - 1)
     if a.mode is Mode.EXACT:
-        num, den = takagi_grid_num(a.value.numerator, a.value.denominator, m)
-        lower = [Scalar(Fraction(v, den)) for v in num[: half + 1]]
-    else:
-        powers = powers_of(a.value, m)
-        lower = [Scalar(takagi_dyadic_sum(j, m, powers)) for j in range(half + 1)]
-    return lower + lower[-2::-1]
+        return Ratios(*takagi_grid_num(a.value.numerator, a.value.denominator, m))
+    size, powers = 1 << m, powers_of(a.value, m)
+    lower = finite([takagi_dyadic_sum(j, m, powers) for j in range(size // 2 + 1)])
+    return Ratios(lower + lower[(size - 1) // 2 :: -1], None)  # at m = 0 the one point j = 0 is j = 1 too
 
 
 def takagi_at(x, a, tol: float = DEFAULT_SERIES_TOL) -> Scalar:
@@ -456,15 +453,17 @@ def F_q(x, q) -> Scalar:
     return Scalar(_F(qw.q.promote(mode).value, xs.promote(mode).value, t.value, mode))
 
 
-def F_q_grid(q, m: int) -> list[Scalar]:
-    """[F_q(j/2^m, q) for j = 0 .. 2^m], bit for bit: ``takagi_grid`` at
+def F_q_grid(q, m: int) -> list:
+    """[F_q(j/2^m, q).value for j = 0 .. 2^m], bit for bit: ``takagi_grid`` at
     a = 1/(2q) gives T_a in q's mode, and q is boxed once."""
     qw = as_qweight(q)
     ts = takagi_grid(qw.a, m)
-    mode = qw.q.mode
+    mode, qv = qw.q.mode, qw.q.value
     size = 1 << m
-    xs = [Scalar.lift(Fraction(j, size), mode).value for j in range(size + 1)]
-    return [Scalar(_F(qw.q.value, xv, t.value, mode)) for xv, t in zip(xs, ts)]
+    if mode is Mode.EXACT:
+        return [_F(qv, Fraction(j, size), t, mode) for j, t in enumerate(ts)]
+    # j / size rounds once, as float(Fraction(j, size)) does
+    return finite([_F(qv, type(qv)(j / size), t, mode) for j, t in enumerate(ts)])
 
 
 def hat_F_q(u, q, tol: float = DEFAULT_SERIES_TOL) -> Scalar:
@@ -518,14 +517,14 @@ def tilde_F_q(u, q, tol: float = DEFAULT_SERIES_TOL) -> Scalar:
     return Scalar(_tilde_F_u(float(as_scalar(u).promote(Mode.FLOAT).value), *series))
 
 
-def tilde_F_q_grid(q, m: int, tol: float = DEFAULT_SERIES_TOL) -> list[Scalar]:
-    """[tilde_F_q(j/2^m, q, tol) for j = 0 .. 2^m], bit for bit, with q
+def tilde_F_q_grid(q, m: int, tol: float = DEFAULT_SERIES_TOL) -> list[float]:
+    """[tilde_F_q(j/2^m, q, tol).value for j = 0 .. 2^m], bit for bit, with q
     checked and the series length fixed once."""
     if m < 0:
         raise DomainError("tilde_F_q_grid requires m >= 0")
     series = _corollary_q(q, tol)
     size = 1 << m
-    return [Scalar(_tilde_F_u(j / size, *series)) for j in range(size + 1)]
+    return finite([_tilde_F_u(j / size, *series) for j in range(size + 1)])
 
 
 def _tilde_F_log2(n: int, qf: float, a: float, n_terms: int) -> float:
@@ -547,11 +546,11 @@ def tilde_F_q_log2(n: int, q, tol: float = DEFAULT_SERIES_TOL) -> Scalar:
     return Scalar(_tilde_F_log2(n, *series))
 
 
-def tilde_F_q_log2_range(q, n_max: int, tol: float = DEFAULT_SERIES_TOL) -> list[Scalar]:
-    """[tilde_F_q_log2(n, q, tol) for n = 1 .. n_max], bit for bit, with q
+def tilde_F_q_log2_range(q, n_max: int, tol: float = DEFAULT_SERIES_TOL) -> list[float]:
+    """[tilde_F_q_log2(n, q, tol).value for n = 1 .. n_max], bit for bit, with q
     checked and the series length fixed once."""
     series = _corollary_q(q, tol)
-    return [Scalar(_tilde_F_log2(n, *series)) for n in range(1, n_max + 1)]
+    return finite([_tilde_F_log2(n, *series) for n in range(1, n_max + 1)])
 
 
 def G_tilde_gamma(x, gamma_limit, tol: float) -> Scalar:

@@ -97,7 +97,7 @@ def _corollary(q: Scalar, n_max: int):
             qlg = qf ** lg
         except OverflowError:
             raise DomainError(f"q^log2(n) overflows a float at n={n}") from None
-        rhs = qf / 2 * ((1 - qlg) / (1 - qf) + qlg * tildes[n - 1].value)
+        rhs = qf / 2 * ((1 - qlg) / (1 - qf) + qlg * tildes[n - 1])
         lhs = s / n
         return abs(rhs - lhs) / (1.0 + abs(lhs))
 

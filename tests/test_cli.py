@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tdq import digit_sums, trollope, verify
-from tdq.cli import _parse_omega, main
+from tdq.cli import _parse_omega, build_parser, main
 from tdq.digit_sums import S_q_direct, S_rec_payload
 from tdq.odometer import birkhoff_deviation, birkhoff_mean
 from tdq.scalar import Mode, parse_scalar
@@ -178,12 +178,48 @@ def test_verify_larcher_refuses_q_and_mode(capsys, argv, option):
     assert (code, out, err) == (1, "", f"tdq: parse error: verify larcher takes no --{option}\n")
 
 
+@pytest.mark.parametrize("argv, option", [
+    (("--n-max", "5"), "n-max"),
+    (("--n-max", "4096"), "n-max"),
+    (("--N", "3"), "N"),
+    (("--N", "8"), "N"),
+    (("--N", "8", "--n-max", "5"), "n-max"),
+    (("--n-max", "5", "--q", "2/3"), "q"),
+])
+def test_verify_larcher_refuses_n_max_and_N(capsys, argv, option):
+    # larcher checks its own n up to 1024: it printed PASS past an --n-max or --N it never read
+    code, out, err = run(capsys, "verify", "larcher", *argv)
+    assert (code, out, err) == (1, "", f"tdq: parse error: verify larcher takes no --{option}\n")
+
+
+@pytest.mark.parametrize("target", verify.SWEEPS)
+def test_verify_sweeps_to_n_4096_and_N_8_when_no_top_is_given(capsys, target):
+    option = verify.SWEEPS[target].option
+    assert getattr(build_parser().parse_args(["verify", target]), option.replace("-", "_")) is None
+    # below any tol a float sweep prints its worst residual, which grows with n
+    argv = ["verify", target, "--q", "0.7", "--tol", "1e-30"]
+    default = run(capsys, *argv)
+    assert default == run(capsys, *argv, f"--{option}", "4096" if option == "n-max" else "8")
+    assert default != run(capsys, *argv, f"--{option}", "2048" if option == "n-max" else "4")
+
+
 @pytest.mark.parametrize("target", verify.SWEEPS)
 def test_verify_takes_q_2_3_when_none_is_given_and_refuses_an_empty_q(capsys, target):
     code, out, err = run(capsys, "verify", target, f"--{verify.SWEEPS[target].option}", "3")
     assert code == 0 and out.startswith(f"{target}: q=2/3 mode=") and out.endswith(", PASS\n") and err == ""
     code, out, err = run(capsys, "verify", target, "--q", "")
     assert (code, out, err) == (1, "", "tdq: parse error: empty scalar text\n")
+
+
+@pytest.mark.parametrize("command", [("curve", "fluctuation", "--grid", "2"), ("odometer", "fluctuation")])
+@pytest.mark.parametrize("R, message", [
+    ("1/1" + "0" * 400, "normalizer R must be non-zero (given, or underflowed to 0)"),
+    ("1" + "0" * 400, "an exact value is beyond the float range"),
+], ids=["float-0", "past-float-range"])
+def test_fluctuation_refuses_an_exact_R_with_no_float_at_a_float_q(capsys, command, R, message):
+    # the sums are float, and divided by float(R): a traceback, not a domain error
+    code, out, err = run(capsys, *command, "--q", "0.7", "--l", "16", "--R", R)
+    assert (code, out, err) == (2, "", f"tdq: domain error: {message}\n")
 
 
 # -- curve / figures ----------------------------------------------------------

@@ -34,7 +34,7 @@ from tdq.odometer import (
     stabilizer_search,
     sup_distance_to_limit,
 )
-from tdq.scalar import Mode, Scalar, as_dyadic_fraction, as_qweight, as_scalar, tau_scaled
+from tdq.scalar import Mode, Ratios, Scalar, as_dyadic_fraction, as_qweight, as_scalar, tau_scaled
 from tdq.takagi import (
     DeRhamSystem,
     F_q,
@@ -474,13 +474,18 @@ def assert_exact(got, want):
     assert got == want
 
 
-def assert_same_scalar(got, want):
-    """Equal modes, and equal Fractions or bit-identical floats / complexes."""
-    assert got.mode is want.mode
-    if isinstance(want.value, Fraction):
-        assert_exact(got.value, want.value)
+def assert_same_payload(got, want):
+    """Equal Fractions, or bit-identical floats / complexes: equal types, so equal modes."""
+    if isinstance(want, Fraction):
+        assert_exact(got, want)
     else:
-        assert same_bits(got.value, want.value)
+        assert same_bits(got, want)
+
+
+def assert_same_scalar(got, want):
+    """Equal modes, and equal payloads (``assert_same_payload``)."""
+    assert got.mode is want.mode
+    assert_same_payload(got.value, want.value)
 
 
 # -- S_q routes --------------------------------------------------------------------
@@ -576,9 +581,9 @@ def test_takagi_dyadic_float_complex_bit_identical(draw, data, x):
 
 def assert_grid_is_pointwise(a, m):
     got = takagi_grid(a, m)
-    assert len(got) == (1 << m) + 1
+    assert type(got) is Ratios and len(got) == (1 << m) + 1
     for j, v in enumerate(got):
-        assert_same_scalar(v, takagi_dyadic_exact(Fraction(j, 1 << m), a))
+        assert_same_payload(v, takagi_dyadic_exact(Fraction(j, 1 << m), a).value)
 
 
 GRID_AS = [

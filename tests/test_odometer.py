@@ -346,6 +346,31 @@ def test_phi_curve_raises_a_float_overflow_where_it_is_built(q):
     assert str(err.value) == "a float overflowed: the result is -inf, not a finite number"
 
 
+@pytest.mark.parametrize("q", [0.7, 0.3 + 0.8j], ids=str)
+@pytest.mark.parametrize("R, message", [
+    (Fraction(1, 10**400), "normalizer R must be non-zero (given, or underflowed to 0)"),
+    (Fraction(10**400), "an exact value is beyond the float range"),
+], ids=["float-0", "past-float-range"])
+def test_phi_curve_refuses_an_exact_R_with_no_float_to_divide_float_sums_by(q, R, message):
+    # float and complex sums are divided by float(R): 0.0 and out of range
+    # were an uncaught ZeroDivisionError and OverflowError
+    partials = orbit_partial_sums(OdometerPoint.zero(), q, 16)
+    with pytest.raises(DomainError) as err:
+        phi_curve(partials, 16, dyadic_grid(2), Normalization.EXPLICIT, R)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("q", [0.7, 0.3 + 0.8j], ids=str)
+def test_sup_distance_raises_a_domain_error_on_exact_values_past_the_float_range(q):
+    # an exact curve read against -q T_a at a float or complex q: float(x) overflowed bare
+    curve = phi_curve(orbit_partial_sums(OdometerPoint.zero(), Fraction(2, 3), 8), 8, dyadic_grid(1),
+                      Normalization.EXPLICIT, Fraction(1, 10**400))
+    assert curve.payloads.den is not None
+    with pytest.raises(DomainError) as err:
+        sup_distance_to_limit(curve, q)
+    assert str(err.value) == "an exact value is beyond the float range"
+
+
 def test_prop2_domain():
     with pytest.raises(DomainError):
         prop2_exact(Fraction(1, 3), 4)

@@ -108,6 +108,20 @@ def curve_values_held_once(text):
                   or isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store) and n.id == "_values"]
 
 
+# the roots that name no Scalar: the table writer of cli.py, and the many-point forms of takagi.py
+PAYLOAD_ROOTS = (["_write_table"], ["takagi_grid", "F_q_grid", "tilde_F_q_grid", "tilde_F_q_log2_range"])
+
+
+def tables_render_payloads(text):
+    """Where the ``PAYLOAD_ROOTS`` set whose first root the module defines, or
+    the functions they name, name ``Scalar``; a module that defines no first
+    root is read with the first set, and so defines no ``_write_table``."""
+    tree = ast.parse(text)
+    defined = {n.name for n in tree.body if isinstance(n, ast.FunctionDef)}
+    roots = next((r for r in PAYLOAD_ROOTS if r[0] in defined), PAYLOAD_ROOTS[0])
+    return reach(tree, roots, {"Scalar"})
+
+
 RULES = {  # rule id: (modules read, check, mutant as (module, snippet, replacement))
     "no-private-names": (
         MODULES, grep(r"\b(digit_sums|odometer|takagi|trollope|scalar)\._[A-Za-z]"),
@@ -124,13 +138,18 @@ RULES = {  # rule id: (modules read, check, mutant as (module, snippet, replacem
         ("odometer.py", "return OdometerPoint._of(n, 0)", "return OdometerPoint(binary_digits(n))")),
     # odometer sequences of rationals are Ratios, brought to one denominator by Ratios.of alone
     "one-common-denominator": (
-        ("odometer.py",), one_common_denominator,
+        ("odometer.py", "scalar.py"), one_common_denominator,
         ("odometer.py", "s, D, us, W = sums.numerators, sums.den, grid.numerators, grid.den",
          "s, D, us = sums.numerators, sums.den, grid.numerators\n    W = math.lcm(*(t.denominator for t in grid))")),
     # a curve holds its values once, as payloads; values are boxed from them on read
     "curve-values-held-once": (
         ("odometer.py",), curve_values_held_once,
         ("odometer.py", "    payloads: Ratios\n", "    payloads: Ratios\n    numerators: Optional[Ratios] = None\n")),
+    # many-point values stay payloads from the grid forms to the table writer, which boxes no row
+    "tables-render-payloads": (
+        ("cli.py", "takagi.py"), tables_render_payloads,
+        ("cli.py", "rows = [[str(t), render(v)] for t, v in zip(grid, values)]",
+         "rows = [[str(t), Scalar(v).render()] for t, v in zip(grid, values)]")),
     # T_a at a point is takagi.takagi_at's one rule
     "one-takagi-at-rule": (
         ("cli.py", "odometer.py"), grep(r"as_dyadic_fraction|takagi_series|takagi_dyadic_exact"),

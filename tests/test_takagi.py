@@ -1,5 +1,6 @@
 import math
 import random
+import struct
 import time
 from fractions import Fraction
 
@@ -21,6 +22,7 @@ from tdq.takagi import (
     series_truncation_length,
     takagi_at,
     takagi_dyadic_exact,
+    takagi_grid,
     takagi_series,
     takagi_system,
     tilde_F_q,
@@ -452,23 +454,50 @@ def test_F_q_sums_a_rational_abscissa_as_given():
         F_q(0.5j, Fraction(2, 3))
 
 
+def type_and_bits(v):
+    """A payload's type and value, a float's or a complex number's as its IEEE
+    bytes, so 0.0 and -0.0 differ."""
+    if type(v) is Fraction:
+        return Fraction, v
+    return type(v), struct.pack("<2d", v.real, v.imag) if type(v) is complex else struct.pack("<d", v)
+
+
 @pytest.mark.parametrize("m", [0, 1, 5])
 @pytest.mark.parametrize(
     "q", [Fraction(2, 3), Fraction(-3, 5), Fraction(1, 3), 0.7, -0.6, 1j, 0.5 + 0.5j, -0.6 + 0.1j], ids=str
 )
 def test_F_q_grid_is_F_q_at_each_point(q, m):
-    want = [F_q(Fraction(j, 1 << m), q) for j in range((1 << m) + 1)]
+    want = [F_q(Fraction(j, 1 << m), q).value for j in range((1 << m) + 1)]
     got = F_q_grid(q, m)
-    assert [(v.mode, repr(v.value)) for v in got] == [(v.mode, repr(v.value)) for v in want]
+    assert list(map(type_and_bits, got)) == list(map(type_and_bits, want))
 
 
 @pytest.mark.parametrize("tol", [DEFAULT_SERIES_TOL, 1e-3])
 @pytest.mark.parametrize("q", [Fraction(2, 3), 1, 1.0, Fraction(3, 2), 4, 0.5000001, 1e308], ids=str)
 def test_tilde_F_q_grid_and_range_are_the_point_functions(q, tol):
     want = [tilde_F_q(j / 64, q, tol).value for j in range(65)]
-    assert [repr(v.value) for v in tilde_F_q_grid(q, 6, tol)] == [repr(v) for v in want]
+    assert list(map(type_and_bits, tilde_F_q_grid(q, 6, tol))) == list(map(type_and_bits, want))
     want = [tilde_F_q_log2(n, q, tol).value for n in range(1, 300)]
-    assert [repr(v.value) for v in tilde_F_q_log2_range(q, 299, tol)] == [repr(v) for v in want]
+    assert list(map(type_and_bits, tilde_F_q_log2_range(q, 299, tol))) == list(map(type_and_bits, want))
+
+
+@pytest.mark.parametrize("form, args, shown", [
+    (takagi_grid, (1e300, 3), "inf"),
+    (takagi_grid, (1e200j, 3), "(-inf+nanj)"),
+    (F_q_grid, (1e-300, 3), "inf"),
+    (F_q_grid, (1e-300 + 0j, 3), "(inf+nanj)"),
+], ids=["takagi-float", "takagi-complex", "F-float", "F-complex"])
+def test_many_point_forms_keep_their_overflow_message(form, args, shown):
+    with pytest.raises(DomainError) as err:
+        form(*args)
+    assert str(err.value) == f"a float overflowed: the result is {shown}, not a finite number"
+
+
+@pytest.mark.parametrize("a", [Fraction(2, 3), Fraction(0), 0.7, -0.6, 1j, 0.5 + 0.5j], ids=str)
+def test_takagi_grid_has_two_points_at_m_0(a):
+    # the grid 0, 1 has one point below its middle, and a mirror of it alone is one point
+    want = [type_and_bits(takagi_dyadic_exact(x, a).value) for x in (0, 1)]
+    assert list(map(type_and_bits, takagi_grid(a, 0))) == want
 
 
 def test_grid_forms_check_their_parameter():

@@ -13,12 +13,13 @@ TWO_THIRDS = parse_scalar("2/3")
 
 
 def defaults(target):
-    """(q, top, tol) of ``tdq verify target`` with no options: --q has no
-    argparse default, and ``cmd_verify`` takes q = 2/3 in its place."""
+    """(q, top, tol) of ``tdq verify target`` with no options: --q, --n-max
+    and --N have no argparse default, and ``cmd_verify`` takes q = 2/3,
+    n-max 4096 and N 8 in their place."""
     args = cli.build_parser().parse_args(["verify", target])
-    top = getattr(args, verify.SWEEPS[target].option.replace("-", "_"))
-    assert args.q is None
-    return TWO_THIRDS, top, args.tol
+    option = verify.SWEEPS[target].option
+    assert args.q is None and getattr(args, option.replace("-", "_")) is None
+    return TWO_THIRDS, {"n-max": 4096, "N": 8}[option], args.tol
 
 
 @pytest.mark.parametrize("target", verify.SWEEPS)
