@@ -185,6 +185,10 @@ def cmd_verify(args) -> int:
     if args.target not in verify.SWEEPS:
         return _larcher(args)
     sweep = verify.SWEEPS[args.target]
+    # an n-sweep reads --n-max alone and prop2 --N alone: the other range is refused, not ignored
+    other = "N" if sweep.option == "n-max" else "n-max"
+    if getattr(args, other.replace("-", "_")) is not None:
+        raise ParseError(f"verify {args.target} takes no --{other}")
     # no argparse defaults, so larcher sees the options it was given
     top = getattr(args, sweep.option.replace("-", "_"))
     top = (4096 if sweep.var == "n" else 8) if top is None else top

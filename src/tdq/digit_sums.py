@@ -15,7 +15,7 @@ from operator import add, mul
 from typing import Iterator
 
 from .errors import DomainError
-from .scalar import Scalar, as_qweight, checked_pow, tau_profile
+from .scalar import TABLE_BITS, Scalar, as_qweight, checked_pow, tau_profile
 
 
 def bit_counts(n: int) -> list[int]:
@@ -117,6 +117,35 @@ def S_rec_num(n: int, a: int, b: int) -> tuple:
         mult *= bpow[k - j]
         k = j
     return acc, den
+
+
+def S_rec_nums(n_max: int, a: int, b: int) -> Iterator[tuple]:
+    """``S_rec_num(n, a, b)`` for n = 1 .. n_max, pair for pair.
+
+    Below 2^TABLE_BITS, R(n) is built bottom-up by the two recursions that
+    ``S_rec_num`` unrolls, from its own R(1): R(2^k) from the table, an even
+    n from R(n/2), an odd n = 2^k + m from R(m).  Past that, ``S_rec_num``
+    per n, so the list of R(n) stays 2^TABLE_BITS long.
+    """
+    if n_max < 1:
+        return
+    first = S_rec_num(1, a, b)
+    yield first
+    R = [0, first[0]]
+    top = min(n_max, (1 << TABLE_BITS) - 1)
+    apow, bpow, pow2 = _rec_table(a, b, top.bit_length())
+    for k in range(1, top.bit_length()):
+        lo, hi = 1 << k, min(top + 1, 2 << k)
+        R.append(pow2[k])
+        ab, ak1, two_a = a * bpow[k], apow[k + 1], 2 * a
+        for n in range(lo + 1, hi):
+            if n & 1:
+                m = n - lo
+                R.append(pow2[k] + R[m] * bpow[k + 1 - m.bit_length()] + m * ak1)
+            else:
+                R.append(two_a * R[n >> 1] + (n >> 1) * ab)
+        yield from zip(R[lo:hi], repeat(bpow[k + 1]))
+    yield from (S_rec_num(n, a, b) for n in range(top + 1, n_max + 1))
 
 
 def S_rec_payload(n: int, qv):

@@ -16,11 +16,11 @@ import cmath
 import enum
 import math
 import re
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import repeat
+from itertools import islice, repeat
 from typing import Optional, Union
 
 from .errors import DomainError, ModeError, ParseError
@@ -333,6 +333,46 @@ def tau_sum(n: int, K: int) -> int:
         total += (_SAW[lo] + lo * (K - 2 * n.bit_count())) << shift
         shift += 8
     return total + ((_SAW[n] - (8 - K) * n) << shift)
+
+
+TABLE_BITS = 12  # a sweep's tables hold 2^12 values, whatever its range
+
+
+def tau_weighted_sums(lo: int, hi: int, u: int, v: int) -> Iterator[int]:
+    """W(n) = sum_{i=1..e} u^(e-i) v^(i-1) tau_scaled(n, i), e the bit length
+    of n, for 1 <= lo <= n < hi: Horner's sum in u of ``tau_profile(n, e)``.
+
+    Level by level, W_e(n) = u W_{e-1}(n mod 2^(e-1)) + v^(e-1) tau_scaled(n, e)
+    fills a table of W_e over n < 2^e, up to e = ``TABLE_BITS`` = B; the
+    table of level e yields its upper half, where e is the bit length.  Past
+    2^B, n runs in chunks H 2^B + j, j < 2^B: the low B levels are
+    u^(e-B) W_B(j), and level i > B is tau_scaled's c_i + s_i j, with s_i = -1
+    where bit i-1 of n is 1 and +1 where it is 0 (as in ``tau_sum``), so a
+    chunk's high levels are one C + S j.  No table outgrows 2^B values.
+    """
+    if lo < 1:
+        raise DomainError("tau_weighted_sums requires lo >= 1")
+    table = [0]  # W_0 over n < 1
+    for e in range(1, min(max(hi - 1, 0).bit_length(), TABLE_BITS) + 1):
+        half, ve = 1 << (e - 1), v ** (e - 1)
+        table = [u * w + ve * m for m, w in enumerate(table)] + [u * w + ve * (half - m) for m, w in enumerate(table)]
+        yield from islice(table, max(lo, half), min(hi, 2 * half))
+    size, e = 1 << TABLE_BITS, TABLE_BITS
+    for H in range(max(lo, size) >> TABLE_BITS, (hi + size - 1) >> TABLE_BITS):
+        base = H << TABLE_BITS
+        if base.bit_length() > e:  # a new bit length: its weights u^(e-i) v^(i-1), i > B
+            e = base.bit_length()
+            ue = u ** (e - TABLE_BITS)
+            weights = [u ** (e - i) * v ** (i - 1) for i in range(TABLE_BITS + 1, e + 1)]
+        C = S = 0
+        for i, c in enumerate(weights, TABLE_BITS + 1):
+            m = (H & ((1 << (i - TABLE_BITS)) - 1)) << TABLE_BITS  # n mod 2^i, less j
+            if H >> (i - 1 - TABLE_BITS) & 1:
+                C, S = C + c * ((1 << i) - m), S - c
+            else:
+                C, S = C + c * m, S + c
+        j0, j1 = max(lo - base, 0), min(hi - base, size)
+        yield from (ue * w + C + S * j for j, w in zip(range(j0, j1), islice(table, j0, j1)))
 
 
 def tau_float(x: float) -> float:

@@ -263,45 +263,52 @@ def _series_sum(x, av, n_terms: int):
     """The payload sum of ``takagi_series``: at most n_terms terms av^n tau(2^n x)
     for a real payload x (int, Fraction or float) and a float or complex av.
     """
+    if isinstance(x, (int, Fraction)):
+        return _ratio_series_sum(x.numerator, x.denominator, av, n_terms)
+    # a float is dyadic: y reaches 0 within ~1075 doublings and the terms
+    # after that are 0, so |a| near 1 costs no more than that.  T_a is
+    # even, and |x| - floor(|x|) is exact where x - floor(x) rounds at
+    # x < 0.  On [0, 1) tau(y) is min(y, 1 - y), as ``tau_float`` takes it
     acc = 0j if isinstance(av, complex) else 0.0  # +0, where 0 * av is -0.0 at a negative a
     w = av ** 0
-    if isinstance(x, (int, Fraction)):
-        # x mod 1 = m/d doubles to 2m mod d; from m = 0 on every term is 0.
-        # Term n is a^n k/d with k = min(m, d - m), and m, d - m double to
-        # mirror images, so from n = s = v2(d) on (where the orbit turns
-        # periodic) the terms repeat times a^p once k is back at k_s after p
-        # steps: the geometric tail closes the sum at
-        # acc_s + (acc - acc_s) / (1 - a^p)
-        fr = Fraction(x)
-        d = fr.denominator
-        m = fr.numerator % d
-        s = (d & -d).bit_length() - 1
-        for n in range(n_terms):
-            if not m:
-                break
-            k = min(m, d - m)
-            if n == s:
-                k_s, acc_s = k, acc
-            elif n > s and k == k_s:
-                return acc_s + (acc - acc_s) / _one_minus_power(av, n - s)
-            acc = acc + w * (k / d)
-            m = 2 * m % d
-            w = w * av
-    else:
-        # a float is dyadic: y reaches 0 within ~1075 doublings and the terms
-        # after that are 0, so |a| near 1 costs no more than that.  T_a is
-        # even, and |x| - floor(|x|) is exact where x - floor(x) rounds at
-        # x < 0.  On [0, 1) tau(y) is min(y, 1 - y), as ``tau_float`` takes it
-        y = abs(x)
-        y -= math.floor(y)
-        for _ in range(n_terms):
-            acc = acc + w * (1.0 - y if 1.0 - y < y else y)
-            y = 2.0 * y
-            if y >= 1.0:
-                y -= 1.0
-            if not y:
-                break
-            w = w * av
+    y = abs(x)
+    y -= math.floor(y)
+    for _ in range(n_terms):
+        acc = acc + w * (1.0 - y if 1.0 - y < y else y)
+        y = 2.0 * y
+        if y >= 1.0:
+            y -= 1.0
+        if not y:
+            break
+        w = w * av
+    return acc
+
+
+def _ratio_series_sum(m: int, d: int, av, n_terms: int):
+    """``_series_sum`` at the rational x = m/d, given in lowest terms with d > 0
+    as its two integers, so a caller with the integers builds no ``Fraction``.
+
+    x mod 1 = m/d doubles to 2m mod d; from m = 0 on every term is 0.  Term n
+    is a^n k/d with k = min(m, d - m), and m, d - m double to mirror images,
+    so from n = s = v2(d) on (where the orbit turns periodic) the terms
+    repeat times a^p once k is back at k_s after p steps: the geometric tail
+    closes the sum at acc_s + (acc - acc_s) / (1 - a^p).
+    """
+    acc = 0j if isinstance(av, complex) else 0.0  # +0, where 0 * av is -0.0 at a negative a
+    w = av ** 0
+    m %= d
+    s = (d & -d).bit_length() - 1
+    for n in range(n_terms):
+        if not m:
+            break
+        k = min(m, d - m)
+        if n == s:
+            k_s, acc_s = k, acc
+        elif n > s and k == k_s:
+            return acc_s + (acc - acc_s) / _one_minus_power(av, n - s)
+        acc = acc + w * (k / d)
+        m = 2 * m % d
+        w = w * av
     return acc
 
 
@@ -492,13 +499,12 @@ def _corollary_q(q, tol: float) -> tuple:
     return qf, a, _series_length(a, tol)
 
 
-def _tilde_F(uf: float, x, qf: float, a: float, n_terms: int) -> float:
-    """tilde F_q(u) with the Takagi factor summed at the abscissa x = 2^{u-1}.
+def _tilde_F(uf: float, t, qf: float) -> float:
+    """tilde F_q(u) from t = T_a(2^{u-1}), the Takagi factor summed at that abscissa.
 
     The head (1 - q^{1-u}) / (1 - q) is 1 - u at q = 1, its limit there.  A
     zero is +0: at u = 1 and q > 1 the head is 0 / (1 - q) = -0.0.
     """
-    t = _series_sum(x, a, n_terms)
     head = 1.0 - uf if qf == 1.0 else (1.0 - qf ** (1.0 - uf)) / (1.0 - qf)
     return head - qf ** (-uf) * 2.0 ** (1.0 - uf) * t + 0.0
 
@@ -507,7 +513,7 @@ def _tilde_F_u(uf: float, qf: float, a: float, n_terms: int) -> float:
     """tilde F_q(u) at a float u, reduced mod 1 except at u = 1."""
     if uf != 1.0:
         uf -= math.floor(uf)
-    return _tilde_F(uf, 2.0 ** (uf - 1.0), qf, a, n_terms)
+    return _tilde_F(uf, _series_sum(2.0 ** (uf - 1.0), a, n_terms), qf)
 
 
 def tilde_F_q(u, q, tol: float = DEFAULT_SERIES_TOL) -> Scalar:
@@ -528,8 +534,10 @@ def tilde_F_q_grid(q, m: int, tol: float = DEFAULT_SERIES_TOL) -> list[float]:
 
 
 def _tilde_F_log2(n: int, qf: float, a: float, n_terms: int) -> float:
+    """tilde F_q(log2 n) with the series at n/2^{k+1} in lowest terms, as two integers."""
     k = n.bit_length() - 1
-    return _tilde_F(math.log2(n) - k, Fraction(n, 2 << k), qf, a, n_terms)
+    z = (n & -n).bit_length() - 1
+    return _tilde_F(math.log2(n) - k, _ratio_series_sum(n >> z, (2 << k) >> z, a, n_terms), qf)
 
 
 def tilde_F_q_log2(n: int, q, tol: float = DEFAULT_SERIES_TOL) -> Scalar:

@@ -3,14 +3,18 @@
 
 The n-sweeps read S_q(n) = s/d off the direct route's one stream,
 ``digit_sums.orbit_numerators`` (d = 1 outside exact mode).  An exact
-formula num/den is checked against s/d by the integer gap num·d − s·den,
-and the residual |gap|/(den·d) is built only where the gap is not 0.
+formula's pairs num/den come in step from its many-point form
+(``trollope.theorem1_nums``, ``trollope.dyadic_nums``,
+``digit_sums.S_rec_nums``) and are checked against s/d by the integer gap
+num·d − s·den; the residual |gap|/(den·d) is built only where the gap is
+not 0.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import count, repeat
 from typing import Callable, NamedTuple
 
 from . import digit_sums, odometer, takagi, trollope
@@ -48,23 +52,26 @@ def _gap(num, den, s, d, n):
     return Fraction(abs(g), den * d) if g else 0
 
 
-def _n_sweep(qv, n_max: int, residual):
-    """The pairs (n, residual(n, s, d)) for S_q(n) = s/d at q = qv, n = 1 .. n_max."""
+def _n_sweep(qv, n_max: int, residual, pairs=repeat(None)):
+    """The pairs (n, residual(n, s, d, nd)) for S_q(n) = s/d at q = qv, n = 1 .. n_max,
+    with nd read in step off ``pairs``, an exact formula's (num, den) stream."""
     d, sums = digit_sums.orbit_numerators(0, qv, n_max)
-    return ((n, residual(n, s, d)) for n, s in enumerate(sums, 1))
+    return ((n, residual(n, s, d, nd)) for n, s, nd in zip(count(1), sums, pairs))
 
 
 def _theorem1(q: Scalar, n_max: int):
     qw = as_qweight(q)
     if q.mode is Mode.EXACT:  # num/den is S_q(n)/n, so s is taken over d·n
-        return q.mode, _n_sweep(q.value, n_max, lambda n, s, d: _gap(*trollope.theorem1_num(n, qw), s, d * n, n))
-    return q.mode, _n_sweep(q.value, n_max, lambda n, s, d: abs(trollope.theorem1_rhs(n, qw).value - s / n))
+        return q.mode, _n_sweep(q.value, n_max, lambda n, s, d, nd: _gap(*nd, s, d * n, n),
+                                trollope.theorem1_nums(qw, n_max))
+    return q.mode, _n_sweep(q.value, n_max, lambda n, s, d, _: abs(trollope.theorem1_rhs(n, qw).value - s / n))
 
 
 def _dyadic(q: Scalar, n_max: int):
     if q.mode is Mode.EXACT:
-        return q.mode, _n_sweep(q.value, n_max, lambda n, s, d: _gap(*trollope.dyadic_num(n, q), s, d * n, n))
-    return q.mode, _n_sweep(q.value, n_max, lambda n, s, d: abs(trollope.dyadic_formula(n, q).value - s / n))
+        return q.mode, _n_sweep(q.value, n_max, lambda n, s, d, nd: _gap(*nd, s, d * n, n),
+                                trollope.dyadic_nums(q, n_max))
+    return q.mode, _n_sweep(q.value, n_max, lambda n, s, d, _: abs(trollope.dyadic_formula(n, q).value - s / n))
 
 
 def _recursions(q: Scalar, n_max: int):
@@ -72,16 +79,15 @@ def _recursions(q: Scalar, n_max: int):
     qv = q.value
     exact = q.mode is Mode.EXACT
 
-    def residual(n, s, d):
-        if exact:
-            r = _gap(*digit_sums.S_rec_num(n, qv.numerator, qv.denominator), s, d, n)
-        else:
-            r = abs(digit_sums.S_rec_payload(n, qv) - s)
+    def residual(n, s, d, rec):
+        r = _gap(*rec, s, d, n) if exact else abs(digit_sums.S_rec_payload(n, qv) - s)
         if n & (n - 1) == 0:
             p = digit_sums.S_pow2_payload(n.bit_length() - 1, qv)
             r = max(r, _gap(p.numerator, p.denominator, s, d, n) if exact else abs(p - s))
         return r
 
+    if exact:
+        return q.mode, _n_sweep(qv, n_max, residual, digit_sums.S_rec_nums(n_max, qv.numerator, qv.denominator))
     return q.mode, _n_sweep(qv, n_max, residual)
 
 
@@ -91,7 +97,7 @@ def _corollary(q: Scalar, n_max: int):
         raise DomainError("corollary requires real q > 1/2, q != 1")
     tildes = takagi.tilde_F_q_log2_range(q, n_max)
 
-    def residual(n, s, _):
+    def residual(n, s, *_):
         lg = math.log2(n)
         try:
             qlg = qf ** lg

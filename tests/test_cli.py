@@ -124,12 +124,13 @@ def test_exact_sweep_fails_at_a_residual_that_is_not_exact(capsys, monkeypatch):
     assert err == "tdq: identity violation: the cross-product at n=1 is 0.0, not exact in an exact sweep\n"
 
 
-# target: (module, numerator kernel, its arguments after n, m), the kernel's
-# value standing for S_q(n)/m at q = 2/3
+# target: (module, the many-point form the sweep reads, its point function,
+# the point function's arguments after n, m), num/den standing for S_q(n)/m
+# at q = 2/3
 NUMERATORS = {
-    "theorem1": (trollope, "theorem1_num", (Fraction(2, 3),), 777),
-    "dyadic": (trollope, "dyadic_num", (Fraction(2, 3),), 777),
-    "recursions": (digit_sums, "S_rec_num", (2, 3), 1),
+    "theorem1": (trollope, "theorem1_nums", trollope.theorem1_num, (Fraction(2, 3),), 777),
+    "dyadic": (trollope, "dyadic_nums", trollope.dyadic_num, (Fraction(2, 3),), 777),
+    "recursions": (digit_sums, "S_rec_nums", digit_sums.S_rec_num, (2, 3), 1),
 }
 
 
@@ -137,12 +138,11 @@ NUMERATORS = {
 def test_exact_sweep_fails_where_a_numerator_is_off(capsys, monkeypatch, target):
     # the cross-product test fails at n = 777 alone, and the Fraction residual
     # there is the sweep's max: |num/den - S_q(777)/m| with num one too big
-    module, name, rest, m = NUMERATORS[target]
-    kernel = getattr(module, name)
+    module, name, kernel, rest, m = NUMERATORS[target]
+    stream = getattr(module, name)
 
-    def off(n, *args):
-        num, den = kernel(n, *args)
-        return num + (n == 777), den
+    def off(*args):
+        return ((num + (n == 777), den) for n, (num, den) in enumerate(stream(*args), 1))
 
     monkeypatch.setattr(module, name, off)
     num, den = kernel(777, *rest)
@@ -176,6 +176,20 @@ def test_verify_larcher_refuses_q_and_mode(capsys, argv, option):
     # larcher weighs bits by gamma, in float: it printed PASS past a --q or --mode it never read
     code, out, err = run(capsys, "verify", "larcher", *argv)
     assert (code, out, err) == (1, "", f"tdq: parse error: verify larcher takes no --{option}\n")
+
+
+@pytest.mark.parametrize("target, argv, option", [
+    ("theorem1", ("--N", "3"), "N"),
+    ("dyadic", ("--q", "2/3", "--n-max", "64", "--N", "3"), "N"),
+    ("recursions", ("--N", "3"), "N"),
+    ("corollary", ("--N", "3"), "N"),
+    ("prop2", ("--n-max", "3"), "n-max"),
+    ("prop2", ("--N", "3", "--n-max", "3"), "n-max"),
+])
+def test_verify_refuses_the_other_sweeps_range(capsys, target, argv, option):
+    # an n-sweep read --n-max alone and prop2 --N alone: the other option printed a PASS it never checked
+    code, out, err = run(capsys, "verify", target, *argv)
+    assert (code, out, err) == (1, "", f"tdq: parse error: verify {target} takes no --{option}\n")
 
 
 @pytest.mark.parametrize("argv, option", [

@@ -11,6 +11,8 @@ the bound its docstring derives.
 
 import cmath
 import math
+import tracemalloc
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
@@ -20,8 +22,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tdq import scalar
-from tdq.digit_sums import S_pow2_payload, S_q_counts, S_q_direct, S_rec_payload, geometric_num, iter_S_direct
-from tdq.errors import DomainError
+from tdq.digit_sums import (
+    S_pow2_payload,
+    S_q_counts,
+    S_q_direct,
+    S_rec_num,
+    S_rec_nums,
+    S_rec_payload,
+    geometric_num,
+    iter_S_direct,
+)
+from tdq.errors import DomainError, ModeError
 from tdq.odometer import (
     Normalization,
     OdometerPoint,
@@ -41,12 +52,22 @@ from tdq.takagi import (
     derham_eval,
     fq_system,
     takagi_dyadic_exact,
+    takagi_dyadic_num,
     takagi_grid,
     takagi_grid_num,
     takagi_series,
     takagi_system,
 )
-from tdq.trollope import classic_formula, dyadic_formula, theorem1_rhs, vdc_star_discrepancy
+from tdq.trollope import (
+    classic_formula,
+    dyadic_formula,
+    dyadic_num,
+    dyadic_nums,
+    theorem1_num,
+    theorem1_nums,
+    theorem1_rhs,
+    vdc_star_discrepancy,
+)
 
 # -- references ----------------------------------------------------------------
 
@@ -641,6 +662,95 @@ def test_theorem1_exact_every_n_to_2_12():
     for n in range(1, (1 << 12) + 1):
         for q in qs:
             assert_exact(theorem1_rhs(n, q).value, ref_theorem1_rhs(n, q))
+
+
+# -- many-point forms: the exact n-sweeps' streams ----------------------------------
+
+# -1 and 1/2 sit on the boundary |q| = 1/2 or |a| = 1, 0 is the all-q
+# formula's end, 8219/8209 two primes above the coefficients, Fraction(0.7)
+# a 52-bit denominator
+STREAM_QS = [Fraction(2, 3), Fraction(-3), Fraction(3, 2), Fraction(-5, 4), Fraction(-1), Fraction(1, 2),
+             Fraction(0), Fraction(8219, 8209), Fraction(0.7)]
+STREAM_TOP = (1 << 13) + 7  # the 2^12 levels, one whole chunk past them and a cut one
+
+
+@pytest.mark.parametrize("q", STREAM_QS, ids=str)
+def test_many_point_forms_are_their_point_functions(q):
+    a, b = q.numerator, q.denominator
+    streams = [(lambda top: dyadic_nums(q, top), lambda n: dyadic_num(n, q)),
+               (lambda top: S_rec_nums(top, a, b), lambda n: S_rec_num(n, a, b))]
+    if abs(q) > Fraction(1, 2):
+        streams.append((lambda top: theorem1_nums(q, top), lambda n: theorem1_num(n, q)))
+    else:  # q is checked once, in the point function's words
+        with pytest.raises(DomainError, match=r"^Theorem 1 requires \|q\| > 1/2$"):
+            next(theorem1_nums(q, STREAM_TOP))
+    for stream, point in streams:
+        pairs = [point(n) for n in range(1, STREAM_TOP + 1)]
+        assert list(stream(STREAM_TOP)) == pairs
+        for top in (0, 1, 2, 3, 64, 4095, 4096, 4097):  # a shorter stream is a prefix
+            assert list(stream(top)) == pairs[:top]
+
+
+def test_many_point_forms_refuse_what_their_point_functions_do():
+    with pytest.raises(DomainError, match="^dyadic_formula excludes q = 1; use classic_formula$"):
+        next(dyadic_nums(Fraction(1), 5))
+    with pytest.raises(DomainError, match="^Theorem 1 excludes q = 1; use classic_formula$"):
+        next(theorem1_nums(1, 5))
+    for stream in (theorem1_nums, dyadic_nums):  # the pairs are integers: a float q has none
+        with pytest.raises(ModeError, match="takes an exact q, not a float one"):
+            next(stream(0.75, 5))
+
+
+# windows across a bit length (2^40) and across a chunk of 2^12 (3 2^50)
+WIDE_WINDOWS = [range((1 << 40) - 300, (1 << 40) + 300), range(3 * (1 << 50) - 100, 3 * (1 << 50) + 100)]
+
+
+@pytest.mark.parametrize("window", WIDE_WINDOWS, ids=["2^40", "3*2^50"])
+@pytest.mark.parametrize("q", [Fraction(2, 3), Fraction(-5, 4), Fraction(8219, 8209), Fraction(-1), Fraction(0.7)],
+                         ids=str)
+def test_tau_weighted_sums_in_wide_windows(window, q):
+    # at (u, v) = (2p, r) W(n) is T_{p/r}(n/2^e)'s integer, at (b, a) it is
+    # dyadic_num's Horner sum over a: num = a G_e n - a W(n)
+    a, b = q.numerator, q.denominator
+    p, r = (1 / (2 * q)).numerator, (1 / (2 * q)).denominator
+    lo, hi = window.start, window.stop
+    takagi = list(scalar.tau_weighted_sums(lo, hi, 2 * p, r))
+    assert takagi == [takagi_dyadic_num(n, n.bit_length(), p, r) for n in window]
+    horner = scalar.tau_weighted_sums(lo, hi, b, a)
+    assert [a * w for w in horner] == [a * geometric_num(n.bit_length(), a, b) * n - dyadic_num(n, q)[0]
+                                       for n in window]
+
+
+def test_tau_weighted_sums_against_the_profile():
+    # every n below 2^13 + 7, and a window that starts inside the 2^12 levels
+    # and ends past them, at weights with a zero, a sign and a 1
+    for u, v in [(3, 2), (-4, 3), (1, 0), (0, 5), (1, 1)]:
+        def ref(n):
+            e = n.bit_length()
+            return sum(u ** (e - i) * v ** (i - 1) * t for i, t in enumerate(scalar.tau_profile(n, e), 1))
+        assert list(scalar.tau_weighted_sums(1, STREAM_TOP + 1, u, v)) == [ref(n) for n in range(1, STREAM_TOP + 1)]
+        assert list(scalar.tau_weighted_sums(4000, 4200, u, v)) == [ref(n) for n in range(4000, 4200)]
+    with pytest.raises(DomainError, match="requires lo >= 1"):
+        next(scalar.tau_weighted_sums(0, 5, 2, 3))
+
+
+def test_many_point_forms_hold_no_table_that_grows_with_n_max():
+    # the tables stop at 2^12 values: the peak at n_max = 2^16 stays within
+    # 1.5 times that at 2^13 (only the integers widen with the bit length);
+    # S_rec_nums calls S_rec_num per n past 2^12, so 2^14 shows its bound
+    def peak(*streams):  # the streams are lazy: each pair is made while traced
+        tracemalloc.start()
+        try:
+            for stream in streams:
+                deque(stream, maxlen=0)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    q = Fraction(2, 3)
+    assert peak(theorem1_nums(q, 1 << 16), dyadic_nums(q, 1 << 16)) <= 1.5 * peak(theorem1_nums(q, 1 << 13),
+                                                                                 dyadic_nums(q, 1 << 13))
+    assert peak(S_rec_nums(1 << 14, 2, 3)) <= 1.5 * peak(S_rec_nums(1 << 13, 2, 3))
 
 
 @pytest.mark.parametrize("kind", ["float", "complex"])

@@ -172,21 +172,21 @@ RULES = {  # rule id: (modules read, check, mutant as (module, snippet, replacem
             "takagi_at"}),
         ("takagi.py", "sys._lift(k / (1 << i))", "sys._lift(tau_float(k / (1 << i)))")),
     "S_rec-independent-of-counts-and-direct": (
-        ("digit_sums.py",), reaches(["S_rec_payload"], {
+        ("digit_sums.py",), reaches(["S_rec_payload", "S_rec_nums"], {
             "orbit_sums", "orbit_numerators", "window_sum", "bit_counts", "_digit_weights", "iter_S_direct",
             "sq_payload"}),
         ("digit_sums.py", "apow, bpow, pow2 = [1], [1], [0]", "apow, bpow, pow2 = [1], [1], list(bit_counts(1))")),
     # geometric_num is a closed form and stays allowed
     "trollope-delange-independent-of-S_q-routes": (
-        ("trollope.py",), reaches(["theorem1_rhs", "dyadic_formula", "theorem1_num", "dyadic_num", "classic_formula",
-                                   "vdc_star_discrepancy"], {
+        ("trollope.py",), reaches(["theorem1_rhs", "dyadic_formula", "theorem1_num", "dyadic_num", "theorem1_nums",
+                                   "dyadic_nums", "classic_formula", "vdc_star_discrepancy"], {
             "S_rec_payload", "S_pow2_payload", "orbit_sums", "orbit_numerators", "window_sum", "bit_counts",
             "iter_S_direct", "sq_payload"},
             prefix="S_q_"),
         ("trollope.py", "head = a * geometric_num(k + 1, a, b) * n", "head = a * S_q_pow2(k + 1, qv).value * n")),
     # tdq verify's sweeps are verify.run's: cli.py names none of the routes they check
     "sweeps-live-in-verify": (
-        ("cli.py",), grep(r"\b(theorem1_num|dyadic_num|S_rec_num|orbit_numerators|iter_S_direct|prop2_exact"
+        ("cli.py",), grep(r"\b(theorem1_nums?|dyadic_nums?|S_rec_nums?|orbit_numerators|iter_S_direct|prop2_exact"
                           r"|tilde_F_q_log2_range)\b"),
         ("cli.py", "result = verify.run(args.target, q, top)",
          "result = verify.run(args.target, q, top)\n    trollope.theorem1_num(1, q)")),
@@ -210,6 +210,21 @@ RULES = {  # rule id: (modules read, check, mutant as (module, snippet, replacem
 }
 
 
+# a root a rule gained after its row's mutant, with a mutant of its own:
+# (rule id, the root, a mutant that only the root's reach flags)
+ROOT_MUTANTS = [
+    ("S_rec-independent-of-counts-and-direct", "S_rec_nums",
+     ("digit_sums.py", "R = [0, first[0]]", "R = [0, first[0]] + bit_counts(0)")),
+    ("trollope-delange-independent-of-S_q-routes", "theorem1_nums",
+     ("trollope.py", "ws = tau_weighted_sums(2, n_max + 1, 2 * p, r)", "ws = (s for _, s in iter_S_direct(n_max, q))")),
+    ("trollope-delange-independent-of-S_q-routes", "dyadic_nums",
+     ("trollope.py", "ws = tau_weighted_sums(2, n_max + 1, b, a)", "ws = orbit_numerators(0, q, n_max)[1]")),
+    ("sweeps-live-in-verify", "theorem1_nums",
+     ("cli.py", "result = verify.run(args.target, q, top)",
+      "result = verify.run(args.target, q, top)\n    next(trollope.theorem1_nums(q, top))")),
+]
+
+
 @pytest.mark.parametrize("files, check, mutant", RULES.values(), ids=RULES)
 def test_rule(files, check, mutant):
     bad = [f"src/tdq/{f}:{v}" for f in files for v in check((SRC / f).read_text(encoding="utf-8"))]
@@ -223,6 +238,12 @@ def test_rule_catches_its_mutant(files, check, mutant):
     # a refactor that moves the snippet has to update the row on purpose
     assert f in files and text.count(snippet) == 1, f"the mutant's snippet is not once in src/tdq/{f}"
     assert check(text.replace(snippet, replacement))
+
+
+@pytest.mark.parametrize("rule, root, mutant", ROOT_MUTANTS, ids=[f"{rule}:{root}" for rule, root, _ in ROOT_MUTANTS])
+def test_rule_catches_its_root_mutant(rule, root, mutant):
+    files, check, _ = RULES[rule]
+    test_rule_catches_its_mutant(files, check, mutant)
 
 
 def test_reach_fails_on_a_missing_root():

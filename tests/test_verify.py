@@ -37,23 +37,23 @@ def test_every_target_passes_at_the_cli_defaults(capsys, target):
         assert capsys.readouterr().out.endswith(f" max residual {shown}, FAIL at {result.var}={result.witness}\n")
 
 
-# target: (module, numerator kernel, its arguments after n, m), the kernel's
-# num/den standing for S_q(n)/m at q = 2/3
+# target: (module, the many-point form the sweep reads, its point function,
+# the point function's arguments after n, m), num/den standing for S_q(n)/m
+# at q = 2/3
 NUMERATORS = {
-    "theorem1": (trollope, "theorem1_num", (Fraction(2, 3),), 777),
-    "dyadic": (trollope, "dyadic_num", (Fraction(2, 3),), 777),
-    "recursions": (digit_sums, "S_rec_num", (2, 3), 1),
+    "theorem1": (trollope, "theorem1_nums", trollope.theorem1_num, (Fraction(2, 3),), 777),
+    "dyadic": (trollope, "dyadic_nums", trollope.dyadic_num, (Fraction(2, 3),), 777),
+    "recursions": (digit_sums, "S_rec_nums", digit_sums.S_rec_num, (2, 3), 1),
 }
 
 
 @pytest.mark.parametrize("target", NUMERATORS)
 def test_a_numerator_one_too_big_is_the_worst_residual(monkeypatch, target):
-    module, name, rest, m = NUMERATORS[target]
-    kernel = getattr(module, name)
+    module, name, kernel, rest, m = NUMERATORS[target]
+    stream = getattr(module, name)
 
-    def off(n, *args):
-        num, den = kernel(n, *args)
-        return num + (n == 777), den
+    def off(*args):
+        return ((num + (n == 777), den) for n, (num, den) in enumerate(stream(*args), 1))
 
     monkeypatch.setattr(module, name, off)
     num, den = kernel(777, *rest)
