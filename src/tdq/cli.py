@@ -11,7 +11,6 @@ import functools
 import json
 import random
 import sys
-from fractions import Fraction
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -55,10 +54,10 @@ def _parse_omega(text: str, seed: int) -> odometer.OdometerPoint:
     return odometer.OdometerPoint(tuple(int(c) for c in text))
 
 
-def _grid(m: int) -> list[Fraction]:
+def _grid(m: int) -> Ratios:
     if m < 0 or m > GRID_LIMIT:
         raise DomainError(f"grid density must be in [0, {GRID_LIMIT}]")
-    return [Fraction(j, 1 << m) for j in range((1 << m) + 1)]
+    return odometer.dyadic_grid(m)
 
 
 # ---------------------------------------------------------------------------
@@ -66,17 +65,18 @@ def _grid(m: int) -> list[Fraction]:
 
 
 def _write_table(meta: dict, grid, values, out=None, fmt: str = "csv") -> None:
-    """Write a sampled curve, on a grid of Fractions, as CSV or JSON to the
-    file ``out``, or to stdout.  ``values`` are payloads of one mode; an exact
-    ``Ratios`` is written from its integer pairs."""
+    """Write a sampled curve, on an exact ``Ratios`` grid, as CSV or JSON to the
+    file ``out``, or to stdout.  ``values`` are payloads of one mode; exact
+    points and values are written from their integer pairs."""
     columns = ["t", "value"]
+    ts = [render_ratio(u, grid.den) for u in grid.numerators]
     if isinstance(values, Ratios) and values.den is not None:
-        rows = [[str(t), render_ratio(n, values.den)] for t, n in zip(grid, values.numerators)]
+        rows = [[t, render_ratio(n, values.den)] for t, n in zip(ts, values.numerators)]
     elif type(values[0]) is complex:
         columns = ["t", "re", "im"]
-        rows = [[str(t), render(v.real), render(v.imag)] for t, v in zip(grid, values)]
+        rows = [[t, render(v.real), render(v.imag)] for t, v in zip(ts, values)]
     else:
-        rows = [[str(t), render(v)] for t, v in zip(grid, values)]
+        rows = [[t, render(v)] for t, v in zip(ts, values)]
     if fmt == "json":
         text = json.dumps({"meta": meta, "columns": columns, "rows": rows}, indent=2) + "\n"
     else:
@@ -223,7 +223,8 @@ CURVES = {
     "F": Curve("q", lambda q, m, grid, tol: takagi.F_q_grid(q, m)),
     "complex-takagi": Curve("q", lambda q, m, grid, tol: takagi.takagi_grid(as_qweight(q).a, m), "complex"),
     "Gtilde": Curve(
-        "gamma_limit", lambda g, m, grid, tol: [takagi.G_tilde_gamma(float(t), g, tol).value for t in grid]
+        "gamma_limit",
+        lambda g, m, grid, tol: [takagi.G_tilde_gamma(u / grid.den, g, tol).value for u in grid.numerators],
     ),
 }
 

@@ -122,10 +122,11 @@ def S_rec_num(n: int, a: int, b: int) -> tuple:
 def S_rec_nums(n_max: int, a: int, b: int) -> Iterator[tuple]:
     """``S_rec_num(n, a, b)`` for n = 1 .. n_max, pair for pair.
 
-    Below 2^TABLE_BITS, R(n) is built bottom-up by the two recursions that
-    ``S_rec_num`` unrolls, from its own R(1): R(2^k) from the table, an even
-    n from R(n/2), an odd n = 2^k + m from R(m).  Past that, ``S_rec_num``
-    per n, so the list of R(n) stays 2^TABLE_BITS long.
+    Below 2^TABLE_BITS, R(n) is built bottom-up, one bit-length block at a
+    time, from ``S_rec_num``'s own R(1) and R(0) = 0: the top-bit split
+    R(2^k + m) = R(2^k) + R(m) b^{k+1-bitlen m} + m a^{k+1} that ``S_rec_num``
+    unrolls for odd n holds for every m < 2^k.  Past that, ``S_rec_num`` per
+    n, so the list of R(n) stays 2^TABLE_BITS long.
     """
     if n_max < 1:
         return
@@ -136,14 +137,8 @@ def S_rec_nums(n_max: int, a: int, b: int) -> Iterator[tuple]:
     apow, bpow, pow2 = _rec_table(a, b, top.bit_length())
     for k in range(1, top.bit_length()):
         lo, hi = 1 << k, min(top + 1, 2 << k)
-        R.append(pow2[k])
-        ab, ak1, two_a = a * bpow[k], apow[k + 1], 2 * a
-        for n in range(lo + 1, hi):
-            if n & 1:
-                m = n - lo
-                R.append(pow2[k] + R[m] * bpow[k + 1 - m.bit_length()] + m * ak1)
-            else:
-                R.append(two_a * R[n >> 1] + (n >> 1) * ab)
+        p2, ak1 = pow2[k], apow[k + 1]
+        R += [p2 + R[m] * bpow[k + 1 - m.bit_length()] + m * ak1 for m in range(hi - lo)]
         yield from zip(R[lo:hi], repeat(bpow[k + 1]))
     yield from (S_rec_num(n, a, b) for n in range(top + 1, n_max + 1))
 

@@ -314,7 +314,9 @@ def tau_profile(n: int, K: int) -> list[int]:
 
 
 def tau_sum(n: int, K: int) -> int:
-    """sum(tau_profile(n, K)), eight levels a step, with no list built.
+    """sum(tau_profile(n, K)), eight levels a step, with no list built: the
+    weighted sum ``tau_weighted_sum(n, K, 1, 1)``, kept apart as the byte-table
+    path that ``classic_formula`` takes at every n.
 
     With lo = n mod 2^8 and h = n >> 8, the level-i sawtooth of n past level
     8 is 2^8 times the level-(i-8) sawtooth of h, plus lo where bit i-1 of n
@@ -335,27 +337,55 @@ def tau_sum(n: int, K: int) -> int:
     return total + ((_SAW[n] - (8 - K) * n) << shift)
 
 
+def tau_weighted_sum(n: int, e: int, u: int, v: int) -> int:
+    """W_e(n) = sum_{i=1..e} u^(e-i) v^(i-1) tau_scaled(n, i): Horner's sum in u
+    of ``tau_profile(n, e)``, for any n.
+
+    The one weighted sawtooth sum (Trollope 1968, Delange 1975): at (u, v) =
+    (2p, r) it is T_{p/r}(n/2^e) r^(e-1) 2^e, at (b, a) the Horner sum of the
+    dyadic Trollope-Delange formula at q = a/b, and at (2, 1) van der Corput's
+    discrepancy less 2^e.
+    """
+    acc, vi = 0, 1
+    for t in tau_profile(n, e):
+        acc = acc * u + vi * t
+        vi *= v
+    return acc
+
+
+def tau_weighted_levels(u: int, v: int) -> Iterator[list[int]]:
+    """[W_e(n) for n = 0 .. 2^e] of ``tau_weighted_sum``, for e = 0, 1, 2, ...
+
+    For n <= 2^(e-1), tau_scaled(n, e) = n, so W_e(n) = u W_{e-1}(n) + v^(e-1) n
+    from the level below; the rest is the mirror W_e(2^e - n) = W_e(n), since
+    every level i <= e is.
+    """
+    table, ve = [0, 0], 1  # W_0 = 0, the empty sum
+    while True:
+        yield table
+        lower = [u * w + ve * n for n, w in enumerate(table)]
+        table, ve = lower + lower[-2::-1], ve * v
+
+
 TABLE_BITS = 12  # a sweep's tables hold 2^12 values, whatever its range
 
 
 def tau_weighted_sums(lo: int, hi: int, u: int, v: int) -> Iterator[int]:
-    """W(n) = sum_{i=1..e} u^(e-i) v^(i-1) tau_scaled(n, i), e the bit length
-    of n, for 1 <= lo <= n < hi: Horner's sum in u of ``tau_profile(n, e)``.
+    """``tau_weighted_sum(n, e, u, v)``, e the bit length of n, for 1 <= lo <= n < hi.
 
-    Level by level, W_e(n) = u W_{e-1}(n mod 2^(e-1)) + v^(e-1) tau_scaled(n, e)
-    fills a table of W_e over n < 2^e, up to e = ``TABLE_BITS`` = B; the
-    table of level e yields its upper half, where e is the bit length.  Past
-    2^B, n runs in chunks H 2^B + j, j < 2^B: the low B levels are
-    u^(e-B) W_B(j), and level i > B is tau_scaled's c_i + s_i j, with s_i = -1
-    where bit i-1 of n is 1 and +1 where it is 0 (as in ``tau_sum``), so a
-    chunk's high levels are one C + S j.  No table outgrows 2^B values.
+    Up to e = ``TABLE_BITS`` = B, each n is read off the level-e table of
+    ``tau_weighted_levels``, in its upper half.  Past 2^B, n runs in chunks
+    H 2^B + j, j < 2^B: the low B levels are u^(e-B) W_B(j), and level i > B
+    is tau_scaled's c_i + s_i j, with s_i = -1 where bit i-1 of n is 1 and +1
+    where it is 0 (as in ``tau_sum``), so a chunk's high levels are one C + S j.
+    No table outgrows 2^B + 1 values.
     """
     if lo < 1:
         raise DomainError("tau_weighted_sums requires lo >= 1")
-    table = [0]  # W_0 over n < 1
+    levels = tau_weighted_levels(u, v)
+    table = next(levels)
     for e in range(1, min(max(hi - 1, 0).bit_length(), TABLE_BITS) + 1):
-        half, ve = 1 << (e - 1), v ** (e - 1)
-        table = [u * w + ve * m for m, w in enumerate(table)] + [u * w + ve * (half - m) for m, w in enumerate(table)]
+        table, half = next(levels), 1 << (e - 1)
         yield from islice(table, max(lo, half), min(hi, 2 * half))
     size, e = 1 << TABLE_BITS, TABLE_BITS
     for H in range(max(lo, size) >> TABLE_BITS, (hi + size - 1) >> TABLE_BITS):

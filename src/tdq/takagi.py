@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from itertools import islice
 from typing import NamedTuple
 
 from .errors import DomainError, ModeError
@@ -28,6 +29,8 @@ from .scalar import (
     powers_of,
     tau_float,
     tau_profile,
+    tau_weighted_levels,
+    tau_weighted_sum,
 )
 
 DEFAULT_SERIES_TOL = 1e-14
@@ -331,24 +334,10 @@ def takagi_series(x, a, tol: float = DEFAULT_SERIES_TOL) -> Scalar:
     return Scalar(_series_sum(fr, av, n_terms))
 
 
-def takagi_dyadic_num(m: int, e: int, p: int, r: int) -> int:
-    """The integer B = T_a(m/2^e) r^{e-1} 2^e at a = p/r, for any m, reduced or not.
-
-    B = sum_j (2p)^j r^{e-1-j} t_j, j < e, by Horner's rule in r, where
-    t_j = 2^{e-j} tau(m/2^{e-j}) is ``tau_profile(m, e)`` read in reverse.
-    """
-    acc = 0
-    pj = 1
-    for t in tau_profile(m, e)[::-1]:
-        acc = acc * r + pj * t
-        pj *= 2 * p
-    return acc
-
-
 def takagi_dyadic_sum(m: int, e: int, powers):
     """T_a(m/2^e) for 0 <= m <= 2^e as a float or complex payload, powers[j]
     = a^j (``powers_of``) through a^{e-1} at least: the float and complex
-    counterpart of ``takagi_dyadic_num``.
+    counterpart of ``tau_weighted_sum`` at (2p, r).
 
     m/2^e is reduced to lowest terms first, so no power past the last
     nonzero term is read.  The terms powers[j] (t_j 2^j / 2^e) are summed
@@ -371,8 +360,8 @@ def takagi_dyadic_exact(x, a) -> Scalar:
     terms are a^j tau(m_j/2^e), m_j = 2^j m mod 2^e, for j < e.  Since m_j =
     (m mod 2^{e-j}) 2^j, 2^e tau(m_j/2^e) is tau_scaled(m, e - j) 2^j: the
     profile of m read in reverse.  For exact a = p/r the sum is
-    B / (r^{e-1} 2^e) with the integer B of ``takagi_dyadic_num``; for float
-    and complex a it is ``takagi_dyadic_sum``.
+    B / (r^{e-1} 2^e) with the integer B = ``tau_weighted_sum(m, e, 2p, r)``;
+    for float and complex a it is ``takagi_dyadic_sum``.
     """
     fr = as_dyadic_fraction(x)
     if fr is None:
@@ -383,33 +372,14 @@ def takagi_dyadic_exact(x, a) -> Scalar:
         if not e:
             return Scalar(Fraction(0))
         p, r = a.value.numerator, a.value.denominator
-        return Scalar(Fraction(takagi_dyadic_num(m, e, p, r), r ** (e - 1) << e))
+        return Scalar(Fraction(tau_weighted_sum(m, e, 2 * p, r), r ** (e - 1) << e))
     return Scalar(takagi_dyadic_sum(m, e, powers_of(a.value, e)))
-
-
-def takagi_grid_num(p: int, r: int, m: int) -> tuple[list[int], int]:
-    """(N, D), T_a(j/2^m) = N[j] / D for j = 0 .. 2^m at a = p/r, r > 0, D = r^{m-1} 2^m
-    (1 at m = 0).  T_a(1 - x) = T_a(x), so N_j is computed for j <= 2^{m-1} and
-    mirrored, in one coarse-to-fine pass of T(x) = tau(x) + a T(2x mod 1):
-    N_j = j r^{m-1} + p N_k / r, since 2^m tau(j/2^m) = j for j <= 2^{m-1}, with k =
-    2j mod 2^m in the lower half (N_k = N_{2^m - k}); the division is exact because N_k sits one level coarser.
-    """
-    if not m:
-        return [0, 0], 1
-    size, half = 1 << m, 1 << (m - 1)
-    scale = r ** (m - 1)
-    num = [0] * (half + 1)
-    for level in range(m):
-        step = half >> level
-        for j in range(step, half + 1, 2 * step):
-            k = min(2 * j, size - 2 * j)
-            num[j] = j * scale + p * num[k] // r
-    return num + num[-2::-1], scale << m
 
 
 def takagi_grid(a, m: int) -> Ratios:
     """T_a(j/2^m) for j = 0 .. 2^m, equal to ``takagi_dyadic_exact(j/2^m, a).value``
-    point by point: ``takagi_grid_num``'s integers at exact a = p/r; at float
+    point by point: at exact a = p/r, the level-m table of
+    ``tau_weighted_levels(2p, r)`` over D = r^{m-1} 2^m (1 at m = 0); at float
     and complex a, ``takagi_dyadic_sum`` on a^0 .. a^{m-1} built once
     (``powers_of``) at j <= 2^m / 2, checked ``finite`` and mirrored, since
     T_a(1 - x) = T_a(x).
@@ -418,7 +388,8 @@ def takagi_grid(a, m: int) -> Ratios:
         raise DomainError("takagi_grid requires m >= 0")
     a = as_scalar(a)
     if a.mode is Mode.EXACT:
-        return Ratios(*takagi_grid_num(a.value.numerator, a.value.denominator, m))
+        p, r = a.value.numerator, a.value.denominator
+        return Ratios(next(islice(tau_weighted_levels(2 * p, r), m, None)), r ** (m - 1) << m if m else 1)
     size, powers = 1 << m, powers_of(a.value, m)
     lower = finite([takagi_dyadic_sum(j, m, powers) for j in range(size // 2 + 1)])
     return Ratios(lower + lower[(size - 1) // 2 :: -1], None)  # at m = 0 the one point j = 0 is j = 1 too

@@ -12,16 +12,16 @@ from fractions import Fraction
 
 from .digit_sums import bit_counts, geometric_num
 from .errors import DomainError, ModeError
-from .scalar import Mode, Regime, Scalar, as_qweight, tau_profile, tau_sum, tau_weighted_sums
-from .takagi import G_tilde_gamma, takagi_dyadic_num, takagi_dyadic_sum
+from .scalar import Mode, Regime, Scalar, as_qweight, tau_profile, tau_sum, tau_weighted_sum, tau_weighted_sums
+from .takagi import G_tilde_gamma, takagi_dyadic_sum
 
 
 def theorem1_num(n: int, q) -> tuple:
     """(num, den) with num/den = ``theorem1_rhs(n, q)``: integers for exact q,
     else the payload over den = 1.
 
-    For q = a/b, 1/(2q) = p/r and T_{p/r}(n/2^{k+1}) = tn / (r^k 2^{k+1})
-    (``takagi_dyadic_num``), num/den is
+    For q = a/b, 1/(2q) = p/r and T_{p/r}(n/2^{k+1}) = tn / (r^k 2^{k+1}),
+    tn = ``tau_weighted_sum(n, k + 1, 2p, r)``, num/den is
     a (G_{k+1} n r^k - a^k tn) / (2 b^{k+1} n r^k), G_j = (b^j - a^j)/(b - a).
     Not reduced: a sweep decides num/den = S_q(n)/n by one cross-product.
     For float and complex q, T_a(n/2^{k+1}) is ``takagi_dyadic_sum``.
@@ -38,7 +38,7 @@ def theorem1_num(n: int, q) -> tuple:
     if qw.q.mode is Mode.EXACT:
         a, b = qv.numerator, qv.denominator
         p, r = qw.a.value.numerator, qw.a.value.denominator
-        tn, rk = takagi_dyadic_num(n, k + 1, p, r), r ** k
+        tn, rk = tau_weighted_sum(n, k + 1, 2 * p, r), r ** k
         num = a * (geometric_num(k + 1, a, b) * n * rk - a ** k * tn)
         return num, 2 * b ** (k + 1) * n * rk
     t = takagi_dyadic_sum(n, k + 1, qw.a_pow(k + 1))
@@ -94,7 +94,8 @@ def dyadic_num(n: int, q) -> tuple:
 
     For q = a/b, multiplying through by den = 2n b^{k+1} leaves one integer
     expression, num = a G_{k+1} n - sum_i a^i b^{k+1-i} min(m_i, 2^i - m_i),
-    m_i = n mod 2^i.  Not reduced, like ``theorem1_num``.
+    m_i = n mod 2^i, and that sum is a ``tau_weighted_sum(n, k + 1, b, a)``.
+    Not reduced, like ``theorem1_num``.
     """
     if n < 1:
         raise DomainError("dyadic_formula requires n >= 1")
@@ -105,13 +106,8 @@ def dyadic_num(n: int, q) -> tuple:
     k = n.bit_length() - 1
     if qw.q.mode is Mode.EXACT:
         a, b = qv.numerator, qv.denominator
-        acc = 0
-        ai = 1
-        for t in tau_profile(n, k + 1):
-            ai *= a
-            acc = acc * b + ai * t
         head = a * geometric_num(k + 1, a, b) * n
-        return head - acc, 2 * n * b ** (k + 1)
+        return head - a * tau_weighted_sum(n, k + 1, b, a), 2 * n * b ** (k + 1)
     two_q_pow = qw.two_q_pow
     total = 0 * qv
     for i, t in enumerate(tau_profile(n, k + 1), 1):
@@ -171,16 +167,13 @@ def classic_formula(n: int) -> Scalar:
 def vdc_star_discrepancy(n: int) -> Scalar:
     """Star discrepancy of the first n van der Corput points, exact.
 
-    D*_n = (1 + sum_{j<=k} tau(n/2^j)) / n, summed over the common 2^k by
-    Horner's rule in 2.
+    D*_n = (1 + sum_{j<=k} tau(n/2^j)) / n, over the common 2^k:
+    2^k + ``tau_weighted_sum(n, k, 2, 1)``.
     """
     if n < 1:
         raise DomainError("vdc_star_discrepancy requires n >= 1")
     k = n.bit_length() - 1
-    total = 1
-    for t in tau_profile(n, k):
-        total = 2 * total + t
-    return Scalar(Fraction(total, n << k))
+    return Scalar(Fraction((1 << k) + tau_weighted_sum(n, k, 2, 1), n << k))
 
 
 def larcher_residual(n: int, weights, limit, tol: float) -> Scalar:

@@ -52,9 +52,7 @@ from tdq.takagi import (
     derham_eval,
     fq_system,
     takagi_dyadic_exact,
-    takagi_dyadic_num,
     takagi_grid,
-    takagi_grid_num,
     takagi_series,
     takagi_system,
 )
@@ -622,9 +620,11 @@ def test_takagi_grid_is_takagi_dyadic_exact(a):
 
 @pytest.mark.parametrize("a", [a for a in GRID_AS if isinstance(a, Fraction)], ids=repr)
 def test_takagi_grid_num_is_takagi_dyadic_exact(a):
-    # every point, the mirrored upper half too, over D = r^{m-1} 2^m (1 at m = 0)
+    # takagi_grid's numerators at every point, the mirrored upper half too,
+    # over D = r^{m-1} 2^m (1 at m = 0)
     for m in range(11):
-        num, den = takagi_grid_num(a.numerator, a.denominator, m)
+        grid = takagi_grid(a, m)
+        num, den = grid.numerators, grid.den
         assert den == (a.denominator ** (m - 1) << m if m else 1) and len(num) == (1 << m) + 1
         assert [Fraction(v, den) for v in num] == [takagi_dyadic_exact(Fraction(j, 1 << m), a).value
                                                    for j in range((1 << m) + 1)]
@@ -715,7 +715,7 @@ def test_tau_weighted_sums_in_wide_windows(window, q):
     p, r = (1 / (2 * q)).numerator, (1 / (2 * q)).denominator
     lo, hi = window.start, window.stop
     takagi = list(scalar.tau_weighted_sums(lo, hi, 2 * p, r))
-    assert takagi == [takagi_dyadic_num(n, n.bit_length(), p, r) for n in window]
+    assert takagi == [scalar.tau_weighted_sum(n, n.bit_length(), 2 * p, r) for n in window]
     horner = scalar.tau_weighted_sums(lo, hi, b, a)
     assert [a * w for w in horner] == [a * geometric_num(n.bit_length(), a, b) * n - dyadic_num(n, q)[0]
                                        for n in window]
@@ -723,13 +723,19 @@ def test_tau_weighted_sums_in_wide_windows(window, q):
 
 def test_tau_weighted_sums_against_the_profile():
     # every n below 2^13 + 7, and a window that starts inside the 2^12 levels
-    # and ends past them, at weights with a zero, a sign and a 1
-    for u, v in [(3, 2), (-4, 3), (1, 0), (0, 5), (1, 1)]:
-        def ref(n):
-            e = n.bit_length()
+    # and ends past them, at weights with a zero, a sign and a 1, and at T_a's
+    # (2p, r) for a = 3/4 and -7/5; the point sum at levels past n's bit
+    # length too; each level table to e = 14 is the point sums, mirrored
+    for u, v in [(3, 2), (-4, 3), (1, 0), (0, 5), (1, 1), (6, 4), (-14, 5)]:
+        def ref(n, e=None):
+            e = n.bit_length() if e is None else e
             return sum(u ** (e - i) * v ** (i - 1) * t for i, t in enumerate(scalar.tau_profile(n, e), 1))
         assert list(scalar.tau_weighted_sums(1, STREAM_TOP + 1, u, v)) == [ref(n) for n in range(1, STREAM_TOP + 1)]
         assert list(scalar.tau_weighted_sums(4000, 4200, u, v)) == [ref(n) for n in range(4000, 4200)]
+        assert all(scalar.tau_weighted_sum(n, e, u, v) == ref(n, e) for n in range(300) for e in range(12))
+        for e, table in zip(range(15), scalar.tau_weighted_levels(u, v)):
+            assert table == [scalar.tau_weighted_sum(n, e, u, v) for n in range((1 << e) + 1)]
+            assert table == table[::-1]
     with pytest.raises(DomainError, match="requires lo >= 1"):
         next(scalar.tau_weighted_sums(0, 5, 2, 3))
 

@@ -122,6 +122,20 @@ def tables_render_payloads(text):
     return reach(tree, roots, {"Scalar"})
 
 
+# the exact point kernels of trollope.py that read W through scalar.tau_weighted_sum
+SAWTOOTH_ROOTS = ["theorem1_num", "vdc_star_discrepancy"]
+
+
+def one_weighted_sawtooth(text):
+    """Names of the two copies of W that scalar.py replaced, and, in a module
+    that defines a ``SAWTOOTH_ROOTS`` kernel, where those kernels (or the
+    functions they name) name ``tau_profile``."""
+    tree = ast.parse(text)
+    defined = {n.name for n in tree.body if isinstance(n, ast.FunctionDef)}
+    roots = SAWTOOTH_ROOTS if defined.intersection(SAWTOOTH_ROOTS) else []
+    return grep(r"\b(takagi_dyadic_num|takagi_grid_num)\b")(text) + reach(tree, roots, {"tau_profile"})
+
+
 RULES = {  # rule id: (modules read, check, mutant as (module, snippet, replacement))
     "no-private-names": (
         MODULES, grep(r"\b(digit_sums|odometer|takagi|trollope|scalar)\._[A-Za-z]"),
@@ -148,8 +162,8 @@ RULES = {  # rule id: (modules read, check, mutant as (module, snippet, replacem
     # many-point values stay payloads from the grid forms to the table writer, which boxes no row
     "tables-render-payloads": (
         ("cli.py", "takagi.py"), tables_render_payloads,
-        ("cli.py", "rows = [[str(t), render(v)] for t, v in zip(grid, values)]",
-         "rows = [[str(t), Scalar(v).render()] for t, v in zip(grid, values)]")),
+        ("cli.py", "rows = [[t, render(v)] for t, v in zip(ts, values)]",
+         "rows = [[t, Scalar(v).render()] for t, v in zip(ts, values)]")),
     # T_a at a point is takagi.takagi_at's one rule
     "one-takagi-at-rule": (
         ("cli.py", "odometer.py"), grep(r"as_dyadic_fraction|takagi_series|takagi_dyadic_exact"),
@@ -168,8 +182,8 @@ RULES = {  # rule id: (modules read, check, mutant as (module, snippet, replacem
     # the independent routes: each root set reaches none of the routes it is checked against
     "derham-independent-of-tau-routes": (
         ("takagi.py",), reaches(["derham_eval", "DeRhamSystem"], {
-            "tau_profile", "tau_scaled", "tau_sum", "tau_float", "takagi_dyadic_exact", "takagi_grid", "takagi_series",
-            "takagi_at"}),
+            "tau_profile", "tau_scaled", "tau_sum", "tau_weighted_sum", "tau_weighted_levels", "tau_weighted_sums",
+            "tau_float", "takagi_dyadic_exact", "takagi_grid", "takagi_series", "takagi_at"}),
         ("takagi.py", "sys._lift(k / (1 << i))", "sys._lift(tau_float(k / (1 << i)))")),
     "S_rec-independent-of-counts-and-direct": (
         ("digit_sums.py",), reaches(["S_rec_payload", "S_rec_nums"], {
@@ -184,6 +198,13 @@ RULES = {  # rule id: (modules read, check, mutant as (module, snippet, replacem
             "iter_S_direct", "sq_payload"},
             prefix="S_q_"),
         ("trollope.py", "head = a * geometric_num(k + 1, a, b) * n", "head = a * S_q_pow2(k + 1, qv).value * n")),
+    # the weighted sawtooth sum W is scalar.py's: T_a at dyadic points, both
+    # Trollope-Delange formulas and van der Corput read it, with no copy of their own
+    "one-weighted-sawtooth": (
+        ("takagi.py", "trollope.py"), one_weighted_sawtooth,
+        ("trollope.py", "return Scalar(Fraction((1 << k) + tau_weighted_sum(n, k, 2, 1), n << k))",
+         "total = 1\n    for t in tau_profile(n, k):\n        total = 2 * total + t\n"
+         "    return Scalar(Fraction(total, n << k))")),
     # tdq verify's sweeps are verify.run's: cli.py names none of the routes they check
     "sweeps-live-in-verify": (
         ("cli.py",), grep(r"\b(theorem1_nums?|dyadic_nums?|S_rec_nums?|orbit_numerators|iter_S_direct|prop2_exact"
