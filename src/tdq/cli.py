@@ -67,27 +67,28 @@ def _grid(m: int) -> Ratios:
 def _write_table(meta: dict, grid, values, out=None, fmt: str = "csv") -> None:
     """Write a sampled curve, on an exact ``Ratios`` grid, as CSV or JSON to the
     file ``out``, or to stdout.  ``values`` are payloads of one mode; exact
-    points and values are written from their integer pairs."""
+    points and values are written from their integer pairs.  Each row is
+    rendered once, into its line, before the file is opened, so a value that
+    fails to render leaves no file."""
     columns = ["t", "value"]
-    ts = [render_ratio(u, grid.den) for u in grid.numerators]
+    ts = (render_ratio(u, grid.den) for u in grid.numerators)
     if isinstance(values, Ratios) and values.den is not None:
-        rows = [[t, render_ratio(n, values.den)] for t, n in zip(ts, values.numerators)]
+        rows = ([t, render_ratio(n, values.den)] for t, n in zip(ts, values.numerators))
     elif type(values[0]) is complex:
         columns = ["t", "re", "im"]
-        rows = [[t, render(v.real), render(v.imag)] for t, v in zip(ts, values)]
+        rows = ([t, render(v.real), render(v.imag)] for t, v in zip(ts, values))
     else:
-        rows = [[t, render(v)] for t, v in zip(ts, values)]
+        rows = ([t, render(v)] for t, v in zip(ts, values))
     if fmt == "json":
-        text = json.dumps({"meta": meta, "columns": columns, "rows": rows}, indent=2) + "\n"
+        lines = [json.dumps({"meta": meta, "columns": columns, "rows": list(rows)}, indent=2) + "\n"]
     else:
-        lines = ["# " + ", ".join(f"{k}={v}" for k, v in meta.items())]
-        lines.append(",".join(columns))
-        lines.extend(",".join(r) for r in rows)
-        text = "\n".join(lines) + "\n"
+        head = "# " + ", ".join(f"{k}={v}" for k, v in meta.items())
+        lines = [f"{head}\n", ",".join(columns) + "\n", *(",".join(r) + "\n" for r in rows)]
     if out:
-        Path(out).write_text(text, encoding="utf-8", newline="\n")
+        with Path(out).open("w", encoding="utf-8", newline="\n") as f:
+            f.writelines(lines)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -146,10 +147,6 @@ def cmd_eval(args) -> int:
 
 
 def _larcher(args) -> int:
-    # larcher weighs bits by gamma, in float, at its own n: it reads none of these
-    given = [o for o in ("q", "mode", "n_max", "N") if getattr(args, o) is not None]
-    if given:
-        raise ParseError(f"verify larcher takes no --{given[0].replace('_', '-')}")
     c = args.gamma_limit
     # the identity is linear in gamma, so its float rounding grows with |gamma|
     scale = max(1, abs(c))
@@ -182,14 +179,16 @@ def _verdict(head: str, result: verify.SweepResult, tol: float) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.target not in verify.SWEEPS:
+    sweep = verify.SWEEPS.get(args.target)
+    # a sweep reads q, the mode and its own range; larcher weighs bits by gamma,
+    # in float, at its own n, and reads none of them.  An option the target does
+    # not read is refused, not ignored, so no argparse defaults
+    read = {"q", "mode", sweep.option.replace("-", "_")} if sweep else set()
+    given = [o for o in ("q", "mode", "n_max", "N") if o not in read and getattr(args, o) is not None]
+    if given:
+        raise ParseError(f"verify {args.target} takes no --{given[0].replace('_', '-')}")
+    if sweep is None:
         return _larcher(args)
-    sweep = verify.SWEEPS[args.target]
-    # an n-sweep reads --n-max alone and prop2 --N alone: the other range is refused, not ignored
-    other = "N" if sweep.option == "n-max" else "n-max"
-    if getattr(args, other.replace("-", "_")) is not None:
-        raise ParseError(f"verify {args.target} takes no --{other}")
-    # no argparse defaults, so larcher sees the options it was given
     top = getattr(args, sweep.option.replace("-", "_"))
     top = (4096 if sweep.var == "n" else 8) if top is None else top
     q_text = "2/3" if args.q is None else args.q

@@ -278,38 +278,20 @@ def tau_scaled(n: int, i: int) -> int:
     return min(m, (1 << i) - m)
 
 
-# (mask, half, size) = (2^i - 1, 2^(i-1), 2^i) of the levels i = 1 .. 64: the
-# shifts of tau_profile, built once, since a sweep takes a profile per n
-_LEVELS = tuple(((1 << i) - 1, 1 << (i - 1), 1 << i) for i in range(1, 65))
+def _shifts(K: int) -> Iterator[tuple]:
+    """(mask, half, size) = (2^i - 1, 2^(i-1), 2^i) of the levels i = 1 .. K, one at a time."""
+    return (((1 << i) - 1, 1 << (i - 1), 1 << i) for i in range(1, K + 1))
 
 
-def _byte_sums() -> list[int]:
-    """[sum(tau_profile(m, 8)) for m in range(256)], level by level: the sum
-    over levels 1..i of m < 2^i is that over levels 1..i-1 of m mod 2^(i-1)
-    plus min(m, 2^i - m)."""
-    sums = [0]
-    for i in range(1, 9):
-        half = 1 << (i - 1)
-        sums = [s + m for m, s in enumerate(sums)] + [s + half - m for m, s in enumerate(sums)]
-    return sums
-
-
-_SAW = _byte_sums()  # the sawtooth of a byte summed over its eight levels, read by tau_sum
+_LEVELS = tuple(_shifts(64))  # the shifts of tau_profile, built once, since a sweep takes a profile per n
 
 
 def tau_profile(n: int, K: int) -> list[int]:
     """[tau_scaled(n, 1), ..., tau_scaled(n, K)]: the sawtooth at every level in one pass."""
     out = []
-    if 0 <= K <= len(_LEVELS):
-        for mask, half, size in _LEVELS[:K]:
-            m = n & mask
-            out.append(m if m <= half else size - m)
-        return out
-    size = 2
-    for _ in range(K):
-        m = n & (size - 1)
-        out.append(m if 2 * m <= size else size - m)
-        size <<= 1
+    for mask, half, size in _LEVELS[:K] if 0 <= K <= len(_LEVELS) else _shifts(K):
+        m = n & mask
+        out.append(m if m <= half else size - m)
     return out
 
 
@@ -320,9 +302,8 @@ def tau_sum(n: int, K: int) -> int:
 
     With lo = n mod 2^8 and h = n >> 8, the level-i sawtooth of n past level
     8 is 2^8 times the level-(i-8) sawtooth of h, plus lo where bit i-1 of n
-    is 0 and minus lo where it is 1.  For K <= 8, n < 2^K is below the half
-    of every level from K+1 to 8, whose sawtooth is n itself, so the byte
-    sum counts n once for each of those 8 - K levels.
+    is 0 and minus lo where it is 1.  The last K <= 8 levels are read off
+    ``_SAW[K]``.
     """
     if K <= 0:
         return 0
@@ -332,9 +313,9 @@ def tau_sum(n: int, K: int) -> int:
         lo = n & 255
         n >>= 8
         K -= 8
-        total += (_SAW[lo] + lo * (K - 2 * n.bit_count())) << shift
+        total += (_SAW[8][lo] + lo * (K - 2 * n.bit_count())) << shift
         shift += 8
-    return total + ((_SAW[n] - (8 - K) * n) << shift)
+    return total + (_SAW[K][n] << shift)
 
 
 def tau_weighted_sum(n: int, e: int, u: int, v: int) -> int:
@@ -366,6 +347,8 @@ def tau_weighted_levels(u: int, v: int) -> Iterator[list[int]]:
         lower = [u * w + ve * n for n, w in enumerate(table)]
         table, ve = lower + lower[-2::-1], ve * v
 
+
+_SAW = list(islice(tau_weighted_levels(1, 1), 9))  # W at (1, 1) on levels 0..8, read by tau_sum
 
 TABLE_BITS = 12  # a sweep's tables hold 2^12 values, whatever its range
 

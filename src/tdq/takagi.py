@@ -431,17 +431,20 @@ def F_q(x, q) -> Scalar:
     return Scalar(_F(qw.q.promote(mode).value, xs.promote(mode).value, t.value, mode))
 
 
-def F_q_grid(q, m: int) -> list:
+def F_q_grid(q, m: int) -> Ratios:
     """[F_q(j/2^m, q).value for j = 0 .. 2^m], bit for bit: ``takagi_grid`` at
-    a = 1/(2q) gives T_a in q's mode, and q is boxed once."""
+    a = 1/(2q) gives T_a in q's mode, and q is boxed once.  At exact q = c/b,
+    with T_a(j/2^m) = N_j/D, the grid is the integers 2c j (D / 2^m) - b N_j
+    over 2 b D (D = 1 at m = 0)."""
     qw = as_qweight(q)
     ts = takagi_grid(qw.a, m)
     mode, qv = qw.q.mode, qw.q.value
-    size = 1 << m
     if mode is Mode.EXACT:
-        return [_F(qv, Fraction(j, size), t, mode) for j, t in enumerate(ts)]
-    # j / size rounds once, as float(Fraction(j, size)) does
-    return finite([_F(qv, type(qv)(j / size), t, mode) for j, t in enumerate(ts)])
+        c, b, D = qv.numerator, qv.denominator, ts.den
+        s = 2 * c * (D >> m)
+        return Ratios([s * j - b * t for j, t in enumerate(ts.numerators)], 2 * b * D)
+    size = 1 << m  # j / size rounds once, as float(Fraction(j, size)) does
+    return Ratios(finite([_F(qv, type(qv)(j / size), t, mode) for j, t in enumerate(ts)]), None)
 
 
 def hat_F_q(u, q, tol: float = DEFAULT_SERIES_TOL) -> Scalar:
@@ -451,10 +454,8 @@ def hat_F_q(u, q, tol: float = DEFAULT_SERIES_TOL) -> Scalar:
         raise DomainError("hat_F_q requires |q| > 1/2")
     uf = float(as_scalar(u).promote(Mode.FLOAT).value)
     uf -= math.floor(uf)
-    mode = Mode.COMPLEX if qw.q.mode is Mode.COMPLEX else Mode.FLOAT
-    a = qw.a.promote(mode)
-    t = _series_sum(2.0 ** (uf - 1.0), a.value, _series_length(float(a.modulus()), tol))
-    return Scalar(Scalar.lift(2.0 ** (1.0 - uf), mode).value * t)
+    t = takagi_series(2.0 ** (uf - 1.0), qw.a, tol)
+    return Scalar(Scalar.lift(2.0 ** (1.0 - uf), t.mode).value * t.value)
 
 
 def _corollary_q(q, tol: float) -> tuple:

@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -9,10 +10,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tdq import digit_sums, trollope, verify
-from tdq.cli import _parse_omega, build_parser, main
+from tdq.cli import _parse_omega, _write_table, build_parser, main
 from tdq.digit_sums import S_q_direct, S_rec_payload
-from tdq.odometer import birkhoff_deviation, birkhoff_mean
-from tdq.scalar import Mode, parse_scalar
+from tdq.errors import DomainError
+from tdq.odometer import birkhoff_deviation, birkhoff_mean, dyadic_grid
+from tdq.scalar import Mode, Ratios, parse_scalar
 
 
 def run(capsys, *argv):
@@ -321,6 +323,29 @@ def test_curve_determinism(tmp_path, capsys):
         run(capsys, "curve", "fluctuation", "--q", "2/3", "--omega", "random",
             "--seed", "7", "--l", "64", "--grid", "4", "--R", "max-abs", "--out", str(f))
     assert f1.read_bytes() == f2.read_bytes()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_write_table_renders_every_row_before_it_opens_the_file(tmp_path, fmt):
+    # the last value has too many digits to print: the table fails whole, and no file is left
+    f = tmp_path / "t.csv"
+    with pytest.raises(DomainError, match="too many digits"):
+        _write_table({"curve": "test"}, dyadic_grid(1), Ratios([0, 1, 10 ** 5000], 1), str(f), fmt)
+    assert not f.exists()
+
+
+def test_curve_takagi_peaks_at_a_few_times_its_file(tmp_path):
+    # each row is held once, as its line; a table held as row lists, as lines
+    # and as one text peaked at ~12 times the file's bytes
+    f = tmp_path / "t.csv"
+    build_parser()  # cached, and not part of the table
+    tracemalloc.start()
+    try:
+        assert main(["curve", "takagi", "--a=2/3", "--grid", "14", "--out", str(f)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * f.stat().st_size
 
 
 def test_curve_grid_guard(capsys):

@@ -58,11 +58,12 @@ def test_tau_profile_wide_n(n, K):
     assert profile[n.bit_length():] == [n] * (K - n.bit_length())
 
 
-@pytest.mark.parametrize("K", [63, 64, 65, 70])
+@pytest.mark.parametrize("K", [-1, 0, 1, 63, 64, 65, 70])
 def test_tau_profile_across_the_level_table_edge(K):
-    # levels up to 64 are read from a table, deeper ones from the loop
+    # levels up to 64 are sliced from a table, deeper ones built for K, and a
+    # negative K has no levels
     ns = [0, 1, 3, (1 << 62) + 1, (1 << 63) - 1, 1 << 63, (1 << 63) + 1, (1 << 64) - 1, 1 << 64, (1 << 64) + 1]
-    ns += [(1 << 70) - 1, 1 << 69, 0x2AAAAAAAAAAAAAAAAA, 0x355555555555555555]
+    ns += [(1 << 70) - 1, 1 << 69, 0x2AAAAAAAAAAAAAAAAA, 0x355555555555555555, (1 << 70) + 99]
     for n in ns:
         profile = tau_profile(n, K)
         assert profile == [tau_scaled(n, i) for i in range(1, K + 1)]
@@ -71,15 +72,17 @@ def test_tau_profile_across_the_level_table_edge(K):
 
 def test_tau_sum_is_the_profile_sum():
     # K crosses each byte of levels (8, 9, 16, 17), stops short of n's bit
-    # length (the high bits are ignored) and runs past the level table (K > 64)
-    small_K = [*range(18), 23, 24, 25, 63, 64, 65, 70]
+    # length (the high bits are ignored), runs past the level table (K > 64)
+    # and leaves every K <= 8 levels for the last table read
+    small_K = [-1, *range(18), 23, 24, 25, 63, 64, 65, 70]
     for n in range(1 << 12):
         for K in small_K:
             assert tau_sum(n, K) == sum(tau_profile(n, K))
     wide = [(j << 8) + d for j in (*range(1, 129), 1 << 8, 1 << 16, 1 << 54) for d in (-1, 1)]
-    wide += [1 << 62, (1 << 70) + 3, 3 ** 40]
+    wide += [(1 << b) + d for b in range(8, 72, 8) for d in (-1, 0, 1)]
+    wide += [1 << 62, (1 << 70) + 3, (1 << 70) + 99, 3 ** 40]
     for n in wide:
-        for K in range(71):
+        for K in range(-1, 71):
             assert tau_sum(n, K) == sum(tau_profile(n, K))
 
 

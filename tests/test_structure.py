@@ -127,13 +127,15 @@ SAWTOOTH_ROOTS = ["theorem1_num", "vdc_star_discrepancy"]
 
 
 def one_weighted_sawtooth(text):
-    """Names of the two copies of W that scalar.py replaced, and, in a module
-    that defines a ``SAWTOOTH_ROOTS`` kernel, where those kernels (or the
-    functions they name) name ``tau_profile``."""
+    """Names of the two copies of W that scalar.py replaced, a definition of
+    ``_byte_sums`` (the copy of W at (1, 1) that ``tau_weighted_levels``
+    replaced), and, in a module that defines a ``SAWTOOTH_ROOTS`` kernel, where
+    those kernels (or the functions they name) name ``tau_profile``."""
     tree = ast.parse(text)
-    defined = {n.name for n in tree.body if isinstance(n, ast.FunctionDef)}
-    roots = SAWTOOTH_ROOTS if defined.intersection(SAWTOOTH_ROOTS) else []
-    return grep(r"\b(takagi_dyadic_num|takagi_grid_num)\b")(text) + reach(tree, roots, {"tau_profile"})
+    defined = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    roots = SAWTOOTH_ROOTS if defined.keys() & SAWTOOTH_ROOTS else []
+    copies = [f"{defined['_byte_sums'].lineno}: defines _byte_sums"] if "_byte_sums" in defined else []
+    return grep(r"\b(takagi_dyadic_num|takagi_grid_num)\b")(text) + copies + reach(tree, roots, {"tau_profile"})
 
 
 RULES = {  # rule id: (modules read, check, mutant as (module, snippet, replacement))
@@ -162,8 +164,8 @@ RULES = {  # rule id: (modules read, check, mutant as (module, snippet, replacem
     # many-point values stay payloads from the grid forms to the table writer, which boxes no row
     "tables-render-payloads": (
         ("cli.py", "takagi.py"), tables_render_payloads,
-        ("cli.py", "rows = [[t, render(v)] for t, v in zip(ts, values)]",
-         "rows = [[t, Scalar(v).render()] for t, v in zip(ts, values)]")),
+        ("cli.py", "rows = ([t, render(v)] for t, v in zip(ts, values))",
+         "rows = ([t, Scalar(v).render()] for t, v in zip(ts, values))")),
     # T_a at a point is takagi.takagi_at's one rule
     "one-takagi-at-rule": (
         ("cli.py", "odometer.py"), grep(r"as_dyadic_fraction|takagi_series|takagi_dyadic_exact"),
@@ -199,12 +201,12 @@ RULES = {  # rule id: (modules read, check, mutant as (module, snippet, replacem
             prefix="S_q_"),
         ("trollope.py", "head = a * geometric_num(k + 1, a, b) * n", "head = a * S_q_pow2(k + 1, qv).value * n")),
     # the weighted sawtooth sum W is scalar.py's: T_a at dyadic points, both
-    # Trollope-Delange formulas and van der Corput read it, with no copy of their own
+    # Trollope-Delange formulas, van der Corput and tau_sum's byte table read
+    # it, with no copy of their own
     "one-weighted-sawtooth": (
-        ("takagi.py", "trollope.py"), one_weighted_sawtooth,
-        ("trollope.py", "return Scalar(Fraction((1 << k) + tau_weighted_sum(n, k, 2, 1), n << k))",
-         "total = 1\n    for t in tau_profile(n, k):\n        total = 2 * total + t\n"
-         "    return Scalar(Fraction(total, n << k))")),
+        ("takagi.py", "trollope.py", "scalar.py"), one_weighted_sawtooth,
+        ("scalar.py", "_SAW = list(islice(tau_weighted_levels(1, 1), 9))",
+         "def _byte_sums():\n    return list(islice(tau_weighted_levels(1, 1), 9))\n\n\n_SAW = _byte_sums()")),
     # tdq verify's sweeps are verify.run's: cli.py names none of the routes they check
     "sweeps-live-in-verify": (
         ("cli.py",), grep(r"\b(theorem1_nums?|dyadic_nums?|S_rec_nums?|orbit_numerators|iter_S_direct|prop2_exact"
@@ -231,7 +233,7 @@ RULES = {  # rule id: (modules read, check, mutant as (module, snippet, replacem
 }
 
 
-# a root a rule gained after its row's mutant, with a mutant of its own:
+# a root of a rule that its row's mutant does not reach, with a mutant of its own:
 # (rule id, the root, a mutant that only the root's reach flags)
 ROOT_MUTANTS = [
     ("S_rec-independent-of-counts-and-direct", "S_rec_nums",
@@ -240,6 +242,10 @@ ROOT_MUTANTS = [
      ("trollope.py", "ws = tau_weighted_sums(2, n_max + 1, 2 * p, r)", "ws = (s for _, s in iter_S_direct(n_max, q))")),
     ("trollope-delange-independent-of-S_q-routes", "dyadic_nums",
      ("trollope.py", "ws = tau_weighted_sums(2, n_max + 1, b, a)", "ws = orbit_numerators(0, q, n_max)[1]")),
+    ("one-weighted-sawtooth", "vdc_star_discrepancy",
+     ("trollope.py", "return Scalar(Fraction((1 << k) + tau_weighted_sum(n, k, 2, 1), n << k))",
+      "total = 1\n    for t in tau_profile(n, k):\n        total = 2 * total + t\n"
+      "    return Scalar(Fraction(total, n << k))")),
     ("sweeps-live-in-verify", "theorem1_nums",
      ("cli.py", "result = verify.run(args.target, q, top)",
       "result = verify.run(args.target, q, top)\n    next(trollope.theorem1_nums(q, top))")),

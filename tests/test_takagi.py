@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import struct
@@ -9,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tdq.errors import DomainError, ModeError
-from tdq.scalar import Mode, QWeight, Scalar, tau_float, tau_scaled
+from tdq.scalar import Mode, QWeight, Ratios, Scalar, tau_float, tau_scaled
 from tdq.takagi import (
     DEFAULT_SERIES_TOL,
     DeRhamSystem,
@@ -470,6 +471,8 @@ def test_F_q_grid_is_F_q_at_each_point(q, m):
     want = [F_q(Fraction(j, 1 << m), q).value for j in range((1 << m) + 1)]
     got = F_q_grid(q, m)
     assert list(map(type_and_bits, got)) == list(map(type_and_bits, want))
+    # a grid is a Ratios, as takagi_grid's is, and an exact one integers over one denominator
+    assert isinstance(got, Ratios) and (got.den is not None) == isinstance(q, Fraction)
 
 
 @pytest.mark.parametrize("tol", [DEFAULT_SERIES_TOL, 1e-3])
@@ -516,15 +519,17 @@ def test_grid_forms_check_their_parameter():
     assert tilde_F_q_log2_range(2, 0) == []
 
 
-@pytest.mark.parametrize("q", [Fraction(2, 3), 0.7, -0.6, 1j, 0.5 + 0.5j], ids=str)
+@pytest.mark.parametrize(
+    "q", [Fraction(2, 3), Fraction(-7, 5), 1, 0.7, -0.6, 5.0, 1j, 0.5 + 0.5j, -0.6 + 0.1j], ids=str
+)
 def test_hat_F_q_is_the_scaled_series(q):
     a = QWeight.of(q).a
     mode = Mode.COMPLEX if a.mode is Mode.COMPLEX else Mode.FLOAT
-    for u in (0.0, 0.3, 0.999, 2.5):
+    for u, tol in itertools.product((0.0, 0.3, 0.999, 1.0, 2.5, -1.25, 1e-300), (DEFAULT_SERIES_TOL, 1e-3)):
         uf = u - math.floor(u)
-        want = Scalar.lift(2.0 ** (1.0 - uf), mode).value * takagi_series(2.0 ** (uf - 1.0), a).value
-        got = hat_F_q(u, q)
-        assert (got.mode, repr(got.value)) == (mode, repr(want))
+        want = Scalar.lift(2.0 ** (1.0 - uf), mode).value * takagi_series(2.0 ** (uf - 1.0), a, tol).value
+        got = hat_F_q(u, q, tol)
+        assert (got.mode, type_and_bits(got.value)) == (mode, type_and_bits(want))
 
 
 def test_hat_F_periodicity():
