@@ -11,6 +11,7 @@ import functools
 import json
 import random
 import sys
+from itertools import chain
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -68,8 +69,8 @@ def _write_table(meta: dict, grid, values, out=None, fmt: str = "csv") -> None:
     """Write a sampled curve, on an exact ``Ratios`` grid, as CSV or JSON to the
     file ``out``, or to stdout.  ``values`` are payloads of one mode; exact
     points and values are written from their integer pairs.  Each row is
-    rendered once, into its line, before the file is opened, so a value that
-    fails to render leaves no file."""
+    rendered once, into its CSV line or JSON row, before the file is opened,
+    so a value that fails to render leaves no file; JSON text is streamed."""
     columns = ["t", "value"]
     ts = (render_ratio(u, grid.den) for u in grid.numerators)
     if isinstance(values, Ratios) and values.den is not None:
@@ -79,8 +80,9 @@ def _write_table(meta: dict, grid, values, out=None, fmt: str = "csv") -> None:
         rows = ([t, render(v.real), render(v.imag)] for t, v in zip(ts, values))
     else:
         rows = ([t, render(v)] for t, v in zip(ts, values))
-    if fmt == "json":
-        lines = [json.dumps({"meta": meta, "columns": columns, "rows": list(rows)}, indent=2) + "\n"]
+    if fmt == "json":  # the chunks json.dump writes, and no whole text
+        lines = chain(json.JSONEncoder(indent=2).iterencode({"meta": meta, "columns": columns, "rows": list(rows)}),
+                      ["\n"])
     else:
         head = "# " + ", ".join(f"{k}={v}" for k, v in meta.items())
         lines = [f"{head}\n", ",".join(columns) + "\n", *(",".join(r) + "\n" for r in rows)]

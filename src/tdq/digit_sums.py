@@ -119,8 +119,9 @@ def S_rec_num(n: int, a: int, b: int) -> tuple:
     return acc, den
 
 
-def S_rec_nums(n_max: int, a: int, b: int) -> Iterator[tuple]:
-    """``S_rec_num(n, a, b)`` for n = 1 .. n_max, pair for pair.
+def S_rec_nums(q, n_max: int) -> Iterator[tuple]:
+    """``S_rec_num(n, a, b)`` for n = 1 .. n_max at an exact q = a/b, pair for
+    pair; a float or complex q yields ``S_rec_payload(n, q)`` over 1.
 
     Below 2^TABLE_BITS, R(n) is built bottom-up, one bit-length block at a
     time, from ``S_rec_num``'s own R(1) and R(0) = 0: the top-bit split
@@ -128,8 +129,13 @@ def S_rec_nums(n_max: int, a: int, b: int) -> Iterator[tuple]:
     unrolls for odd n holds for every m < 2^k.  Past that, ``S_rec_num`` per
     n, so the list of R(n) stays 2^TABLE_BITS long.
     """
+    qv = as_qweight(q).q.value
     if n_max < 1:
         return
+    if not isinstance(qv, Fraction):
+        yield from ((S_rec_payload(n, qv), 1) for n in range(1, n_max + 1))
+        return
+    a, b = qv.numerator, qv.denominator
     first = S_rec_num(1, a, b)
     yield first
     R = [0, first[0]]

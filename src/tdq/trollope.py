@@ -11,7 +11,7 @@ import math
 from fractions import Fraction
 
 from .digit_sums import bit_counts, geometric_num
-from .errors import DomainError, ModeError
+from .errors import DomainError
 from .scalar import Mode, Regime, Scalar, as_qweight, tau_profile, tau_sum, tau_weighted_sum, tau_weighted_sums
 from .takagi import G_tilde_gamma, takagi_dyadic_sum
 
@@ -48,17 +48,12 @@ def theorem1_num(n: int, q) -> tuple:
     return qv / 2 * bracket, 1
 
 
-def _exact_q(qw, name: str) -> tuple:
-    """(a, b) with q = a/b, for a stream that takes exact q alone."""
-    if qw.q.mode is not Mode.EXACT:
-        raise ModeError(f"{name} takes an exact q, not a {qw.q.mode.value} one")
-    return qw.q.value.numerator, qw.q.value.denominator
-
-
 def theorem1_nums(q, n_max: int):
-    """``theorem1_num(n, q)`` for n = 1 .. n_max at an exact q = a/b, pair for pair.
+    """``theorem1_num(n, q)`` for n = 1 .. n_max, pair for pair.
 
-    n = 1 is ``theorem1_num``'s own pair, so q is checked once, in its words.
+    A float or complex q yields each n's payload over 1 as ``theorem1_rhs``
+    boxes it, so an overflow raises where it does.  At an exact q = a/b, n = 1
+    is ``theorem1_num``'s own pair, so q is checked once, in its words.
     With 1/(2q) = p/r and e = k + 1 the bit length of n, T's numerator tn is
     ``tau_weighted_sums`` at (u, v) = (2p, r), and num = a G_e r^k n - a^(k+1) tn
     over den = 2 b^e r^k n: the factors of n and tn are taken once per e.
@@ -66,10 +61,12 @@ def theorem1_nums(q, n_max: int):
     qw = as_qweight(q)
     if n_max < 1:
         return
-    first = theorem1_num(1, qw)
-    a, b = _exact_q(qw, "theorem1_nums")
+    if qw.q.mode is not Mode.EXACT:
+        yield from ((theorem1_rhs(n, qw).value, 1) for n in range(1, n_max + 1))
+        return
+    yield theorem1_num(1, qw)
+    a, b = qw.q.value.numerator, qw.q.value.denominator
     p, r = qw.a.value.numerator, qw.a.value.denominator
-    yield first
     ws = tau_weighted_sums(2, n_max + 1, 2 * p, r)
     for e in range(2, n_max.bit_length() + 1):
         rk = r ** (e - 1)
@@ -118,19 +115,22 @@ def dyadic_num(n: int, q) -> tuple:
 
 
 def dyadic_nums(q, n_max: int):
-    """``dyadic_num(n, q)`` for n = 1 .. n_max at an exact q = a/b, pair for pair,
-    q = 0 included.
+    """``dyadic_num(n, q)`` for n = 1 .. n_max, pair for pair, q = 0 included.
 
-    n = 1 is ``dyadic_num``'s own pair, so q is checked once, in its words.  The
-    Horner sum over the profile is a W(n), W ``tau_weighted_sums`` at (u, v) =
-    (b, a), so num = a G_e n - a W(n) over den = 2 b^e n, e the bit length of n.
+    A float or complex q yields each n's payload over 1 as ``dyadic_formula``
+    boxes it.  At an exact q = a/b, n = 1 is ``dyadic_num``'s own pair, so q is
+    checked once, in its words.  The Horner sum over the profile is a W(n), W
+    ``tau_weighted_sums`` at (u, v) = (b, a), so num = a G_e n - a W(n) over
+    den = 2 b^e n, e the bit length of n.
     """
     qw = as_qweight(q)
     if n_max < 1:
         return
-    first = dyadic_num(1, qw)
-    a, b = _exact_q(qw, "dyadic_nums")
-    yield first
+    if qw.q.mode is not Mode.EXACT:
+        yield from ((dyadic_formula(n, qw).value, 1) for n in range(1, n_max + 1))
+        return
+    yield dyadic_num(1, qw)
+    a, b = qw.q.value.numerator, qw.q.value.denominator
     ws = tau_weighted_sums(2, n_max + 1, b, a)
     for e in range(2, n_max.bit_length() + 1):
         head, den = a * geometric_num(e, a, b), 2 * b ** e

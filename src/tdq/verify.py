@@ -2,18 +2,20 @@
 ``SWEEPS`` row at every point of its range and returns the worst residual.
 
 The n-sweeps read S_q(n) = s/d off the direct route's one stream,
-``digit_sums.orbit_numerators`` (d = 1 outside exact mode).  An exact
-formula's pairs num/den come in step from its many-point form
+``digit_sums.orbit_numerators`` (d = 1 outside exact mode).  A formula row
+reads its pairs num/den in step off a many-point stream
 (``trollope.theorem1_nums``, ``trollope.dyadic_nums``,
-``digit_sums.S_rec_nums``) and are checked against s/d by the integer gap
-num·d − s·den; the residual |gap|/(den·d) is built only where the gap is
-not 0.
+``digit_sums.S_rec_nums``), which takes q in every mode, and holds them to
+S_q(n)/n or S_q(n) by ``_gap``, the one residual rule: in exact mode the
+integer gap num·d − s·den, with the residual |gap|/(den·d) built only where
+the gap is not 0, and otherwise the payload difference (den = 1).
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import partial
 from itertools import count, repeat
 from typing import Callable, NamedTuple
 
@@ -45,7 +47,10 @@ class Sweep(NamedTuple):
 
 
 def _gap(num, den, s, d, n):
-    """|num/den − s/d| at n from the gap num·d − s·den: the int 0 where the gap is 0."""
+    """|num/den − s/d| at n: from the integer gap num·d − s·den in exact mode (s an int),
+    the int 0 where it is 0; else num is a payload over den = 1, and the payload difference."""
+    if type(s) is not int:
+        return abs(num - s / d)
     g = num * d - s * den
     if type(g) is not int:  # a float 0.0 compares equal to 0 and would pass unseen
         raise VerificationError(f"the cross-product at n={n} is {g!r}, not exact in an exact sweep")
@@ -54,41 +59,24 @@ def _gap(num, den, s, d, n):
 
 def _n_sweep(qv, n_max: int, residual, pairs=repeat(None)):
     """The pairs (n, residual(n, s, d, nd)) for S_q(n) = s/d at q = qv, n = 1 .. n_max,
-    with nd read in step off ``pairs``, an exact formula's (num, den) stream."""
+    with nd read in step off ``pairs``, a formula's (num, den) stream."""
     d, sums = digit_sums.orbit_numerators(0, qv, n_max)
     return ((n, residual(n, s, d, nd)) for n, s, nd in zip(count(1), sums, pairs))
 
 
-def _theorem1(q: Scalar, n_max: int):
-    qw = as_qweight(q)
-    if q.mode is Mode.EXACT:  # num/den is S_q(n)/n, so s is taken over d·n
-        return q.mode, _n_sweep(q.value, n_max, lambda n, s, d, nd: _gap(*nd, s, d * n, n),
-                                trollope.theorem1_nums(qw, n_max))
-    return q.mode, _n_sweep(q.value, n_max, lambda n, s, d, _: abs(trollope.theorem1_rhs(n, qw).value - s / n))
+def _formula(stream, per_n: bool, q: Scalar, n_max: int):
+    """A formula row: ``stream(q, n_max)``, looked up as the row runs, yields pairs
+    num/den for S_q(n)/n (per_n) or S_q(n), and a row for S_q(n) meets the closed
+    form S_pow2 at n = 2^k too, the larger residual there."""
 
+    def residual(n, s, d, nd):
+        r = _gap(*nd, s, d * n if per_n else d, n)
+        if per_n or n & (n - 1):
+            return r
+        p = digit_sums.S_pow2_payload(n.bit_length() - 1, q.value)
+        return max(r, _gap(*((p.numerator, p.denominator) if isinstance(p, Fraction) else (p, 1)), s, d, n))
 
-def _dyadic(q: Scalar, n_max: int):
-    if q.mode is Mode.EXACT:
-        return q.mode, _n_sweep(q.value, n_max, lambda n, s, d, nd: _gap(*nd, s, d * n, n),
-                                trollope.dyadic_nums(q, n_max))
-    return q.mode, _n_sweep(q.value, n_max, lambda n, s, d, _: abs(trollope.dyadic_formula(n, q).value - s / n))
-
-
-def _recursions(q: Scalar, n_max: int):
-    """S_rec at every n, and the closed form S_pow2 too at n = 2^k: the larger residual there."""
-    qv = q.value
-    exact = q.mode is Mode.EXACT
-
-    def residual(n, s, d, rec):
-        r = _gap(*rec, s, d, n) if exact else abs(digit_sums.S_rec_payload(n, qv) - s)
-        if n & (n - 1) == 0:
-            p = digit_sums.S_pow2_payload(n.bit_length() - 1, qv)
-            r = max(r, _gap(p.numerator, p.denominator, s, d, n) if exact else abs(p - s))
-        return r
-
-    if exact:
-        return q.mode, _n_sweep(qv, n_max, residual, digit_sums.S_rec_nums(n_max, qv.numerator, qv.denominator))
-    return q.mode, _n_sweep(qv, n_max, residual)
+    return q.mode, _n_sweep(q.value, n_max, residual, stream(q, n_max))
 
 
 def _corollary(q: Scalar, n_max: int):
@@ -116,10 +104,10 @@ def _prop2(q: Scalar, N_max: int):
 
 
 SWEEPS = {
-    "theorem1": Sweep(_theorem1),
-    "dyadic": Sweep(_dyadic),
+    "theorem1": Sweep(partial(_formula, lambda q, top: trollope.theorem1_nums(q, top), True)),
+    "dyadic": Sweep(partial(_formula, lambda q, top: trollope.dyadic_nums(q, top), True)),
     "prop2": Sweep(_prop2, var="N", option="N", least=2),
-    "recursions": Sweep(_recursions),
+    "recursions": Sweep(partial(_formula, lambda q, top: digit_sums.S_rec_nums(q, top), False)),
     "corollary": Sweep(_corollary),
 }
 

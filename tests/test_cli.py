@@ -334,14 +334,16 @@ def test_write_table_renders_every_row_before_it_opens_the_file(tmp_path, fmt):
     assert not f.exists()
 
 
-def test_curve_takagi_peaks_at_a_few_times_its_file(tmp_path):
-    # each row is held once, as its line; a table held as row lists, as lines
-    # and as one text peaked at ~12 times the file's bytes
-    f = tmp_path / "t.csv"
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_curve_takagi_peaks_at_a_few_times_its_file(tmp_path, fmt):
+    # each row is held once, as its line or row list, and JSON text is
+    # streamed; a table held as row lists, as lines and as one text peaked at
+    # ~12 times the file's bytes, and JSON held as one text at ~9 times
+    f = tmp_path / f"t.{fmt}"
     build_parser()  # cached, and not part of the table
     tracemalloc.start()
     try:
-        assert main(["curve", "takagi", "--a=2/3", "--grid", "14", "--out", str(f)]) == 0
+        assert main(["curve", "takagi", "--a=2/3", "--grid", "14", "--format", fmt, "--out", str(f)]) == 0
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

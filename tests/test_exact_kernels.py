@@ -32,7 +32,7 @@ from tdq.digit_sums import (
     geometric_num,
     iter_S_direct,
 )
-from tdq.errors import DomainError, ModeError
+from tdq.errors import DomainError
 from tdq.odometer import (
     Normalization,
     OdometerPoint,
@@ -668,27 +668,47 @@ def test_theorem1_exact_every_n_to_2_12():
 
 # -1 and 1/2 sit on the boundary |q| = 1/2 or |a| = 1, 0 is the all-q
 # formula's end, 8219/8209 two primes above the coefficients, Fraction(0.7)
-# a 52-bit denominator
+# a 52-bit denominator; the float and complex q take each point function per
+# n, 1e-300 and -0.0 the all-q formula's tiny ends, 1e300 its overflows
 STREAM_QS = [Fraction(2, 3), Fraction(-3), Fraction(3, 2), Fraction(-5, 4), Fraction(-1), Fraction(1, 2),
-             Fraction(0), Fraction(8219, 8209), Fraction(0.7)]
+             Fraction(0), Fraction(8219, 8209), Fraction(0.7),
+             0.7, 4.0, -0.6, 0.5 + 0.5j, 2j, 1e-300, -0.0, 1e300]
 STREAM_TOP = (1 << 13) + 7  # the 2^12 levels, one whole chunk past them and a cut one
+
+
+def pairs_until_error(pairs):
+    """The pairs as (type, bits) keys, up to the first DomainError, and its message (None if none)."""
+    keys = []
+    try:
+        for num, den in pairs:
+            keys.append((type(num), num if type(num) is int else (num.real.hex(), num.imag.hex()), den))
+    except DomainError as exc:
+        return keys, str(exc)
+    return keys, None
 
 
 @pytest.mark.parametrize("q", STREAM_QS, ids=str)
 def test_many_point_forms_are_their_point_functions(q):
-    a, b = q.numerator, q.denominator
-    streams = [(lambda top: dyadic_nums(q, top), lambda n: dyadic_num(n, q)),
-               (lambda top: S_rec_nums(top, a, b), lambda n: S_rec_num(n, a, b))]
+    exact = type(q) is Fraction
+
+    def boxed(num):  # off exact mode, the payload over 1 is checked finite as the formulas box it
+        return lambda n: num(n, q) if exact else (scalar.finite((num(n, q)[0],))[0], 1)
+
+    rec = (lambda n: S_rec_num(n, q.numerator, q.denominator)) if exact else (lambda n: (S_rec_payload(n, q), 1))
+    streams = [(dyadic_nums, boxed(dyadic_num)), (S_rec_nums, rec)]
     if abs(q) > Fraction(1, 2):
-        streams.append((lambda top: theorem1_nums(q, top), lambda n: theorem1_num(n, q)))
-    else:  # q is checked once, in the point function's words
+        streams.append((theorem1_nums, boxed(theorem1_num)))
+    else:  # q is checked at n = 1, in the point function's words
         with pytest.raises(DomainError, match=r"^Theorem 1 requires \|q\| > 1/2$"):
             next(theorem1_nums(q, STREAM_TOP))
+    top = STREAM_TOP if exact else 1 << 10  # off exact mode the streams take each n alone
     for stream, point in streams:
-        pairs = [point(n) for n in range(1, STREAM_TOP + 1)]
-        assert list(stream(STREAM_TOP)) == pairs
-        for top in (0, 1, 2, 3, 64, 4095, 4096, 4097):  # a shorter stream is a prefix
-            assert list(stream(top)) == pairs[:top]
+        pairs = pairs_until_error(map(point, range(1, top + 1)))
+        assert pairs_until_error(stream(q, top)) == pairs
+        for cut in (0, 1, 2, 3, 64, 4095, 4096, 4097):  # a shorter stream is a prefix
+            if cut <= top:
+                keys, error = pairs_until_error(stream(q, cut))
+                assert keys == pairs[0][:cut] and error == (pairs[1] if len(pairs[0]) < cut else None)
 
 
 def test_many_point_forms_refuse_what_their_point_functions_do():
@@ -696,9 +716,6 @@ def test_many_point_forms_refuse_what_their_point_functions_do():
         next(dyadic_nums(Fraction(1), 5))
     with pytest.raises(DomainError, match="^Theorem 1 excludes q = 1; use classic_formula$"):
         next(theorem1_nums(1, 5))
-    for stream in (theorem1_nums, dyadic_nums):  # the pairs are integers: a float q has none
-        with pytest.raises(ModeError, match="takes an exact q, not a float one"):
-            next(stream(0.75, 5))
 
 
 # windows across a bit length (2^40) and across a chunk of 2^12 (3 2^50)
@@ -756,7 +773,7 @@ def test_many_point_forms_hold_no_table_that_grows_with_n_max():
     q = Fraction(2, 3)
     assert peak(theorem1_nums(q, 1 << 16), dyadic_nums(q, 1 << 16)) <= 1.5 * peak(theorem1_nums(q, 1 << 13),
                                                                                  dyadic_nums(q, 1 << 13))
-    assert peak(S_rec_nums(1 << 14, 2, 3)) <= 1.5 * peak(S_rec_nums(1 << 13, 2, 3))
+    assert peak(S_rec_nums(q, 1 << 14)) <= 1.5 * peak(S_rec_nums(q, 1 << 13))
 
 
 @pytest.mark.parametrize("kind", ["float", "complex"])

@@ -141,7 +141,8 @@ def one_weighted_sawtooth(text):
 RULES = {  # rule id: (modules read, check, mutant as (module, snippet, replacement))
     "no-private-names": (
         MODULES, grep(r"\b(digit_sums|odometer|takagi|trollope|scalar)\._[A-Za-z]"),
-        ("verify.py", "digit_sums.S_rec_payload(n, qv)", "digit_sums._S_rec_num(n, qv)")),
+        ("verify.py", "digit_sums.S_pow2_payload(n.bit_length() - 1, q.value)",
+         "digit_sums._pow2_num(n.bit_length() - 1, q.value)")),
     "no-private-imports": (
         MODULES, private_imports,
         ("trollope.py", "import bit_counts, geometric_num", "import _rec_table, bit_counts, geometric_num")),
@@ -213,6 +214,12 @@ RULES = {  # rule id: (modules read, check, mutant as (module, snippet, replacem
                           r"|tilde_F_q_log2_range)\b"),
         ("cli.py", "result = verify.run(args.target, q, top)",
          "result = verify.run(args.target, q, top)\n    trollope.theorem1_num(1, q)")),
+    # each n-sweep has one path in every mode: verify.py reads the many-point streams, never a per-n point form
+    "one-path-per-sweep": (
+        ("verify.py",), grep(r"\b(theorem1_rhs|dyadic_formula|theorem1_num|dyadic_num|S_rec_payload|S_rec_num)\b"),
+        ("verify.py", '"theorem1": Sweep(partial(_formula, lambda q, top: trollope.theorem1_nums(q, top), True)),',
+         '"theorem1": Sweep(lambda q, top: (q.mode, _n_sweep(q.value, top, lambda n, s, d, _: abs(\n'
+         '        trollope.theorem1_rhs(n, q).value - s / n)))),')),
     # odometer birkhoff prints birkhoff_mean and birkhoff_deviation at q as parsed: no orbit walk, no re-boxing
     "one-birkhoff-average": (
         ("cli.py",), reaches(["_birkhoff"], {"orbit_sums", "orbit_partial_sums", "promote", "as_qweight"}),

@@ -49,6 +49,7 @@ NUMERATORS = {
 
 @pytest.mark.parametrize("target", NUMERATORS)
 def test_a_numerator_one_too_big_is_the_worst_residual(monkeypatch, target):
+    # every mode reads the stream: at a float q its payload one too big is the worst too
     module, name, kernel, rest, m = NUMERATORS[target]
     stream = getattr(module, name)
 
@@ -60,6 +61,12 @@ def test_a_numerator_one_too_big_is_the_worst_residual(monkeypatch, target):
     result = verify.run(target, TWO_THIRDS, 4096)
     assert result.worst == abs(Fraction(num + 1, den) - S_q_direct(777, Fraction(2, 3)).value / m)
     assert result.witness == 777 and not result.passed(1.0)
+    q = parse_scalar("0.7")
+    num, one = list(stream(q, 777))[-1]
+    result = verify.run(target, q, 4096)
+    assert (type(num), one) == (float, 1)
+    assert result.worst == abs(num + 1 - S_q_direct(777, q).value / m)
+    assert result.witness == 777 and not result.passed(0.5)
 
 
 def test_recursions_report_the_closed_form_where_only_it_is_off(monkeypatch):
