@@ -69,65 +69,107 @@ def S_pow2_payload(k: int, qv):
     return qv * (1 - checked_pow(qv, k)) / (1 - qv) * (1 << (k - 1)) if k else 0 * qv
 
 
-@lru_cache(maxsize=256)
-def _rec_table(a: int, b: int, K: int) -> tuple:
-    """((a^i), (b^i), (S_q(2^i) b^{i+1})) for i = 0 .. K and q = a/b.
+class _RecTable:
+    """The shift recursions at one q = a/b, grown in place only as far as a
+    call needs, and never shrunk.
 
-    Depends on q and K only, so a sweep over n builds it once per bit length;
-    at the CLI's n < 2^62 a table is a few kB.  The last tuple runs G_{i+1} = b G_i + a^i (G_i = ``geometric_num(i, a, b)``)
-    into S_q(2^i) b^{i+1} = a G_i 2^{i-1} b.
+    ``apow[i]`` = a^i, ``bpow[i]`` = b^i and ``pow2[i]`` = R(2^i) =
+    S_q(2^i) b^{i+1} for i up to the longest bit length asked for; ``pow2``
+    runs G_{i+1} = b G_i + a^i (``g`` = G_i, as ``geometric_num``) into
+    S_q(2^i) b^{i+1} = a G_i 2^{i-1} b.  ``R[m]`` = R(m) = S_q(m) b^{bitlen m}
+    for m < 2^e, e <= TABLE_BITS, built one bit-length block at a time by the
+    top-bit split R(2^k + m) = R(2^k) + R(m) b^{k+1-bitlen m} + m a^{k+1},
+    from R(0) = 0.  Each block, and each run of powers, is built whole
+    before it is appended, so a reader never sees part of one.
     """
-    apow, bpow, pow2 = [1], [1], [0]
-    g = 0
-    for i in range(1, K + 1):
-        g = g * b + apow[-1]
-        apow.append(apow[-1] * a)
-        bpow.append(bpow[-1] * b)
-        pow2.append(a * g * b << (i - 1))
-    return tuple(apow), tuple(bpow), tuple(pow2)
+
+    __slots__ = ("a", "b", "g", "apow", "bpow", "pow2", "R")
+
+    def __init__(self, a: int, b: int):
+        self.a, self.b, self.g = a, b, 0
+        self.apow, self.bpow, self.pow2, self.R = [1], [1], [0], [0]
+
+    def grow(self, L: int, e: int) -> None:
+        """Grow the powers to i = L and R(m) to m < 2^e, e <= min(L, TABLE_BITS)."""
+        a, b, apow, bpow = self.a, self.b, self.apow, self.bpow
+        if len(apow) <= L:
+            g, ap, bp, p2 = self.g, apow[-1:], bpow[-1:], []
+            for i in range(len(apow), L + 1):
+                g = g * b + ap[-1]
+                ap.append(ap[-1] * a)
+                bp.append(bp[-1] * b)
+                p2.append(a * g * b << (i - 1))
+            self.g = g
+            self.pow2 += p2
+            bpow += bp[1:]
+            apow += ap[1:]
+        R = self.R
+        for k in range(len(R).bit_length() - 1, e):  # the block of bit length k + 1
+            p2, ak1 = self.pow2[k], apow[k + 1]
+            R += [p2 + R[m] * bpow[k + 1 - m.bit_length()] + m * ak1 for m in range(1 << k)]
+
+    def chunk(self, base: int) -> tuple:
+        """(C, D) with R(base + j) = C + D j + b^{L-bitlen j} R(j) for every
+        j < 2^TABLE_BITS, base a positive multiple of 2^TABLE_BITS of bit
+        length L, the powers grown to L.
+
+        The top-bit split strips each set bit k of base, high to low: with
+        m = (base + j) mod 2^k it adds b^{L-1-k} (R(2^k) + m a^{k+1}), whose
+        j terms sum to D j, and leaves S_q(j) b^L.
+        """
+        L = base.bit_length()
+        apow, bpow, pow2 = self.apow, self.bpow, self.pow2
+        C = D = 0
+        while base:
+            k = base.bit_length() - 1
+            base ^= 1 << k
+            c, ak1 = bpow[L - 1 - k], apow[k + 1]
+            C += c * (pow2[k] + base * ak1)
+            D += c * ak1
+        return C, D
+
+
+@lru_cache(maxsize=16)
+def _rec_table(a: int, b: int) -> _RecTable:
+    """q = a/b's one ``_RecTable``: a sweep over n grows it once, and the few q
+    a check alternates between keep theirs."""
+    return _RecTable(a, b)
+
+
+_LOW = (1 << TABLE_BITS) - 1
 
 
 def S_rec_num(n: int, a: int, b: int) -> tuple:
     """(R(n), b^L) with R(n) = S_q(n) b^L, L = bitlen n, q = a/b: S_rec_payload's
     recursions scaled.
 
-    With k = L - 1, R(2^k) = S_q(2^k) b^{k+1}, an even n gives
-    R(n) = 2a R(n/2) + (n/2) a b^k, and an odd n = 2^k + m gives
-    R(n) = R(2^k) + R(m) b^{k+1-bitlen m} + m a^{k+1}; R(1) = 0.  The descent
-    carries R(n_0) = acc + mult R(n): even steps down to the odd part of n
-    (or a power of two), then odd steps, whose m stays odd, down to 1.
+    Below 2^TABLE_BITS, R(n) is read off q's ``_RecTable``.  Past that, the
+    top-bit split strips n's bits above the low j = n mod 2^TABLE_BITS
+    (``_RecTable.chunk``, at most L - TABLE_BITS steps), and R(j) is read off
+    the table: R(n) = C + D j + b^{L-bitlen j} R(j).
     """
     if n < 1:
         raise DomainError("S_q is defined for n >= 1")
-    k = n.bit_length() - 1
-    apow, bpow, pow2 = _rec_table(a, b, k + 1)
-    den = bpow[k + 1]
-    acc, mult = 0, 1
-    while not n & 1:
-        if n & (n - 1) == 0:
-            return acc + mult * pow2[k], den
-        n >>= 1
-        acc += mult * (n * a * bpow[k])
-        mult *= 2 * a
-        k -= 1
-    while n > 1:
-        n -= 1 << k
-        j = n.bit_length() - 1
-        acc += mult * (pow2[k] + n * apow[k + 1])
-        mult *= bpow[k - j]
-        k = j
-    return acc, den
+    L, j = n.bit_length(), n & _LOW
+    t = _rec_table(a, b)
+    if len(t.apow) <= L or len(t.R) <= j:
+        t.grow(L, j.bit_length())
+    if j == n:
+        return t.R[n], t.bpow[L]
+    C, D = t.chunk(n - j)
+    return C + D * j + t.bpow[L - j.bit_length()] * t.R[j], t.bpow[L]
 
 
 def S_rec_nums(q, n_max: int) -> Iterator[tuple]:
     """``S_rec_num(n, a, b)`` for n = 1 .. n_max at an exact q = a/b, pair for
     pair; a float or complex q yields ``S_rec_payload(n, q)`` over 1.
 
-    Below 2^TABLE_BITS, R(n) is built bottom-up, one bit-length block at a
-    time, from ``S_rec_num``'s own R(1) and R(0) = 0: the top-bit split
-    R(2^k + m) = R(2^k) + R(m) b^{k+1-bitlen m} + m a^{k+1} that ``S_rec_num``
-    unrolls for odd n holds for every m < 2^k.  Past that, ``S_rec_num`` per
-    n, so the list of R(n) stays 2^TABLE_BITS long.
+    n = 1 is ``S_rec_num``'s own pair, as in the Trollope-Delange streams.
+    Below 2^TABLE_BITS = 2^B, R(n) is read off q's ``_RecTable``.  Past that,
+    n runs in chunks H 2^B + j, j < 2^B, each n as C + D j + b^{L-B} R'(j):
+    (C, D) is ``_RecTable.chunk(H 2^B)`` and R'(j) = S_q(j) b^B =
+    R(j) b^{B-bitlen j}, one list of 2^B values, so each n costs two
+    products and two additions and no list outgrows 2^B values.
     """
     qv = as_qweight(q).q.value
     if n_max < 1:
@@ -136,17 +178,20 @@ def S_rec_nums(q, n_max: int) -> Iterator[tuple]:
         yield from ((S_rec_payload(n, qv), 1) for n in range(1, n_max + 1))
         return
     a, b = qv.numerator, qv.denominator
-    first = S_rec_num(1, a, b)
-    yield first
-    R = [0, first[0]]
-    top = min(n_max, (1 << TABLE_BITS) - 1)
-    apow, bpow, pow2 = _rec_table(a, b, top.bit_length())
-    for k in range(1, top.bit_length()):
-        lo, hi = 1 << k, min(top + 1, 2 << k)
-        p2, ak1 = pow2[k], apow[k + 1]
-        R += [p2 + R[m] * bpow[k + 1 - m.bit_length()] + m * ak1 for m in range(hi - lo)]
-        yield from zip(R[lo:hi], repeat(bpow[k + 1]))
-    yield from (S_rec_num(n, a, b) for n in range(top + 1, n_max + 1))
+    yield S_rec_num(1, a, b)
+    e = min(n_max.bit_length(), TABLE_BITS)
+    t = _rec_table(a, b)
+    t.grow(n_max.bit_length(), e)
+    R, bpow = t.R, t.bpow
+    for k in range(1, e):
+        yield from zip(islice(R, 1 << k, min(n_max + 1, 2 << k)), repeat(bpow[k + 1]))
+    if n_max <= _LOW:
+        return
+    scaled = [r * bpow[TABLE_BITS - j.bit_length()] for j, r in enumerate(R)]
+    for base in range(1 << TABLE_BITS, n_max + 1, 1 << TABLE_BITS):
+        (C, D), L = t.chunk(base), base.bit_length()
+        c, top = bpow[L - TABLE_BITS], min(n_max - base, _LOW)
+        yield from zip((C + D * j + c * r for j, r in zip(range(top + 1), scaled)), repeat(bpow[L]))
 
 
 def S_rec_payload(n: int, qv):

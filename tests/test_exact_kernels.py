@@ -15,13 +15,13 @@ import tracemalloc
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, chain
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tdq import scalar
+from tdq import digit_sums, scalar
 from tdq.digit_sums import (
     S_pow2_payload,
     S_q_counts,
@@ -738,6 +738,53 @@ def test_tau_weighted_sums_in_wide_windows(window, q):
                                        for n in window]
 
 
+# the recursion table's q: a = b, a = 0 and b = 1 in the chunk constants, a
+# sign, two primes above the coefficients and a 52-bit denominator
+REC_QS = [Fraction(2, 3), Fraction(-3), Fraction(1), Fraction(0), Fraction(-7, 5), Fraction(8219, 8209),
+          Fraction(0.7)]
+# across the 2^12 table, a bit length past it, a chunk inside one and 2^16
+REC_WINDOWS = [range(c - 100, c + 101) for c in (1 << 12, 1 << 13, 3 << 12, 1 << 16)]
+
+
+@pytest.mark.parametrize("q", REC_QS, ids=str)
+def test_S_rec_stream_is_its_point_form_across_chunks(q):
+    # every n of each window, pair for pair, den = b^L, and S_q_counts as the
+    # independent route; a stream cut 5 past 2^16 (a partial last chunk) is a
+    # prefix of the longer one
+    a, b = q.numerator, q.denominator
+    pairs = list(S_rec_nums(q, REC_WINDOWS[-1].stop - 1))
+    assert len(pairs) == REC_WINDOWS[-1].stop - 1
+    for n in chain.from_iterable(REC_WINDOWS):
+        num, den = pairs[n - 1]
+        assert (num, den) == S_rec_num(n, a, b) and den == b ** n.bit_length()
+        assert Fraction(num, den) == S_q_counts(n, q).value
+    cut = list(S_rec_nums(q, (1 << 16) + 5))
+    assert cut == pairs[:(1 << 16) + 5]
+
+
+@pytest.mark.parametrize("window", WIDE_WINDOWS, ids=["2^40", "3*2^50"])
+@pytest.mark.parametrize("q", REC_QS, ids=str)
+def test_S_rec_num_in_wide_windows(window, q):
+    a, b = q.numerator, q.denominator
+    for n in window:
+        num, den = S_rec_num(n, a, b)
+        assert den == b ** n.bit_length() and Fraction(num, den) == S_q_counts(n, q).value
+
+
+def test_S_rec_table_grows_only_as_far_as_asked():
+    # a q no other test reaches: n = 8 builds R(m) for m < 2^4 and the powers
+    # to 4; a 62-bit n and a stream to 2^16 stop R at 2^12 values
+    a, b = -11, 13
+    digit_sums._rec_table.cache_clear()
+    S_rec_num(8, a, b)
+    table = digit_sums._rec_table(a, b)
+    assert len(table.R) <= 1 << 4 and len(table.apow) == 5
+    S_rec_num((1 << 62) - 1, a, b)
+    assert len(table.R) <= 1 << 12
+    deque(S_rec_nums(Fraction(a, b), 1 << 16), maxlen=0)
+    assert len(table.R) <= 1 << 12 and digit_sums._rec_table(a, b) is table
+
+
 def test_tau_weighted_sums_against_the_profile():
     # every n below 2^13 + 7, and a window that starts inside the 2^12 levels
     # and ends past them, at weights with a zero, a sign and a 1, and at T_a's
@@ -760,7 +807,8 @@ def test_tau_weighted_sums_against_the_profile():
 def test_many_point_forms_hold_no_table_that_grows_with_n_max():
     # the tables stop at 2^12 values: the peak at n_max = 2^16 stays within
     # 1.5 times that at 2^13 (only the integers widen with the bit length);
-    # S_rec_nums calls S_rec_num per n past 2^12, so 2^14 shows its bound
+    # S_rec_nums grows q's cached recursion table, so the cache is cleared
+    # before each of its peaks and both include one table build
     def peak(*streams):  # the streams are lazy: each pair is made while traced
         tracemalloc.start()
         try:
@@ -773,7 +821,12 @@ def test_many_point_forms_hold_no_table_that_grows_with_n_max():
     q = Fraction(2, 3)
     assert peak(theorem1_nums(q, 1 << 16), dyadic_nums(q, 1 << 16)) <= 1.5 * peak(theorem1_nums(q, 1 << 13),
                                                                                  dyadic_nums(q, 1 << 13))
-    assert peak(S_rec_nums(q, 1 << 14)) <= 1.5 * peak(S_rec_nums(q, 1 << 13))
+
+    def rec_peak(n_max):
+        digit_sums._rec_table.cache_clear()
+        return peak(S_rec_nums(q, n_max))
+
+    assert rec_peak(1 << 16) <= 1.5 * rec_peak(1 << 13)
 
 
 @pytest.mark.parametrize("kind", ["float", "complex"])

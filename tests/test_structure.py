@@ -192,7 +192,8 @@ RULES = {  # rule id: (modules read, check, mutant as (module, snippet, replacem
         ("digit_sums.py",), reaches(["S_rec_payload", "S_rec_nums"], {
             "orbit_sums", "orbit_numerators", "window_sum", "bit_counts", "_digit_weights", "iter_S_direct",
             "sq_payload"}),
-        ("digit_sums.py", "apow, bpow, pow2 = [1], [1], [0]", "apow, bpow, pow2 = [1], [1], list(bit_counts(1))")),
+        ("digit_sums.py", "self.apow, self.bpow, self.pow2, self.R = [1], [1], [0], [0]",
+         "self.apow, self.bpow, self.pow2, self.R = [1], [1], [0], list(bit_counts(1))")),
     # geometric_num is a closed form and stays allowed
     "trollope-delange-independent-of-S_q-routes": (
         ("trollope.py",), reaches(["theorem1_rhs", "dyadic_formula", "theorem1_num", "dyadic_num", "theorem1_nums",
@@ -244,7 +245,8 @@ RULES = {  # rule id: (modules read, check, mutant as (module, snippet, replacem
 # (rule id, the root, a mutant that only the root's reach flags)
 ROOT_MUTANTS = [
     ("S_rec-independent-of-counts-and-direct", "S_rec_nums",
-     ("digit_sums.py", "R = [0, first[0]]", "R = [0, first[0]] + bit_counts(0)")),
+     ("digit_sums.py", "scaled = [r * bpow[TABLE_BITS - j.bit_length()] for j, r in enumerate(R)]",
+      "scaled = [r * bpow[TABLE_BITS - j.bit_length()] for j, r in enumerate(R)] + bit_counts(0)")),
     ("trollope-delange-independent-of-S_q-routes", "theorem1_nums",
      ("trollope.py", "ws = tau_weighted_sums(2, n_max + 1, 2 * p, r)", "ws = (s for _, s in iter_S_direct(n_max, q))")),
     ("trollope-delange-independent-of-S_q-routes", "dyadic_nums",
